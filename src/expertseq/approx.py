@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem
+from .experts import ForecastingSystem, prediction_matrix
 from .forward import WeightMap, ZeroMarginalError
 from .logprob import NEG_INF, LogMass, from_linear, log_sum, log_sum_iter, logsumexp
 
@@ -56,17 +56,7 @@ def trimming_hook(p: float) -> Callable[[WeightMap], WeightMap]:
 def ml_estimate(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> list[int]:
     """Per-step maximum-likelihood expert: argmax of the probability each
     expert assigned to the realized outcome, ties to the lowest index."""
-    out = []
-    for i in range(len(data)):
-        hist = data[:i]
-        x = int(data[i])
-        best, arg = -np.inf, 0
-        for j, e in enumerate(experts):
-            v = float(e.predict(hist)[x])
-            if v > best:
-                best, arg = v, j
-        out.append(arg)
-    return out
+    return np.argmax(prediction_matrix(experts, data), axis=1).tolist()
 
 
 def laplace_expert_conditional(k: int) -> Callable[[Sequence[int]], np.ndarray]:
@@ -102,21 +92,14 @@ def ml_conditioned_marginal(
     ml_prefix: list[int] = []
     conds: list[LogMass] = []
     total = 0.0
-    for i in range(len(data)):
-        hist = data[:i]
-        x = int(data[i])
+    for i, preds in enumerate(prediction_matrix(experts, data)):
         prior = np.asarray(prior_conditional(ml_prefix), dtype=float)
-        preds = np.array([float(e.predict(hist)[x]) for e in experts])
         step = logsumexp(prior + preds)
         if step == NEG_INF:
             raise ZeroMarginalError(i + 1)
         conds.append(step)
         total += step
-        best, arg = -np.inf, 0
-        for j, v in enumerate(preds):
-            if v > best:
-                best, arg = float(v), j
-        ml_prefix.append(arg)
+        ml_prefix.append(int(np.argmax(preds)))
     return MlConditionedResult(total, conds, ml_prefix)
 
 

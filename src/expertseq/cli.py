@@ -24,7 +24,8 @@ import numpy as np
 
 from . import models
 from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
-                      KTEstimator, LaplaceEstimator, MarkovExpert, uniform_expert)
+                      KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
+                      uniform_expert)
 from .forward import ForwardPass, ZeroMarginalError, posterior_experts
 from .logprob import to_bits
 from .approx import trimming_hook
@@ -145,7 +146,7 @@ def _read_advice(path: str, alphabet_size: int, mode: str, n_steps: int):
             except ValueError as e:
                 raise InputError(f"{path}: expert {names[j]!r}: {e}") from None
         return names, experts, None
-    if np.any(table < 0) or np.any(table > 1):
+    if not np.all((table >= 0) & (table <= 1)):
         raise InputError(f"{path}: realized probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         return names, None, np.log(table)
@@ -319,19 +320,17 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.model == "fixed-share" and args.alpha is None:
+        args.alpha = 0.0  # unused: the fixed-share report sweeps alpha itself
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
     if not data:
         raise InputError("bounds need a nonempty data file")
-    if experts is not None:
-        from .experts import prediction_matrix
-        lp = prediction_matrix(experts, data)
-    else:
-        lp = matrix[: len(data)]
     k = len(names)
+    lp = _realized_matrix(experts, data, matrix, k)
     w = _weights(args.weights, k if args.model != "overconfident" else k - 1)
 
     def marginal_of(m) -> float:
-        fp = ForwardPass(m, experts, logpred_matrix=matrix)
+        fp = ForwardPass(m, logpred_matrix=lp)
         for x in data:
             fp.advance(x)
         return fp.log_marginal

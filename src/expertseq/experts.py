@@ -5,6 +5,15 @@ log-probability vector over the next outcome. Experts must be replayable
 from scratch for any history, including histories they previously assigned
 probability zero to; they may memoize internally but may be evaluated out
 of order.
+
+Every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
+bounds) reads the realized log-predictions from ``prediction_matrix``, so
+each expert is asked exactly once per step, in order; the online
+``ForwardPass`` asks each expert once per step as it advances. Symbols are
+checked against the alphabet before any expert is asked, and a realized
+log-probability that is NaN or positive is rejected with its step where a
+matrix enters a computation: at ``ForwardPass`` construction in matrix mode
+and in the shared offline check.
 """
 
 from __future__ import annotations
@@ -64,15 +73,28 @@ def _check_symbols(data: Sequence[int], size: int) -> None:
             raise ValueError(f"symbol {x!r} at position {i} is outside the alphabet")
 
 
+def _realized_rows(experts: Sequence[ForecastingSystem], data: Sequence[int]):
+    """Per step i, the list of log P_xi(x_i | x^{i-1}) over the experts.
+
+    The only loop that replays ``predict(data[:i])``. Symbols are checked
+    against the alphabet once, up front, before any expert is asked.
+    """
+    if experts:
+        _check_symbols(data, experts[0].size)
+    for i, x in enumerate(data):
+        hist = data[:i]
+        yield [e.predict(hist)[int(x)] for e in experts]
+
+
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     """Chain-rule log mass the expert assigns to the whole sequence.
 
-    Returns sum_i log P(x_i | x^{i-1}); -inf as soon as any factor is zero.
+    Returns sum_i log P(x_i | x^{i-1}); -inf as soon as any factor is zero,
+    without asking the expert about any later history.
     """
-    _check_symbols(data, pfs.size)
     total = 0.0
-    for i in range(len(data)):
-        total += float(pfs.predict(data[:i])[data[i]])
+    for (v,) in _realized_rows([pfs], data):
+        total += float(v)
         if total == NEG_INF:
             return NEG_INF
     return total
@@ -80,13 +102,37 @@ def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
 
 def prediction_matrix(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> np.ndarray:
     """(n, k) matrix of log P_xi(x_i | x^{i-1}) for the realized outcomes."""
-    n, k = len(data), len(experts)
-    out = np.empty((n, k))
-    for i in range(n):
-        hist = data[:i]
-        for j, e in enumerate(experts):
-            out[i, j] = e.predict(hist)[data[i]]
-    return out
+    rows = list(_realized_rows(experts, data))
+    return np.array(rows, dtype=float).reshape(len(data), len(experts))
+
+
+def _check_logpreds(lp: np.ndarray) -> np.ndarray:
+    """Rejects a realized log-probability that is NaN or positive beyond
+    1e-9, naming its 1-based step; returns ``lp`` unchanged."""
+    bad = np.argwhere(~(lp <= 1e-9))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"realized log-probability {float(lp[i, j])} of expert {j} "
+                         f"at step {i + 1} is NaN or positive")
+    return lp
+
+
+def _realized_matrix(experts, data: Sequence[int], logpred_matrix, k: int) -> np.ndarray:
+    """The validated (n, k) realized log-predictions of an offline run,
+    from exactly one of ``experts`` (asked once per step) or a given matrix
+    with k columns and at least n rows."""
+    if (experts is None) == (logpred_matrix is None):
+        raise ValueError("provide either experts or a logpred matrix")
+    if experts is not None:
+        if len(experts) != k:
+            raise ValueError(f"model labels {k} experts, got {len(experts)}")
+        return _check_logpreds(prediction_matrix(experts, data))
+    lp = np.asarray(logpred_matrix, dtype=float)
+    if lp.ndim != 2 or lp.shape[1] != k:
+        raise ValueError(f"logpred matrix must be (n, {k}), got shape {lp.shape}")
+    if lp.shape[0] < len(data):
+        raise ValueError("logpred matrix shorter than the data")
+    return _check_logpreds(lp[: len(data)])
 
 
 class ConstantExpert(ForecastingSystem):
@@ -96,7 +142,7 @@ class ConstantExpert(ForecastingSystem):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or len(p) < 1:
             raise ValueError("constant expert needs a flat probability vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("constant expert distribution must be normalized")
         self.size = len(p)
         with np.errstate(divide="ignore"):
@@ -121,9 +167,9 @@ class _AddSmoothedCounts(ForecastingSystem):
         self.size = size
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        counts = np.zeros(self.size)
-        for x in history:
-            counts[x] += 1.0
+        counts = np.bincount(np.asarray(history, dtype=np.intp), minlength=self.size)
+        if len(counts) > self.size:
+            raise ValueError(f"history holds a symbol outside the alphabet of size {self.size}")
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
 
@@ -150,9 +196,9 @@ class MarkovExpert(ForecastingSystem):
         m = len(init)
         if trans.shape != (m, m):
             raise ValueError(f"transition matrix must be {m}x{m}, got {trans.shape}")
-        if abs(init.sum() - 1.0) > 1e-9 or np.any(init < 0):
+        if abs(init.sum() - 1.0) > 1e-9 or not np.all(init >= 0):
             raise ValueError("initial distribution must be normalized")
-        if np.any(trans < 0) or np.any(np.abs(trans.sum(axis=1) - 1.0) > 1e-9):
+        if not np.all(trans >= 0) or np.any(np.abs(trans.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("transition rows must be normalized")
         self.size = m
         with np.errstate(divide="ignore"):
@@ -176,7 +222,7 @@ class AdviceExpert(ForecastingSystem):
         t = np.asarray(table, dtype=float)
         if t.ndim != 2:
             raise ValueError("advice table must be (steps, outcomes)")
-        if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-6):
+        if not np.all(t >= 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-6):
             raise ValueError("advice rows must be normalized")
         self.size = t.shape[1]
         self._steps = t.shape[0]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem
+from .experts import ForecastingSystem, _check_logpreds, _realized_matrix
 from .hmm import HmmModel, StateId, propagate_frontier
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp
 
@@ -52,9 +52,10 @@ class StepRecord:
 class ForwardPass:
     """Incremental forward evaluation of one (model, experts, data) triple.
 
-    Expert predictions come either from a list of forecasting systems or,
-    for evaluation-only runs, from a precomputed (n, k) matrix of log
-    probabilities assigned to the realized outcomes.
+    Expert predictions come either from a list of forecasting systems,
+    each asked once per step, or, for evaluation-only runs, from a
+    precomputed (n, k) matrix of log probabilities assigned to the realized
+    outcomes; the matrix is validated once, here.
     """
 
     def __init__(
@@ -75,7 +76,8 @@ class ForwardPass:
                 f"model labels {model.num_experts} experts, got {len(experts)}")
         self.model = model
         self.experts = list(experts) if experts is not None else None
-        self._matrix = None if logpred_matrix is None else np.asarray(logpred_matrix, dtype=float)
+        self._matrix = (None if logpred_matrix is None
+                        else _check_logpreds(np.asarray(logpred_matrix, dtype=float)))
         self._hook = frontier_hook
         self._record_regions = record_regions
         self._want_outcome = want_outcome_dists and experts is not None
@@ -96,7 +98,7 @@ class ForwardPass:
         self._t = 0
         self._pre: dict[StateId, LogMass] | None = None
         self._pre_total: LogMass = NEG_INF
-        self._preds: list[np.ndarray] | None = None
+        self._preds: np.ndarray | None = None     # (k, alphabet), experts mode
 
     # -- propagation and per-step predictions -----------------------------
 
@@ -114,10 +116,10 @@ class ForwardPass:
         if peak > self.peak_weights:
             self.peak_weights = peak
 
-    def _expert_preds(self) -> list[np.ndarray]:
+    def _expert_preds(self) -> np.ndarray:
         if self._preds is None:
             hist = self.history
-            self._preds = [e.predict(hist) for e in self.experts]
+            self._preds = np.stack([e.predict(hist) for e in self.experts])
         return self._preds
 
     def predict_expert(self) -> np.ndarray:
@@ -142,7 +144,7 @@ class ForwardPass:
         return self._mix_outcome(self.predict_expert())
 
     def _mix_outcome(self, expert_dist: np.ndarray) -> np.ndarray:
-        stacked = np.stack(self._expert_preds()) + expert_dist[:, None]  # (k, alphabet)
+        stacked = self._expert_preds() + expert_dist[:, None]  # (k, alphabet)
         with np.errstate(divide="ignore"):
             m = np.max(stacked, axis=0)
             safe = np.where(m == NEG_INF, 0.0, m)
@@ -161,11 +163,10 @@ class ForwardPass:
         outcome_dist = self._mix_outcome(expert_dist) if self._want_outcome else None
 
         if self.experts is not None:
-            preds = self._expert_preds()
             symbol = int(symbol)
             if not 0 <= symbol < self.experts[0].size:
                 raise ValueError(f"symbol {symbol!r} at step {step} is outside the alphabet")
-            lp = np.array([p[symbol] for p in preds])
+            lp = self._expert_preds()[:, symbol]
         else:
             if self._t >= len(self._matrix):
                 raise ValueError(f"logpred matrix exhausted at step {step}")
@@ -268,14 +269,9 @@ def posterior_experts(
     down to expert labels.
     """
     n = len(data)
-    fp = ForwardPass(model, experts, logpred_matrix=logpred_matrix, record_regions=True)
-    lp_rows: list[np.ndarray] = []
-    for i, x in enumerate(data):
-        if experts is not None:
-            preds = [e.predict(data[:i]) for e in experts]
-            lp_rows.append(np.array([p[int(x)] for p in preds]))
-        else:
-            lp_rows.append(np.asarray(logpred_matrix[i], dtype=float))
+    lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
+    fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True)
+    for x in data:
         fp.advance(x)
 
     k = model.num_experts
@@ -308,7 +304,7 @@ def posterior_experts(
             break
         # Replay the silent region between strata i-1 and i in reverse
         # topological order to pull beta back one stratum.
-        lp = lp_rows[i - 1]
+        lp = lp_all[i - 1]
         node_beta: dict[StateId, LogMass] = {}
         for q, b in beta.items():
             node_beta[q] = b + lp[label(q)]
@@ -345,24 +341,17 @@ def viterbi_unambiguous(
     if not model.unambiguous:
         raise AmbiguousModelError(
             "model is declared ambiguous; use the switch MAP decoder or brute force")
+    lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
     n = len(data)
     if n == 0:
         return [], 0.0
-    if experts is not None and len(experts) != model.num_experts:
-        raise ValueError(f"model labels {model.num_experts} experts, got {len(experts)}")
 
     label = model.label
-
-    def lp_row(i: int) -> np.ndarray:
-        if experts is not None:
-            preds = [e.predict(data[:i]) for e in experts]
-            return np.array([p[int(data[i])] for p in preds])
-        return np.asarray(logpred_matrix[i], dtype=float)
 
     # values[q] = best joint log mass over expert prefixes reaching q;
     # parents[i][q] = predecessor productive state on that best path.
     sinks, _, _ = propagate_frontier(model, dict(model.initial()), 1)
-    lp = lp_row(0)
+    lp = lp_all[0]
     values: dict[StateId, LogMass] = {}
     parents: list[dict[StateId, StateId | None]] = [{}]
     for q, v in sinks.items():
@@ -374,7 +363,7 @@ def viterbi_unambiguous(
         raise ZeroMarginalError(1)
 
     for i in range(1, n):
-        lp = lp_row(i)
+        lp = lp_all[i]
         best: dict[StateId, tuple[LogMass, StateId]] = {}
         for q in sorted(values, key=lambda s: (label(s), s)):
             arrivals, _, _ = propagate_frontier(model, {q: values[q]}, i + 1)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem, prediction_matrix
+from .experts import ForecastingSystem, _realized_matrix
 from .logprob import NEG_INF, LogMass, log_sum
 from .models import SwitchConfig
 
@@ -44,22 +44,11 @@ def switch_map(
     broken toward the lexicographically smallest (split index, expert)
     pair, with continuation preferred inside the forward recursion.
     """
-    if (experts is None) == (logpred_matrix is None):
-        raise ValueError("provide either experts or a logpred matrix")
     k = cfg.num_experts
-    if experts is not None:
-        if len(experts) != k:
-            raise ValueError(f"switch prior covers {k} experts, got {len(experts)}")
-        lp = prediction_matrix(experts, data)
-    else:
-        lp = np.asarray(logpred_matrix, dtype=float)
-        if lp.ndim != 2 or lp.shape[1] != k:
-            raise ValueError("logpred matrix must be (n, k)")
+    lp = _realized_matrix(experts, data, logpred_matrix, k)
     n = len(data)
     if n == 0:
         return SwitchMapResult(0.0, [], 0)
-    if lp.shape[0] < n:
-        raise ValueError("logpred matrix shorter than the data")
 
     law = cfg.pi_t
     haz = [law.hazard(i) for i in range(1, n + 1)]

@@ -93,6 +93,17 @@ class TestEvaluate:
         total = float(out.read_text().strip().splitlines()[-1].split(",")[-1])
         assert total == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("mode,row", [("realized", "nan,0.5"), ("full", "nan,0.2,0.5,0.5")])
+    def test_nan_advice_exit_code(self, tmp_path, data_file, mode, row):
+        advice = tmp_path / "advice.csv"
+        good = "0.8,0.5" if mode == "realized" else "0.8,0.2,0.5,0.5"
+        write(advice, f"a,b\n{good}\n{row}\n{good}\n{good}\n")
+        out = tmp_path / "out.json"
+        rc = main(["evaluate", str(data_file), "--model", "bayes", "--alphabet", "0,1",
+                   "--experts", f"file:{advice}", "--advice-mode", mode,
+                   "--format", "json", "--out", str(out)])
+        assert rc == 2
+
     def test_zero_marginal_exit_code(self, tmp_path):
         data = tmp_path / "d.txt"
         write(data, "1\n")
@@ -196,6 +207,14 @@ class TestBounds:
         assert main(["bounds", str(data_file), "--model", "universal-elementwise", *BASE,
                      "--out", str(out)]) == 0
         assert "fitted" in out.read_text()
+
+    def test_fixed_share_runs_without_alpha(self, tmp_path, data_file):
+        out = tmp_path / "b.json"
+        assert main(["bounds", str(data_file), "--model", "fixed-share", *BASE,
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [r["model"] for r in doc] == ["fixed-share"] * len(doc) and doc
+        assert all(r["satisfied"] for r in doc)
 
     def test_unsupported_model(self, tmp_path, data_file):
         rc = main(["bounds", str(data_file), "--model", "overconfident", "--alpha", "0.2", *BASE])

@@ -21,6 +21,8 @@ class TestBuiltins:
         e = es.KTEstimator(2)
         hist = [0, 0, 0, 1]  # counts (3, 1)
         np.testing.assert_allclose(np.exp(e.predict(hist)), [3.5 / 5, 1.5 / 5], rtol=1e-12)
+        with pytest.raises(ValueError):
+            e.predict([0, 2])
 
     def test_markov_rows(self):
         e = es.MarkovExpert([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])
@@ -36,6 +38,17 @@ class TestBuiltins:
             es.make_builtin_expert("nope")
         with pytest.raises(ValueError):
             es.make_builtin_expert("constant", probs=[0.5, 0.4])
+
+    def test_nan_distributions_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            es.ConstantExpert([nan, 1.0])
+        with pytest.raises(ValueError):
+            es.MarkovExpert([nan, 1.0], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            es.MarkovExpert([0.5, 0.5], [[nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            es.AdviceExpert([[0.5, 0.5], [nan, 1.0]])
 
     def test_predictions_normalized_on_random_histories(self):
         rng = np.random.default_rng(3)
@@ -137,3 +150,47 @@ class TestAlphabet:
         experts = es.with_safe_expert([es.uniform_expert(3)], 3)
         assert len(experts) == 2
         np.testing.assert_allclose(np.exp(experts[-1].predict([])), [1 / 3] * 3)
+
+
+class CountingExpert(es.ForecastingSystem):
+    """Delegating expert that counts its predict calls."""
+
+    def __init__(self, inner):
+        self.inner, self.size, self.calls = inner, inner.size, 0
+
+    def predict(self, history):
+        self.calls += 1
+        return self.inner.predict(history)
+
+
+OFFLINE_ENTRY_POINTS = {
+    "prediction_matrix": es.prediction_matrix,
+    "posterior_experts": lambda ex, d: es.posterior_experts(es.fixed_share([0.5, 0.5], 0.2), ex, d),
+    "viterbi_unambiguous": lambda ex, d: es.viterbi_unambiguous(es.fixed_share([0.5, 0.5], 0.2), ex, d),
+    "switch_map": lambda ex, d: es.switch_map(es.default_switch_config(2), ex, d),
+    "ml_estimate": es.ml_estimate,
+    "ml_conditioned_marginal": lambda ex, d: es.ml_conditioned_marginal(
+        es.laplace_expert_conditional(2), ex, d),
+}
+
+
+class TestRealizedPredictions:
+    @pytest.mark.parametrize("entry", sorted(OFFLINE_ENTRY_POINTS))
+    def test_each_expert_asked_once_per_step(self, entry):
+        experts = [CountingExpert(es.KTEstimator(2)), CountingExpert(es.ConstantExpert([0.7, 0.3]))]
+        data = [0, 1, 1, 0, 0, 0, 1, 0, 1]
+        OFFLINE_ENTRY_POINTS[entry](experts, data)
+        assert [e.calls for e in experts] == [len(data)] * 2
+
+    def test_sequential_log_loss_stops_at_zero_factor(self):
+        e = CountingExpert(es.ConstantExpert([1.0, 0.0]))
+        assert es.sequential_log_loss(e, [0, 1, 0, 0]) == NEG_INF
+        assert e.calls == 2
+
+    @pytest.mark.parametrize("entry", ["prediction_matrix", "ml_estimate", "switch_map"])
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_alphabet_symbol_rejected_with_position(self, entry, bad):
+        experts = [CountingExpert(es.KTEstimator(2)), CountingExpert(es.uniform_expert(2))]
+        with pytest.raises(ValueError, match="position 1"):
+            OFFLINE_ENTRY_POINTS[entry](experts, [0, bad, 1])
+        assert [e.calls for e in experts] == [0, 0]

@@ -87,12 +87,37 @@ class TestForwardMarginal:
         assert len(set(res.transitions_per_level[1:])) == 1
 
     def test_logpred_matrix_mode(self):
+        # Experts mode reads the same realized matrix, so both modes agree
+        # exactly on every offline entry point.
         rng = np.random.default_rng(25)
-        model, experts, data = random_zoo_instance("fixed_share", rng, n=6)
-        lp = es.prediction_matrix(experts, data)
-        a = es.forward_marginal(model, experts, data).log_marginal
-        b = es.forward_marginal(model, None, data, logpred_matrix=lp).log_marginal
-        assert a == pytest.approx(b, abs=1e-12)
+        for name in ZOO_NAMES:
+            model, experts, data = random_zoo_instance(name, rng, n=6)
+            lp = es.prediction_matrix(experts, data)
+            a = es.forward_marginal(model, experts, data).log_marginal
+            b = es.forward_marginal(model, None, data, logpred_matrix=lp).log_marginal
+            assert a == b, name
+            assert np.array_equal(es.posterior_experts(model, experts, data),
+                                  es.posterior_experts(model, None, data, logpred_matrix=lp)), name
+            if model.unambiguous:
+                assert (es.viterbi_unambiguous(model, experts, data)
+                        == es.viterbi_unambiguous(model, None, data, logpred_matrix=lp)), name
+            cfg = es.default_switch_config(len(experts))
+            assert (es.switch_map(cfg, experts, data)
+                    == es.switch_map(cfg, None, data, logpred_matrix=lp)), name
+
+    @pytest.mark.parametrize("bad", [np.nan, 5.0])
+    def test_matrix_mode_rejects_nan_and_positive_with_step(self, bad):
+        lp = np.log([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        lp[1, 0] = bad
+        model = es.bayes([0.5, 0.5])
+        with pytest.raises(ValueError, match="step 2"):
+            es.ForwardPass(model, logpred_matrix=lp)
+        with pytest.raises(ValueError, match="step 2"):
+            es.posterior_experts(model, None, [0, 1, 0], logpred_matrix=lp)
+        with pytest.raises(ValueError, match="step 2"):
+            es.viterbi_unambiguous(model, None, [0, 1, 0], logpred_matrix=lp)
+        with pytest.raises(ValueError, match="step 2"):
+            es.switch_map(es.default_switch_config(2), None, [0, 1, 0], logpred_matrix=lp)
 
 
 class TestPosterior:
