@@ -6,6 +6,8 @@ parameter). This demo measures both sides on one dataset, then evaluates
 the asymptotic comparison between the two parameterless switching models.
 """
 
+from itertools import islice
+
 import numpy as np
 
 import expertseq as es
@@ -24,7 +26,7 @@ def marg(model):
 
 
 reports = [bnd.measure_bayes(marg(es.bayes(w)), lp, w)]
-reports += bnd.measure_fixed_share(lambda a: marg(es.fixed_share(w, a)), lp, k)[:3]
+reports += islice(bnd.measure_fixed_share(lambda a: marg(es.fixed_share(w, a)), lp, k), 3)
 reports.append(bnd.measure_universal_share(marg(es.universal_share(w)), lp, w))
 reports += bnd.measure_switch(marg(es.switch(es.default_switch_config(k), k)), lp, k)[:3]
 reports += bnd.measure_run_length(marg(es.run_length(es.elias_delta(), w)), lp, k)[:3]

@@ -23,12 +23,12 @@ print("trimming the run-length model (frontier grows with n):")
 model = es.run_length(es.inv_poly(), w)
 exact = es.forward_marginal(model, experts, data)
 print(f"  exact     : {es.to_bits(exact.log_marginal):9.3f} bits, "
-      f"peak frontier {exact.peak_weights}")
+      f"peak weights held {exact.peak_weights}")
 for p in (0.9999, 0.999, 0.99, 0.9):
     res = es.forward_marginal(model, experts, data, frontier_hook=trimming_hook(p))
     gap = abs(res.log_marginal - exact.log_marginal)
     print(f"  p = {p:<7}: {es.to_bits(res.log_marginal):9.3f} bits, "
-          f"peak frontier {res.peak_weights:4d}, gap {gap:.2e} nats")
+          f"peak weights held {res.peak_weights:4d}, gap {gap:.2e} nats")
 
 print("\nML conditioning on the mixture-learning model "
       "(exact cost grows like n^k):")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
+
 import numpy as np
 
 from .logprob import LN2, NEG_INF, LogMass, to_bits
@@ -311,15 +313,16 @@ def measure_bayes(log_marginal: LogMass, lp: np.ndarray, w) -> BoundReport:
                        bayes_bound(w, best), {"expert": best, "n": lp.shape[0]})
 
 
-def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int) -> list[BoundReport]:
+def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
     """Per block count m: run fixed share at the empirical rate
     alpha* = (m-1)/(n-1) and compare with the best m-block segmentation.
 
     ``fs_log_marginal_at`` maps a switching rate to the model's log
-    marginal on the same data.
+    marginal on the same data. Reports are yielded in order of m, and each
+    marginal is computed only when its report is asked for, so a caller
+    that stops after a few block counts runs no further passes.
     """
     n = lp.shape[0]
-    reports = []
     segs = best_segmentations(lp, n)
     for m in range(1, n + 1):
         seg = segs[m - 1]
@@ -328,10 +331,9 @@ def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int) -> list[Boun
         alpha_star = 0.0 if n == 1 else (m - 1) / (n - 1)
         measured = to_bits(fs_log_marginal_at(alpha_star)) - to_bits(seg.log_likelihood)
         bound = fixed_share_bound(n, m, k, alpha_star, alpha_star)
-        reports.append(BoundReport(
+        yield BoundReport(
             "fixed-share", f"best {m}-block segmentation", measured, bound,
-            {"n": n, "m": m, "k": k, "alpha": alpha_star, "alpha_star": alpha_star}))
-    return reports
+            {"n": n, "m": m, "k": k, "alpha": alpha_star, "alpha_star": alpha_star})
 
 
 def measure_universal_share(us_log_marginal: LogMass, lp: np.ndarray, w,

@@ -8,7 +8,7 @@ File formats (UTF-8, newline-delimited):
                probabilities assigned to the realized outcome
 
 Exit codes: 0 success, 2 input error, 3 zero-marginal abort,
-4 unsupported combination. Output floats carry 12 significant digits so
+4 unsupported combination (including a model over its state budget). Output floats carry 12 significant digits so
 identical inputs produce byte-identical outputs.
 """
 
@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
                       KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
                       uniform_expert)
 from .forward import ForwardPass, ZeroMarginalError, posterior_experts
+from .hmm import StateBudgetExceeded
 from .logprob import to_bits
 from .approx import trimming_hook
 from .switch_map import switch_map
@@ -340,8 +342,8 @@ def _cmd_bounds(args) -> int:
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]
     elif name == "fixed-share":
-        reports = bnd.measure_fixed_share(
-            lambda a: marginal_of(models.fixed_share(w, a)), lp, k)[:limit]
+        reports = list(islice(bnd.measure_fixed_share(
+            lambda a: marginal_of(models.fixed_share(w, a)), lp, k), limit))
     elif name == "universal-share":
         reports = [bnd.measure_universal_share(marginal_of(model), lp, w, grid=args.grid)]
     elif name == "switch":
@@ -429,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ZeroMarginalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except UnsupportedError as e:
+    except (UnsupportedError, StateBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
 

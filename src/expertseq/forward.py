@@ -4,6 +4,11 @@ The forward pass is strictly online: each outcome is consumed once, the
 retained state is one weight map over a single level interval, and the
 marginal so far is available after every step. Work and space counters
 are exposed so the complexity contracts of the models can be checked.
+
+A model that provides level arcs runs as a log-weight vector plus a label
+array (:func:`~expertseq.hmm.propagate_arcs`) unless regions are being
+recorded; every other run keeps a weight map of tuple states and
+:func:`~expertseq.hmm.propagate_frontier`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .experts import ForecastingSystem, _check_logpreds, _realized_matrix
-from .hmm import HmmModel, StateId, propagate_frontier
+from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp
 
 
@@ -56,6 +61,11 @@ class ForwardPass:
     each asked once per step, or, for evaluation-only runs, from a
     precomputed (n, k) matrix of log probabilities assigned to the realized
     outcomes; the matrix is validated once, here.
+
+    When the model provides level arcs and regions are not recorded, the
+    frontier is a log-weight vector over the level's numbering; a
+    ``WeightMap`` is built only for ``frontier_hook`` and ``weight_map``,
+    and the hook's result is written back into the vector.
     """
 
     def __init__(
@@ -94,10 +104,19 @@ class ForwardPass:
         self.regions: list[list] = []            # per level, (state, succs) in topo order
         self.stratum_weights: list[dict] = []    # per level, post-update frontier copies
 
-        self._frontier: dict[StateId, LogMass] = dict(model.initial())
+        # Array frontiers are numbered by the level that produced them
+        # (None: initial() order).
+        self._levels = None if record_regions else model.level_arcs()
+        initial = model.initial()
+        self._frontier: dict[StateId, LogMass] | np.ndarray = (
+            dict(initial) if self._levels is None
+            else np.array([v for _, v in initial], dtype=float))
+        self._level: LevelArcs | None = None
+        self._pre_level: LevelArcs | None = None
         self._t = 0
-        self._pre: dict[StateId, LogMass] | None = None
+        self._pre: dict[StateId, LogMass] | np.ndarray | None = None
         self._pre_total: LogMass = NEG_INF
+        self._pre_by_label: np.ndarray | None = None   # array frontiers only
         self._preds: np.ndarray | None = None     # (k, alphabet), experts mode
 
     # -- propagation and per-step predictions -----------------------------
@@ -105,14 +124,21 @@ class ForwardPass:
     def _ensure_propagated(self) -> None:
         if self._pre is not None:
             return
-        record = [] if self._record_regions else None
-        pre, transitions, peak = propagate_frontier(
-            self.model, self._frontier, self._t + 1, record=record)
+        if self._levels is not None:
+            self._pre_level = next(self._levels)
+            pre, transitions, peak = propagate_arcs(self._frontier, self._pre_level.layers)
+            self._pre_by_label = _label_logsumexp(
+                pre, self._pre_level.labels, self.model.num_experts)
+            self._pre_total = logsumexp(self._pre_by_label)
+        else:
+            record = [] if self._record_regions else None
+            pre, transitions, peak = propagate_frontier(
+                self.model, self._frontier, self._t + 1, record=record)
+            self._pre_total = log_sum_iter(pre.values())
+            if self._record_regions:
+                self.regions.append(record)
         self._pre = pre
-        self._pre_total = log_sum_iter(pre.values())
         self.transitions_per_level.append(transitions)
-        if self._record_regions:
-            self.regions.append(record)
         if peak > self.peak_weights:
             self.peak_weights = peak
 
@@ -126,13 +152,16 @@ class ForwardPass:
         """log P(xi_{t+1} = . | x^t) from the propagated frontier."""
         self._ensure_propagated()
         k = self.model.num_experts
-        by_label = np.full(k, NEG_INF)
-        label = self.model.label
-        acc: dict[int, list[float]] = {}
-        for q, v in self._pre.items():
-            acc.setdefault(label(q), []).append(v)
-        for lab, vals in acc.items():
-            by_label[lab] = log_sum_iter(vals)
+        if self._levels is not None:
+            by_label = self._pre_by_label
+        else:
+            by_label = np.full(k, NEG_INF)
+            label = self.model.label
+            acc: dict[int, list[float]] = {}
+            for q, v in self._pre.items():
+                acc.setdefault(label(q), []).append(v)
+            for lab, vals in acc.items():
+                by_label[lab] = log_sum_iter(vals)
         if self._pre_total == NEG_INF:
             raise ZeroMarginalError(self._t + 1)
         return by_label - self._pre_total
@@ -172,31 +201,47 @@ class ForwardPass:
                 raise ValueError(f"logpred matrix exhausted at step {step}")
             lp = self._matrix[self._t]
 
-        label = self.model.label
-        post: dict[StateId, LogMass] = {}
-        for q, v in pre.items():
-            m = v + lp[label(q)]
-            if m != NEG_INF:
-                post[q] = m
-        if not post:
-            raise ZeroMarginalError(step)
-
-        new_marginal = log_sum_iter(post.values())
+        level = self._pre_level
+        if level is not None:
+            post = pre + lp[level.labels]
+            live = int(np.count_nonzero(post > NEG_INF))
+            if not live:
+                raise ZeroMarginalError(step)
+            # The post-update mass of each label is its pre-update mass
+            # times that expert's likelihood.
+            new_marginal = logsumexp(self._pre_by_label + lp)
+        else:
+            label = self.model.label
+            post = {}
+            for q, v in pre.items():
+                m = v + lp[label(q)]
+                if m != NEG_INF:
+                    post[q] = m
+            if not post:
+                raise ZeroMarginalError(step)
+            new_marginal = log_sum_iter(post.values())
         log_cond = new_marginal - self.log_marginal
 
         if self._hook is not None:
-            wm = self._hook(WeightMap(post, step))
-            post = wm.entries
+            if level is not None:
+                wm = self._hook(_vector_weight_map(post, level, step))
+                post = _weight_map_vector(wm, level, len(post))
+                live = len(wm.entries)
+            else:
+                wm = self._hook(WeightMap(post, step))
+                post = wm.entries
         if self._record_regions:
             self.stratum_weights.append(dict(post))
-        if len(post) > self.peak_weights:
-            self.peak_weights = len(post)
+        size = live if level is not None else len(post)
+        if size > self.peak_weights:
+            self.peak_weights = size
 
         if self._keep_steps:
             self.steps.append(StepRecord(log_cond, pre_total, expert_dist, outcome_dist))
         self.last_step = StepRecord(log_cond, pre_total, expert_dist, outcome_dist)
         self.log_marginal = new_marginal
         self._frontier = post
+        self._level = level
         self.history.append(symbol if self.experts is not None else int(symbol))
         self._t += 1
         self._pre = None
@@ -205,7 +250,33 @@ class ForwardPass:
 
     @property
     def weight_map(self) -> WeightMap:
-        return WeightMap(dict(self._frontier), self._t)
+        if self._levels is None:
+            return WeightMap(dict(self._frontier), self._t)
+        if self._level is None:
+            return WeightMap(dict(self.model.initial()), 0)
+        return _vector_weight_map(self._frontier, self._level, self._t)
+
+
+def _label_logsumexp(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-label log-sum-exp of a log-weight vector, -inf for absent labels."""
+    top = np.full(k, NEG_INF)
+    np.maximum.at(top, labels, values)
+    base = np.where(top > NEG_INF, top, 0.0)
+    sums = np.bincount(labels, weights=np.exp(values - base[labels]), minlength=k)
+    with np.errstate(divide="ignore"):
+        return base + np.log(sums)
+
+
+def _vector_weight_map(vec: np.ndarray, level: LevelArcs, t: int) -> WeightMap:
+    live = np.flatnonzero(vec > NEG_INF)
+    return WeightMap(dict(zip(level.states(live), vec[live].tolist())), t)
+
+
+def _weight_map_vector(wm: WeightMap, level: LevelArcs, size: int) -> np.ndarray:
+    vec = np.full(size, NEG_INF)
+    if wm.entries:
+        vec[level.indices(list(wm.entries))] = list(wm.entries.values())
+    return vec
 
 
 @dataclass

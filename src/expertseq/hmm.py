@@ -11,6 +11,19 @@ never decrease the level; productive successors increase it by exactly 1.
 The one graph primitive everything else is built on is
 :func:`propagate_frontier`, which pushes a weight map across the silent
 region between two strata in a deterministic topological (Kahn) order.
+It is the definition of a level step and the oracle for the array step.
+
+A model whose frontier is a dense grid may also describe each level as
+layers of arcs over a numbering local to that level (:class:`LevelArcs`):
+the level's sources (the initial support, in ``initial()`` order, for
+level 0, otherwise stratum t) are nodes 0..S-1, and each layer's
+destinations are numbered after every node before them. A layer lists,
+per destination, its incoming arcs as source indices and log masses;
+arcs of zero mass are left out, so a destination may have none. The last
+layer's destinations are stratum t + 1, numbered as the sources of the
+next level. :func:`propagate_arcs` pushes a log-weight vector through
+those layers; it touches the same arcs as :func:`propagate_frontier`
+and reports the same transition count.
 """
 
 from __future__ import annotations
@@ -18,7 +31,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter
 
@@ -37,6 +52,15 @@ class HmmModel(ABC):
     second element. The propagation core indexes tuples directly, so
     ``is_productive`` and ``level`` must not be overridden with different
     semantics.
+
+    ``level_arcs`` optionally describes the same levels as arrays: per
+    level, layers of arcs over a level-local numbering (the level's
+    sources first, then each layer's destinations in turn), with arcs of
+    zero mass omitted; see :class:`LevelArcs`. The tuple interface stays
+    the definition and :func:`propagate_frontier` the oracle: the arrays
+    must carry exactly the arcs, masses and labels that ``successors``
+    and ``label`` enumerate. Per-run caches live in the iterator
+    ``level_arcs`` returns, never on the model.
     """
 
     num_experts: int
@@ -62,9 +86,49 @@ class HmmModel(ABC):
     def level(self, state: StateId) -> int:
         return state[1]
 
+    def level_arcs(self) -> Iterator[LevelArcs] | None:
+        """A fresh iterator over the array description of levels 0, 1, ...,
+        or None when the model only offers the tuple interface."""
+        return None
+
 
 class StateBudgetExceeded(RuntimeError):
-    """A model with a configurable state budget enumerated too many states."""
+    """A level of a model with a configurable state budget needs more states
+    than the budget allows."""
+
+
+@dataclass(frozen=True)
+class ArcLayer:
+    """Arcs into one block of destinations, sorted by destination: the arcs
+    of destination d are ``src[indptr[d]:indptr[d + 1]]`` with log masses
+    ``logw[...]``; ``src`` indexes the level's numbering so far."""
+
+    src: np.ndarray
+    logw: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def from_slots(cls, src: np.ndarray, logw: np.ndarray) -> ArcLayer:
+        """Build from equally shaped (destinations, slots) grids of candidate
+        arcs; slots whose log mass is -inf are not arcs."""
+        keep = logw > NEG_INF
+        if keep.all():
+            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]))
+        indptr = np.zeros(len(keep) + 1, dtype=np.intp)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return cls(src[keep], logw[keep], indptr)
+
+
+@dataclass(frozen=True)
+class LevelArcs:
+    """One level as array layers: ``labels`` gives the expert of each node
+    of the next stratum; ``states`` maps an array of those nodes to their
+    tuple states and ``indices`` maps tuple states back."""
+
+    layers: tuple[ArcLayer, ...]
+    labels: np.ndarray
+    states: Callable[[np.ndarray], list[StateId]]
+    indices: Callable[[Sequence[StateId]], np.ndarray]
 
 
 def propagate_frontier(
@@ -161,6 +225,39 @@ def propagate_frontier(
         leftover = [u for u in adj if indeg.get(u, 0) > 0][:3]
         raise ValueError(f"silent region is not a DAG near states {leftover}")
     return sinks, transitions, peak
+
+
+def propagate_arcs(
+    source: np.ndarray, layers: Sequence[ArcLayer],
+) -> tuple[np.ndarray, int, int]:
+    """Push a log-weight vector over a level's sources through its layers.
+
+    Returns ``(next_stratum, transitions, peak)``: the last layer's
+    log-weight vector, the number of arcs leaving live (finite) nodes, and
+    the number of live weights held over the level.
+    """
+    sizes = [len(layer.indptr) - 1 for layer in layers]
+    held = np.empty(len(source) + sum(sizes))
+    at = len(source)
+    held[:at] = source
+    block = held[:at]
+    transitions = 0
+    for layer, size in zip(layers, sizes):
+        vals = held[layer.src] + layer.logw
+        transitions += int(np.count_nonzero(vals > NEG_INF))
+        block = held[at:at + size]
+        at += size
+        starts = layer.indptr[:-1]
+        filled = starts < layer.indptr[1:]
+        if not filled.all():
+            block.fill(NEG_INF)
+            if len(vals):
+                block[filled] = np.logaddexp.reduceat(vals, starts[filled])
+        elif len(vals) == size:
+            block[:] = vals
+        else:
+            np.logaddexp.reduceat(vals, starts, out=block)
+    return block, transitions, int(np.count_nonzero(held > NEG_INF))
 
 
 def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:

@@ -47,10 +47,10 @@ def logsumexp(arr) -> float:
     a = np.asarray(arr, dtype=float)
     if a.size == 0:
         return NEG_INF
-    m = float(np.max(a))
+    m = float(a.max())
     if m == NEG_INF:
         return NEG_INF
-    return m + float(np.log(np.sum(np.exp(a - m))))
+    return m + float(np.log(np.exp(a - m).sum()))
 
 
 def log_normalize(arr) -> np.ndarray:

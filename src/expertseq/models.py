@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Sequence
 
 import numpy as np
 
-from .hmm import HmmModel, StateBudgetExceeded
+from .hmm import ArcLayer, HmmModel, LevelArcs, StateBudgetExceeded
 from .logprob import NEG_INF, LogMass, from_linear
 
 
@@ -357,7 +357,8 @@ class UniversalElementwiseMixture(HmmModel):
     """Elementwise mixture with the mixture weights learned online under a
     Jeffreys prior; silent states are count vectors, so the frontier at
     sample size n has C(n+k-1, k-1) states. A state budget guards the
-    blowup for k >= 3.
+    blowup for k >= 3: a level whose count-state number exceeds it raises
+    StateBudgetExceeded.
     """
 
     productive_tags = frozenset({"e"})
@@ -369,19 +370,17 @@ class UniversalElementwiseMixture(HmmModel):
             raise ValueError("need at least one expert")
         self.num_experts = k
         self._budget = state_budget
-        self._seen: set[tuple[int, ...]] = set()
 
-    def _charge(self, counts: tuple[int, ...]) -> None:
-        if counts not in self._seen:
-            self._seen.add(counts)
-            if len(self._seen) > self._budget:
-                raise StateBudgetExceeded(
-                    f"universal elementwise mixture exceeded {self._budget} count states")
+    def _check_budget(self, n: int) -> None:
+        k = self.num_experts
+        if math.comb(n + k - 1, k - 1) > self._budget:
+            raise StateBudgetExceeded(
+                f"universal elementwise mixture needs {math.comb(n + k - 1, k - 1)} count "
+                f"states at level {n}, over the budget of {self._budget}")
 
     def initial(self):
-        zero = (0,) * self.num_experts
-        self._charge(zero)
-        return [(("cnt", 0, zero), 0.0)]
+        self._check_budget(0)
+        return [(("cnt", 0, (0,) * self.num_experts), 0.0)]
 
     def successors(self, q):
         if q[0] == "cnt":
@@ -390,12 +389,68 @@ class UniversalElementwiseMixture(HmmModel):
             return [(("e", n + 1, counts, x), math.log((0.5 + counts[x]) / denom))
                     for x in range(self.num_experts)]
         _, n, counts, x = q
+        self._check_budget(n)
         bumped = counts[:x] + (counts[x] + 1,) + counts[x + 1:]
-        self._charge(bumped)
         return [(("cnt", n, bumped), 0.0)]
 
     def label(self, q):
         return q[3]
+
+    def level_arcs(self):
+        # Stratum t + 1 holds e(t + 1, c, x) for the count vectors c of
+        # level t, numbered rank(c) * k + x (see _composition_rank).
+        k = self.num_experts
+        unit = np.eye(k, dtype=np.intp)
+        counts = np.zeros((1, k), dtype=np.intp)
+        self._check_budget(0)
+        for t in count():
+            layers = []
+            n_src = 0
+            if t:
+                self._check_budget(t)
+                bumped = (counts[:, None, :] + unit).reshape(-1, k)
+                n_src = len(bumped)
+                rank = _composition_rank(bumped, t)
+                counts = np.empty((math.comb(t + k - 1, k - 1), k), dtype=np.intp)
+                counts[rank] = bumped
+                # cnt(t, c) collects e(t, c - e_x, x) in slot x.
+                slot = (rank, np.arange(n_src) % k)
+                src = np.zeros((len(counts), k), dtype=np.intp)
+                logw = np.full((len(counts), k), NEG_INF)
+                src[slot] = np.arange(n_src)
+                logw[slot] = 0.0
+                layers.append(ArcLayer.from_slots(src, logw))
+            draw = np.log((0.5 + counts) / (0.5 * k + t)).reshape(-1, 1)
+            nodes = np.arange(len(draw))
+            layers.append(ArcLayer.from_slots((n_src + nodes // k)[:, None], draw))
+            yield LevelArcs(tuple(layers), nodes % k,
+                            _count_states(counts, t + 1), _count_indices(t, k))
+
+
+def _composition_rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank of each row among the compositions of n into
+    len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m), where
+    r is the mass left before it, c its value and m the parts after it."""
+    k = rows.shape[1]
+    table = np.ones((k, n + 1), dtype=np.int64)   # table[m, r] = C(r + m, m)
+    for m in range(1, k):
+        np.cumsum(table[m - 1], out=table[m])
+    after = n - np.cumsum(rows, axis=1)
+    m = np.arange(k - 1, 0, -1)
+    return (table[m, (after + rows)[:, :-1]] - table[m, after[:, :-1]]).sum(axis=1)
+
+
+def _count_states(counts, n):
+    k = counts.shape[1]
+    return lambda idx: [("e", n, tuple(row), x)
+                        for row, x in zip(counts[idx // k].tolist(), (idx % k).tolist())]
+
+
+def _count_indices(t, k):
+    def indices(qs):
+        rows = np.array([q[2] for q in qs], dtype=np.intp).reshape(-1, k)
+        return _composition_rank(rows, t) * k + np.array([q[3] for q in qs], dtype=np.intp)
+    return indices
 
 
 class UniversalShare(HmmModel):
@@ -427,6 +482,33 @@ class UniversalShare(HmmModel):
 
     def label(self, q):
         return q[2]
+
+    def level_arcs(self):
+        # Stratum t holds e(t, x, m) for switch counts m < t, numbered m * k + x.
+        k = self.num_experts
+        lw = np.array(self._log_w)
+        ar = labels = np.arange(0)
+        yield _first_level(lw, _grid_states(1, k, False), _grid_indices(k, False))
+        for t in count(1):
+            n_src = t * k
+            if len(ar) < n_src + t + k:
+                ar = np.arange(2 * (n_src + t + k))
+                labels = ar % k
+            m = ar[:t]
+            bump = ArcLayer.from_slots(ar[:n_src].reshape(t, k),
+                                       np.repeat(np.log((m + 0.5) / t), k).reshape(t, k))
+            draw = ArcLayer.from_slots(ar[n_src:n_src + t, None], np.zeros((t, 1)))
+            # e(t + 1, x, m): slot 0 stays from e(t, x, m), slot 1 draws
+            # from draw(t, m), which is node n_src + t + m - 1.
+            src = np.zeros((t + 1, k, 2), dtype=np.intp)
+            logw = np.full((t + 1, k, 2), NEG_INF)
+            src[:t, :, 0] = ar[:n_src].reshape(t, k)
+            logw[:t, :, 0] = np.log((t - m - 0.5) / t)[:, None]
+            src[1:, :, 1] = (n_src + t + m)[:, None]
+            logw[1:, :, 1] = lw
+            stay = ArcLayer.from_slots(src.reshape(-1, 2), logw.reshape(-1, 2))
+            yield LevelArcs((bump, draw, stay), labels[:(t + 1) * k],
+                            _grid_states(t + 1, k, False), _grid_indices(k, False))
 
 
 class OverconfidentExperts(HmmModel):
@@ -561,6 +643,61 @@ class RunLengthHmm(HmmModel):
 
     def label(self, q):
         return q[2]
+
+    def level_arcs(self):
+        # Stratum t holds e(t, x, t - d) for run lengths d = 1..D_t, numbered
+        # (d - 1) * k + x; D_t stops at a finite law's span.
+        k, law, span = self.num_experts, self._law, self._law.span
+        lw = np.array(self._log_w)
+        log_switch: list[float] = []    # [d - 1]: log hazard(d)
+        log_stay: list[float] = []      # [d - 1]: log(1 - hazard(d))
+        ar = labels = np.arange(0)
+        yield _first_level(lw, _grid_states(1, k, True), _grid_indices(k, True))
+        for t in count(1):
+            d_now = t if span is None else min(t, span)
+            d_next = t + 1 if span is None else min(t + 1, span)
+            if len(log_switch) < d_now:
+                h = law.hazard(d_now)
+                log_switch.append(math.log(h) if h > 0.0 else NEG_INF)
+                log_stay.append(math.log1p(-h) if h < 1.0 else NEG_INF)
+            n_src = d_now * k
+            if len(ar) < n_src + d_now + k:
+                ar = np.arange(2 * (n_src + d_now + k))
+                labels = ar % k
+            # q(t, t - d) per run length d, then the hub p(t), node n_src + d_now.
+            leave = ArcLayer.from_slots(ar[:n_src].reshape(d_now, k),
+                                        np.repeat(log_switch, k).reshape(d_now, k))
+            hub = ArcLayer.from_slots(ar[None, n_src:n_src + d_now], np.zeros((1, d_now)))
+            n_cont = (d_next - 1) * k
+            step = ArcLayer.from_slots(
+                np.concatenate([np.full(k, n_src + d_now), ar[:n_cont]])[:, None],
+                np.concatenate([lw, np.repeat(log_stay[:d_next - 1], k)])[:, None])
+            yield LevelArcs((leave, hub, step), labels[:d_next * k],
+                            _grid_states(t + 1, k, True), _grid_indices(k, True))
+
+
+def _first_level(logw: np.ndarray, states, indices) -> LevelArcs:
+    """Level 0 of a model whose one initial state draws expert x with
+    log mass logw[x]."""
+    k = len(logw)
+    layer = ArcLayer.from_slots(np.zeros((k, 1), dtype=np.intp), logw[:, None])
+    return LevelArcs((layer,), np.arange(k), states, indices)
+
+
+def _grid_states(n, k, by_run_length):
+    """Node row * k + x of stratum n as its tuple state ("e", n, x, m):
+    the row is m itself or, by run length, n - m - 1."""
+    def states(idx):
+        return [("e", n, x, n - 1 - r if by_run_length else r)
+                for r, x in zip((idx // k).tolist(), (idx % k).tolist())]
+    return states
+
+
+def _grid_indices(k, by_run_length):
+    def indices(qs):
+        return np.array([((q[1] - 1 - q[3]) if by_run_length else q[3]) * k + q[2]
+                         for q in qs], dtype=np.intp)
+    return indices
 
 
 # ---------------------------------------------------------------------------

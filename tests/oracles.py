@@ -25,6 +25,27 @@ ZOO_NAMES = (
 )
 
 
+class TupleOnly(es.HmmModel):
+    """Delegates a model's tuple interface and hides its level arcs, so a
+    ForwardPass runs the same model through propagate_frontier."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_experts = inner.num_experts
+        self.silent_depth_bound = inner.silent_depth_bound
+        self.unambiguous = inner.unambiguous
+        self.productive_tags = inner.productive_tags
+
+    def initial(self):
+        return self.inner.initial()
+
+    def successors(self, state):
+        return self.inner.successors(state)
+
+    def label(self, state):
+        return self.inner.label(state)
+
+
 def random_constant_experts(rng, k, alphabet_size):
     return [es.ConstantExpert(rng.dirichlet(np.ones(alphabet_size))) for _ in range(k)]
 

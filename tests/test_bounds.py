@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -146,8 +147,21 @@ class TestMeasurements:
         experts, data, lp = self._instance(71)
         w = [0.5, 0.5]
         fs_at = lambda a: es.forward_marginal(es.fixed_share(w, a), experts, data).log_marginal
-        reports = bnd.measure_fixed_share(fs_at, lp, 2)
+        reports = list(bnd.measure_fixed_share(fs_at, lp, 2))
         assert reports and all(r.satisfied for r in reports)
+
+    def test_fixed_share_reports_stop_at_block_limit(self):
+        experts, data, lp = self._instance(71)
+        rates = []
+
+        def fs_at(alpha):
+            rates.append(alpha)
+            return es.forward_marginal(es.fixed_share([0.5, 0.5], alpha),
+                                       experts, data).log_marginal
+
+        first = list(islice(bnd.measure_fixed_share(fs_at, lp, 2), 1))
+        assert len(first) == 1 and first[0].inputs["m"] == 1
+        assert rates == [0.0]
 
     def test_universal_share_report_satisfied(self):
         experts, data, lp = self._instance(72)

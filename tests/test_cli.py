@@ -4,6 +4,7 @@ import math
 import pytest
 
 import expertseq as es
+import expertseq.cli as cli_mod
 from expertseq.cli import main
 
 
@@ -124,6 +125,25 @@ class TestEvaluate:
                    "--trim", "0.999", "--out", str(out)])
         assert rc == 0
 
+    def test_long_universal_elementwise_stream(self, tmp_path):
+        data = tmp_path / "d.txt"
+        write(data, "0\n1\n0\n" * 240)
+        out = tmp_path / "out.json"
+        rc = main(["evaluate", str(data), "--model", "universal-elementwise", *BASE,
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["n"] == 720 and math.isfinite(doc["total_bits"])
+
+    def test_state_budget_exit_code(self, tmp_path, data_file, monkeypatch, capsys):
+        # Two experts and a budget of 3 count states: level 3 needs 4.
+        real = es.models.universal_elementwise
+        monkeypatch.setattr(es.models, "universal_elementwise",
+                            lambda k: real(k, state_budget=3))
+        rc = main(["evaluate", str(data_file), "--model", "universal-elementwise", *BASE])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: universal elementwise")
+
 
 class TestPosterior:
     def test_single_step_bayes_row(self, tmp_path):
@@ -219,6 +239,21 @@ class TestBounds:
     def test_unsupported_model(self, tmp_path, data_file):
         rc = main(["bounds", str(data_file), "--model", "overconfident", "--alpha", "0.2", *BASE])
         assert rc == 4
+
+    def test_fixed_share_max_blocks_runs_one_pass(self, tmp_path, data_file, monkeypatch):
+        passes = []
+
+        class CountingPass(cli_mod.ForwardPass):
+            def __init__(self, *args, **kwargs):
+                passes.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "ForwardPass", CountingPass)
+        out = tmp_path / "b.json"
+        assert main(["bounds", str(data_file), "--model", "fixed-share", *BASE,
+                     "--max-blocks", "1", "--format", "json", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 1
+        assert len(passes) == 1
 
 
 class TestParsing:

@@ -7,7 +7,7 @@ import pytest
 import expertseq as es
 from expertseq.hmm import HmmModel, propagate_frontier
 from expertseq.logprob import NEG_INF
-from oracles import ZOO_NAMES, random_constant_experts, random_zoo_instance
+from oracles import ZOO_NAMES, TupleOnly, random_constant_experts, random_zoo_instance
 
 
 class _Denormalized(HmmModel):
@@ -167,3 +167,40 @@ class TestStateProtocol:
         experts = [es.uniform_expert(2)] * 3
         with pytest.raises(es.StateBudgetExceeded):
             es.forward_marginal(m, experts, [0] * 12)
+
+    @pytest.mark.parametrize("tuples", [False, True])
+    def test_budget_counts_states_of_one_level(self, tuples):
+        # C(n + 2, 2) count states at level n: 10 at level 3, 15 at level 4,
+        # which the propagation to stratum 5 enumerates.
+        experts = [es.uniform_expert(2)] * 3
+        m = es.universal_elementwise(3, state_budget=10)
+        m = TupleOnly(m) if tuples else m
+        assert es.forward_marginal(m, experts, [0] * 4).n == 4
+        fp = es.ForwardPass(m, experts)
+        for x in [0] * 4:
+            fp.advance(x)
+        with pytest.raises(es.StateBudgetExceeded):
+            fp.advance(0)
+
+    @pytest.mark.parametrize("tuples", [False, True])
+    def test_budget_is_not_spent_across_levels_or_runs(self, tuples):
+        # 51 count states at level 50 fit a budget of 60, although the
+        # levels up to 50 hold 1326 count states between them.
+        rng = np.random.default_rng(5)
+        experts = random_constant_experts(rng, 2, 2)
+        data = list(rng.integers(0, 2, 50))
+        m = es.universal_elementwise(2, state_budget=60)
+        m = TupleOnly(m) if tuples else m
+        first = es.forward_marginal(m, experts, data)
+        second = es.forward_marginal(m, experts, data)
+        assert first.log_marginal == second.log_marginal
+        assert first.step_log_conds == second.step_log_conds
+
+    def test_long_two_expert_elementwise_stream(self):
+        rng = np.random.default_rng(6)
+        experts = random_constant_experts(rng, 2, 2)
+        data = list(rng.integers(0, 2, 700))
+        model = es.universal_elementwise(2)
+        res = es.forward_marginal(model, experts, data)
+        assert res.n == 700 and math.isfinite(res.log_marginal)
+        assert es.forward_marginal(model, experts, data).log_marginal == res.log_marginal
