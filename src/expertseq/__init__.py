@@ -30,9 +30,7 @@ from .hmm import (
     HmmModel,
     StateBudgetExceeded,
     ValidationIssue,
-    eliminate_silent,
     expert_sequence_prior,
-    iter_sequence_priors,
     propagate_frontier,
     validate,
 )

@@ -62,11 +62,15 @@ def ml_estimate(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> li
 def laplace_expert_conditional(k: int) -> Callable[[Sequence[int]], np.ndarray]:
     """Prior conditional of the universal elementwise mixture under a
     uniform weight density: (count + 1) / (n + k), the rule of succession
-    generalized to k experts."""
+    generalized to k experts. A prefix label outside 0..k-1 raises
+    ValueError naming its position."""
     def conditional(prefix: Sequence[int]) -> np.ndarray:
-        counts = np.zeros(k)
-        for x in prefix:
-            counts[x] += 1.0
+        labels = np.asarray(prefix, dtype=np.intp)
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"expert label {prefix[i]!r} at position {i} is outside 0..{k - 1}")
+        counts = np.bincount(labels, minlength=k)
         return np.log((counts + 1.0) / (len(prefix) + k))
     return conditional
 

@@ -6,9 +6,11 @@ marginal so far is available after every step. Work and space counters
 are exposed so the complexity contracts of the models can be checked.
 
 A model that provides level arcs runs as a log-weight vector plus a label
-array (:func:`~expertseq.hmm.propagate_arcs`) unless regions are being
-recorded; every other run keeps a weight map of tuple states and
-:func:`~expertseq.hmm.propagate_frontier`.
+array (:func:`~expertseq.hmm.propagate_arcs`), and its smoothed posterior
+pulls the backward vector through the same arcs
+(:func:`~expertseq.hmm.pull_arcs`); every other run keeps a weight map of
+tuple states and :func:`~expertseq.hmm.propagate_frontier`, and its
+posterior replays the recorded silent regions in reverse.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .experts import ForecastingSystem, _check_logpreds, _realized_matrix
-from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp
+from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
+from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
 
 
 @dataclass
@@ -62,10 +64,14 @@ class ForwardPass:
     precomputed (n, k) matrix of log probabilities assigned to the realized
     outcomes; the matrix is validated once, here.
 
-    When the model provides level arcs and regions are not recorded, the
-    frontier is a log-weight vector over the level's numbering; a
-    ``WeightMap`` is built only for ``frontier_hook`` and ``weight_map``,
-    and the hook's result is written back into the vector.
+    When the model provides level arcs, the frontier is a log-weight
+    vector over the level's numbering; a ``WeightMap`` is built only for
+    ``frontier_hook`` and ``weight_map``, and the hook's result is written
+    back into the vector. With ``record_regions``, each level appends to
+    ``regions`` and ``stratum_weights``: on that array path the level's
+    ``LevelArcs`` and its post-update log-weight vector, otherwise the
+    live ``(state, successors)`` pairs in topological order and a copy of
+    the post-update weight map.
     """
 
     def __init__(
@@ -101,12 +107,12 @@ class ForwardPass:
         self.transitions_per_level: list[int] = []
         self.peak_weights = 0
         self.log_marginal: LogMass = 0.0
-        self.regions: list[list] = []            # per level, (state, succs) in topo order
-        self.stratum_weights: list[dict] = []    # per level, post-update frontier copies
+        self.regions: list[list | LevelArcs] = []
+        self.stratum_weights: list[dict | np.ndarray] = []
 
         # Array frontiers are numbered by the level that produced them
         # (None: initial() order).
-        self._levels = None if record_regions else model.level_arcs()
+        self._levels = model.level_arcs()
         initial = model.initial()
         self._frontier: dict[StateId, LogMass] | np.ndarray = (
             dict(initial) if self._levels is None
@@ -127,16 +133,17 @@ class ForwardPass:
         if self._levels is not None:
             self._pre_level = next(self._levels)
             pre, transitions, peak = propagate_arcs(self._frontier, self._pre_level.layers)
-            self._pre_by_label = _label_logsumexp(
+            self._pre_by_label = logsumexp_by(
                 pre, self._pre_level.labels, self.model.num_experts)
             self._pre_total = logsumexp(self._pre_by_label)
+            record = self._pre_level
         else:
             record = [] if self._record_regions else None
             pre, transitions, peak = propagate_frontier(
                 self.model, self._frontier, self._t + 1, record=record)
             self._pre_total = log_sum_iter(pre.values())
-            if self._record_regions:
-                self.regions.append(record)
+        if self._record_regions:
+            self.regions.append(record)
         self._pre = pre
         self.transitions_per_level.append(transitions)
         if peak > self.peak_weights:
@@ -231,7 +238,7 @@ class ForwardPass:
                 wm = self._hook(WeightMap(post, step))
                 post = wm.entries
         if self._record_regions:
-            self.stratum_weights.append(dict(post))
+            self.stratum_weights.append(post if level is not None else dict(post))
         size = live if level is not None else len(post)
         if size > self.peak_weights:
             self.peak_weights = size
@@ -255,16 +262,6 @@ class ForwardPass:
         if self._level is None:
             return WeightMap(dict(self.model.initial()), 0)
         return _vector_weight_map(self._frontier, self._level, self._t)
-
-
-def _label_logsumexp(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-label log-sum-exp of a log-weight vector, -inf for absent labels."""
-    top = np.full(k, NEG_INF)
-    np.maximum.at(top, labels, values)
-    base = np.where(top > NEG_INF, top, 0.0)
-    sums = np.bincount(labels, weights=np.exp(values - base[labels]), minlength=k)
-    with np.errstate(divide="ignore"):
-        return base + np.log(sums)
 
 
 def _vector_weight_map(vec: np.ndarray, level: LevelArcs, t: int) -> WeightMap:
@@ -337,7 +334,12 @@ def posterior_experts(
     grid of log masses, each row log-summing to 0.
 
     Computed as forward times backward over productive states, projected
-    down to expert labels.
+    down to expert labels. A recording forward pass keeps each level; the
+    backward sweep then pulls beta back one stratum per level, through the
+    level's arcs with :func:`~expertseq.hmm.pull_arcs` when the model
+    provides level arcs, otherwise by replaying the recorded silent region
+    in reverse topological order. Raises ZeroMarginalError with the first
+    step at which the marginal vanishes.
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
@@ -345,12 +347,37 @@ def posterior_experts(
     for x in data:
         fp.advance(x)
 
+    grid = np.full((n, model.num_experts), NEG_INF)
+    rows = _array_rows if fp._levels is not None else _tuple_rows
+    for i, row in zip(range(n, 0, -1), rows(fp, lp_all)):
+        total = logsumexp(row)
+        if total == NEG_INF:
+            raise ZeroMarginalError(i)
+        grid[i - 1] = row - total
+    return grid
+
+
+def _array_rows(fp: ForwardPass, lp_all: np.ndarray):
+    """Unnormalised posterior rows of strata n, n - 1, ..., 1 of a run
+    recorded on the array path."""
+    k = fp.model.num_experts
+    post = fp.stratum_weights
+    # beta = log P(x_{i+1..n} | node, x^i) over the nodes of stratum i.
+    beta = np.zeros(len(post[-1]))
+    for i in range(len(post), 0, -1):
+        level = fp.regions[i - 1]
+        yield logsumexp_by(post[i - 1] + beta, level.labels, k)
+        if i > 1:
+            beta = pull_arcs(beta + lp_all[i - 1][level.labels], level.layers, len(post[i - 2]))
+
+
+def _tuple_rows(fp: ForwardPass, lp_all: np.ndarray):
+    """Unnormalised posterior rows of strata n, n - 1, ..., 1 of a run
+    recorded on the tuple path."""
+    model = fp.model
     k = model.num_experts
     label, is_prod, level = model.label, model.is_productive, model.level
-    grid = np.full((n, k), NEG_INF)
-    if n == 0:
-        return grid
-
+    n = len(fp.stratum_weights)
     # beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i.
     beta: dict[StateId, LogMass] = {q: 0.0 for q in fp.stratum_weights[n - 1]}
     for i in range(n, 0, -1):
@@ -366,10 +393,7 @@ def posterior_experts(
             acc[lab] = log_sum(acc[lab], m) if lab in acc else m
         for lab, v in acc.items():
             row[lab] = v
-        total = logsumexp(row)
-        if total == NEG_INF:
-            raise ZeroMarginalError(i)
-        grid[i - 1] = row - total
+        yield row
 
         if i == 1:
             break
@@ -391,7 +415,6 @@ def posterior_experts(
             if is_prod(u) and level(u) == i - 1:
                 prev_beta[u] = b
         beta = prev_beta
-    return grid
 
 
 def viterbi_unambiguous(

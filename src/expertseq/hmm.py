@@ -23,7 +23,12 @@ arcs of zero mass are left out, so a destination may have none. The last
 layer's destinations are stratum t + 1, numbered as the sources of the
 next level. :func:`propagate_arcs` pushes a log-weight vector through
 those layers; it touches the same arcs as :func:`propagate_frontier`
-and reports the same transition count.
+and reports the same transition count. Its backward counterpart,
+:func:`pull_arcs`, walks the same layers in reverse and pulls a vector
+over the next stratum back to the level's sources; it is the backward
+sweep of the smoothed posterior. :func:`propagate_frontier` and the
+reverse replay of its recorded regions stay the definition both array
+steps are tested against.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter
+from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp_by
 
 StateId = tuple
 
@@ -260,6 +266,30 @@ def propagate_arcs(
     return block, transitions, int(np.count_nonzero(held > NEG_INF))
 
 
+def pull_arcs(
+    target: np.ndarray, layers: Sequence[ArcLayer], num_sources: int,
+) -> np.ndarray:
+    """Backward counterpart of :func:`propagate_arcs`: pull a log-weight
+    vector over the last layer's destinations back to the level's
+    ``num_sources`` sources.
+
+    Entry u of the result is the log-sum, over every path from source u to
+    a destination v, of the path's log mass plus ``target[v]``. Layers are
+    walked in reverse; each scatters a per-source log-sum-exp of its arcs
+    into the nodes before it, so a node's value is complete once every
+    later layer has been walked.
+    """
+    starts = list(accumulate((len(layer.indptr) - 1 for layer in layers), initial=num_sources))
+    held = np.full(starts[-1], NEG_INF)
+    held[starts[-2]:] = target
+    for layer, at, end in zip(reversed(layers), reversed(starts[:-1]), reversed(starts[1:])):
+        indptr = layer.indptr
+        dst = np.arange(at, end).repeat(indptr[1:] - indptr[:-1])
+        pulled = logsumexp_by(held[dst] + layer.logw, layer.src, at)
+        np.logaddexp(held[:at], pulled, out=held[:at])
+    return held[:num_sources]
+
+
 def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
     """Prior mass of the event that the first n produced experts are ``labels``.
 
@@ -274,28 +304,6 @@ def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
         if not frontier:
             return NEG_INF
     return log_sum_iter(frontier.values())
-
-
-def iter_sequence_priors(model: HmmModel, n: int) -> Iterator[tuple[tuple[int, ...], LogMass]]:
-    """Yield (label sequence, log prior) for every length-n sequence of
-    positive prior mass, sharing prefix work across the k^n sequences."""
-
-    def rec(frontier: dict[StateId, LogMass], depth: int, prefix: tuple[int, ...]):
-        stratum, _, _ = propagate_frontier(model, frontier, depth + 1)
-        by_label: dict[int, dict[StateId, LogMass]] = {}
-        for q, v in stratum.items():
-            by_label.setdefault(model.label(q), {})[q] = v
-        for lab in sorted(by_label):
-            sub = by_label[lab]
-            if depth + 1 == n:
-                yield prefix + (lab,), log_sum_iter(sub.values())
-            else:
-                yield from rec(sub, depth + 1, prefix + (lab,))
-
-    if n == 0:
-        yield (), 0.0
-        return
-    yield from rec(dict(model.initial()), 0, ())
 
 
 @dataclass(frozen=True)
@@ -368,57 +376,3 @@ def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
                     continue
                 stack.append((v, nrun))
     return issues
-
-
-class _SilentElimination(HmmModel):
-    """View of a model with one silent state spliced out.
-
-    Every predecessor arc into the removed state is replaced by composed
-    arcs to the removed state's successors; parallel arcs are merged. The
-    induced distribution on expert sequences is unchanged.
-    """
-
-    def __init__(self, base: HmmModel, state: StateId):
-        self._base = base
-        self._gone = state
-        self._bridge = base.successors(state)
-        self.num_experts = base.num_experts
-        self.silent_depth_bound = base.silent_depth_bound
-        self.unambiguous = base.unambiguous
-        self.productive_tags = base.productive_tags
-
-    def initial(self):
-        return self._base.initial()
-
-    def successors(self, state):
-        succ = self._base.successors(state)
-        if all(v != self._gone for v, _ in succ):
-            return succ
-        merged: dict[StateId, LogMass] = {}
-        for v, w in succ:
-            if v == self._gone:
-                for v2, w2 in self._bridge:
-                    m = w + w2
-                    merged[v2] = log_sum(merged[v2], m) if v2 in merged else m
-            else:
-                merged[v] = log_sum(merged[v], w) if v in merged else w
-        return list(merged.items())
-
-    def label(self, state):
-        return self._base.label(state)
-
-    def is_productive(self, state):
-        return self._base.is_productive(state)
-
-    def level(self, state):
-        return self._base.level(state)
-
-
-def eliminate_silent(model: HmmModel, state: StateId) -> HmmModel:
-    """Remove a non-initial silent state, rewiring predecessors to its
-    successors with composed masses."""
-    if model.is_productive(state):
-        raise ValueError(f"state {state!r} is productive and cannot be eliminated")
-    if any(q == state for q, _ in model.initial()):
-        raise ValueError(f"state {state!r} is initial and cannot be eliminated")
-    return _SilentElimination(model, state)

@@ -53,6 +53,21 @@ def logsumexp(arr) -> float:
     return m + float(np.log(np.exp(a - m).sum()))
 
 
+# The shift of an empty group: finite, so that -inf minus it stays -inf
+# where -inf minus -inf would be nan.
+_EMPTY_SHIFT = -np.finfo(float).max
+
+
+def logsumexp_by(values: np.ndarray, groups: np.ndarray, size: int) -> np.ndarray:
+    """Per-group log-sum-exp of a log-mass vector: entry g folds the values
+    whose group is g, -inf for groups 0..size-1 with no finite value."""
+    top = np.full(size, _EMPTY_SHIFT)
+    np.maximum.at(top, groups, values)
+    sums = np.bincount(groups, weights=np.exp(values - top[groups]), minlength=size)
+    with np.errstate(divide="ignore"):
+        return top + np.log(sums)
+
+
 def log_normalize(arr) -> np.ndarray:
     """Shift a log-mass vector so it log-sums to 0 (a proper distribution)."""
     a = np.asarray(arr, dtype=float)

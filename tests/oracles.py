@@ -3,7 +3,9 @@
 Everything here deliberately avoids the forward-pass code path it is used
 to check: joint tables are built from the prior enumerator plus chain-rule
 likelihood products, and the run-length prior oracle enumerates switch
-subsets directly.
+subsets directly. Silent-state elimination rewrites a model into an
+equivalent one with fewer silent states, a check on the reduction
+identities.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 import expertseq as es
+from expertseq.hmm import propagate_frontier
 
 ZOO_NAMES = (
     "bayes",
@@ -44,6 +47,82 @@ class TupleOnly(es.HmmModel):
 
     def label(self, state):
         return self.inner.label(state)
+
+
+def iter_sequence_priors(model, n):
+    """Yield (label sequence, log prior) for every length-n sequence of
+    positive prior mass, sharing prefix work across the k^n sequences."""
+
+    def rec(frontier, depth, prefix):
+        stratum, _, _ = propagate_frontier(model, frontier, depth + 1)
+        by_label = {}
+        for q, v in stratum.items():
+            by_label.setdefault(model.label(q), {})[q] = v
+        for lab in sorted(by_label):
+            sub = by_label[lab]
+            if depth + 1 == n:
+                yield prefix + (lab,), es.log_sum_iter(sub.values())
+            else:
+                yield from rec(sub, depth + 1, prefix + (lab,))
+
+    if n == 0:
+        yield (), 0.0
+        return
+    yield from rec(dict(model.initial()), 0, ())
+
+
+class _SilentElimination(es.HmmModel):
+    """View of a model with one silent state spliced out.
+
+    Every predecessor arc into the removed state is replaced by composed
+    arcs to the removed state's successors; parallel arcs are merged. The
+    induced distribution on expert sequences is unchanged.
+    """
+
+    def __init__(self, base, state):
+        self._base = base
+        self._gone = state
+        self._bridge = base.successors(state)
+        self.num_experts = base.num_experts
+        self.silent_depth_bound = base.silent_depth_bound
+        self.unambiguous = base.unambiguous
+        self.productive_tags = base.productive_tags
+
+    def initial(self):
+        return self._base.initial()
+
+    def successors(self, state):
+        succ = self._base.successors(state)
+        if all(v != self._gone for v, _ in succ):
+            return succ
+        merged = {}
+        for v, w in succ:
+            if v == self._gone:
+                for v2, w2 in self._bridge:
+                    m = w + w2
+                    merged[v2] = es.log_sum(merged[v2], m) if v2 in merged else m
+            else:
+                merged[v] = es.log_sum(merged[v], w) if v in merged else w
+        return list(merged.items())
+
+    def label(self, state):
+        return self._base.label(state)
+
+    def is_productive(self, state):
+        return self._base.is_productive(state)
+
+    def level(self, state):
+        return self._base.level(state)
+
+
+def eliminate_silent(model, state):
+    """Remove a non-initial silent state, rewiring predecessors to its
+    successors with composed masses."""
+    if model.is_productive(state):
+        raise ValueError(f"state {state!r} is productive and cannot be eliminated")
+    if any(q == state for q, _ in model.initial()):
+        raise ValueError(f"state {state!r} is initial and cannot be eliminated")
+    return _SilentElimination(model, state)
 
 
 def random_constant_experts(rng, k, alphabet_size):
@@ -92,7 +171,7 @@ def joint_table(model, experts_all, data):
     enumerator plus chain-rule likelihoods."""
     lp = es.prediction_matrix(experts_all, data)
     table = {}
-    for seq, prior in es.iter_sequence_priors(model, len(data)):
+    for seq, prior in iter_sequence_priors(model, len(data)):
         table[seq] = prior + sum(lp[i, s] for i, s in enumerate(seq))
     return table
 

@@ -102,6 +102,12 @@ class TestMlConditionedMarginal:
         np.testing.assert_allclose(np.exp(cond([0, 0, 1])), [3 / 5, 2 / 5], rtol=1e-12)
         np.testing.assert_allclose(np.exp(cond([])), [0.5, 0.5], rtol=1e-12)
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_experts_rejected_with_position(self, label):
+        cond = laplace_expert_conditional(2)
+        with pytest.raises(ValueError, match="position 1"):
+            cond([0, label, 1])
+
     def test_single_expert_is_exact(self):
         rng = np.random.default_rng(83)
         e = es.ConstantExpert(rng.dirichlet(np.ones(2)))

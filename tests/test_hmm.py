@@ -7,7 +7,14 @@ import pytest
 import expertseq as es
 from expertseq.hmm import HmmModel, propagate_frontier
 from expertseq.logprob import NEG_INF
-from oracles import ZOO_NAMES, TupleOnly, random_constant_experts, random_zoo_instance
+from oracles import (
+    ZOO_NAMES,
+    TupleOnly,
+    eliminate_silent,
+    iter_sequence_priors,
+    random_constant_experts,
+    random_zoo_instance,
+)
 
 
 class _Denormalized(HmmModel):
@@ -94,7 +101,7 @@ class TestExpertSequencePrior:
                 if name == "universal_elementwise" and k != 2:
                     continue
                 model, _, _ = random_zoo_instance(name, rng, n=1, k=k)
-                total = es.log_sum_iter(p for _, p in es.iter_sequence_priors(model, n))
+                total = es.log_sum_iter(p for _, p in iter_sequence_priors(model, n))
                 assert total == pytest.approx(0.0, abs=1e-9), (name, k, n)
 
     def test_empty_sequence_has_unit_mass(self):
@@ -106,7 +113,7 @@ class TestEliminateSilent:
     def test_single_pred_single_succ(self):
         # Chain a -> hub -> a: removing the hub drops one state, keeps priors.
         m = es.fixed_elementwise([1.0])
-        m2 = es.eliminate_silent(m, ("draw", 1))
+        m2 = eliminate_silent(m, ("draw", 1))
         for n in range(1, 5):
             seq = [0] * n
             assert es.expert_sequence_prior(m2, seq) == pytest.approx(
@@ -122,13 +129,13 @@ class TestEliminateSilent:
                                {v for v, _ in m.successors(("e", 2, x))})
         arcs_through_hub += len(m.successors(hub))
         assert arcs_through_hub == 2 * k
-        m2 = es.eliminate_silent(m, hub)
+        m2 = eliminate_silent(m, hub)
         direct = sum(len(m2.successors(("e", 2, x))) for x in range(k))
         assert direct == k * k
 
     def test_prior_preserved_on_all_sequences(self):
         m = es.fixed_share([0.3, 0.7], 0.4)
-        m2 = es.eliminate_silent(m, ("draw", 1))
+        m2 = eliminate_silent(m, ("draw", 1))
         for n in range(1, 5):
             for seq in itertools.product(range(2), repeat=n):
                 assert es.expert_sequence_prior(m2, seq) == pytest.approx(
@@ -138,7 +145,7 @@ class TestEliminateSilent:
         rng = np.random.default_rng(12)
         experts = random_constant_experts(rng, 2, 2)
         m = es.fixed_share([0.5, 0.5], 0.25)
-        m2 = es.eliminate_silent(m, ("draw", 2))
+        m2 = eliminate_silent(m, ("draw", 2))
         for _ in range(5):
             data = list(rng.integers(0, 2, 4))
             a = es.forward_marginal(m, experts, data).log_marginal
@@ -148,9 +155,9 @@ class TestEliminateSilent:
     def test_rejects_productive_and_initial_states(self):
         m = es.fixed_share([0.5, 0.5], 0.25)
         with pytest.raises(ValueError):
-            es.eliminate_silent(m, ("e", 1, 0))
+            eliminate_silent(m, ("e", 1, 0))
         with pytest.raises(ValueError):
-            es.eliminate_silent(m, ("draw", 0))
+            eliminate_silent(m, ("draw", 0))
 
 
 class TestStateProtocol:

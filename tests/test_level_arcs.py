@@ -4,7 +4,8 @@ Every model that provides level arcs runs twice on the same inputs: as
 itself, so ForwardPass keeps a log-weight vector and calls
 propagate_arcs, and wrapped in ``oracles.TupleOnly``, so ForwardPass keeps
 a weight map and calls propagate_frontier. The two runs must agree step by
-step.
+step, and so must the smoothed posteriors, whose backward sweeps are
+pull_arcs and the reverse replay of recorded regions.
 """
 
 import numpy as np
@@ -84,20 +85,59 @@ def test_trimming_shrinks_array_frontier(name, mode):
     assert trimmed.peak_weights < exact.peak_weights
 
 
-@pytest.mark.parametrize("hook", HOOKS)
+def posterior(model, experts, data, mode):
+    if mode == "experts":
+        return es.posterior_experts(model, experts, data)
+    return es.posterior_experts(model, None, data,
+                                logpred_matrix=es.prediction_matrix(experts, data))
+
+
+@pytest.mark.parametrize("n", [0, 1, N])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ARRAY_MODELS)
-def test_zero_marginal_at_same_step(name, mode, hook):
-    # Every expert rules out the last symbol, which arrives at step 7.
+def test_posterior_matches_tuple_core(name, mode, n):
+    make, w, experts, data = instance(name, sorted(ARRAY_MODELS).index(name))
+    # Expert 0 rules out the last symbol, so wherever that symbol arrives
+    # its posterior is zero.
+    experts[0] = es.ConstantExpert(np.append(np.random.default_rng(n).dirichlet(np.ones(2)), 0.0))
+    data = data[:n]
+    fast = posterior(make(w), experts, data, mode)
+    ref = posterior(TupleOnly(make(w)), experts, data, mode)
+    assert fast.shape == ref.shape == (n, len(experts))
+    assert np.array_equal(fast == -np.inf, ref == -np.inf)
+    assert (n < N) or (fast == -np.inf).any()
+    assert np.all(np.abs(np.exp(fast) - np.exp(ref)) <= 1e-12)
+
+
+def ruled_out_at_step_7(name):
+    """Every expert rules out the last symbol, which arrives at step 7."""
     k, make = ARRAY_MODELS[name]
     rng = np.random.default_rng(11)
     experts = [es.ConstantExpert(np.append(rng.dirichlet(np.ones(2)), 0.0)) for _ in range(k)]
     data = [int(x) for x in rng.integers(0, 2, 10)]
     data[6] = 2
     w = [1.0 / k] * k
-    for model in (make(w), TupleOnly(make(w))):
+    return make(w), experts, data
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_zero_marginal_at_same_step(name, mode, hook):
+    model, experts, data = ruled_out_at_step_7(name)
+    for m in (model, TupleOnly(model)):
         with pytest.raises(es.ZeroMarginalError) as exc:
-            run(model, experts, data, mode, HOOKS[hook])
+            run(m, experts, data, mode, HOOKS[hook])
+        assert exc.value.step == 7
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_posterior_zero_marginal_at_same_step(name, mode):
+    model, experts, data = ruled_out_at_step_7(name)
+    for m in (model, TupleOnly(model)):
+        with pytest.raises(es.ZeroMarginalError) as exc:
+            posterior(m, experts, data, mode)
         assert exc.value.step == 7
 
 
@@ -105,11 +145,12 @@ def test_zero_marginal_at_same_step(name, mode, hook):
 def test_no_switch_before_span_start_at_same_step(mode):
     # Runs last 2 or 3 steps, so the change of expert at step 2 is impossible.
     experts = [es.ConstantExpert([1.0, 0.0]), es.ConstantExpert([0.0, 1.0])]
-    for model in (es.run_length(es.uniform_span(2, 3), [0.5, 0.5]),
-                  TupleOnly(es.run_length(es.uniform_span(2, 3), [0.5, 0.5]))):
-        with pytest.raises(es.ZeroMarginalError) as exc:
-            run(model, experts, [0, 1, 1], mode)
-        assert exc.value.step == 2
+    model = es.run_length(es.uniform_span(2, 3), [0.5, 0.5])
+    for m in (model, TupleOnly(model)):
+        for call in (run, posterior):
+            with pytest.raises(es.ZeroMarginalError) as exc:
+                call(m, experts, [0, 1, 1], mode)
+            assert exc.value.step == 2
 
 
 def test_weight_map_round_trip_keeps_vector():
