@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem, prediction_matrix
+from .experts import ForecastingSystem, _RunningCounts, prediction_matrix
 from .forward import WeightMap, ZeroMarginalError
-from .logprob import NEG_INF, LogMass, from_linear, log_sum, log_sum_iter, logsumexp
+from .logprob import NEG_INF, LogMass, from_linear, logsumexp
 
 
 def trim_frontier(weights: WeightMap, p: float) -> WeightMap:
@@ -30,22 +30,23 @@ def trim_frontier(weights: WeightMap, p: float) -> WeightMap:
     entries = weights.entries
     if not entries:
         raise ValueError("cannot trim an empty frontier")
-    total = log_sum_iter(entries.values())
+    # np.logaddexp folds left to right, so total is the sum in dict order
+    # and acc[j] the mass of the top j + 1 states, non-decreasing in j.
+    total = float(np.logaddexp.reduce(np.fromiter(entries.values(), float, len(entries))))
     if total == NEG_INF:
         raise ValueError("cannot trim a frontier of zero mass")
     if p == 1.0:
         return WeightMap(dict(entries), weights.level)
     threshold = total + from_linear(p)
-    ranked = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept: dict = {}
-    acc = NEG_INF
-    for q, v in ranked:
-        kept[q] = v
-        acc = log_sum(acc, v)
-        if acc >= threshold - 1e-12:
-            break
-    scale = total - acc
-    return WeightMap({q: v + scale for q, v in kept.items()}, weights.level)
+    states = sorted(entries)
+    masses = np.array([entries[q] for q in states])
+    ranked = np.argsort(-masses, kind="stable")   # descending mass, then state id
+    acc = np.logaddexp.accumulate(masses[ranked])
+    cut = int(np.searchsorted(acc, threshold - 1e-12))
+    kept = ranked[: cut + 1]
+    scaled = masses[kept] + (total - acc[cut])
+    return WeightMap(dict(zip([states[j] for j in kept.tolist()], scaled.tolist())),
+                     weights.level)
 
 
 def trimming_hook(p: float) -> Callable[[WeightMap], WeightMap]:
@@ -62,16 +63,14 @@ def ml_estimate(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> li
 def laplace_expert_conditional(k: int) -> Callable[[Sequence[int]], np.ndarray]:
     """Prior conditional of the universal elementwise mixture under a
     uniform weight density: (count + 1) / (n + k), the rule of succession
-    generalized to k experts. A prefix label outside 0..k-1 raises
-    ValueError naming its position."""
+    generalized to k experts. Counts are kept running and memoised by
+    prefix, so the growing prefix of ``ml_conditioned_marginal`` costs
+    O(k) per step. A prefix label outside 0..k-1 raises ValueError naming
+    its position."""
+    counts = _RunningCounts(k, noun="expert label")
+
     def conditional(prefix: Sequence[int]) -> np.ndarray:
-        labels = np.asarray(prefix, dtype=np.intp)
-        bad = np.flatnonzero((labels < 0) | (labels >= k))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"expert label {prefix[i]!r} at position {i} is outside 0..{k - 1}")
-        counts = np.bincount(labels, minlength=k)
-        return np.log((counts + 1.0) / (len(prefix) + k))
+        return np.log((counts(prefix) + 1.0) / (len(prefix) + k))
     return conditional
 
 

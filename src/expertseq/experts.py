@@ -4,7 +4,11 @@ An expert maps an observation history (a sequence of outcome indices) to a
 log-probability vector over the next outcome. Experts must be replayable
 from scratch for any history, including histories they previously assigned
 probability zero to; they may memoize internally but may be evaluated out
-of order.
+of order. The built-in experts that depend on the history memoise by
+prefix: KT and Laplace keep running counts and ``ModelExpert`` keeps its
+forward pass while each history extends the last one, and replay any
+other history from scratch, so out-of-order ``predict(history)`` stays
+exact.
 
 Every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
 bounds) reads the realized log-predictions from ``prediction_matrix``, so
@@ -156,8 +160,66 @@ def uniform_expert(size: int) -> ConstantExpert:
     return ConstantExpert(np.full(size, 1.0 / size))
 
 
+class _RunningCounts:
+    """Counts of the values 0..size-1 in a sequence, memoised by prefix.
+
+    A sequence that extends the last one counted costs one C-level prefix
+    comparison plus Python work for its new entries only; any other
+    sequence (shorter, diverging, or the same list edited in place) is
+    recounted from scratch. Sequences may be lists, tuples or numpy
+    arrays. A value outside 0..size-1 raises ValueError naming its
+    position, and nothing from that position on is counted.
+    """
+
+    def __init__(self, size: int, noun: str = "symbol"):
+        self.size = size
+        self._noun = noun
+        self._seen: list[int] = []      # a private copy of the counted prefix
+        self._counts = np.zeros(size, dtype=np.intp)
+
+    def __call__(self, seq: Sequence[int]) -> np.ndarray:
+        """The counts of ``seq``, an array the caller must not modify."""
+        seen = self._seen
+        m = len(seen)
+        if len(seq) < m or _as_list(seq[:m]) != seen:
+            self._recount(seq)
+            return self._counts
+        counts, size = self._counts, self.size
+        for i in range(m, len(seq)):
+            x = int(seq[i])
+            if not 0 <= x < size:
+                self._reject(seq, i)
+            counts[x] += 1
+            seen.append(x)
+        return counts
+
+    def _recount(self, seq: Sequence[int]) -> None:
+        values = np.asarray(seq, dtype=np.intp)
+        bad = np.flatnonzero((values < 0) | (values >= self.size))
+        if len(bad):
+            self._reject(seq, int(bad[0]))
+        self._counts = np.bincount(values, minlength=self.size)
+        self._seen = values.tolist()
+
+    def _reject(self, seq: Sequence[int], i: int):
+        raise ValueError(f"{self._noun} {seq[i]!r} at position {i} "
+                         f"is outside 0..{self.size - 1}")
+
+
+def _as_list(seq) -> list:
+    if isinstance(seq, list):
+        return seq
+    return seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
+
+
 class _AddSmoothedCounts(ForecastingSystem):
-    """Dirichlet-smoothed relative frequencies: (count + a) / (n + a * size)."""
+    """Dirichlet-smoothed relative frequencies: (count + a) / (n + a * size).
+
+    The counts are kept running and memoised by prefix, so predicting on
+    a history that extends the previous one costs a constant number of
+    numpy calls; any other history is recounted, so out-of-order
+    ``predict(history)`` stays exact.
+    """
 
     smoothing: float
 
@@ -165,11 +227,10 @@ class _AddSmoothedCounts(ForecastingSystem):
         if size < 1:
             raise ValueError("alphabet size must be >= 1")
         self.size = size
+        self._counts = _RunningCounts(size)
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        counts = np.bincount(np.asarray(history, dtype=np.intp), minlength=self.size)
-        if len(counts) > self.size:
-            raise ValueError(f"history holds a symbol outside the alphabet of size {self.size}")
+        counts = self._counts(history)
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .experts import ForecastingSystem, _check_logpreds, _realized_matrix
 from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
+from .logprob import (NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by,
+                      logsumexp_columns)
 
 
 @dataclass
@@ -62,7 +63,12 @@ class ForwardPass:
     Expert predictions come either from a list of forecasting systems,
     each asked once per step, or, for evaluation-only runs, from a
     precomputed (n, k) matrix of log probabilities assigned to the realized
-    outcomes; the matrix is validated once, here.
+    outcomes; the matrix is validated once, here. In experts mode the k
+    forecasts of a step form one (k, alphabet) array, which gives both the
+    realized likelihoods and, with ``want_outcome_dists``, the
+    next-outcome distribution in one column-wise log-sum-exp. Each step
+    builds one ``StepRecord``: ``last_step``, also appended to ``steps``
+    unless ``keep_steps`` is false.
 
     When the model provides level arcs, the frontier is a log-weight
     vector over the level's numbering; a ``WeightMap`` is built only for
@@ -152,7 +158,7 @@ class ForwardPass:
     def _expert_preds(self) -> np.ndarray:
         if self._preds is None:
             hist = self.history
-            self._preds = np.stack([e.predict(hist) for e in self.experts])
+            self._preds = np.array([e.predict(hist) for e in self.experts])
         return self._preds
 
     def predict_expert(self) -> np.ndarray:
@@ -180,12 +186,7 @@ class ForwardPass:
         return self._mix_outcome(self.predict_expert())
 
     def _mix_outcome(self, expert_dist: np.ndarray) -> np.ndarray:
-        stacked = self._expert_preds() + expert_dist[:, None]  # (k, alphabet)
-        with np.errstate(divide="ignore"):
-            m = np.max(stacked, axis=0)
-            safe = np.where(m == NEG_INF, 0.0, m)
-            out = safe + np.log(np.sum(np.exp(stacked - safe[None, :]), axis=0))
-        return np.where(m == NEG_INF, NEG_INF, out)
+        return logsumexp_columns(self._expert_preds() + expert_dist[:, None])
 
     # -- consuming data ----------------------------------------------------
 
@@ -243,9 +244,9 @@ class ForwardPass:
         if size > self.peak_weights:
             self.peak_weights = size
 
-        if self._keep_steps:
-            self.steps.append(StepRecord(log_cond, pre_total, expert_dist, outcome_dist))
         self.last_step = StepRecord(log_cond, pre_total, expert_dist, outcome_dist)
+        if self._keep_steps:
+            self.steps.append(self.last_step)
         self.log_marginal = new_marginal
         self._frontier = post
         self._level = level

@@ -8,6 +8,7 @@ from expertseq.approx import (kl_divergence, laplace_expert_conditional,
                               ml_conditioned_marginal, ml_estimate,
                               trim_frontier, trimming_hook)
 from expertseq.forward import WeightMap
+from expertseq.logprob import logsumexp
 from oracles import random_constant_experts
 
 
@@ -82,6 +83,31 @@ class TestTrimFrontier:
         assert abs(trimmed.log_marginal - full.log_marginal) < 0.5
 
 
+    def test_matches_sequential_definition(self):
+        # The definition folded one state at a time: total in dict order,
+        # then the ranked states until the cut. Ties are frequent here.
+        def reference(entries, p):
+            total = es.log_sum_iter(entries.values())
+            ranked = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
+            kept, acc = {}, es.NEG_INF
+            for q, v in ranked:
+                kept[q] = v
+                acc = es.log_sum(acc, v)
+                if acc >= total + math.log(p) - 1e-12:
+                    break
+            return [(q, v + (total - acc)) for q, v in kept.items()]
+
+        rng = np.random.default_rng(86)
+        for _ in range(200):
+            s = int(rng.integers(1, 40))
+            vals = np.log(rng.dirichlet(np.ones(s)))
+            vals[rng.integers(0, s, s // 2)] = vals[0]
+            entries = {("e", int(i), int(j)): float(v)
+                       for i, j, v in zip(rng.permutation(s), rng.integers(0, 3, s), vals)}
+            for p in (1e-9, 0.25, 0.5, 0.9, 0.999):
+                got = trim_frontier(WeightMap(entries, 4), p)
+                assert list(got.entries.items()) == reference(entries, p)
+
 class TestMlEstimate:
     def test_single_expert_constant(self):
         e = es.uniform_expert(2)
@@ -130,6 +156,27 @@ class TestMlConditionedMarginal:
                 lower += float(cond(ml_seq[:i])[s])
                 lower += float(experts[s].predict(data[:i])[data[i]])
             assert res.log_marginal >= lower - 1e-12
+
+    def test_long_run_counts_each_label_once(self, monkeypatch):
+        # Work, not wall clock: the conditional sees the ML prefix grow by one
+        # label per step and never recounts it, so counting is O(1) per step.
+        from expertseq.experts import _RunningCounts
+        lengths, recounts = [], []
+        call, recount = _RunningCounts.__call__, _RunningCounts._recount
+        monkeypatch.setattr(_RunningCounts, "__call__",
+                            lambda self, seq: lengths.append(len(seq)) or call(self, seq))
+        monkeypatch.setattr(_RunningCounts, "_recount",
+                            lambda self, seq: recounts.append(len(seq)) or recount(self, seq))
+        n = 20_000
+        experts = [es.ConstantExpert([0.8, 0.2]), es.ConstantExpert([0.3, 0.7])]
+        data = list(np.random.default_rng(85).integers(0, 2, n))
+        res = ml_conditioned_marginal(laplace_expert_conditional(2), experts, data)
+        assert lengths == list(range(n))
+        assert recounts == []
+        counts = np.bincount(res.ml_sequence[:-1], minlength=2)
+        prior = np.log((counts + 1.0) / (n - 1 + 2))
+        preds = [e.predict([])[data[-1]] for e in experts]
+        assert res.step_log_conds[-1] == logsumexp(prior + preds)
 
     def test_zero_mass_aborts_with_step(self):
         experts = [es.ConstantExpert([1.0, 0.0])]

@@ -62,6 +62,87 @@ class TestBuiltins:
                 assert logsumexp(e.predict(hist)) == pytest.approx(0.0, abs=1e-9)
 
 
+def fresh_counts_predict(cls, size, history):
+    """What KT or Laplace predicts when the history is counted from scratch."""
+    counts = np.bincount(np.asarray(history, dtype=np.intp), minlength=size)
+    a = cls.smoothing
+    return np.log((counts + a) / (len(history) + a * size))
+
+
+@pytest.mark.parametrize("cls", [es.KTEstimator, es.LaplaceEstimator])
+class TestRunningCounts:
+    def assert_fresh(self, e, history):
+        np.testing.assert_array_equal(e.predict(history),
+                                      fresh_counts_predict(type(e), e.size, history))
+
+    def test_growing_list(self, cls):
+        e, hist = cls(3), []
+        for x in np.random.default_rng(8).integers(0, 3, 60):
+            self.assert_fresh(e, hist)
+            hist.append(int(x))
+        self.assert_fresh(e, hist)
+
+    def test_extension_by_many_symbols(self, cls):
+        e = cls(3)
+        self.assert_fresh(e, [0, 1])
+        self.assert_fresh(e, [0, 1, 2, 2, 0, 2])
+
+    def test_shorter_and_diverging(self, cls):
+        e = cls(3)
+        for hist in ([0, 1, 2, 2, 1], [0, 1, 2], [0, 1, 2, 2, 1, 1], [0, 2, 2, 2, 1, 1, 0],
+                     [], [1], [0, 2, 2, 2, 1, 1, 0, 0]):
+            self.assert_fresh(e, hist)
+
+    def test_list_edited_in_place(self, cls):
+        e = cls(3)
+        hist = [0, 0, 1, 2]
+        self.assert_fresh(e, hist)
+        hist[1] = 2
+        self.assert_fresh(e, hist)
+        hist[1] = 0
+        hist.append(1)
+        self.assert_fresh(e, hist)
+        hist.pop(0)
+        self.assert_fresh(e, hist)
+
+    def test_tuple_and_array_histories(self, cls):
+        e = cls(3)
+        data = [2, 0, 1, 1, 2, 0, 0]
+        for i in range(len(data) + 1):
+            self.assert_fresh(e, tuple(data[:i]))
+            self.assert_fresh(e, np.array(data[:i]))
+            self.assert_fresh(e, list(data[:i]))
+        self.assert_fresh(e, np.array([2, 0, 2], dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_alphabet_symbol_in_extension_raises(self, cls, bad):
+        e = cls(3)
+        hist = [0, 1, 2]
+        self.assert_fresh(e, hist)
+        with pytest.raises(ValueError, match="position 4"):
+            e.predict(hist + [1, bad, 0])
+        with pytest.raises(ValueError, match="position 0"):
+            e.predict([bad])
+        self.assert_fresh(e, hist + [1])
+        self.assert_fresh(e, hist + [1, 0])
+
+    def test_stream_is_counted_once(self, cls, monkeypatch):
+        from expertseq.experts import _RunningCounts
+        recounts = []
+        real = _RunningCounts._recount
+        monkeypatch.setattr(_RunningCounts, "_recount",
+                            lambda self, seq: recounts.append(len(seq)) or real(self, seq))
+        data = list(np.random.default_rng(9).integers(0, 2, 300))
+        es.forward_marginal(es.fixed_share([0.5, 0.5], 0.1), [cls(2), es.uniform_expert(2)], data)
+        assert recounts == []
+        cls(2).predict([0, 1])
+        assert recounts == []
+        e = cls(2)
+        e.predict([0, 1, 1])
+        e.predict([0, 0])
+        assert recounts == [2]
+
+
 class TestSequentialLogLoss:
     def test_fair_coin_four_bits(self):
         e = es.uniform_expert(2)

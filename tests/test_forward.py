@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,52 @@ class TestForwardMarginal:
             es.viterbi_unambiguous(model, None, [0, 1, 0], logpred_matrix=lp)
         with pytest.raises(ValueError, match="step 2"):
             es.switch_map(es.default_switch_config(2), None, [0, 1, 0], logpred_matrix=lp)
+
+
+class TestOutcomeMixing:
+    # Symbol 4 is ruled out by every expert and symbol 3 is allowed by the
+    # last one only; once a 3 is seen, Bayes gives the others zero weight.
+    EXPERTS = ([0.5, 0.5, 0.0, 0.0, 0.0], [0.6, 0.0, 0.4, 0.0, 0.0],
+               [0.1, 0.2, 0.3, 0.4, 0.0])
+
+    @staticmethod
+    def reference(expert_dist, preds):
+        """log sum_i P(xi = i) P_i(x = j), folded in plain Python."""
+        out = []
+        for j in range(len(preds[0])):
+            total = sum(math.exp(w) * math.exp(p[j]) for w, p in zip(expert_dist, preds))
+            out.append(math.log(total) if total > 0.0 else -math.inf)
+        return out
+
+    @pytest.mark.parametrize("name", ["bayes", "fixed_share"])
+    def test_matches_plain_python(self, name):
+        w = [0.2, 0.3, 0.5]
+        model = es.bayes(w) if name == "bayes" else es.fixed_share(w, 0.1)
+        experts = [es.ConstantExpert(p) for p in self.EXPERTS]
+        data = [0, 3, 1, 2, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp = es.ForwardPass(model, experts, want_outcome_dists=True)
+            for t, x in enumerate(data):
+                fp.advance(x)
+                step = fp.last_step
+                assert step is fp.steps[-1]
+                preds = [e.predict(data[:t]).tolist() for e in experts]
+                ref = self.reference(step.expert_dist.tolist(), preds)
+                got = step.outcome_dist.tolist()
+                assert got[4] == -math.inf
+                assert got[:4] == pytest.approx(ref[:4], rel=1e-12, abs=0)
+                np.testing.assert_allclose(np.exp(got).sum(), 1.0, rtol=1e-12)
+        if name == "bayes":
+            # After the 3, experts 0 and 1 carry zero weight, so only the
+            # last expert's forecast is left.
+            assert fp.steps[2].expert_dist[:2].tolist() == [-math.inf, -math.inf]
+            assert fp.steps[2].outcome_dist[3] == pytest.approx(math.log(0.4), rel=1e-12)
+
+    def test_steps_not_kept(self):
+        fp = es.ForwardPass(es.bayes([0.5, 0.5]), two_constant_experts(), keep_steps=False)
+        fp.advance(0)
+        assert fp.steps == [] and fp.last_step.outcome_dist is None
 
 
 class TestPosterior:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from expertseq.logprob import (NEG_INF, from_linear, log_normalize, log_sum,
-                               log_sum_iter, logsumexp, to_bits)
+                               log_sum_iter, logsumexp, logsumexp_columns, to_bits)
 
 
 class TestLogSum:
@@ -75,3 +76,25 @@ class TestHelpers:
         assert from_linear(1.0) == 0.0
         with pytest.raises(ValueError):
             from_linear(-0.1)
+
+
+class TestLogSumExpColumns:
+    def test_columns_with_and_without_mass(self):
+        lin = np.array([[0.5, 0.0, 0.0, 1e-300],
+                        [0.25, 0.0, 0.3, 1e-300]])
+        with np.errstate(divide="ignore"):
+            values = np.log(lin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp_columns(values)
+        assert got[0] == pytest.approx(math.log(0.75), rel=1e-15)
+        assert got[1] == NEG_INF
+        assert got[2] == math.log(0.3)
+        assert got[3] == pytest.approx(math.log(2e-300), rel=1e-14)
+
+    def test_matches_flat_logsumexp(self):
+        rng = np.random.default_rng(5)
+        values = np.log(rng.random((4, 6)))
+        values[1:, 2] = NEG_INF
+        got = logsumexp_columns(values)
+        assert got.tolist() == [logsumexp(values[:, j]) for j in range(6)]
