@@ -30,7 +30,6 @@ from .hmm import (
     HmmModel,
     StateBudgetExceeded,
     ValidationIssue,
-    expert_sequence_prior,
     propagate_frontier,
     validate,
 )
@@ -40,6 +39,7 @@ from .forward import (
     ForwardResult,
     WeightMap,
     ZeroMarginalError,
+    expert_sequence_prior,
     forward_marginal,
     posterior_experts,
     viterbi_unambiguous,

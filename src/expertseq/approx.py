@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem, _RunningCounts, prediction_matrix
+from .experts import ForecastingSystem, LaplaceEstimator, prediction_matrix
 from .forward import WeightMap, ZeroMarginalError
 from .logprob import NEG_INF, LogMass, from_linear, logsumexp
 
@@ -60,18 +60,11 @@ def ml_estimate(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> li
     return np.argmax(prediction_matrix(experts, data), axis=1).tolist()
 
 
-def laplace_expert_conditional(k: int) -> Callable[[Sequence[int]], np.ndarray]:
+def laplace_expert_conditional(k: int) -> LaplaceEstimator:
     """Prior conditional of the universal elementwise mixture under a
-    uniform weight density: (count + 1) / (n + k), the rule of succession
-    generalized to k experts. Counts are kept running and memoised by
-    prefix, so the growing prefix of ``ml_conditioned_marginal`` costs
-    O(k) per step. A prefix label outside 0..k-1 raises ValueError naming
-    its position."""
-    counts = _RunningCounts(k, noun="expert label")
-
-    def conditional(prefix: Sequence[int]) -> np.ndarray:
-        return np.log((counts(prefix) + 1.0) / (len(prefix) + k))
-    return conditional
+    uniform weight density: (count + 1) / (n + k), which is Laplace's rule
+    of succession over the k expert labels."""
+    return LaplaceEstimator(k)
 
 
 @dataclass
@@ -82,22 +75,24 @@ class MlConditionedResult:
 
 
 def ml_conditioned_marginal(
-    prior_conditional: Callable[[Sequence[int]], np.ndarray],
+    prior_conditional: ForecastingSystem,
     experts: Sequence[ForecastingSystem],
     data: Sequence[int],
 ) -> MlConditionedResult:
     """Approximate marginal that mixes the experts at each step with the
     prior conditional on the running ML expert prefix instead of the
-    posterior; O(n k) for count-based conditionals.
+    posterior. The prior forecasts over expert labels; its stream is sent
+    each ML label, so a run is O(n k) for Laplace's rule.
 
     Aborts with the step index if every expert gets zero mass at a step.
     """
+    prior = prior_conditional.forecasts()
     ml_prefix: list[int] = []
     conds: list[LogMass] = []
     total = 0.0
     for i, preds in enumerate(prediction_matrix(experts, data)):
-        prior = np.asarray(prior_conditional(ml_prefix), dtype=float)
-        step = logsumexp(prior + preds)
+        weights = np.asarray(prior.send(ml_prefix[-1] if ml_prefix else None), dtype=float)
+        step = logsumexp(weights + preds)
         if step == NEG_INF:
             raise ZeroMarginalError(i + 1)
         conds.append(step)

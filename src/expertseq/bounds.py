@@ -231,18 +231,6 @@ def best_segmentations(lp: np.ndarray, max_blocks: int) -> list[Segmentation | N
     return out
 
 
-def best_segmentation_at_most(lp: np.ndarray, m: int) -> Segmentation:
-    """Best expert sequence with at most m maximal blocks; ties prefer
-    fewer blocks."""
-    segs = best_segmentations(lp, m)
-    best = None
-    for s in segs:
-        if s is not None and (best is None or s.log_likelihood > best.log_likelihood):
-            best = s
-    assert best is not None
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Grid oracles, independent of the HMM machinery
 # ---------------------------------------------------------------------------
@@ -350,11 +338,15 @@ def measure_universal_share(us_log_marginal: LogMass, lp: np.ndarray, w,
 def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> list[BoundReport]:
     """Per parameter length m: compare against the best switch parameter of
     that length (equivalently, the best sequence with at most m maximal
-    blocks, padded with reflexive switches)."""
+    blocks, padded with reflexive switches). One segmentation table
+    serves every m, with a running best that keeps fewer blocks on ties."""
     n = lp.shape[0]
     reports = []
-    for m in range(1, n + 1):
-        seg = best_segmentation_at_most(lp, m)
+    seg = None
+    for m, s in enumerate(best_segmentations(lp, n), start=1):
+        if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
+            seg = s
+        assert seg is not None
         measured = to_bits(sw_log_marginal) - to_bits(seg.log_likelihood)
         changes = seg.change_points
         t_last = changes[-1] if changes else 0

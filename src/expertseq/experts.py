@@ -1,30 +1,25 @@
 """Forecasting systems: the expert abstraction and built-in reference experts.
 
-An expert maps an observation history (a sequence of outcome indices) to a
-log-probability vector over the next outcome. Experts must be replayable
-from scratch for any history, including histories they previously assigned
-probability zero to; they may memoize internally but may be evaluated out
-of order. The built-in experts that depend on the history memoise by
-prefix: KT and Laplace keep running counts and ``ModelExpert`` keeps its
-forward pass while each history extends the last one, and replay any
-other history from scratch, so out-of-order ``predict(history)`` stays
-exact.
+An expert is a sequential forecaster P(x_{t+1} | x^t) over outcome
+indices. ``predict(history)`` defines it for any history, in any order;
+``forecasts()`` streams it, each outcome sent once. Every built-in expert
+streams at constant cost per step; the base class replays ``predict``.
 
-Every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
-bounds) reads the realized log-predictions from ``prediction_matrix``, so
-each expert is asked exactly once per step, in order; the online
-``ForwardPass`` asks each expert once per step as it advances. Symbols are
-checked against the alphabet before any expert is asked, and a realized
+``_forecast_rows`` merges k streams into one (k, alphabet) array per step,
+the one source of forecasts: ``ForwardPass`` reads it as it advances, and
+every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
+bounds) reads ``prediction_matrix``, which reads it too. Symbols are
+checked against the alphabet before any expert sees them, and a realized
 log-probability that is NaN or positive is rejected with its step where a
-matrix enters a computation: at ``ForwardPass`` construction in matrix mode
-and in the shared offline check.
+matrix enters a computation: at ``ForwardPass`` construction in matrix
+mode and in the shared offline check.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +57,7 @@ class ForecastingSystem(ABC):
 
     ``size`` is the number of outcomes; ``predict`` returns a vector of
     ``size`` natural-log probabilities summing to one (in linear scale).
+    Subclasses define ``predict`` and may override ``forecasts`` to stream.
     """
 
     size: int
@@ -69,6 +65,26 @@ class ForecastingSystem(ABC):
     @abstractmethod
     def predict(self, history: Sequence[int]) -> np.ndarray:
         """Log-probability vector for the next outcome given the history."""
+
+    def forecasts(self) -> Iterator[np.ndarray]:
+        """Generator of forecasts equal to ``predict`` on the outcomes sent
+        so far: ``next`` gives the forecast for x_1, and sending x_t, done
+        only when the next forecast is wanted, gives that for x_{t+1}.
+        This default replays ``predict`` over one growing list."""
+        history: list[int] = []
+        while True:
+            x = yield self.predict(history)
+            history.append(x)
+
+
+def _forecast_rows(experts: Sequence[ForecastingSystem]) -> Iterator[np.ndarray]:
+    """The (k, alphabet) forecasts of k experts per step, read like one
+    expert's ``forecasts``."""
+    streams = [e.forecasts() for e in experts]
+    row = np.array([next(s) for s in streams])
+    while True:
+        x = yield row
+        row = np.array([s.send(x) for s in streams])
 
 
 def _check_symbols(data: Sequence[int], size: int) -> None:
@@ -78,16 +94,14 @@ def _check_symbols(data: Sequence[int], size: int) -> None:
 
 
 def _realized_rows(experts: Sequence[ForecastingSystem], data: Sequence[int]):
-    """Per step i, the list of log P_xi(x_i | x^{i-1}) over the experts.
-
-    The only loop that replays ``predict(data[:i])``. Symbols are checked
-    against the alphabet once, up front, before any expert is asked.
-    """
-    if experts:
-        _check_symbols(data, experts[0].size)
-    for i, x in enumerate(data):
-        hist = data[:i]
-        yield [e.predict(hist)[int(x)] for e in experts]
+    """Per step i, the (k,) array of log P_xi(x_i | x^{i-1}) over the
+    experts. Symbols are checked against the alphabet up front."""
+    _check_symbols(data, experts[0].size)
+    rows, sent = _forecast_rows(experts), None
+    for x in data:
+        x = int(x)
+        yield rows.send(sent)[:, x]
+        sent = x
 
 
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
@@ -155,70 +169,20 @@ class ConstantExpert(ForecastingSystem):
     def predict(self, history: Sequence[int]) -> np.ndarray:
         return self._logp
 
+    def forecasts(self) -> Iterator[np.ndarray]:
+        while True:
+            yield self._logp
+
 
 def uniform_expert(size: int) -> ConstantExpert:
     return ConstantExpert(np.full(size, 1.0 / size))
 
 
-class _RunningCounts:
-    """Counts of the values 0..size-1 in a sequence, memoised by prefix.
-
-    A sequence that extends the last one counted costs one C-level prefix
-    comparison plus Python work for its new entries only; any other
-    sequence (shorter, diverging, or the same list edited in place) is
-    recounted from scratch. Sequences may be lists, tuples or numpy
-    arrays. A value outside 0..size-1 raises ValueError naming its
-    position, and nothing from that position on is counted.
-    """
-
-    def __init__(self, size: int, noun: str = "symbol"):
-        self.size = size
-        self._noun = noun
-        self._seen: list[int] = []      # a private copy of the counted prefix
-        self._counts = np.zeros(size, dtype=np.intp)
-
-    def __call__(self, seq: Sequence[int]) -> np.ndarray:
-        """The counts of ``seq``, an array the caller must not modify."""
-        seen = self._seen
-        m = len(seen)
-        if len(seq) < m or _as_list(seq[:m]) != seen:
-            self._recount(seq)
-            return self._counts
-        counts, size = self._counts, self.size
-        for i in range(m, len(seq)):
-            x = int(seq[i])
-            if not 0 <= x < size:
-                self._reject(seq, i)
-            counts[x] += 1
-            seen.append(x)
-        return counts
-
-    def _recount(self, seq: Sequence[int]) -> None:
-        values = np.asarray(seq, dtype=np.intp)
-        bad = np.flatnonzero((values < 0) | (values >= self.size))
-        if len(bad):
-            self._reject(seq, int(bad[0]))
-        self._counts = np.bincount(values, minlength=self.size)
-        self._seen = values.tolist()
-
-    def _reject(self, seq: Sequence[int], i: int):
-        raise ValueError(f"{self._noun} {seq[i]!r} at position {i} "
-                         f"is outside 0..{self.size - 1}")
-
-
-def _as_list(seq) -> list:
-    if isinstance(seq, list):
-        return seq
-    return seq.tolist() if isinstance(seq, np.ndarray) else list(seq)
-
-
 class _AddSmoothedCounts(ForecastingSystem):
     """Dirichlet-smoothed relative frequencies: (count + a) / (n + a * size).
 
-    The counts are kept running and memoised by prefix, so predicting on
-    a history that extends the previous one costs a constant number of
-    numpy calls; any other history is recounted, so out-of-order
-    ``predict(history)`` stays exact.
+    The stream keeps running counts. A symbol outside 0..size-1 raises
+    ValueError naming its position.
     """
 
     smoothing: float
@@ -227,12 +191,29 @@ class _AddSmoothedCounts(ForecastingSystem):
         if size < 1:
             raise ValueError("alphabet size must be >= 1")
         self.size = size
-        self._counts = _RunningCounts(size)
+
+    def _reject(self, x, i: int):
+        raise ValueError(f"symbol {x!r} at position {i} is outside 0..{self.size - 1}")
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        counts = self._counts(history)
+        values = np.asarray(history, dtype=np.intp)
+        bad = np.flatnonzero((values < 0) | (values >= self.size))
+        if len(bad):
+            i = int(bad[0])
+            self._reject(history[i], i)
+        counts = np.bincount(values, minlength=self.size)
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
+
+    def forecasts(self) -> Iterator[np.ndarray]:
+        counts = np.zeros(self.size, dtype=np.intp)
+        a, n = self.smoothing, 0
+        while True:
+            x = yield np.log((counts + a) / (n + a * self.size))
+            if not 0 <= x < self.size:
+                self._reject(x, n)
+            counts[x] += 1
+            n += 1
 
 
 class KTEstimator(_AddSmoothedCounts):
@@ -271,6 +252,11 @@ class MarkovExpert(ForecastingSystem):
             return self._log_init
         return self._log_trans[history[-1]]
 
+    def forecasts(self) -> Iterator[np.ndarray]:
+        x = yield self._log_init
+        while True:
+            x = yield self._log_trans[x]
+
 
 class AdviceExpert(ForecastingSystem):
     """Expert backed by a precomputed per-step table of distributions.
@@ -295,6 +281,12 @@ class AdviceExpert(ForecastingSystem):
         if i >= self._steps:
             raise ValueError(f"advice exhausted: step {i} beyond {self._steps} rows")
         return self._logp[i]
+
+    def forecasts(self) -> Iterator[np.ndarray]:
+        # A for loop, not ``yield from``: an ndarray iterator has no send.
+        for row in self._logp:
+            yield row
+        raise ValueError(f"advice exhausted: step {self._steps} beyond {self._steps} rows")
 
 
 def make_builtin_expert(kind: str, **params) -> ForecastingSystem:
@@ -323,26 +315,28 @@ class ModelExpert(ForecastingSystem):
     """A fully configured prediction model wrapped as a single expert.
 
     The wrapper's prediction for any history equals the model's predictive
-    distribution given that history. Consecutive calls on growing histories
-    reuse the forward state; any other history is replayed from scratch.
+    distribution given that history. A stream advances one forward pass;
+    ``predict`` replays the history through a fresh stream.
     """
 
     def __init__(self, model, experts: Sequence[ForecastingSystem]):
         from .forward import ForwardPass  # runtime import to avoid a cycle
 
-        self._make_pass = lambda: ForwardPass(model, experts)
+        self._make_pass = lambda: ForwardPass(model, experts, keep_steps=False)
         self.size = experts[0].size
-        self._pass = self._make_pass()
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        hist = list(history)
-        consumed = self._pass.history
-        if not (len(consumed) <= len(hist) and hist[: len(consumed)] == consumed):
-            self._pass = self._make_pass()
-            consumed = []
-        for x in hist[len(consumed):]:
-            self._pass.advance(x)
-        return self._pass.predict_outcome()
+        stream = self.forecasts()
+        forecast = next(stream)
+        for x in history:
+            forecast = stream.send(x)
+        return forecast
+
+    def forecasts(self) -> Iterator[np.ndarray]:
+        fp = self._make_pass()
+        while True:
+            x = yield fp.predict_outcome()
+            fp.advance(x)
 
 
 def model_as_expert(model, experts: Sequence[ForecastingSystem]) -> ModelExpert:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem, _check_logpreds, _realized_matrix
+from .experts import ForecastingSystem, _check_logpreds, _forecast_rows, _realized_matrix
 from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
 from .logprob import (NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by,
                       logsumexp_columns)
@@ -60,15 +60,17 @@ class StepRecord:
 class ForwardPass:
     """Incremental forward evaluation of one (model, experts, data) triple.
 
-    Expert predictions come either from a list of forecasting systems,
-    each asked once per step, or, for evaluation-only runs, from a
-    precomputed (n, k) matrix of log probabilities assigned to the realized
-    outcomes; the matrix is validated once, here. In experts mode the k
-    forecasts of a step form one (k, alphabet) array, which gives both the
-    realized likelihoods and, with ``want_outcome_dists``, the
-    next-outcome distribution in one column-wise log-sum-exp. Each step
-    builds one ``StepRecord``: ``last_step``, also appended to ``steps``
-    unless ``keep_steps`` is false.
+    Expert predictions come either from a list of forecasting systems or,
+    for evaluation-only runs, from a precomputed (n, k) matrix of log
+    probabilities assigned to the realized outcomes; the matrix is
+    validated once, here. In experts mode a step reads one (k, alphabet)
+    row from the experts' streams when it first needs it, sending them the
+    previous outcome only then. The row gives both the realized
+    likelihoods and, with ``want_outcome_dists``, the next-outcome
+    distribution in one column-wise log-sum-exp. Each step builds one
+    ``StepRecord``, ``last_step``, kept in ``steps`` with its transition
+    count in ``transitions_per_level`` unless ``keep_steps`` is false; then
+    memory stays bounded by the frontier on long streams.
 
     When the model provides level arcs, the frontier is a log-weight
     vector over the level's numbering; a ``WeightMap`` is built only for
@@ -103,11 +105,8 @@ class ForwardPass:
         self._hook = frontier_hook
         self._record_regions = record_regions
         self._want_outcome = want_outcome_dists and experts is not None
-        # keep_steps=False keeps memory bounded by the frontier on long
-        # streams; per-step records are then discarded after advance().
         self._keep_steps = keep_steps
 
-        self.history: list[int] = []
         self.steps: list[StepRecord] = []
         self.last_step: StepRecord | None = None
         self.transitions_per_level: list[int] = []
@@ -129,7 +128,11 @@ class ForwardPass:
         self._pre: dict[StateId, LogMass] | np.ndarray | None = None
         self._pre_total: LogMass = NEG_INF
         self._pre_by_label: np.ndarray | None = None   # array frontiers only
-        self._preds: np.ndarray | None = None     # (k, alphabet), experts mode
+        # Experts mode: the row source, this step's row once read, and the
+        # outcome to send for the next one.
+        self._rows = None if experts is None else _forecast_rows(self.experts)
+        self._preds: np.ndarray | None = None
+        self._last: int | None = None
 
     # -- propagation and per-step predictions -----------------------------
 
@@ -151,14 +154,14 @@ class ForwardPass:
         if self._record_regions:
             self.regions.append(record)
         self._pre = pre
-        self.transitions_per_level.append(transitions)
+        if self._keep_steps:
+            self.transitions_per_level.append(transitions)
         if peak > self.peak_weights:
             self.peak_weights = peak
 
     def _expert_preds(self) -> np.ndarray:
         if self._preds is None:
-            hist = self.history
-            self._preds = np.array([e.predict(hist) for e in self.experts])
+            self._preds = self._rows.send(self._last)
         return self._preds
 
     def predict_expert(self) -> np.ndarray:
@@ -191,7 +194,8 @@ class ForwardPass:
     # -- consuming data ----------------------------------------------------
 
     def advance(self, symbol: int) -> LogMass:
-        """Consume one outcome; returns log P(x_{t+1} | x^t)."""
+        """Consume one outcome; returns log P(x_{t+1} | x^t). In matrix
+        mode the symbol is not read."""
         self._ensure_propagated()
         pre, pre_total = self._pre, self._pre_total
         step = self._t + 1
@@ -204,6 +208,7 @@ class ForwardPass:
             if not 0 <= symbol < self.experts[0].size:
                 raise ValueError(f"symbol {symbol!r} at step {step} is outside the alphabet")
             lp = self._expert_preds()[:, symbol]
+            self._last = symbol
         else:
             if self._t >= len(self._matrix):
                 raise ValueError(f"logpred matrix exhausted at step {step}")
@@ -250,7 +255,6 @@ class ForwardPass:
         self.log_marginal = new_marginal
         self._frontier = post
         self._level = level
-        self.history.append(symbol if self.experts is not None else int(symbol))
         self._t += 1
         self._pre = None
         self._preds = None
@@ -321,7 +325,26 @@ def forward_marginal(
     for x in data:
         fp.advance(x)
     return ForwardResult(
-        fp.log_marginal, fp.steps, fp.transitions_per_level, fp.peak_weights, len(fp.history))
+        fp.log_marginal, fp.steps, fp.transitions_per_level, fp.peak_weights, len(data))
+
+
+def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
+    """Prior mass of the event that the first n produced experts are ``labels``:
+    a forward pass over the one-hot matrix that keeps, at each stratum,
+    only the states carrying the required label."""
+    k = model.num_experts
+    labels = np.asarray(labels, dtype=np.intp)
+    if np.any((labels < 0) | (labels >= k)):
+        return NEG_INF
+    onehot = np.full((len(labels), k), NEG_INF)
+    onehot[np.arange(len(labels)), labels] = 0.0
+    fp = ForwardPass(model, logpred_matrix=onehot, keep_steps=False)
+    try:
+        for _ in labels:
+            fp.advance(None)
+    except ZeroMarginalError:
+        return NEG_INF
+    return fp.log_marginal
 
 
 def posterior_experts(

@@ -290,22 +290,6 @@ def pull_arcs(
     return held[:num_sources]
 
 
-def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
-    """Prior mass of the event that the first n produced experts are ``labels``.
-
-    Runs the forward algorithm over the prior with deterministic per-state
-    observations: at each stratum only the states carrying the required
-    label survive.
-    """
-    frontier = dict(model.initial())
-    for n, want in enumerate(labels, start=1):
-        frontier, _, _ = propagate_frontier(model, frontier, n)
-        frontier = {q: v for q, v in frontier.items() if model.label(q) == want}
-        if not frontier:
-            return NEG_INF
-    return log_sum_iter(frontier.values())
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     kind: str

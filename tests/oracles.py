@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 import expertseq as es
+from expertseq.bounds import best_segmentations
 from expertseq.hmm import propagate_frontier
 
 ZOO_NAMES = (
@@ -228,3 +229,38 @@ def exact_block_sequences(n, k, m):
         if blocks == m:
             out.append(seq)
     return out
+
+
+def best_segmentation_at_most(lp, m):
+    """Best expert sequence with at most m maximal blocks, from a fresh
+    segmentation table of m rows; ties prefer fewer blocks."""
+    best = None
+    for s in best_segmentations(lp, m):
+        if s is not None and (best is None or s.log_likelihood > best.log_likelihood):
+            best = s
+    assert best is not None
+    return best
+
+
+def record_stream(monkeypatch, cls):
+    """Patch ``cls`` so that every stream records its work and ``predict``
+    raises: returns ``(forecasts, sent)``, the number of forecasts yielded
+    (a one-element list) and the outcomes sent, in order."""
+    forecasts, sent = [0], []
+    stream = cls.forecasts
+
+    def recording(self):
+        gen = stream(self)
+        forecast = next(gen)
+        while True:
+            forecasts[0] += 1
+            x = yield forecast
+            sent.append(x)
+            forecast = gen.send(x)
+
+    def replay(self, history):
+        raise AssertionError(f"{cls.__name__}.predict replayed a history")
+
+    monkeypatch.setattr(cls, "forecasts", recording)
+    monkeypatch.setattr(cls, "predict", replay)
+    return forecasts, sent

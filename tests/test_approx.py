@@ -9,7 +9,7 @@ from expertseq.approx import (kl_divergence, laplace_expert_conditional,
                               trim_frontier, trimming_hook)
 from expertseq.forward import WeightMap
 from expertseq.logprob import logsumexp
-from oracles import random_constant_experts
+from oracles import random_constant_experts, record_stream
 
 
 def wm(masses: dict) -> WeightMap:
@@ -125,14 +125,14 @@ class TestMlEstimate:
 class TestMlConditionedMarginal:
     def test_laplace_rule_counts(self):
         cond = laplace_expert_conditional(2)
-        np.testing.assert_allclose(np.exp(cond([0, 0, 1])), [3 / 5, 2 / 5], rtol=1e-12)
-        np.testing.assert_allclose(np.exp(cond([])), [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(np.exp(cond.predict([0, 0, 1])), [3 / 5, 2 / 5], rtol=1e-12)
+        np.testing.assert_allclose(np.exp(cond.predict([])), [0.5, 0.5], rtol=1e-12)
 
     @pytest.mark.parametrize("label", [-1, 2])
     def test_label_outside_experts_rejected_with_position(self, label):
         cond = laplace_expert_conditional(2)
         with pytest.raises(ValueError, match="position 1"):
-            cond([0, label, 1])
+            cond.predict([0, label, 1])
 
     def test_single_expert_is_exact(self):
         rng = np.random.default_rng(83)
@@ -153,26 +153,21 @@ class TestMlConditionedMarginal:
             assert res.ml_sequence == ml_seq
             lower = 0.0
             for i, s in enumerate(ml_seq):
-                lower += float(cond(ml_seq[:i])[s])
+                lower += float(cond.predict(ml_seq[:i])[s])
                 lower += float(experts[s].predict(data[:i])[data[i]])
             assert res.log_marginal >= lower - 1e-12
 
     def test_long_run_counts_each_label_once(self, monkeypatch):
-        # Work, not wall clock: the conditional sees the ML prefix grow by one
-        # label per step and never recounts it, so counting is O(1) per step.
-        from expertseq.experts import _RunningCounts
-        lengths, recounts = [], []
-        call, recount = _RunningCounts.__call__, _RunningCounts._recount
-        monkeypatch.setattr(_RunningCounts, "__call__",
-                            lambda self, seq: lengths.append(len(seq)) or call(self, seq))
-        monkeypatch.setattr(_RunningCounts, "_recount",
-                            lambda self, seq: recounts.append(len(seq)) or recount(self, seq))
+        # Work, not wall clock: the conditional is one stream that is sent
+        # each ML label once, in order, and never replays a prefix, so
+        # counting is O(1) per step.
+        forecasts, sent = record_stream(monkeypatch, es.LaplaceEstimator)
         n = 20_000
         experts = [es.ConstantExpert([0.8, 0.2]), es.ConstantExpert([0.3, 0.7])]
         data = list(np.random.default_rng(85).integers(0, 2, n))
         res = ml_conditioned_marginal(laplace_expert_conditional(2), experts, data)
-        assert lengths == list(range(n))
-        assert recounts == []
+        assert forecasts == [n]
+        assert sent == res.ml_sequence[:-1]
         counts = np.bincount(res.ml_sequence[:-1], minlength=2)
         prior = np.log((counts + 1.0) / (n - 1 + 2))
         preds = [e.predict([])[data[-1]] for e in experts]

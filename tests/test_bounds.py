@@ -6,7 +6,7 @@ import pytest
 
 import expertseq as es
 from expertseq import bounds as bnd
-from oracles import exact_block_sequences, random_constant_experts
+from oracles import best_segmentation_at_most, exact_block_sequences, random_constant_experts
 
 
 class TestFormulas:
@@ -175,6 +175,28 @@ class TestMeasurements:
                                  experts, data).log_marginal
         reports = bnd.measure_switch(sw, lp, 2)
         assert reports and all(r.satisfied for r in reports)
+
+    def test_switch_reports_match_per_m_oracle(self, monkeypatch):
+        # Many ties: entries drawn from three values, so "at most m blocks"
+        # must keep the fewer-block sequence exactly as the oracle does.
+        rng = np.random.default_rng(75)
+        real = bnd.best_segmentations
+        calls = []
+        monkeypatch.setattr(bnd, "best_segmentations",
+                            lambda lp, m: calls.append(m) or real(lp, m))
+        for _ in range(20):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            lp = np.log(rng.choice([0.25, 0.5, 1.0], size=(n, k)))
+            calls.clear()
+            reports = bnd.measure_switch(-5.0, lp, k)
+            assert calls == [n]
+            for m, r in enumerate(reports, start=1):
+                seg = best_segmentation_at_most(lp, m)
+                changes = seg.change_points
+                t_m = (changes[-1] if changes else 0) + m - seg.blocks
+                assert r.measured_bits == es.to_bits(-5.0) - es.to_bits(seg.log_likelihood)
+                assert r.inputs == {"n": n, "m": m, "t_m": t_m, "k": k}
+                assert r.bound_bits == bnd.switch_bound(m, t_m, k)
 
     def test_run_length_reports_satisfied(self):
         experts, data, lp = self._instance(74)

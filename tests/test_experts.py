@@ -1,10 +1,13 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 import expertseq as es
+from expertseq.experts import ModelExpert
 from expertseq.logprob import NEG_INF, logsumexp
+from oracles import record_stream
 
 
 class TestBuiltins:
@@ -127,20 +130,13 @@ class TestRunningCounts:
         self.assert_fresh(e, hist + [1, 0])
 
     def test_stream_is_counted_once(self, cls, monkeypatch):
-        from expertseq.experts import _RunningCounts
-        recounts = []
-        real = _RunningCounts._recount
-        monkeypatch.setattr(_RunningCounts, "_recount",
-                            lambda self, seq: recounts.append(len(seq)) or real(self, seq))
-        data = list(np.random.default_rng(9).integers(0, 2, 300))
+        # A forward pass reads one stream per expert: one forecast per step,
+        # each symbol sent once, and no history ever recounted by predict.
+        forecasts, sent = record_stream(monkeypatch, cls)
+        data = [int(x) for x in np.random.default_rng(9).integers(0, 2, 300)]
         es.forward_marginal(es.fixed_share([0.5, 0.5], 0.1), [cls(2), es.uniform_expert(2)], data)
-        assert recounts == []
-        cls(2).predict([0, 1])
-        assert recounts == []
-        e = cls(2)
-        e.predict([0, 1, 1])
-        e.predict([0, 0])
-        assert recounts == [2]
+        assert forecasts == [len(data)]
+        assert sent == data[:-1]
 
 
 class TestSequentialLogLoss:
@@ -275,3 +271,116 @@ class TestRealizedPredictions:
         with pytest.raises(ValueError, match="position 1"):
             OFFLINE_ENTRY_POINTS[entry](experts, [0, bad, 1])
         assert [e.calls for e in experts] == [0, 0]
+
+
+def builtin_experts(rng, size=3, steps=40):
+    """One of every built-in expert over ``size`` outcomes, by name."""
+    def markov():
+        return es.MarkovExpert(rng.dirichlet(np.ones(size)),
+                               [rng.dirichlet(np.ones(size)) for _ in range(size)])
+    return {
+        "kt": es.KTEstimator(size),
+        "laplace": es.LaplaceEstimator(size),
+        "constant": es.ConstantExpert(rng.dirichlet(np.ones(size))),
+        "markov": markov(),
+        "advice": es.AdviceExpert(rng.dirichlet(np.ones(size), size=steps)),
+        "model": es.model_as_expert(es.fixed_share([0.5, 0.5], 0.2),
+                                    [es.KTEstimator(size), markov()]),
+        "laplace_expert_conditional": es.laplace_expert_conditional(size),
+    }
+
+
+BUILTINS = sorted(builtin_experts(np.random.default_rng(0)))
+
+
+class TestForecastStreams:
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_stream_is_predict_on_each_prefix(self, name):
+        rng = np.random.default_rng(31)
+        steps = 40
+        e = builtin_experts(rng, steps=steps)[name]
+        data = [int(x) for x in rng.integers(0, 3, steps - 1)]
+        stream = e.forecasts()
+        streamed = [next(stream)] + [stream.send(x) for x in data]
+        for i, forecast in enumerate(streamed):
+            assert forecast.tobytes() == e.predict(data[:i]).tobytes(), (name, i)
+        # Out of order, with repeats, after the stream: still exact.
+        for i in rng.permutation(np.repeat(np.arange(steps), 2)).tolist():
+            assert e.predict(data[:i]).tobytes() == streamed[i].tobytes(), (name, i)
+
+    def test_advice_stream_exhausts_like_predict(self):
+        e = es.AdviceExpert([[0.9, 0.1], [0.3, 0.7]])
+        stream = e.forecasts()
+        next(stream)
+        stream.send(0)
+        with pytest.raises(ValueError, match="advice exhausted: step 2 beyond 2 rows"):
+            stream.send(1)
+        with pytest.raises(ValueError, match="advice exhausted: step 2 beyond 2 rows"):
+            e.predict([0, 1])
+
+    @pytest.mark.parametrize("cls", [es.KTEstimator, es.LaplaceEstimator])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_counting_stream_rejects_symbol_with_position(self, cls, bad):
+        stream = cls(3).forecasts()
+        next(stream)
+        stream.send(2)
+        with pytest.raises(ValueError, match="position 1"):
+            stream.send(bad)
+
+    def test_default_stream_replays_predict_on_one_growing_list(self):
+        e = CountingExpert(es.KTEstimator(2))
+        stream = e.forecasts()
+        got = [next(stream)] + [stream.send(x) for x in (1, 0, 1)]
+        assert e.calls == 4
+        for i, forecast in enumerate(got):
+            assert forecast.tobytes() == es.KTEstimator(2).predict([1, 0, 1][:i]).tobytes()
+
+    def test_builtins_never_replay_predict(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        n = 30
+        experts = [e for name, e in builtin_experts(rng, size=2, steps=n).items()
+                   if name != "laplace_expert_conditional"]
+        data = [int(x) for x in rng.integers(0, 2, n)]
+        for cls in (es.KTEstimator, es.LaplaceEstimator, es.ConstantExpert, es.MarkovExpert,
+                    es.AdviceExpert, ModelExpert):
+            record_stream(monkeypatch, cls)
+        k = len(experts)
+        model = es.fixed_share([1 / k] * k, 0.1)
+        fp = es.ForwardPass(model, experts, want_outcome_dists=True)
+        for x in data:
+            fp.advance(x)
+        lp = es.prediction_matrix(experts, data)
+        assert lp.shape == (n, k)
+        assert es.forward_marginal(model, experts, data).log_marginal == fp.log_marginal
+        es.posterior_experts(model, experts, data)
+        es.switch_map(es.default_switch_config(k), experts, data)
+        res = es.ml_conditioned_marginal(es.laplace_expert_conditional(k), experts, data)
+        assert res.ml_sequence == np.argmax(lp, axis=1).tolist()
+
+
+class CountingSequence(Sequence):
+    """A read-only sequence that counts the elements read from it."""
+
+    def __init__(self, items):
+        self._items, self.reads = list(items), 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        got = self._items[i]
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+class TestConstantWorkPerStep:
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_prediction_matrix_reads_each_symbol_a_fixed_number_of_times(self, n):
+        rng = np.random.default_rng(33)
+        experts = [e for name, e in builtin_experts(rng, size=2, steps=n).items()
+                   if name != "laplace_expert_conditional"]
+        data = CountingSequence(int(x) for x in rng.integers(0, 2, n))
+        es.prediction_matrix(experts, data)
+        # Once to check the alphabet, once to send it: the reads per step
+        # do not grow with n.
+        assert data.reads == 2 * n

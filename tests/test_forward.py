@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,17 @@ class TestForwardMarginal:
             assert (es.switch_map(cfg, experts, data)
                     == es.switch_map(cfg, None, data, logpred_matrix=lp)), name
 
+    def test_matrix_mode_does_not_read_the_symbol(self):
+        rng = np.random.default_rng(26)
+        for name in ZOO_NAMES:
+            model, experts, data = random_zoo_instance(name, rng, n=6)
+            lp = es.prediction_matrix(experts, data)
+            fp = es.ForwardPass(model, logpred_matrix=lp)
+            for _ in data:
+                fp.advance(None)
+            ref = es.forward_marginal(model, None, data, logpred_matrix=lp)
+            assert fp.log_marginal == ref.log_marginal, name
+
     @pytest.mark.parametrize("bad", [np.nan, 5.0])
     def test_matrix_mode_rejects_nan_and_positive_with_step(self, bad):
         lp = np.log([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
@@ -165,6 +177,34 @@ class TestOutcomeMixing:
         fp = es.ForwardPass(es.bayes([0.5, 0.5]), two_constant_experts(), keep_steps=False)
         fp.advance(0)
         assert fp.steps == [] and fp.last_step.outcome_dist is None
+
+    def test_transitions_not_kept(self):
+        fp = es.ForwardPass(es.fixed_share([0.5, 0.5], 0.1), two_constant_experts(),
+                            keep_steps=False)
+        for x in (0, 1, 1):
+            fp.advance(x)
+        assert fp.transitions_per_level == [] and fp.peak_weights > 0
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        # Every expert streams and nothing is kept per step, so the peak of
+        # a 20,000-step pass is that of a 2,000-step one, up to a few KB.
+        def peak(n):
+            experts = [es.KTEstimator(2), es.LaplaceEstimator(2),
+                       es.MarkovExpert([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]]),
+                       es.ConstantExpert([0.7, 0.3])]
+            data = [int(x) for x in np.random.default_rng(5).integers(0, 2, n)]
+            tracemalloc.start()
+            try:
+                fp = es.ForwardPass(es.fixed_share([0.25] * 4, 0.05), experts,
+                                    keep_steps=False)
+                for x in data:
+                    fp.advance(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2_000), peak(20_000)
+        assert long <= short + 4096, (short, long)
 
 
 class TestPosterior:

@@ -108,6 +108,23 @@ class TestExpertSequencePrior:
         m = es.bayes([1.0])
         assert es.expert_sequence_prior(m, []) == 0.0
 
+    @pytest.mark.parametrize("name", ZOO_NAMES)
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_label_outside_experts_has_no_mass(self, name, side):
+        # -1 must not wrap round to the last expert.
+        model, _, _ = random_zoo_instance(name, np.random.default_rng(12), n=1, k=2)
+        label = -1 if side == "below" else model.num_experts
+        assert es.expert_sequence_prior(model, [0, label]) == NEG_INF
+        assert es.expert_sequence_prior(model, [label]) == NEG_INF
+
+    def test_matches_the_enumeration_oracle(self):
+        rng = np.random.default_rng(13)
+        for name in ZOO_NAMES:
+            model, _, _ = random_zoo_instance(name, rng, n=1, k=2)
+            for seq, want in iter_sequence_priors(model, 4):
+                assert es.expert_sequence_prior(model, seq) == pytest.approx(
+                    want, rel=1e-12, abs=1e-15), (name, seq)
+
 
 class TestEliminateSilent:
     def test_single_pred_single_succ(self):

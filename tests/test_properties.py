@@ -1,0 +1,83 @@
+"""Property tests: the reduction identities and trimming at p = 1 hold on
+every instance hypothesis draws, not only on the seeded ones of the
+acceptance suite."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import expertseq as es
+from expertseq.approx import trim_frontier, trimming_hook
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def distributions(size):
+    return st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size).map(
+        lambda v: np.asarray(v) / sum(v))
+
+
+@st.composite
+def instances(draw):
+    """(weights, experts, data, alpha): constant experts over a small
+    alphabet, positive prior weights and a switching rate in (0, 1)."""
+    k = draw(st.integers(2, 3))
+    size = draw(st.integers(2, 3))
+    experts = [es.ConstantExpert(draw(distributions(size))) for _ in range(k)]
+    data = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+    w = draw(distributions(k)).tolist()
+    alpha = draw(st.floats(0.05, 0.95))
+    return w, experts, data, alpha
+
+
+def marginal(model, experts, data):
+    return es.forward_marginal(model, experts, data).log_marginal
+
+
+@PROPERTY
+@given(instances())
+def test_fixed_share_without_switching_is_bayes(inst):
+    w, experts, data, _ = inst
+    assert abs(marginal(es.fixed_share(w, 0.0), experts, data)
+               - marginal(es.bayes(w), experts, data)) <= 1e-12
+
+
+@PROPERTY
+@given(instances())
+def test_fixed_share_always_switching_is_fixed_elementwise(inst):
+    w, experts, data, _ = inst
+    assert abs(marginal(es.fixed_share(w, 1.0), experts, data)
+               - marginal(es.fixed_elementwise(w), experts, data)) <= 1e-12
+
+
+@PROPERTY
+@given(instances())
+def test_geometric_run_length_is_fixed_share(inst):
+    w, experts, data, alpha = inst
+    assert abs(marginal(es.run_length(es.geometric(alpha), w), experts, data)
+               - marginal(es.fixed_share(w, alpha), experts, data)) <= 1e-12
+
+
+@PROPERTY
+@given(instances())
+def test_switch_at_theta_one_is_fixed_share(inst):
+    w, experts, data, alpha = inst
+    cfg = es.SwitchConfig(1.0, es.geometric(alpha), tuple(w))
+    assert abs(marginal(es.switch(cfg, len(w)), experts, data)
+               - marginal(es.fixed_share(w, alpha), experts, data)) <= 1e-12
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(st.sampled_from("abc"), st.integers(0, 9)),
+                       st.floats(-50.0, 0.0), min_size=1))
+def test_trimming_everything_kept_is_identity(entries):
+    assert trim_frontier(es.WeightMap(entries, 1), 1.0).entries == entries
+
+
+@PROPERTY
+@given(instances())
+def test_forward_trimmed_at_one_is_exact(inst):
+    w, experts, data, alpha = inst
+    model = es.fixed_share(w, alpha)
+    trimmed = es.forward_marginal(model, experts, data, frontier_hook=trimming_hook(1.0))
+    assert trimmed.log_marginal == marginal(model, experts, data)
