@@ -28,8 +28,8 @@ def marg(model):
 reports = [bnd.measure_bayes(marg(es.bayes(w)), lp, w)]
 reports += islice(bnd.measure_fixed_share(lambda a: marg(es.fixed_share(w, a)), lp, k), 3)
 reports.append(bnd.measure_universal_share(marg(es.universal_share(w)), lp, w))
-reports += bnd.measure_switch(marg(es.switch(es.default_switch_config(k), k)), lp, k)[:3]
-reports += bnd.measure_run_length(marg(es.run_length(es.elias_delta(), w)), lp, k)[:3]
+reports += islice(bnd.measure_switch(marg(es.switch(es.default_switch_config(k), k)), lp, k), 3)
+reports += islice(bnd.measure_run_length(marg(es.run_length(es.elias_delta(), w)), lp, k), 3)
 reports.append(bnd.measure_unimix(marg(es.universal_elementwise(k)), lp))
 
 print(f"{'model':24s} {'comparator':38s} {'measured':>9s} {'bound':>8s}")

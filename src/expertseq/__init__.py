@@ -46,7 +46,6 @@ from .forward import (
 )
 from .models import (
     SwitchConfig,
-    SwitchParams,
     SwitchTimeLaw,
     bayes,
     default_switch_config,
@@ -58,8 +57,6 @@ from .models import (
     overconfident,
     run_length,
     switch,
-    switch_param_mass,
-    switch_prior_prefix,
     truncate,
     uniform_span,
     universal_elementwise,

@@ -181,54 +181,43 @@ def best_segmentations(lp: np.ndarray, max_blocks: int) -> list[Segmentation | N
     with exactly m maximal blocks (adjacent blocks differ); None where no
     such sequence exists. lp is the (n, k) realized log-prediction matrix.
 
-    Independent of any HMM: plain segmentation DP, exact at desk scale.
+    Independent of any HMM: one segmentation table swept once over the
+    positions, each step vectorised over the block count and the expert.
+    A cell adds the position's log-prediction to the better of continuing
+    its block and switching from another expert one block count lower.
+    Ties are broken the same way everywhere: continuing wins a tie, a
+    switch must be strictly better, and the lowest expert index wins among
+    equal switches and in the final choice of the last expert.
     """
     n, k = lp.shape
     if n < 1:
         raise ValueError("need data")
-    max_blocks = min(max_blocks, n)
-    NEG = NEG_INF
-    # val[j][i][x]: best loglik of positions 0..i with j+1 maximal blocks,
-    # last block using expert x. parent[j][i][x]: expert of the previous
-    # block start when a block boundary sits at i, else -1 for a continuation.
-    val = [[[NEG] * k for _ in range(n)] for _ in range(max_blocks)]
-    par = [[[-2] * k for _ in range(n)] for _ in range(max_blocks)]
-    for x in range(k):
-        val[0][0][x] = lp[0][x]
-        par[0][0][x] = -1
+    rows = np.arange(min(max_blocks, n))
+    other = ~np.eye(k, dtype=bool)
+    # val[j, x]: best loglik so far with j+1 blocks, the last one using x.
+    # par[i, j, x]: the expert switched from when a block starts at i, else -1.
+    val = np.full((len(rows), k), NEG_INF)
+    val[:1] = lp[0]
+    par = np.full((n, len(rows), k), -1, dtype=np.min_scalar_type(-k))
     for i in range(1, n):
-        for j in range(max_blocks):
-            for x in range(k):
-                best, arg = NEG, -2
-                cont = val[j][i - 1][x]
-                if cont != NEG:
-                    best, arg = cont, -1
-                if j > 0:
-                    for x2 in range(k):
-                        if x2 == x:
-                            continue
-                        v = val[j - 1][i - 1][x2]
-                        if v > best:
-                            best, arg = v, x2
-                if best != NEG:
-                    val[j][i][x] = best + lp[i][x]
-                    par[j][i][x] = arg
-    out: list[Segmentation | None] = []
-    for j in range(max_blocks):
-        row = val[j][n - 1]
-        bx = max(range(k), key=lambda x: (row[x], -x))
-        if row[bx] == NEG:
-            out.append(None)
-            continue
-        seq = [0] * n
-        x, jj = bx, j
-        for i in range(n - 1, -1, -1):
-            seq[i] = x
-            a = par[jj][i][x]
-            if a >= 0:
-                x, jj = a, jj - 1
-        out.append(Segmentation(row[bx], seq))
-    return out
+        # cand[j, x, y]: switching into x from y, one block fewer than row j + 1;
+        # argmax takes the lowest y among equal switches.
+        cand = np.where(other, val[:-1, None, :], NEG_INF)
+        sw = cand.max(axis=2)
+        switch = sw > val[1:]
+        val[1:] = np.where(switch, sw, val[1:])
+        par[i, 1:] = np.where(switch, cand.argmax(axis=2), -1)
+        val += lp[i]
+    x = val.argmax(axis=1)
+    best = val[rows, x]
+    seqs = np.empty((len(rows), n), dtype=par.dtype)
+    j = rows
+    for i in range(n - 1, -1, -1):
+        seqs[:, i] = x
+        a = par[i, j, x]
+        x, j = np.where(a >= 0, a, x), j - (a >= 0)
+    return [None if best[m] == NEG_INF else Segmentation(best[m], seqs[m].tolist())
+            for m in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +300,7 @@ def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int) -> Iterator[
     that stops after a few block counts runs no further passes.
     """
     n = lp.shape[0]
-    segs = best_segmentations(lp, n)
-    for m in range(1, n + 1):
-        seg = segs[m - 1]
+    for m, seg in enumerate(best_segmentations(lp, n), start=1):
         if seg is None:
             continue
         alpha_star = 0.0 if n == 1 else (m - 1) / (n - 1)
@@ -335,13 +322,19 @@ def measure_universal_share(us_log_marginal: LogMass, lp: np.ndarray, w,
                        measured, universal_share_bound(n), {"n": n, "grid": grid})
 
 
-def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> list[BoundReport]:
+def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
     """Per parameter length m: compare against the best switch parameter of
     that length (equivalently, the best sequence with at most m maximal
-    blocks, padded with reflexive switches). One segmentation table
-    serves every m, with a running best that keeps fewer blocks on ties."""
+    blocks, padded with reflexive switches).
+
+    One segmentation table, built when the first report is asked for,
+    serves every m. The running best over block counts replaces its
+    sequence only on a strictly higher likelihood, so ties keep fewer
+    blocks; within one block count the table's own tie rules apply
+    (continuing a block beats an equal switch, the lowest expert index
+    wins among equals). Reports are yielded in order of m.
+    """
     n = lp.shape[0]
-    reports = []
     seg = None
     for m, s in enumerate(best_segmentations(lp, n), start=1):
         if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
@@ -352,27 +345,23 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> list[Bou
         t_last = changes[-1] if changes else 0
         t_m = t_last + (m - seg.blocks)  # pad unused switches reflexively
         bound = switch_bound(m, t_m, k)
-        reports.append(BoundReport(
+        yield BoundReport(
             "switch", f"best length-{m} switch parameter", measured, bound,
-            {"n": n, "m": m, "t_m": t_m, "k": k}))
-    return reports
+            {"n": n, "m": m, "t_m": t_m, "k": k})
 
 
-def measure_run_length(rl_log_marginal: LogMass, lp: np.ndarray, k: int) -> list[BoundReport]:
+def measure_run_length(rl_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
     """Per block count m: compare against the best sequence with exactly m
-    maximal blocks."""
+    maximal blocks. Reports are yielded in order of m, from one
+    segmentation table built when the first report is asked for."""
     n = lp.shape[0]
-    reports = []
-    segs = best_segmentations(lp, n)
-    for m in range(1, n + 1):
-        seg = segs[m - 1]
+    for m, seg in enumerate(best_segmentations(lp, n), start=1):
         if seg is None:
             continue
         measured = to_bits(rl_log_marginal) - to_bits(seg.log_likelihood)
-        reports.append(BoundReport(
+        yield BoundReport(
             "run-length", f"best {m}-block segmentation", measured,
-            run_length_bound(n, m, k), {"n": n, "m": m, "k": k}))
-    return reports
+            run_length_bound(n, m, k), {"n": n, "m": m, "k": k})
 
 
 def measure_unimix(um_log_marginal: LogMass, lp: np.ndarray, c: float = 1.1,

@@ -322,6 +322,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    for flag, value in (("--max-blocks", args.max_blocks), ("--grid", args.grid)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
     if args.model == "fixed-share" and args.alpha is None:
         args.alpha = 0.0  # unused: the fixed-share report sweeps alpha itself
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
@@ -338,22 +341,21 @@ def _cmd_bounds(args) -> int:
         return fp.log_marginal
 
     name = args.model
-    limit = args.max_blocks or len(data)
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]
     elif name == "fixed-share":
-        reports = list(islice(bnd.measure_fixed_share(
-            lambda a: marginal_of(models.fixed_share(w, a)), lp, k), limit))
+        reports = bnd.measure_fixed_share(lambda a: marginal_of(models.fixed_share(w, a)), lp, k)
     elif name == "universal-share":
         reports = [bnd.measure_universal_share(marginal_of(model), lp, w, grid=args.grid)]
     elif name == "switch":
-        reports = bnd.measure_switch(marginal_of(model), lp, k)[:limit]
+        reports = bnd.measure_switch(marginal_of(model), lp, k)
     elif name == "run-length":
-        reports = bnd.measure_run_length(marginal_of(model), lp, k)[:limit]
+        reports = bnd.measure_run_length(marginal_of(model), lp, k)
     elif name == "universal-elementwise":
         reports = [bnd.measure_unimix(marginal_of(model), lp, c=args.unimix_c, grid=args.grid)]
     else:
         raise UnsupportedError(f"no bound report is defined for model {name!r}")
+    reports = list(islice(reports, args.max_blocks))
 
     out = _open_out(args)
     try:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
 from .hmm import ArcLayer, HmmModel, LevelArcs, StateBudgetExceeded
-from .logprob import NEG_INF, LogMass, from_linear
+from .logprob import NEG_INF, from_linear
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +193,6 @@ def _log_dist(w, k: int | None = None, what: str = "weights") -> list[float]:
 
 
 @dataclass(frozen=True)
-class SwitchParams:
-    """One switch parameter: strictly increasing switch times starting at 0
-    and the expert chosen in each block."""
-
-    times: tuple[int, ...]
-    experts: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.times)
-        if m < 1 or len(self.experts) != m:
-            raise ValueError("times and experts must be equally long and nonempty")
-        if self.times[0] != 0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("switch times must satisfy 0 = t1 < t2 < ...")
-
-    @property
-    def m(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
 class SwitchConfig:
     """Parameters of the switch prior: geometric rate of the block-count law,
     the switch-time law, and the expert-choice distribution.
@@ -234,37 +214,6 @@ class SwitchConfig:
     @property
     def num_experts(self) -> int:
         return len(self.pi_k)
-
-
-def _next_switch_conditional(law: SwitchTimeLaw, t: int, t_prev: int) -> float:
-    """P(Z = t | Z > t_prev): survive the hazards strictly between, then
-    switch at t. Telescopes to pmf(t)/tail(t_prev+1) for infinite-support
-    laws and honors the declared continuation of truncated ones."""
-    mass = 1.0
-    for j in range(t_prev + 1, t):
-        mass *= 1.0 - law.hazard(j)
-        if mass == 0.0:
-            return 0.0
-    return mass * law.hazard(t)
-
-
-def _no_switch_before(law: SwitchTimeLaw, n: int, t_prev: int) -> float:
-    """P(Z >= n | Z > t_prev): survive every hazard strictly before n."""
-    mass = 1.0
-    for j in range(t_prev + 1, n):
-        mass *= 1.0 - law.hazard(j)
-    return mass
-
-
-def switch_param_mass(cfg: SwitchConfig, params: SwitchParams) -> LogMass:
-    """Log mass of one switch parameter under the switch prior."""
-    m = params.m
-    pi_m = (cfg.theta ** (m - 1)) * (1.0 - cfg.theta)
-    total = from_linear(pi_m) + from_linear(cfg.pi_k[params.experts[0]])
-    for i in range(1, m):
-        cond = _next_switch_conditional(cfg.pi_t, params.times[i], params.times[i - 1])
-        total += from_linear(cond) + from_linear(cfg.pi_k[params.experts[i]])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -740,43 +689,3 @@ def default_switch_config(k: int, theta: float = 0.5,
                           pi_t: SwitchTimeLaw | None = None) -> SwitchConfig:
     """Uniform expert-choice law, theta = 1/2, pi_t(d) = 1/(d(d+1))."""
     return SwitchConfig(theta, pi_t or inv_poly(), tuple([1.0 / k] * k))
-
-
-# ---------------------------------------------------------------------------
-# Parametric switch-prior oracle
-# ---------------------------------------------------------------------------
-
-def switch_prior_prefix(cfg: SwitchConfig, labels: Sequence[int]) -> LogMass:
-    """Prefix mass of an expert sequence under the parametric switch prior.
-
-    Exact enumeration over the visible block structures: every switch-time
-    set containing the forced change points contributes its parameter mass,
-    closed over the invisible future (parameters whose next switch falls at
-    or beyond the horizon aggregate into a geometric tail times the
-    switch-time tail).
-    """
-    n = len(labels)
-    if n < 1:
-        raise ValueError("need a nonempty prefix")
-    k = cfg.num_experts
-    labels = [int(x) for x in labels]
-    if any(not 0 <= x < k for x in labels):
-        raise ValueError("expert index outside pi_k support")
-    pk = np.asarray(cfg.pi_k, dtype=float)
-    law, theta = cfg.pi_t, cfg.theta
-
-    forced = [t for t in range(1, n) if labels[t] != labels[t - 1]]
-    optional = [t for t in range(1, n) if labels[t] == labels[t - 1]]
-
-    total = 0.0
-    for r in range(len(optional) + 1):
-        for extra in combinations(optional, r):
-            ts = sorted([0, *forced, *extra])
-            mass = pk[labels[0]]
-            for prev, t in zip(ts, ts[1:]):
-                mass *= _next_switch_conditional(law, t, prev) * pk[labels[t]]
-            j = len(ts)
-            stop = theta ** (j - 1) * (1.0 - theta)
-            go_on = (theta ** j) * _no_switch_before(law, n, ts[-1])
-            total += mass * (stop + go_on)
-    return from_linear(total)

@@ -2,20 +2,22 @@
 
 Everything here deliberately avoids the forward-pass code path it is used
 to check: joint tables are built from the prior enumerator plus chain-rule
-likelihood products, and the run-length prior oracle enumerates switch
-subsets directly. Silent-state elimination rewrites a model into an
+likelihood products, and the run-length and switch prior oracles enumerate
+switch subsets directly. Silent-state elimination rewrites a model into an
 equivalent one with fewer silent states, a check on the reduction
 identities.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 import expertseq as es
-from expertseq.bounds import best_segmentations
+from expertseq.bounds import Segmentation
 from expertseq.hmm import propagate_frontier
+from expertseq.logprob import from_linear
 
 ZOO_NAMES = (
     "bayes",
@@ -221,6 +223,93 @@ def run_length_prior_oracle(law, w, seq):
     return math.log(total) if total > 0.0 else -math.inf
 
 
+@dataclass(frozen=True)
+class SwitchParams:
+    """One switch parameter: strictly increasing switch times starting at 0
+    and the expert chosen in each block."""
+
+    times: tuple[int, ...]
+    experts: tuple[int, ...]
+
+    def __post_init__(self):
+        m = len(self.times)
+        if m < 1 or len(self.experts) != m:
+            raise ValueError("times and experts must be equally long and nonempty")
+        if self.times[0] != 0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("switch times must satisfy 0 = t1 < t2 < ...")
+
+    @property
+    def m(self):
+        return len(self.times)
+
+
+def _next_switch_conditional(law, t, t_prev):
+    """P(Z = t | Z > t_prev): survive the hazards strictly between, then
+    switch at t. Telescopes to pmf(t)/tail(t_prev+1) for infinite-support
+    laws and honors the declared continuation of truncated ones."""
+    mass = 1.0
+    for j in range(t_prev + 1, t):
+        mass *= 1.0 - law.hazard(j)
+        if mass == 0.0:
+            return 0.0
+    return mass * law.hazard(t)
+
+
+def _no_switch_before(law, n, t_prev):
+    """P(Z >= n | Z > t_prev): survive every hazard strictly before n."""
+    mass = 1.0
+    for j in range(t_prev + 1, n):
+        mass *= 1.0 - law.hazard(j)
+    return mass
+
+
+def switch_param_mass(cfg, params):
+    """Log mass of one switch parameter under the switch prior."""
+    m = params.m
+    pi_m = (cfg.theta ** (m - 1)) * (1.0 - cfg.theta)
+    total = from_linear(pi_m) + from_linear(cfg.pi_k[params.experts[0]])
+    for i in range(1, m):
+        cond = _next_switch_conditional(cfg.pi_t, params.times[i], params.times[i - 1])
+        total += from_linear(cond) + from_linear(cfg.pi_k[params.experts[i]])
+    return total
+
+
+def switch_prior_prefix(cfg, labels):
+    """Prefix mass of an expert sequence under the parametric switch prior.
+
+    Exact enumeration over the visible block structures: every switch-time
+    set containing the forced change points contributes its parameter mass,
+    closed over the invisible future (parameters whose next switch falls at
+    or beyond the horizon aggregate into a geometric tail times the
+    switch-time tail).
+    """
+    n = len(labels)
+    if n < 1:
+        raise ValueError("need a nonempty prefix")
+    k = cfg.num_experts
+    labels = [int(x) for x in labels]
+    if any(not 0 <= x < k for x in labels):
+        raise ValueError("expert index outside pi_k support")
+    pk = np.asarray(cfg.pi_k, dtype=float)
+    law, theta = cfg.pi_t, cfg.theta
+
+    forced = [t for t in range(1, n) if labels[t] != labels[t - 1]]
+    optional = [t for t in range(1, n) if labels[t] == labels[t - 1]]
+
+    total = 0.0
+    for r in range(len(optional) + 1):
+        for extra in itertools.combinations(optional, r):
+            ts = sorted([0, *forced, *extra])
+            mass = pk[labels[0]]
+            for prev, t in zip(ts, ts[1:]):
+                mass *= _next_switch_conditional(law, t, prev) * pk[labels[t]]
+            j = len(ts)
+            stop = theta ** (j - 1) * (1.0 - theta)
+            go_on = (theta ** j) * _no_switch_before(law, n, ts[-1])
+            total += mass * (stop + go_on)
+    return from_linear(total)
+
+
 def exact_block_sequences(n, k, m):
     """All expert sequences of length n with exactly m maximal blocks."""
     out = []
@@ -231,11 +320,67 @@ def exact_block_sequences(n, k, m):
     return out
 
 
+def best_segmentations_oracle(lp, max_blocks):
+    """For each m = 1..max_blocks the highest-likelihood expert sequence
+    with exactly m maximal blocks (adjacent blocks differ); None where no
+    such sequence exists. lp is the (n, k) realized log-prediction matrix.
+
+    The reference for ``expertseq.bounds.best_segmentations``: the same
+    recursion and tie rules, cell by cell over nested lists.
+    """
+    n, k = lp.shape
+    if n < 1:
+        raise ValueError("need data")
+    max_blocks = min(max_blocks, n)
+    NEG = -math.inf
+    # val[j][i][x]: best loglik of positions 0..i with j+1 maximal blocks,
+    # last block using expert x. parent[j][i][x]: expert of the previous
+    # block start when a block boundary sits at i, else -1 for a continuation.
+    val = [[[NEG] * k for _ in range(n)] for _ in range(max_blocks)]
+    par = [[[-2] * k for _ in range(n)] for _ in range(max_blocks)]
+    for x in range(k):
+        val[0][0][x] = lp[0][x]
+        par[0][0][x] = -1
+    for i in range(1, n):
+        for j in range(max_blocks):
+            for x in range(k):
+                best, arg = NEG, -2
+                cont = val[j][i - 1][x]
+                if cont != NEG:
+                    best, arg = cont, -1
+                if j > 0:
+                    for x2 in range(k):
+                        if x2 == x:
+                            continue
+                        v = val[j - 1][i - 1][x2]
+                        if v > best:
+                            best, arg = v, x2
+                if best != NEG:
+                    val[j][i][x] = best + lp[i][x]
+                    par[j][i][x] = arg
+    out = []
+    for j in range(max_blocks):
+        row = val[j][n - 1]
+        bx = max(range(k), key=lambda x: (row[x], -x))
+        if row[bx] == NEG:
+            out.append(None)
+            continue
+        seq = [0] * n
+        x, jj = bx, j
+        for i in range(n - 1, -1, -1):
+            seq[i] = x
+            a = par[jj][i][x]
+            if a >= 0:
+                x, jj = a, jj - 1
+        out.append(Segmentation(row[bx], seq))
+    return out
+
+
 def best_segmentation_at_most(lp, m):
     """Best expert sequence with at most m maximal blocks, from a fresh
-    segmentation table of m rows; ties prefer fewer blocks."""
+    reference table of m rows; ties prefer fewer blocks."""
     best = None
-    for s in best_segmentations(lp, m):
+    for s in best_segmentations_oracle(lp, m):
         if s is not None and (best is None or s.log_likelihood > best.log_likelihood):
             best = s
     assert best is not None

@@ -14,7 +14,7 @@ import pytest
 import expertseq as es
 from expertseq import bounds as bnd
 from oracles import ZOO_NAMES, brute_map, joint_table, random_constant_experts, \
-    random_zoo_instance
+    random_zoo_instance, switch_prior_prefix
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def test_criterion_3_switch_prefix_prior_equivalence(announce):
     for bits in range(32):
         seq = [(bits >> i) & 1 for i in range(5)]
         a = es.expert_sequence_prior(model, seq)
-        b = es.switch_prior_prefix(cfg, seq)
+        b = switch_prior_prefix(cfg, seq)
         worst = max(worst, abs(a - b))
     ok = worst <= 1e-9
     announce(ok, 3, f"switch prefix prior matches the parametric oracle on all "

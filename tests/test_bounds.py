@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import expertseq as es
 from expertseq import bounds as bnd
-from oracles import best_segmentation_at_most, exact_block_sequences, random_constant_experts
+from oracles import best_segmentation_at_most, best_segmentations_oracle, exact_block_sequences, \
+    random_constant_experts
 
 
 class TestFormulas:
@@ -105,6 +107,35 @@ class TestSegmentationDP:
         segs = bnd.best_segmentations(lp, 4)
         assert segs[0] is not None and all(s is None for s in segs[1:])
 
+    def test_table_matches_reference_dp_exactly(self):
+        # Entries from {0, 1/4, 1/2, 1}: -inf cells and many exact ties, so
+        # every tie rule and every unreachable block count is exercised.
+        rng = np.random.default_rng(63)
+        for _ in range(400):
+            n, k = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            with np.errstate(divide="ignore"):
+                lp = np.log(rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, k)))
+            max_blocks = int(rng.integers(1, n + 2))
+            got = bnd.best_segmentations(lp, max_blocks)
+            want = best_segmentations_oracle(lp, max_blocks)
+            assert len(got) == len(want) == min(max_blocks, n)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert g.log_likelihood == w.log_likelihood
+                    assert g.sequence == w.sequence
+
+    def test_table_memory_is_numpy_sized(self):
+        # A nested-list table of this size peaks near 70 MB, the numpy one near 4 MB.
+        lp = np.log(np.random.default_rng(64).uniform(0.05, 1.0, size=(600, 2)))
+        tracemalloc.start()
+        try:
+            bnd.best_segmentations(lp, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
 
 class TestGridOracles:
     def test_fs_recursion_matches_hmm(self):
@@ -173,7 +204,7 @@ class TestMeasurements:
         experts, data, lp = self._instance(73)
         sw = es.forward_marginal(es.switch(es.default_switch_config(2), 2),
                                  experts, data).log_marginal
-        reports = bnd.measure_switch(sw, lp, 2)
+        reports = list(bnd.measure_switch(sw, lp, 2))
         assert reports and all(r.satisfied for r in reports)
 
     def test_switch_reports_match_per_m_oracle(self, monkeypatch):
@@ -188,7 +219,7 @@ class TestMeasurements:
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
             lp = np.log(rng.choice([0.25, 0.5, 1.0], size=(n, k)))
             calls.clear()
-            reports = bnd.measure_switch(-5.0, lp, k)
+            reports = list(bnd.measure_switch(-5.0, lp, k))
             assert calls == [n]
             for m, r in enumerate(reports, start=1):
                 seg = best_segmentation_at_most(lp, m)
@@ -198,11 +229,23 @@ class TestMeasurements:
                 assert r.inputs == {"n": n, "m": m, "t_m": t_m, "k": k}
                 assert r.bound_bits == bnd.switch_bound(m, t_m, k)
 
+    @pytest.mark.parametrize("measure", [bnd.measure_switch, bnd.measure_run_length])
+    def test_first_report_builds_one_table(self, monkeypatch, measure):
+        experts, data, lp = self._instance(76)
+        real = bnd.best_segmentations
+        calls = []
+        monkeypatch.setattr(bnd, "best_segmentations",
+                            lambda lp, m: calls.append(m) or real(lp, m))
+        reports = measure(-5.0, lp, 2)
+        assert calls == []
+        assert next(reports).inputs["m"] == 1
+        assert calls == [len(data)]
+
     def test_run_length_reports_satisfied(self):
         experts, data, lp = self._instance(74)
         rl = es.forward_marginal(es.run_length(es.elias_delta(), [0.5, 0.5]),
                                  experts, data).log_marginal
-        reports = bnd.measure_run_length(rl, lp, 2)
+        reports = list(bnd.measure_run_length(rl, lp, 2))
         assert reports and all(r.satisfied for r in reports)
 
     def test_unimix_report_is_flagged_not_asserted(self):

@@ -255,6 +255,31 @@ class TestBounds:
         assert len(json.loads(out.read_text())) == 1
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("model", ["fixed-share", "switch", "run-length"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_blocks_below_one_rejected(self, tmp_path, data_file, capsys, model, value):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(data_file), "--model", model, *BASE,
+                     "--max-blocks", value, "--out", str(out)]) == 2
+        assert "--max-blocks" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["universal-share", "universal-elementwise"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_grid_below_one_rejected(self, tmp_path, data_file, capsys, model, value):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(data_file), "--model", model, *BASE,
+                     "--grid", value, "--out", str(out)]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["fixed-share", "switch", "run-length"])
+    def test_max_blocks_limits_every_block_count_report(self, tmp_path, data_file, model):
+        out = tmp_path / "b.json"
+        assert main(["bounds", str(data_file), "--model", model, *BASE,
+                     "--max-blocks", "2", "--format", "json", "--out", str(out)]) == 0
+        assert [r["inputs"]["m"] for r in json.loads(out.read_text())] == [1, 2]
+
 
 class TestParsing:
     def test_unknown_model_rejected(self, data_file):

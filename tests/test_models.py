@@ -6,7 +6,8 @@ import pytest
 
 import expertseq as es
 from expertseq.logprob import NEG_INF
-from oracles import random_constant_experts, run_length_prior_oracle
+from oracles import (SwitchParams, random_constant_experts, run_length_prior_oracle,
+                     switch_param_mass, switch_prior_prefix)
 
 RNG_SEED = 40
 
@@ -248,7 +249,7 @@ class TestSwitchModel:
         for n in range(1, 6):
             for seq in itertools.product(range(2), repeat=n):
                 a = es.expert_sequence_prior(m, seq)
-                b = es.switch_prior_prefix(cfg, seq)
+                b = switch_prior_prefix(cfg, seq)
                 assert a == pytest.approx(b, abs=1e-9)
 
     def test_pi_k_must_cover_experts(self):
@@ -263,36 +264,36 @@ class TestSwitchModel:
         for n in range(1, 7):
             for seq in itertools.product(range(2), repeat=n):
                 a = es.expert_sequence_prior(m, seq)
-                b = es.switch_prior_prefix(cfg, seq)
+                b = switch_prior_prefix(cfg, seq)
                 assert a == pytest.approx(b, abs=1e-9)
 
 
 class TestSwitchPriorPrefix:
     def test_first_symbol_is_pi_k(self):
         cfg = es.SwitchConfig(0.5, es.inv_poly(), (0.2, 0.8))
-        assert math.exp(es.switch_prior_prefix(cfg, [0])) == pytest.approx(0.2)
-        assert math.exp(es.switch_prior_prefix(cfg, [1])) == pytest.approx(0.8)
+        assert math.exp(switch_prior_prefix(cfg, [0])) == pytest.approx(0.2)
+        assert math.exp(switch_prior_prefix(cfg, [1])) == pytest.approx(0.8)
 
     def test_constant_sequence_exceeds_single_block_mass(self):
         cfg = es.default_switch_config(2)
         n = 4
         single = 0.5 * 0.5  # pi_m(1) * pi_k
-        got = math.exp(es.switch_prior_prefix(cfg, [0] * n))
+        got = math.exp(switch_prior_prefix(cfg, [0] * n))
         assert got > single
 
     def test_param_mass_consistency(self):
         cfg = es.default_switch_config(2, theta=0.5)
-        p = es.SwitchParams((0,), (1,))
-        assert es.switch_param_mass(cfg, p) == pytest.approx(math.log(0.5 * 0.5))
-        p2 = es.SwitchParams((0, 2), (1, 0))
+        p = SwitchParams((0,), (1,))
+        assert switch_param_mass(cfg, p) == pytest.approx(math.log(0.5 * 0.5))
+        p2 = SwitchParams((0, 2), (1, 0))
         want = math.log(0.25 * 0.5 * (1 / 6 / (1 / 1)) * 0.5)
-        assert es.switch_param_mass(cfg, p2) == pytest.approx(want)
+        assert switch_param_mass(cfg, p2) == pytest.approx(want)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            es.SwitchParams((1,), (0,))
+            SwitchParams((1,), (0,))
         with pytest.raises(ValueError):
-            es.SwitchParams((0, 0), (0, 1))
+            SwitchParams((0, 0), (0, 1))
         with pytest.raises(ValueError):
             es.SwitchConfig(0.0, es.inv_poly(), (1.0,))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import expertseq as es
-from oracles import brute_map, random_constant_experts
+from oracles import brute_map, random_constant_experts, switch_prior_prefix
 
 
 def _cfg(k=2, theta=0.5):
@@ -61,7 +61,7 @@ class TestAgainstBruteForce:
             res = es.switch_map(_cfg(), experts, [0] * n)
             assert res.sequence == [0] * n
             # agrees with prefix-prior times likelihood for the constant sequence
-            joint = es.switch_prior_prefix(_cfg(), [0] * n)  # likelihood factor is 1
+            joint = switch_prior_prefix(_cfg(), [0] * n)  # likelihood factor is 1
             assert res.log_probability == pytest.approx(joint, rel=1e-9)
 
     def test_two_regimes_single_switch(self):
