@@ -25,33 +25,97 @@ def trim_frontier(weights: WeightMap, p: float) -> WeightMap:
     States are taken in order of descending mass, ties broken by state id,
     so the result is deterministic. p = 1 keeps everything.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
+    _check_fraction(p)
     entries = weights.entries
     if not entries:
         raise ValueError("cannot trim an empty frontier")
-    # np.logaddexp folds left to right, so total is the sum in dict order
-    # and acc[j] the mass of the top j + 1 states, non-decreasing in j.
-    total = float(np.logaddexp.reduce(np.fromiter(entries.values(), float, len(entries))))
-    if total == NEG_INF:
-        raise ValueError("cannot trim a frontier of zero mass")
+    total = _total(np.fromiter(entries.values(), float, len(entries)))
     if p == 1.0:
         return WeightMap(dict(entries), weights.level)
-    threshold = total + from_linear(p)
     states = sorted(entries)
     masses = np.array([entries[q] for q in states])
-    ranked = np.argsort(-masses, kind="stable")   # descending mass, then state id
-    acc = np.logaddexp.accumulate(masses[ranked])
-    cut = int(np.searchsorted(acc, threshold - 1e-12))
-    kept = ranked[: cut + 1]
-    scaled = masses[kept] + (total - acc[cut])
-    return WeightMap(dict(zip([states[j] for j in kept.tolist()], scaled.tolist())),
+    ranked, keep, shift = _ranked_cut(masses, total, p)
+    kept = ranked[:keep]
+    return WeightMap(dict(zip([states[j] for j in kept.tolist()], (masses[kept] + shift).tolist())),
                      weights.level)
 
 
-def trimming_hook(p: float) -> Callable[[WeightMap], WeightMap]:
+def _check_fraction(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
+
+
+def _total(masses: np.ndarray) -> float:
+    """Log-sum of a frontier's masses, folded left to right in the order
+    given (the frontier's own order)."""
+    total = float(np.logaddexp.reduce(masses))
+    if total == NEG_INF:
+        raise ValueError("cannot trim a frontier of zero mass")
+    return total
+
+
+def _ranked_cut(masses: np.ndarray, total: float, p: float) -> tuple[np.ndarray, int, float]:
+    """The ranking core of trimming: positions of ``masses`` by descending
+    mass, equal masses in the order given; the number of leading positions
+    whose mass first reaches a fraction p of ``total``; and the log factor
+    that rescales them back to ``total``.
+
+    np.logaddexp folds left to right, so acc[j] is the mass of the top
+    j + 1, non-decreasing in j. Equal masses feed it the same values in
+    any order, so the cut and the factor do not depend on how ties are
+    ordered; only which of the tied positions are kept does.
+    """
+    ranked = np.argsort(-masses, kind="stable")
+    acc = np.logaddexp.accumulate(masses[ranked])
+    cut = int(np.searchsorted(acc, total + from_linear(p) - 1e-12))
+    return ranked, cut + 1, total - acc[cut]
+
+
+class FrontierTrim:
+    """Frontier hook for ForwardPass that trims to a fraction p of the mass
+    after every loss update (see :func:`trim_frontier`).
+
+    Called on a weight map it is :func:`trim_frontier`. It also trims a
+    log-weight vector over a level's numbering (:meth:`trim_vector`),
+    which a forward pass on level arcs uses instead of a weight map; both
+    keep the same states with the same masses.
+    """
+
+    def __init__(self, p: float):
+        _check_fraction(p)
+        self.p = p
+
+    def __call__(self, weights: WeightMap) -> WeightMap:
+        return trim_frontier(weights, self.p)
+
+    def trim_vector(self, vec: np.ndarray, states: Callable[[np.ndarray], list]) -> np.ndarray:
+        """Trim a log-weight vector; -inf entries are not states. ``states``
+        maps node indices to their tuple states, which rank equal masses
+        that straddle the cut as :func:`trim_frontier` does."""
+        live = np.flatnonzero(vec > NEG_INF)
+        masses = vec[live]
+        total = _total(masses)
+        if self.p == 1.0:
+            return vec
+        ranked, keep, shift = _ranked_cut(masses, total, self.p)
+        kept = ranked[:keep]
+        if keep < len(ranked) and masses[ranked[keep]] == masses[ranked[keep - 1]]:
+            # Equal masses straddle the cut: keep the tied nodes whose
+            # states come first.
+            tie = masses[ranked[keep - 1]]
+            above = np.flatnonzero(masses > tie)
+            tied = np.flatnonzero(masses == tie)
+            ids = states(live[tied])
+            first = sorted(range(len(tied)), key=ids.__getitem__)[:keep - len(above)]
+            kept = np.concatenate([above, tied[first]])
+        out = np.full(len(vec), NEG_INF)
+        out[live[kept]] = masses[kept] + shift
+        return out
+
+
+def trimming_hook(p: float) -> FrontierTrim:
     """Frontier hook for ForwardPass: trim after every loss update."""
-    return lambda wm: trim_frontier(wm, p)
+    return FrontierTrim(p)
 
 
 def ml_estimate(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> list[int]:

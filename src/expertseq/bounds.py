@@ -332,14 +332,23 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator
     sequence only on a strictly higher likelihood, so ties keep fewer
     blocks; within one block count the table's own tie rules apply
     (continuing a block beats an equal switch, the lowest expert index
-    wins among equals). Reports are yielded in order of m.
+    wins among equals). Reports are yielded in order of m, skipping each m
+    for which every sequence of at most m blocks has zero likelihood.
+
+    Raises ValueError, naming the step, when every segmentation has zero
+    likelihood because every expert gives the outcome probability zero.
     """
     n = lp.shape[0]
+    dead = np.flatnonzero((lp == NEG_INF).all(axis=1))
+    if len(dead):
+        raise ValueError(f"every segmentation has zero likelihood: every expert gives "
+                         f"the outcome at step {dead[0] + 1} probability zero")
     seg = None
     for m, s in enumerate(best_segmentations(lp, n), start=1):
         if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
             seg = s
-        assert seg is not None
+        if seg is None:
+            continue
         measured = to_bits(sw_log_marginal) - to_bits(seg.log_likelihood)
         changes = seg.change_points
         t_last = changes[-1] if changes else 0

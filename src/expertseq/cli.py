@@ -223,6 +223,8 @@ def _open_out(args):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.trim is not None and not 0.0 < args.trim <= 1.0:
+        raise InputError(f"--trim must be in (0, 1], got {args.trim}")
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
     hook = trimming_hook(args.trim) if args.trim is not None else None
     full = experts is not None

@@ -73,10 +73,13 @@ class ForwardPass:
     memory stays bounded by the frontier on long streams.
 
     When the model provides level arcs, the frontier is a log-weight
-    vector over the level's numbering; a ``WeightMap`` is built only for
-    ``frontier_hook`` and ``weight_map``, and the hook's result is written
-    back into the vector. With ``record_regions``, each level appends to
-    ``regions`` and ``stratum_weights``: on that array path the level's
+    vector over the level's numbering. A hook with a ``trim_vector``
+    method, such as :func:`~expertseq.approx.trimming_hook`'s, is handed
+    the vector and the level's state map directly; for any other hook a
+    ``WeightMap`` is built and its result written back into the vector.
+    A ``WeightMap`` is otherwise built only for ``weight_map``. With
+    ``record_regions``, each level appends to ``regions`` and
+    ``stratum_weights``: on that array path the level's
     ``LevelArcs`` and its post-update log-weight vector, otherwise the
     live ``(state, successors)`` pairs in topological order and a copy of
     the post-update weight map.
@@ -103,6 +106,7 @@ class ForwardPass:
         self._matrix = (None if logpred_matrix is None
                         else _check_logpreds(np.asarray(logpred_matrix, dtype=float)))
         self._hook = frontier_hook
+        self._trim_vector = getattr(frontier_hook, "trim_vector", None)
         self._record_regions = record_regions
         self._want_outcome = want_outcome_dists and experts is not None
         self._keep_steps = keep_steps
@@ -236,7 +240,10 @@ class ForwardPass:
         log_cond = new_marginal - self.log_marginal
 
         if self._hook is not None:
-            if level is not None:
+            if level is not None and self._trim_vector is not None:
+                post = self._trim_vector(post, level.states)
+                live = int(np.count_nonzero(post > NEG_INF))
+            elif level is not None:
                 wm = self._hook(_vector_weight_map(post, level, step))
                 post = _weight_map_vector(wm, level, len(post))
                 live = len(wm.entries)

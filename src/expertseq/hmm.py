@@ -18,17 +18,27 @@ layers of arcs over a numbering local to that level (:class:`LevelArcs`):
 the level's sources (the initial support, in ``initial()`` order, for
 level 0, otherwise stratum t) are nodes 0..S-1, and each layer's
 destinations are numbered after every node before them. A layer lists,
-per destination, its incoming arcs as source indices and log masses;
-arcs of zero mass are left out, so a destination may have none. The last
-layer's destinations are stratum t + 1, numbered as the sources of the
-next level. :func:`propagate_arcs` pushes a log-weight vector through
-those layers; it touches the same arcs as :func:`propagate_frontier`
-and reports the same transition count. Its backward counterpart,
-:func:`pull_arcs`, walks the same layers in reverse and pulls a vector
-over the next stratum back to the level's sources; it is the backward
-sweep of the smoothed posterior. :func:`propagate_frontier` and the
-reverse replay of its recorded regions stay the definition both array
-steps are tested against.
+per destination, its incoming arcs as source indices and log masses.
+It may carry arcs of zero mass (log mass -inf), so that a model can
+keep one fixed arc template across levels where a hazard is 0 or 1 or
+a weight vanishes; such arcs add nothing and are never counted. A
+destination may also have no arcs at all. Each layer states two shape
+facts, ``dense`` (every destination has an arc) and ``single`` (exactly
+one each), which let the step skip its general case. The last layer's
+destinations are stratum t + 1, numbered as the sources of the next
+level. :func:`propagate_arcs` pushes a log-weight vector through those
+layers; it touches the same arcs of positive mass as
+:func:`propagate_frontier` and reports the same transition count. Its
+backward counterpart, :func:`pull_arcs`, walks the same layers in
+reverse and pulls a vector over the next stratum back to the level's
+sources; it is the backward sweep of the smoothed posterior.
+:func:`propagate_frontier` and the reverse replay of its recorded
+regions stay the definition both array steps are tested against.
+
+The array description is meant to be cheap per level: a model keeps
+its arc templates (index ranges, repeated weights) in the iterator,
+grown by doubling, so that a level's layers are mostly slices of arrays
+an earlier level already built.
 """
 
 from __future__ import annotations
@@ -61,12 +71,14 @@ class HmmModel(ABC):
 
     ``level_arcs`` optionally describes the same levels as arrays: per
     level, layers of arcs over a level-local numbering (the level's
-    sources first, then each layer's destinations in turn), with arcs of
-    zero mass omitted; see :class:`LevelArcs`. The tuple interface stays
-    the definition and :func:`propagate_frontier` the oracle: the arrays
-    must carry exactly the arcs, masses and labels that ``successors``
-    and ``label`` enumerate. Per-run caches live in the iterator
-    ``level_arcs`` returns, never on the model.
+    sources first, then each layer's destinations in turn); see
+    :class:`LevelArcs`. The tuple interface stays the definition and
+    :func:`propagate_frontier` the oracle: the arrays must carry exactly
+    the arcs of positive mass, the masses and the labels that
+    ``successors`` and ``label`` enumerate. They may also carry arcs of
+    zero mass, which add nothing and are never counted as transitions.
+    Per-run caches, such as arc templates shared by the levels of one
+    run, live in the iterator ``level_arcs`` returns, never on the model.
     """
 
     num_experts: int
@@ -107,11 +119,20 @@ class StateBudgetExceeded(RuntimeError):
 class ArcLayer:
     """Arcs into one block of destinations, sorted by destination: the arcs
     of destination d are ``src[indptr[d]:indptr[d + 1]]`` with log masses
-    ``logw[...]``; ``src`` indexes the level's numbering so far."""
+    ``logw[...]``; ``src`` indexes the level's numbering so far. Arcs of
+    log mass -inf are allowed and carry nothing.
+
+    ``dense`` says every destination has at least one arc and ``single``
+    that each has exactly one. They are facts about the arrays, not about
+    the masses, and may be left false: the step then checks the shape
+    itself.
+    """
 
     src: np.ndarray
     logw: np.ndarray
     indptr: np.ndarray
+    dense: bool = False
+    single: bool = False
 
     @classmethod
     def from_slots(cls, src: np.ndarray, logw: np.ndarray) -> ArcLayer:
@@ -119,17 +140,23 @@ class ArcLayer:
         arcs; slots whose log mass is -inf are not arcs."""
         keep = logw > NEG_INF
         if keep.all():
-            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]))
+            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]),
+                       True, keep.shape[1] == 1)
         indptr = np.zeros(len(keep) + 1, dtype=np.intp)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return cls(src[keep], logw[keep], indptr)
+        dense = bool(keep.any(axis=1).all())
+        return cls(src[keep], logw[keep], indptr, dense, dense and bool(indptr[-1] == len(keep)))
 
 
 @dataclass(frozen=True)
 class LevelArcs:
     """One level as array layers: ``labels`` gives the expert of each node
     of the next stratum; ``states`` maps an array of those nodes to their
-    tuple states and ``indices`` maps tuple states back."""
+    tuple states and ``indices`` maps tuple states back.
+
+    The arrays may be views of templates that other levels of the same
+    run share, so they must never be written to.
+    """
 
     layers: tuple[ArcLayer, ...]
     labels: np.ndarray
@@ -239,8 +266,8 @@ def propagate_arcs(
     """Push a log-weight vector over a level's sources through its layers.
 
     Returns ``(next_stratum, transitions, peak)``: the last layer's
-    log-weight vector, the number of arcs leaving live (finite) nodes, and
-    the number of live weights held over the level.
+    log-weight vector, the number of arcs of positive mass leaving live
+    (finite) nodes, and the number of live weights held over the level.
     """
     sizes = [len(layer.indptr) - 1 for layer in layers]
     held = np.empty(len(source) + sum(sizes))
@@ -249,20 +276,22 @@ def propagate_arcs(
     block = held[:at]
     transitions = 0
     for layer, size in zip(layers, sizes):
-        vals = held[layer.src] + layer.logw
-        transitions += int(np.count_nonzero(vals > NEG_INF))
         block = held[at:at + size]
         at += size
+        if layer.single:
+            np.add(held[layer.src], layer.logw, out=block)
+            transitions += int(np.count_nonzero(block > NEG_INF))
+            continue
+        vals = held[layer.src] + layer.logw
+        transitions += int(np.count_nonzero(vals > NEG_INF))
         starts = layer.indptr[:-1]
-        filled = starts < layer.indptr[1:]
-        if not filled.all():
+        if layer.dense:
+            np.logaddexp.reduceat(vals, starts, out=block)
+        else:
+            filled = starts < layer.indptr[1:]
             block.fill(NEG_INF)
             if len(vals):
                 block[filled] = np.logaddexp.reduceat(vals, starts[filled])
-        elif len(vals) == size:
-            block[:] = vals
-        else:
-            np.logaddexp.reduceat(vals, starts, out=block)
     return block, transitions, int(np.count_nonzero(held > NEG_INF))
 
 
@@ -283,8 +312,9 @@ def pull_arcs(
     held = np.full(starts[-1], NEG_INF)
     held[starts[-2]:] = target
     for layer, at, end in zip(reversed(layers), reversed(starts[:-1]), reversed(starts[1:])):
-        indptr = layer.indptr
-        dst = np.arange(at, end).repeat(indptr[1:] - indptr[:-1])
+        dst = np.arange(at, end)
+        if not layer.single:
+            dst = dst.repeat(np.diff(layer.indptr))
         pulled = logsumexp_by(held[dst] + layer.logw, layer.src, at)
         np.logaddexp(held[:at], pulled, out=held[:at])
     return held[:num_sources]

@@ -348,31 +348,38 @@ class UniversalElementwiseMixture(HmmModel):
     def level_arcs(self):
         # Stratum t + 1 holds e(t + 1, c, x) for the count vectors c of
         # level t, numbered rank(c) * k + x (see _composition_rank).
+        # Both layers are dense with k slots per count state and one arc
+        # per expert state; ar and labels are index templates grown by
+        # doubling.
         k = self.num_experts
         unit = np.eye(k, dtype=np.intp)
         counts = np.zeros((1, k), dtype=np.intp)
-        self._check_budget(0)
+        ar = labels = np.arange(0)
         for t in count():
+            self._check_budget(t)
             layers = []
             n_src = 0
+            size = math.comb(t + k - 1, k - 1) * k
+            if len(ar) <= size:
+                ar = np.arange(2 * size + 1)
+                labels = ar % k
             if t:
-                self._check_budget(t)
                 bumped = (counts[:, None, :] + unit).reshape(-1, k)
                 n_src = len(bumped)
                 rank = _composition_rank(bumped, t)
-                counts = np.empty((math.comb(t + k - 1, k - 1), k), dtype=np.intp)
+                counts = np.empty((size // k, k), dtype=np.intp)
                 counts[rank] = bumped
-                # cnt(t, c) collects e(t, c - e_x, x) in slot x.
-                slot = (rank, np.arange(n_src) % k)
+                # cnt(t, c) collects e(t, c - e_x, x) in slot x; a slot with
+                # c_x = 0 is a zero-mass arc from node 0.
+                slot = (rank, labels[:n_src])
                 src = np.zeros((len(counts), k), dtype=np.intp)
                 logw = np.full((len(counts), k), NEG_INF)
-                src[slot] = np.arange(n_src)
+                src[slot] = ar[:n_src]
                 logw[slot] = 0.0
-                layers.append(ArcLayer.from_slots(src, logw))
-            draw = np.log((0.5 + counts) / (0.5 * k + t)).reshape(-1, 1)
-            nodes = np.arange(len(draw))
-            layers.append(ArcLayer.from_slots((n_src + nodes // k)[:, None], draw))
-            yield LevelArcs(tuple(layers), nodes % k,
+                layers.append(ArcLayer(src.ravel(), logw.ravel(), ar[:size + 1:k], True, k == 1))
+            draw = np.log((0.5 + counts) / (0.5 * k + t)).ravel()
+            layers.append(ArcLayer(n_src + ar[:size] // k, draw, ar[:size + 1], True, True))
+            yield LevelArcs(tuple(layers), labels[:size],
                             _count_states(counts, t + 1), _count_indices(t, k))
 
 
@@ -434,29 +441,36 @@ class UniversalShare(HmmModel):
 
     def level_arcs(self):
         # Stratum t holds e(t, x, m) for switch counts m < t, numbered m * k + x.
+        # Every index range and fixed weight is a slice of a template grown
+        # by doubling; a level computes its two weight vectors and the
+        # sources of its stay layer. e(t + 1, x, m) has two arcs, a stay from
+        # e(t, x, m) and a draw from draw(t, m), node n_src + t + m - 1; the
+        # stay of m = t and the draw of m = 0 are zero-mass arcs from node 0
+        # and from the last bump node.
         k = self.num_experts
         lw = np.array(self._log_w)
-        ar = labels = np.arange(0)
+        ar = labels = zero = pair_src = pair_w = np.arange(0)
         yield _first_level(lw, _grid_states(1, k, False), _grid_indices(k, False))
         for t in count(1):
             n_src = t * k
-            if len(ar) < n_src + t + k:
-                ar = np.arange(2 * (n_src + t + k))
+            if len(zero) <= t:
+                rows = 2 * (t + 1)
+                ar = np.arange(2 * rows * k + 1)
                 labels = ar % k
+                zero = np.zeros(rows)
+                pair_src = np.stack([ar[:rows * k], ar[:rows * k] // k - 1], axis=1)
+                pair_w = np.stack([np.full(rows * k, NEG_INF), np.tile(lw, rows)], axis=1)
+                pair_w[:k, 1] = NEG_INF
             m = ar[:t]
-            bump = ArcLayer.from_slots(ar[:n_src].reshape(t, k),
-                                       np.repeat(np.log((m + 0.5) / t), k).reshape(t, k))
-            draw = ArcLayer.from_slots(ar[n_src:n_src + t, None], np.zeros((t, 1)))
-            # e(t + 1, x, m): slot 0 stays from e(t, x, m), slot 1 draws
-            # from draw(t, m), which is node n_src + t + m - 1.
-            src = np.zeros((t + 1, k, 2), dtype=np.intp)
-            logw = np.full((t + 1, k, 2), NEG_INF)
-            src[:t, :, 0] = ar[:n_src].reshape(t, k)
-            logw[:t, :, 0] = np.log((t - m - 0.5) / t)[:, None]
-            src[1:, :, 1] = (n_src + t + m)[:, None]
-            logw[1:, :, 1] = lw
-            stay = ArcLayer.from_slots(src.reshape(-1, 2), logw.reshape(-1, 2))
-            yield LevelArcs((bump, draw, stay), labels[:(t + 1) * k],
+            bump = ArcLayer(ar[:n_src], np.repeat(np.log((m + 0.5) / t), k),
+                            ar[:n_src + 1:k], True, k == 1)
+            draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1], True, True)
+            src = pair_src[:n_src + k] + (0, n_src + t)
+            src[n_src:, 0] = 0
+            logw = pair_w[:n_src + k].copy()
+            logw[:n_src, 0] = np.repeat(np.log((t - m - 0.5) / t), k)
+            stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2], True, False)
+            yield LevelArcs((bump, draw, stay), labels[:n_src + k],
                             _grid_states(t + 1, k, False), _grid_indices(k, False))
 
 
@@ -595,34 +609,48 @@ class RunLengthHmm(HmmModel):
 
     def level_arcs(self):
         # Stratum t holds e(t, x, t - d) for run lengths d = 1..D_t, numbered
-        # (d - 1) * k + x; D_t stops at a finite law's span.
+        # (d - 1) * k + x; D_t = t stops at a finite law's span, after which
+        # every level has the same layers. Index ranges and weights are
+        # slices of templates grown by doubling: leave_w holds log hazard(d)
+        # at [(d - 1) * k, d * k), step_w the draw weights at [0, k) and
+        # log(1 - hazard(d)) at [d * k, (d + 1) * k). A hazard of 0 or 1
+        # leaves zero-mass arcs in them.
         k, law, span = self.num_experts, self._law, self._law.span
         lw = np.array(self._log_w)
-        log_switch: list[float] = []    # [d - 1]: log hazard(d)
-        log_stay: list[float] = []      # [d - 1]: log(1 - hazard(d))
-        ar = labels = np.arange(0)
+        ar = labels = zero = leave_w = np.arange(0)
+        step_w = lw
         yield _first_level(lw, _grid_states(1, k, True), _grid_indices(k, True))
         for t in count(1):
-            d_now = t if span is None else min(t, span)
-            d_next = t + 1 if span is None else min(t + 1, span)
-            if len(log_switch) < d_now:
-                h = law.hazard(d_now)
-                log_switch.append(math.log(h) if h > 0.0 else NEG_INF)
-                log_stay.append(math.log1p(-h) if h < 1.0 else NEG_INF)
-            n_src = d_now * k
-            if len(ar) < n_src + d_now + k:
-                ar = np.arange(2 * (n_src + d_now + k))
-                labels = ar % k
-            # q(t, t - d) per run length d, then the hub p(t), node n_src + d_now.
-            leave = ArcLayer.from_slots(ar[:n_src].reshape(d_now, k),
-                                        np.repeat(log_switch, k).reshape(d_now, k))
-            hub = ArcLayer.from_slots(ar[None, n_src:n_src + d_now], np.zeros((1, d_now)))
-            n_cont = (d_next - 1) * k
-            step = ArcLayer.from_slots(
-                np.concatenate([np.full(k, n_src + d_now), ar[:n_cont]])[:, None],
-                np.concatenate([lw, np.repeat(log_stay[:d_next - 1], k)])[:, None])
-            yield LevelArcs((leave, hub, step), labels[:d_next * k],
+            if span is None or t <= span:
+                d_next = t + 1 if span is None or t < span else t
+                n_src = t * k
+                hub = n_src + t
+                if len(ar) <= hub + k:
+                    size = 2 * (hub + k)
+                    ar = np.arange(size)
+                    labels = ar % k
+                    zero = np.zeros(size)
+                    leave_w = _regrown(leave_w, size)
+                    step_w = _regrown(step_w, size)
+                h = law.hazard(t)
+                leave_w[n_src - k:n_src] = math.log(h) if h > 0.0 else NEG_INF
+                step_w[n_src:n_src + k] = math.log1p(-h) if h < 1.0 else NEG_INF
+                # q(t, t - d) per run length d, then the hub p(t), node n_src + t;
+                # stratum t + 1 node j >= k continues from node j - k.
+                src = ar[:d_next * k] - k
+                src[:k] = hub
+                layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k], True, k == 1),
+                          ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t], True, t == 1),
+                          ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1], True, True))
+            yield LevelArcs(layers, labels[:d_next * k],
                             _grid_states(t + 1, k, True), _grid_indices(k, True))
+
+
+def _regrown(buf: np.ndarray, size: int) -> np.ndarray:
+    """A float buffer of the given size that starts with the entries of buf."""
+    out = np.empty(size)
+    out[:len(buf)] = buf
+    return out
 
 
 def _first_level(logw: np.ndarray, states, indices) -> LevelArcs:

@@ -108,6 +108,49 @@ class TestTrimFrontier:
                 got = trim_frontier(WeightMap(entries, 4), p)
                 assert list(got.entries.items()) == reference(entries, p)
 
+
+class TestTrimmingHook:
+    @pytest.mark.parametrize("p", [0.0, 1.5, -1.0, math.nan])
+    def test_invalid_fraction_rejected_when_built(self, p):
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\]"):
+            trimming_hook(p)
+
+    def test_weight_map_call_is_trim_frontier(self):
+        m = wm({("a", 1): 0.5, ("b", 1): 0.3, ("c", 1): 0.2})
+        assert trimming_hook(0.7)(m) == trim_frontier(m, 0.7)
+
+    def test_vector_tie_across_the_cut_breaks_on_state_id(self):
+        # Nodes 0 and 1 tie; node 1's state comes first, so it is kept
+        # although node 0 comes first in the vector.
+        vec = np.log([0.25, 0.25, 0.5])
+        states = lambda idx: [("e", 1, 2 - int(i)) for i in idx]
+        out = trimming_hook(0.6).trim_vector(vec, states)
+        ref = trim_frontier(WeightMap(dict(zip(states(np.arange(3)), vec.tolist())), 1), 0.6)
+        assert np.isneginf(out[0]) and set(states(np.flatnonzero(out > -np.inf))) == set(ref.entries)
+        assert {q: out[i] for i, q in enumerate(states(np.arange(3))) if q in ref.entries} \
+            == ref.entries
+
+    def test_vector_matches_weight_map_route(self):
+        # Frequent ties, zero-mass entries, and a state order unrelated to
+        # the vector's: the kept states and their masses are trim_frontier's.
+        rng = np.random.default_rng(87)
+        for _ in range(200):
+            s = int(rng.integers(1, 30))
+            vec = np.log(rng.dirichlet(np.ones(s)))
+            vec[rng.integers(0, s, s // 2)] = vec[0]
+            vec[rng.integers(0, s, s // 4)] = -np.inf
+            vec[0] = max(vec[0], -50.0)
+            ids = rng.permutation(s)
+            states = lambda idx: [("e", 3, int(ids[i])) for i in idx]
+            live = np.flatnonzero(vec > -np.inf)
+            weights = WeightMap(dict(zip(states(live), vec[live].tolist())), 3)
+            for p in (1e-9, 0.25, 0.5, 0.9, 0.999, 1.0):
+                out = trimming_hook(p).trim_vector(vec, states)
+                kept = np.flatnonzero(out > -np.inf)
+                got = dict(zip(states(kept), out[kept].tolist()))
+                assert got == trim_frontier(weights, p).entries
+
+
 class TestMlEstimate:
     def test_single_expert_constant(self):
         e = es.uniform_expert(2)

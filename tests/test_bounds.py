@@ -241,6 +241,19 @@ class TestMeasurements:
         assert next(reports).inputs["m"] == 1
         assert calls == [len(data)]
 
+    def test_switch_names_step_where_every_segmentation_is_zero(self):
+        lp = np.array([[0.0, 0.0], [-np.inf, -np.inf], [-np.inf, -np.inf]])
+        with pytest.raises(ValueError, match="step 2"):
+            list(bnd.measure_switch(-1.0, lp, 2))
+
+    def test_switch_skips_block_counts_of_zero_likelihood(self):
+        # No single expert explains both steps, so m = 1 has nothing to
+        # compare against; two blocks do.
+        lp = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
+        reports = list(bnd.measure_switch(-1.0, lp, 2))
+        assert [r.inputs["m"] for r in reports] == [2]
+        assert reports[0].inputs["t_m"] == 1
+
     def test_run_length_reports_satisfied(self):
         experts, data, lp = self._instance(74)
         rl = es.forward_marginal(es.run_length(es.elias_delta(), [0.5, 0.5]),

@@ -281,6 +281,27 @@ class TestBounds:
         assert [r["inputs"]["m"] for r in json.loads(out.read_text())] == [1, 2]
 
 
+    @pytest.mark.parametrize("value", ["0", "1.5", "-1", "nan"])
+    def test_trim_outside_unit_interval_rejected(self, tmp_path, capsys, value):
+        # The flag is checked before the data file is read or the output
+        # opened: the data file here does not exist.
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", str(tmp_path / "missing.txt"), "--model", "run-length",
+                     *BASE, "--trim", value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--trim" in err and "(0, 1]" in err
+        assert not out.exists()
+
+    def test_switch_bounds_without_single_block_explanation(self, tmp_path):
+        data, advice, out = tmp_path / "d.txt", tmp_path / "a.csv", tmp_path / "b.json"
+        write(data, "0\n1\n")
+        write(advice, "low,high\n1,0\n0,1\n")
+        assert main(["bounds", str(data), "--model", "switch", "--alphabet", "0,1",
+                     "--experts", f"file:{advice}", "--advice-mode", "realized",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert [r["inputs"]["m"] for r in json.loads(out.read_text())] == [2]
+
+
 class TestParsing:
     def test_unknown_model_rejected(self, data_file):
         rc = main(["evaluate", str(data_file), "--model", "nope", *BASE])

@@ -8,6 +8,8 @@ step, and so must the smoothed posteriors, whose backward sweeps are
 pull_arcs and the reverse replay of recorded regions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,22 @@ ARRAY_MODELS = {
     "universal_elementwise_2": (2, lambda w: es.universal_elementwise(2)),
     "universal_elementwise_3": (3, lambda w: es.universal_elementwise(3)),
 }
-# A span-3 law keeps at most 3k weights per stratum, which trimming at
-# 0.99 need not shrink.
-GROWING = [name for name in ARRAY_MODELS if name != "run_length_uniform_1_3"]
+LATER_MODELS = {
+    # hazard(1) = 0: every level carries zero-mass arcs
+    "run_length_uniform_2_4": (2, lambda w: es.run_length(es.uniform_span(2, 4), w)),
+    "run_length_inv_poly_k1": (1, lambda w: es.run_length(es.inv_poly(), w)),
+    "universal_share_k1": (1, lambda w: es.universal_share(w)),
+}
+# A model's seed is its position here: later models come after the sorted
+# first ones, so every earlier model keeps its inputs.
+SEEDS = sorted(ARRAY_MODELS) + list(LATER_MODELS)
+ARRAY_MODELS |= LATER_MODELS
+# The posterior test rules out one expert's symbol, which leaves a single
+# expert nothing to explain it with.
+SEVERAL_EXPERTS = [name for name, (k, _) in ARRAY_MODELS.items() if k > 1]
+# Trimming at 0.99 need not shrink a frontier whose masses are the prior's
+# (one expert), nor one a finite-span law keeps at span * k weights.
+GROWING = [name for name in SEVERAL_EXPERTS if "uniform" not in name]
 HOOKS = {"exact": None, "trim_1": 1.0, "trim_0.99": 0.99}
 MODES = ("experts", "matrix")
 
@@ -60,7 +75,7 @@ def run(model, experts, data, mode, p=None):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ARRAY_MODELS)
 def test_array_step_matches_tuple_core(name, mode, hook):
-    make, w, experts, data = instance(name, sorted(ARRAY_MODELS).index(name))
+    make, w, experts, data = instance(name, SEEDS.index(name))
     model = make(w)
     assert model.level_arcs() is not None and TupleOnly(model).level_arcs() is None
     fast = run(model, experts, data, mode, HOOKS[hook])
@@ -94,9 +109,9 @@ def posterior(model, experts, data, mode):
 
 @pytest.mark.parametrize("n", [0, 1, N])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", ARRAY_MODELS)
+@pytest.mark.parametrize("name", SEVERAL_EXPERTS)
 def test_posterior_matches_tuple_core(name, mode, n):
-    make, w, experts, data = instance(name, sorted(ARRAY_MODELS).index(name))
+    make, w, experts, data = instance(name, SEEDS.index(name))
     # Expert 0 rules out the last symbol, so wherever that symbol arrives
     # its posterior is zero.
     experts[0] = es.ConstantExpert(np.append(np.random.default_rng(n).dirichlet(np.ones(2)), 0.0))
@@ -162,3 +177,132 @@ def test_weight_map_round_trip_keeps_vector():
         fp.advance(x)
     assert [s.log_cond for s in fp.steps] == [s.log_cond for s in plain.steps]
     assert fp.weight_map.entries == plain.weight_map.entries
+
+
+def recorded(model, experts, data, mode, p):
+    hook = None if p is None else es.trimming_hook(p)
+    if mode == "experts":
+        fp = es.ForwardPass(model, experts, frontier_hook=hook, record_regions=True)
+    else:
+        fp = es.ForwardPass(model, logpred_matrix=es.prediction_matrix(experts, data),
+                            frontier_hook=hook, record_regions=True)
+    for x in data:
+        fp.advance(x)
+    return fp
+
+
+def held_per_level(fp):
+    """What the array step holds at each level, counted on a recorded run of
+    the tuple core: the live nodes of the silent region, sources included,
+    plus the states of the next stratum they reach."""
+    model = fp.model
+    for t, region in enumerate(fp.regions):
+        reached = {v for _, succ in region for v, _ in succ
+                   if model.is_productive(v) and model.level(v) == t + 1}
+        yield len(region) + len(reached)
+
+
+@pytest.mark.parametrize("p", [None, 1.0, 0.9])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_array_counts_are_exact(name, mode, p):
+    # Counts and kept states must be equal, not close. The two cores define
+    # peak_weights differently (every live weight held over an array level,
+    # the Kahn working set of the tuple core), so the array peak is checked
+    # against the tuple core's count of what the array step holds.
+    make, w, experts, data = instance(name, SEEDS.index(name))
+    fast = run(make(w), experts, data, mode, p)
+    ref = recorded(TupleOnly(make(w)), experts, data, mode, p)
+    assert fast.transitions_per_level == ref.transitions_per_level
+    assert fast.weight_map.entries.keys() == ref.weight_map.entries.keys()
+    assert fast.peak_weights == max(held_per_level(ref))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["run_length_inv_poly", "universal_share"])
+def test_trim_tie_across_the_cut_keeps_trim_frontier_states(name, mode):
+    # Identical experts under uniform weights give every state a twin of
+    # equal mass, so an odd cut splits a tie; the lower state id is kept.
+    k, make = ARRAY_MODELS[name]
+    rng = np.random.default_rng(5)
+    experts = [es.ConstantExpert([0.7, 0.3])] * k
+    data = [int(x) for x in rng.integers(0, 2, 25)]
+    hook = es.trimming_hook(0.9)
+    split = []
+    trim_vector = hook.trim_vector
+    hook.trim_vector = lambda vec, states: trim_vector(
+        vec, lambda idx: split.append(len(idx)) or states(idx))
+    kwargs = ({} if mode == "experts"
+              else {"logpred_matrix": es.prediction_matrix(experts, data)})
+    fast = es.ForwardPass(make([1 / k] * k), None if kwargs else experts,
+                          frontier_hook=hook, **kwargs)
+    ref = es.ForwardPass(TupleOnly(make([1 / k] * k)), None if kwargs else experts,
+                         frontier_hook=es.trimming_hook(0.9), **kwargs)
+    for x in data:
+        fast.advance(x)
+        ref.advance(x)
+        assert fast.weight_map.entries.keys() == ref.weight_map.entries.keys()
+    assert split
+
+
+@pytest.mark.parametrize("make", [
+    lambda: es.run_length(es.inv_poly(), [0.3, 0.7]),
+    lambda: es.run_length(es.uniform_span(2, 4), [0.3, 0.7]),
+    lambda: es.universal_share([0.3, 0.7]),
+    lambda: es.universal_elementwise(2),
+], ids=["run_length_inv_poly", "run_length_uniform_2_4", "universal_share",
+        "universal_elementwise"])
+def test_levels_after_the_first_build_no_slot_grids(monkeypatch, make):
+    _, _, experts, data = instance("run_length_inv_poly", 0)
+    lp = es.prediction_matrix(experts, data)
+    plain = es.ForwardPass(make(), logpred_matrix=lp)
+    fp = es.ForwardPass(make(), logpred_matrix=lp)
+    plain.advance(None)
+    fp.advance(None)    # level 0 is built here
+
+    def refuse(*args):
+        raise AssertionError("a slot grid was built after level 0")
+
+    monkeypatch.setattr(es.hmm.ArcLayer, "from_slots", refuse)
+    for _ in data[1:]:
+        fp.advance(None)
+    monkeypatch.undo()
+    for _ in data[1:]:
+        plain.advance(None)
+    assert fp.log_marginal == plain.log_marginal
+
+
+@pytest.mark.parametrize("law", [es.uniform_span(1, 3), es.truncate(es.elias_delta(), 6)],
+                         ids=["uniform_1_3", "truncated_6"])
+def test_finite_span_levels_share_their_arrays(law):
+    levels = es.run_length(law, [0.4, 0.6]).level_arcs()
+    arcs = [next(levels) for _ in range(law.span + 4)]
+    for before, after in zip(arcs[law.span:], arcs[law.span + 1:]):
+        for a, b in zip(before.layers, after.layers, strict=True):
+            assert np.shares_memory(a.src, b.src) and np.shares_memory(a.logw, b.logw)
+
+
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_shape_facts_hold_and_only_skip_work(name):
+    # Every layer's dense / single facts are true of its arrays, every arc
+    # names a node numbered before the layer, and stepping with the facts
+    # cleared gives the same bits.
+    k, make = ARRAY_MODELS[name]
+    rng = np.random.default_rng(3)
+    levels = make(rng.dirichlet(np.ones(k))).level_arcs()
+    vec = np.zeros(1)
+    for _ in range(12):
+        level = next(levels)
+        size = len(vec)
+        for layer in level.layers:
+            counts = np.diff(layer.indptr)
+            assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.src) == len(layer.logw)
+            assert not layer.dense or counts.min(initial=1) >= 1
+            assert not layer.single or np.all(counts == 1)
+            assert layer.src.min(initial=0) >= 0 and layer.src.max(initial=0) < size
+            size += len(counts)
+        plain = [dataclasses.replace(layer, dense=False, single=False) for layer in level.layers]
+        out, transitions, peak = es.hmm.propagate_arcs(vec, level.layers)
+        ref = es.hmm.propagate_arcs(vec, plain)
+        assert out.tobytes() == ref[0].tobytes() and (transitions, peak) == ref[1:]
+        vec = out + rng.normal(size=len(out))
