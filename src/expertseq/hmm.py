@@ -22,9 +22,10 @@ per destination, its incoming arcs as source indices and log masses.
 It may carry arcs of zero mass (log mass -inf), so that a model can
 keep one fixed arc template across levels where a hazard is 0 or 1 or
 a weight vanishes; such arcs add nothing and are never counted. A
-destination may also have no arcs at all. Each layer states two shape
-facts, ``dense`` (every destination has an arc) and ``single`` (exactly
-one each), which let the step skip its general case. The last layer's
+destination may also have no arcs at all. A layer may state that it is
+``dense`` (every destination has an arc), which lets the step skip its
+general case; a dense layer with one arc per destination is a copy. The
+last layer's
 destinations are stratum t + 1, numbered as the sources of the next
 level. :func:`propagate_arcs` pushes a log-weight vector through those
 layers; it touches the same arcs of positive mass as
@@ -122,17 +123,16 @@ class ArcLayer:
     ``logw[...]``; ``src`` indexes the level's numbering so far. Arcs of
     log mass -inf are allowed and carry nothing.
 
-    ``dense`` says every destination has at least one arc and ``single``
-    that each has exactly one. They are facts about the arrays, not about
-    the masses, and may be left false: the step then checks the shape
-    itself.
+    ``dense`` says every destination has at least one arc. It is a fact
+    about the arrays, not about the masses, and may be left false: the
+    step then checks the shape itself. It is not checked when true, and a
+    layer that states it wrongly gives wrong weights.
     """
 
     src: np.ndarray
     logw: np.ndarray
     indptr: np.ndarray
     dense: bool = False
-    single: bool = False
 
     @classmethod
     def from_slots(cls, src: np.ndarray, logw: np.ndarray) -> ArcLayer:
@@ -140,12 +140,10 @@ class ArcLayer:
         arcs; slots whose log mass is -inf are not arcs."""
         keep = logw > NEG_INF
         if keep.all():
-            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]),
-                       True, keep.shape[1] == 1)
+            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]))
         indptr = np.zeros(len(keep) + 1, dtype=np.intp)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        dense = bool(keep.any(axis=1).all())
-        return cls(src[keep], logw[keep], indptr, dense, dense and bool(indptr[-1] == len(keep)))
+        return cls(src[keep], logw[keep], indptr)
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ def propagate_arcs(
     for layer, size in zip(layers, sizes):
         block = held[at:at + size]
         at += size
-        if layer.single:
+        if layer.dense and len(layer.src) == size:
             np.add(held[layer.src], layer.logw, out=block)
             transitions += int(np.count_nonzero(block > NEG_INF))
             continue
@@ -313,7 +311,7 @@ def pull_arcs(
     held[starts[-2]:] = target
     for layer, at, end in zip(reversed(layers), reversed(starts[:-1]), reversed(starts[1:])):
         dst = np.arange(at, end)
-        if not layer.single:
+        if not (layer.dense and len(layer.src) == end - at):
             dst = dst.repeat(np.diff(layer.indptr))
         pulled = logsumexp_by(held[dst] + layer.logw, layer.src, at)
         np.logaddexp(held[:at], pulled, out=held[:at])

@@ -376,9 +376,9 @@ class UniversalElementwiseMixture(HmmModel):
                 logw = np.full((len(counts), k), NEG_INF)
                 src[slot] = ar[:n_src]
                 logw[slot] = 0.0
-                layers.append(ArcLayer(src.ravel(), logw.ravel(), ar[:size + 1:k], True, k == 1))
+                layers.append(ArcLayer(src.ravel(), logw.ravel(), ar[:size + 1:k], True))
             draw = np.log((0.5 + counts) / (0.5 * k + t)).ravel()
-            layers.append(ArcLayer(n_src + ar[:size] // k, draw, ar[:size + 1], True, True))
+            layers.append(ArcLayer(n_src + ar[:size] // k, draw, ar[:size + 1], True))
             yield LevelArcs(tuple(layers), labels[:size],
                             _count_states(counts, t + 1), _count_indices(t, k))
 
@@ -463,13 +463,13 @@ class UniversalShare(HmmModel):
                 pair_w[:k, 1] = NEG_INF
             m = ar[:t]
             bump = ArcLayer(ar[:n_src], np.repeat(np.log((m + 0.5) / t), k),
-                            ar[:n_src + 1:k], True, k == 1)
-            draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1], True, True)
+                            ar[:n_src + 1:k], True)
+            draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1], True)
             src = pair_src[:n_src + k] + (0, n_src + t)
             src[n_src:, 0] = 0
             logw = pair_w[:n_src + k].copy()
             logw[:n_src, 0] = np.repeat(np.log((t - m - 0.5) / t), k)
-            stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2], True, False)
+            stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2], True)
             yield LevelArcs((bump, draw, stay), labels[:n_src + k],
                             _grid_states(t + 1, k, False), _grid_indices(k, False))
 
@@ -639,9 +639,9 @@ class RunLengthHmm(HmmModel):
                 # stratum t + 1 node j >= k continues from node j - k.
                 src = ar[:d_next * k] - k
                 src[:k] = hub
-                layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k], True, k == 1),
-                          ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t], True, t == 1),
-                          ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1], True, True))
+                layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k], True),
+                          ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t], True),
+                          ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1], True))
             yield LevelArcs(layers, labels[:d_next * k],
                             _grid_states(t + 1, k, True), _grid_indices(k, True))
 
@@ -657,7 +657,7 @@ def _first_level(logw: np.ndarray, states, indices) -> LevelArcs:
     """Level 0 of a model whose one initial state draws expert x with
     log mass logw[x]."""
     k = len(logw)
-    layer = ArcLayer.from_slots(np.zeros((k, 1), dtype=np.intp), logw[:, None])
+    layer = ArcLayer(np.zeros(k, dtype=np.intp), logw, np.arange(k + 1), True)
     return LevelArcs((layer,), np.arange(k), states, indices)
 
 

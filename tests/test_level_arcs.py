@@ -284,9 +284,9 @@ def test_finite_span_levels_share_their_arrays(law):
 
 @pytest.mark.parametrize("name", ARRAY_MODELS)
 def test_shape_facts_hold_and_only_skip_work(name):
-    # Every layer's dense / single facts are true of its arrays, every arc
-    # names a node numbered before the layer, and stepping with the facts
-    # cleared gives the same bits.
+    # Every layer's dense fact is true of its arrays, every arc names a
+    # node numbered before the layer, and stepping with the fact cleared
+    # gives the same bits.
     k, make = ARRAY_MODELS[name]
     rng = np.random.default_rng(3)
     levels = make(rng.dirichlet(np.ones(k))).level_arcs()
@@ -298,11 +298,12 @@ def test_shape_facts_hold_and_only_skip_work(name):
             counts = np.diff(layer.indptr)
             assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.src) == len(layer.logw)
             assert not layer.dense or counts.min(initial=1) >= 1
-            assert not layer.single or np.all(counts == 1)
             assert layer.src.min(initial=0) >= 0 and layer.src.max(initial=0) < size
             size += len(counts)
-        plain = [dataclasses.replace(layer, dense=False, single=False) for layer in level.layers]
+        plain = [dataclasses.replace(layer, dense=False) for layer in level.layers]
         out, transitions, peak = es.hmm.propagate_arcs(vec, level.layers)
         ref = es.hmm.propagate_arcs(vec, plain)
         assert out.tobytes() == ref[0].tobytes() and (transitions, peak) == ref[1:]
+        pulled = es.hmm.pull_arcs(out, level.layers, len(vec))
+        assert pulled.tobytes() == es.hmm.pull_arcs(out, plain, len(vec)).tobytes()
         vec = out + rng.normal(size=len(out))
