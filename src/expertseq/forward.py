@@ -22,8 +22,7 @@ import numpy as np
 
 from .experts import ForecastingSystem, _check_logpreds, _forecast_rows, _realized_matrix
 from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
-from .logprob import (NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by,
-                      logsumexp_columns)
+from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
 
 
 @dataclass
@@ -67,7 +66,8 @@ class ForwardPass:
     row from the experts' streams when it first needs it, sending them the
     previous outcome only then. The row gives both the realized
     likelihoods and, with ``want_outcome_dists``, the next-outcome
-    distribution in one column-wise log-sum-exp. Each step builds one
+    distribution in one ``np.logaddexp.reduce`` down the columns, which
+    gives -inf for an outcome no weighted expert allows. Each step builds one
     ``StepRecord``, ``last_step``, kept in ``steps`` with its transition
     count in ``transitions_per_level`` unless ``keep_steps`` is false; then
     memory stays bounded by the frontier on long streams.
@@ -83,6 +83,13 @@ class ForwardPass:
     ``LevelArcs`` and its post-update log-weight vector, otherwise the
     live ``(state, successors)`` pairs in topological order and a copy of
     the post-update weight map.
+
+    ``peak_weights`` is the most weights the pass held at once, counted as
+    each core holds them: on level arcs, the live weights of every node of
+    one level (sources, silent layers and stratum together); on the tuple
+    core, the largest working set of ``propagate_frontier``'s Kahn sweep or
+    post-update frontier. One run therefore reads differently on the two
+    cores. The tuple core's frontier holds Python floats.
     """
 
     def __init__(
@@ -131,7 +138,7 @@ class ForwardPass:
         self._t = 0
         self._pre: dict[StateId, LogMass] | np.ndarray | None = None
         self._pre_total: LogMass = NEG_INF
-        self._pre_by_label: np.ndarray | None = None   # array frontiers only
+        self._pre_by_label: np.ndarray | None = None
         # Experts mode: the row source, this step's row once read, and the
         # outcome to send for the next one.
         self._rows = None if experts is None else _forecast_rows(self.experts)
@@ -154,6 +161,12 @@ class ForwardPass:
             record = [] if self._record_regions else None
             pre, transitions, peak = propagate_frontier(
                 self.model, self._frontier, self._t + 1, record=record)
+            by_label = [NEG_INF] * self.model.num_experts
+            label = self.model.label
+            for q, v in pre.items():
+                lab = label(q)
+                by_label[lab] = log_sum(by_label[lab], v)
+            self._pre_by_label = np.array(by_label)
             self._pre_total = log_sum_iter(pre.values())
         if self._record_regions:
             self.regions.append(record)
@@ -171,20 +184,9 @@ class ForwardPass:
     def predict_expert(self) -> np.ndarray:
         """log P(xi_{t+1} = . | x^t) from the propagated frontier."""
         self._ensure_propagated()
-        k = self.model.num_experts
-        if self._levels is not None:
-            by_label = self._pre_by_label
-        else:
-            by_label = np.full(k, NEG_INF)
-            label = self.model.label
-            acc: dict[int, list[float]] = {}
-            for q, v in self._pre.items():
-                acc.setdefault(label(q), []).append(v)
-            for lab, vals in acc.items():
-                by_label[lab] = log_sum_iter(vals)
         if self._pre_total == NEG_INF:
             raise ZeroMarginalError(self._t + 1)
-        return by_label - self._pre_total
+        return self._pre_by_label - self._pre_total
 
     def predict_outcome(self) -> np.ndarray:
         """log P(x_{t+1} = . | x^t), averaging expert forecasts by weight."""
@@ -193,7 +195,7 @@ class ForwardPass:
         return self._mix_outcome(self.predict_expert())
 
     def _mix_outcome(self, expert_dist: np.ndarray) -> np.ndarray:
-        return logsumexp_columns(self._expert_preds() + expert_dist[:, None])
+        return np.logaddexp.reduce(self._expert_preds() + expert_dist[:, None], axis=0)
 
     # -- consuming data ----------------------------------------------------
 
@@ -228,6 +230,9 @@ class ForwardPass:
             # times that expert's likelihood.
             new_marginal = logsumexp(self._pre_by_label + lp)
         else:
+            # Python floats keep the dict loop and propagate_frontier off
+            # numpy scalars.
+            lp = lp.tolist()
             label = self.model.label
             post = {}
             for q, v in pre.items():
@@ -430,7 +435,7 @@ def _tuple_rows(fp: ForwardPass, lp_all: np.ndarray):
             break
         # Replay the silent region between strata i-1 and i in reverse
         # topological order to pull beta back one stratum.
-        lp = lp_all[i - 1]
+        lp = lp_all[i - 1].tolist()
         node_beta: dict[StateId, LogMass] = {}
         for q, b in beta.items():
             node_beta[q] = b + lp[label(q)]
@@ -476,7 +481,7 @@ def viterbi_unambiguous(
     # values[q] = best joint log mass over expert prefixes reaching q;
     # parents[i][q] = predecessor productive state on that best path.
     sinks, _, _ = propagate_frontier(model, dict(model.initial()), 1)
-    lp = lp_all[0]
+    lp = lp_all[0].tolist()
     values: dict[StateId, LogMass] = {}
     parents: list[dict[StateId, StateId | None]] = [{}]
     for q, v in sinks.items():
@@ -488,7 +493,7 @@ def viterbi_unambiguous(
         raise ZeroMarginalError(1)
 
     for i in range(1, n):
-        lp = lp_all[i]
+        lp = lp_all[i].tolist()
         best: dict[StateId, tuple[LogMass, StateId]] = {}
         for q in sorted(values, key=lambda s: (label(s), s)):
             arrivals, _, _ = propagate_frontier(model, {q: values[q]}, i + 1)

@@ -68,15 +68,6 @@ def logsumexp_by(values: np.ndarray, groups: np.ndarray, size: int) -> np.ndarra
         return top + np.log(sums)
 
 
-def logsumexp_columns(values: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp of a 2-D log-mass array: entry j folds
-    column j, -inf for a column with no finite value."""
-    top = values.max(axis=0)
-    np.maximum(top, _EMPTY_SHIFT, out=top)
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.exp(values - top).sum(axis=0))
-
-
 def log_normalize(arr) -> np.ndarray:
     """Shift a log-mass vector so it log-sums to 0 (a proper distribution)."""
     a = np.asarray(arr, dtype=float)

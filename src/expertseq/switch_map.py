@@ -45,18 +45,20 @@ def switch_map(
     pair, with continuation preferred inside the forward recursion.
     """
     k = cfg.num_experts
-    lp = _realized_matrix(experts, data, logpred_matrix, k)
+    lp_arr = _realized_matrix(experts, data, logpred_matrix, k)
     n = len(data)
     if n == 0:
         return SwitchMapResult(0.0, [], 0)
+    # The sweeps below run on Python floats; numpy scalars would cost more.
+    lp = lp_arr.tolist()
 
     law = cfg.pi_t
-    haz = [law.hazard(i) for i in range(1, n + 1)]
-    log_haz = [np.log(h) if h > 0 else NEG_INF for h in haz]
-    log_stay = [np.log1p(-h) if h < 1 else NEG_INF for h in haz]
-    log_theta = np.log(cfg.theta)
-    log_stab = np.log1p(-cfg.theta) if cfg.theta < 1.0 else NEG_INF
-    logw = [np.log(p) if p > 0 else NEG_INF for p in cfg.pi_k]
+    haz = np.array([law.hazard(i) for i in range(1, n + 1)], dtype=float)
+    with np.errstate(divide="ignore"):
+        log_haz = np.log(haz).tolist()
+        log_stay = np.log1p(-haz).tolist()
+        logw = np.log(cfg.pi_k).tolist()
+        log_theta, log_stab = float(np.log(cfg.theta)), float(np.log1p(-cfg.theta))
 
     ops = 0
 
@@ -97,9 +99,7 @@ def switch_map(
     # Backward: constant-expert tails from the silent hub (r_tab) and from
     # inside the unstable band (rp_tab); tail[i][x] is the pure chain-rule
     # mass of expert x on the remaining outcomes.
-    tail = np.zeros((n + 1, k))
-    for i in range(n - 1, -1, -1):
-        tail[i] = lp[i] + tail[i + 1]
+    tail = np.cumsum(lp_arr[::-1], axis=0)[::-1].tolist()
     r_tab = [[NEG_INF] * k for _ in range(n + 2)]
     rp_tab = [[NEG_INF] * k for _ in range(n + 2)]
     r_tab[n + 1] = [0.0] * k

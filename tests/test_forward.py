@@ -118,6 +118,25 @@ class TestForwardMarginal:
             ref = es.forward_marginal(model, None, data, logpred_matrix=lp)
             assert fp.log_marginal == ref.log_marginal, name
 
+    @pytest.mark.parametrize("name", ["bayes", "fixed_share", "switch"])
+    def test_frontier_carries_python_floats(self, name):
+        # np.float64 is a float subclass, so check the exact type: numpy
+        # scalars on the frontier would slow every later step.
+        w = [0.2, 0.3, 0.5]
+        model = {"bayes": es.bayes(w), "fixed_share": es.fixed_share(w, 0.1),
+                 "switch": es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), 3)}[name]
+        experts = [es.ConstantExpert([0.8, 0.2]), es.ConstantExpert([0.5, 0.5]),
+                   es.MarkovExpert([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]])]
+        data = [0, 1, 1, 0]
+        lp = es.prediction_matrix(experts, data)
+        for fp in (es.ForwardPass(model, experts), es.ForwardPass(model, logpred_matrix=lp)):
+            for x in data:
+                fp.advance(x)
+                values = list(fp.weight_map.entries.values())
+                assert values and all(type(v) is float for v in values)
+                assert type(fp.log_marginal) is float
+                assert type(fp.last_step.log_cond) is float
+
     @pytest.mark.parametrize("bad", [np.nan, 5.0])
     def test_matrix_mode_rejects_nan_and_positive_with_step(self, bad):
         lp = np.log([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
@@ -172,6 +191,48 @@ class TestOutcomeMixing:
             # last expert's forecast is left.
             assert fp.steps[2].expert_dist[:2].tolist() == [-math.inf, -math.inf]
             assert fp.steps[2].outcome_dist[3] == pytest.approx(math.log(0.4), rel=1e-12)
+
+    def test_outcome_ruled_out_and_tiny_masses(self):
+        # Outcome 1 is ruled out by both experts: -inf, with no warning.
+        # Outcome 3 has only 1e-300 from each expert, so its mixed mass is
+        # 1e-300 at every step, whatever the weights, and must stay finite.
+        # Outcome 2 has mass from the second expert only, which passes
+        # through the mixing unrounded.
+        forecasts = ([1.0, 0.0, 0.0, 1e-300], [0.7, 0.0, 0.3, 1e-300])
+        experts = [es.ConstantExpert(p) for p in forecasts]
+        preds = [e.predict([]).tolist() for e in experts]
+        data = [0, 2, 0, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fp = es.ForwardPass(es.bayes([0.5, 0.5]), experts, want_outcome_dists=True)
+            for x in data:
+                fp.advance(x)
+                step = fp.last_step
+                got = step.outcome_dist.tolist()
+                ref = self.reference(step.expert_dist.tolist(), preds)
+                assert got[1] == -math.inf
+                assert got[2] == step.expert_dist[1] + preds[1][2]
+                assert got[3] == pytest.approx(math.log(1e-300), rel=1e-14)
+                assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_many_experts_match_plain_python(self):
+        rng = np.random.default_rng(5)
+        k = 64
+        forecasts = rng.dirichlet(np.ones(6), size=k)
+        # Outcome 2 keeps mass from expert 0 only.
+        forecasts[1:, 2] = 0.0
+        forecasts /= forecasts.sum(axis=1, keepdims=True)
+        experts = [es.ConstantExpert(p) for p in forecasts]
+        preds = [e.predict([]).tolist() for e in experts]
+        fp = es.ForwardPass(es.fixed_share(rng.dirichlet(np.ones(k)), 0.1), experts,
+                            want_outcome_dists=True)
+        for x in (0, 2, 5, 2, 1):
+            fp.advance(x)
+            step = fp.last_step
+            got = step.outcome_dist.tolist()
+            assert got == pytest.approx(self.reference(step.expert_dist.tolist(), preds),
+                                        rel=1e-12, abs=0)
+            assert got[2] == step.expert_dist[0] + preds[0][2]
 
     def test_steps_not_kept(self):
         fp = es.ForwardPass(es.bayes([0.5, 0.5]), two_constant_experts(), keep_steps=False)
