@@ -7,7 +7,8 @@ File formats (UTF-8, newline-delimited):
                (expert-major, alphabet order), in realized mode k
                probabilities assigned to the realized outcome
 
-Exit codes: 0 success, 2 input error, 3 zero-marginal abort,
+Exit codes: 0 success, 1 standard output closed by its reader, 2 input
+error (including a repeated expert name), 3 zero-marginal abort,
 4 unsupported combination (including a model over its state budget). Output floats carry 12 significant digits so
 identical inputs produce byte-identical outputs.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import islice
 from typing import Sequence
@@ -213,6 +215,11 @@ def _load_inputs(args):
             # The safe expert is uniform, so its realized probability is known.
             safe = np.full((matrix.shape[0], 1), -math.log(len(alphabet)))
             matrix = np.concatenate([matrix, safe], axis=1)
+    # Outputs key experts by name, so a repeated name would drop one.
+    dup = next((nm for i, nm in enumerate(names) if nm in names[:i]), None)
+    if dup is not None:
+        hint = " (--model overconfident adds it)" if add_safe and dup == names[-1] else ""
+        raise InputError(f"duplicate expert name {dup!r}{hint}")
     return alphabet, data, names, experts, matrix, model
 
 
@@ -425,7 +432,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else int(e.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A reader that has gone away is met here, not in the
+        # interpreter's final flush.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so that final flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -70,7 +70,8 @@ class ForwardPass:
     gives -inf for an outcome no weighted expert allows. Each step builds one
     ``StepRecord``, ``last_step``, kept in ``steps`` with its transition
     count in ``transitions_per_level`` unless ``keep_steps`` is false; then
-    memory stays bounded by the frontier on long streams.
+    memory stays bounded by the frontier on long streams, and the array
+    step does not count transitions at all.
 
     When the model provides level arcs, the frontier is a log-weight
     vector over the level's numbering. A hook with a ``trim_vector``
@@ -86,8 +87,10 @@ class ForwardPass:
 
     ``peak_weights`` is the most weights the pass held at once, counted as
     each core holds them: on level arcs, the live weights of every node of
-    one level (sources, silent layers and stratum together); on the tuple
-    core, the largest working set of ``propagate_frontier``'s Kahn sweep or
+    one level (sources, silent layers and stratum together), as
+    ``propagate_arcs`` reports them, since the weights left after the
+    update and any trimming are a subset of those; on the tuple core, the
+    largest working set of ``propagate_frontier``'s Kahn sweep or
     post-update frontier. One run therefore reads differently on the two
     cores. The tuple core's frontier holds Python floats.
     """
@@ -152,7 +155,8 @@ class ForwardPass:
             return
         if self._levels is not None:
             self._pre_level = next(self._levels)
-            pre, transitions, peak = propagate_arcs(self._frontier, self._pre_level.layers)
+            pre, transitions, peak = propagate_arcs(
+                self._frontier, self._pre_level.layers, count_transitions=self._keep_steps)
             self._pre_by_label = logsumexp_by(
                 pre, self._pre_level.labels, self.model.num_experts)
             self._pre_total = logsumexp(self._pre_by_label)
@@ -223,12 +227,12 @@ class ForwardPass:
         level = self._pre_level
         if level is not None:
             post = pre + lp[level.labels]
-            live = int(np.count_nonzero(post > NEG_INF))
-            if not live:
-                raise ZeroMarginalError(step)
             # The post-update mass of each label is its pre-update mass
-            # times that expert's likelihood.
+            # times that expert's likelihood; it is zero exactly when every
+            # node of the label is.
             new_marginal = logsumexp(self._pre_by_label + lp)
+            if new_marginal == NEG_INF:
+                raise ZeroMarginalError(step)
         else:
             # Python floats keep the dict loop and propagate_frontier off
             # numpy scalars.
@@ -247,19 +251,18 @@ class ForwardPass:
         if self._hook is not None:
             if level is not None and self._trim_vector is not None:
                 post = self._trim_vector(post, level.states)
-                live = int(np.count_nonzero(post > NEG_INF))
             elif level is not None:
                 wm = self._hook(_vector_weight_map(post, level, step))
                 post = _weight_map_vector(wm, level, len(post))
-                live = len(wm.entries)
             else:
                 wm = self._hook(WeightMap(post, step))
                 post = wm.entries
         if self._record_regions:
             self.stratum_weights.append(post if level is not None else dict(post))
-        size = live if level is not None else len(post)
-        if size > self.peak_weights:
-            self.peak_weights = size
+        # On level arcs the post-update weights are among those
+        # propagate_arcs counted as held over the level.
+        if level is None and len(post) > self.peak_weights:
+            self.peak_weights = len(post)
 
         self.last_step = StepRecord(log_cond, pre_total, expert_dist, outcome_dist)
         if self._keep_steps:

@@ -29,7 +29,9 @@ last layer's
 destinations are stratum t + 1, numbered as the sources of the next
 level. :func:`propagate_arcs` pushes a log-weight vector through those
 layers; it touches the same arcs of positive mass as
-:func:`propagate_frontier` and reports the same transition count. Its
+:func:`propagate_frontier` and reports the same transition count, or
+skips the count when its caller does not keep it
+(``count_transitions=False``), which saves two numpy calls a layer. Its
 backward counterpart, :func:`pull_arcs`, walks the same layers in
 reverse and pulls a vector over the next stratum back to the level's
 sources; it is the backward sweep of the smoothed posterior.
@@ -259,13 +261,15 @@ def propagate_frontier(
 
 
 def propagate_arcs(
-    source: np.ndarray, layers: Sequence[ArcLayer],
+    source: np.ndarray, layers: Sequence[ArcLayer], *, count_transitions: bool = True,
 ) -> tuple[np.ndarray, int, int]:
     """Push a log-weight vector over a level's sources through its layers.
 
     Returns ``(next_stratum, transitions, peak)``: the last layer's
     log-weight vector, the number of arcs of positive mass leaving live
     (finite) nodes, and the number of live weights held over the level.
+    With ``count_transitions`` false the arcs are not counted and
+    ``transitions`` is 0; the weights and the peak are the same.
     """
     sizes = [len(layer.indptr) - 1 for layer in layers]
     held = np.empty(len(source) + sum(sizes))
@@ -278,10 +282,12 @@ def propagate_arcs(
         at += size
         if layer.dense and len(layer.src) == size:
             np.add(held[layer.src], layer.logw, out=block)
-            transitions += int(np.count_nonzero(block > NEG_INF))
+            if count_transitions:
+                transitions += int(np.count_nonzero(block > NEG_INF))
             continue
         vals = held[layer.src] + layer.logw
-        transitions += int(np.count_nonzero(vals > NEG_INF))
+        if count_transitions:
+            transitions += int(np.count_nonzero(vals > NEG_INF))
         starts = layer.indptr[:-1]
         if layer.dense:
             np.logaddexp.reduceat(vals, starts, out=block)

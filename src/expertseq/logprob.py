@@ -43,14 +43,9 @@ def log_sum_iter(values: Iterable[LogMass]) -> LogMass:
 
 
 def logsumexp(arr) -> float:
-    """log-sum-exp of a flat array, safe for all entries being -inf."""
-    a = np.asarray(arr, dtype=float)
-    if a.size == 0:
-        return NEG_INF
-    m = float(a.max())
-    if m == NEG_INF:
-        return NEG_INF
-    return m + float(np.log(np.exp(a - m).sum()))
+    """log-sum-exp of a flat array: one ``np.logaddexp.reduce``, a left to
+    right fold; -inf for an empty array or one of only -inf entries."""
+    return float(np.logaddexp.reduce(np.asarray(arr, dtype=float)))
 
 
 # The shift of an empty group: finite, so that -inf minus it stays -inf

@@ -349,12 +349,13 @@ class UniversalElementwiseMixture(HmmModel):
         # Stratum t + 1 holds e(t + 1, c, x) for the count vectors c of
         # level t, numbered rank(c) * k + x (see _composition_rank).
         # Both layers are dense with k slots per count state and one arc
-        # per expert state; ar and labels are index templates grown by
-        # doubling.
+        # per expert state; the index templates ar, labels and rows (ar // k)
+        # and the binomial table of the ranks are grown by doubling.
         k = self.num_experts
         unit = np.eye(k, dtype=np.intp)
         counts = np.zeros((1, k), dtype=np.intp)
-        ar = labels = np.arange(0)
+        ar = labels = rows = np.arange(0)
+        table = _binomials(k, 0)
         for t in count():
             self._check_budget(t)
             layers = []
@@ -363,10 +364,13 @@ class UniversalElementwiseMixture(HmmModel):
             if len(ar) <= size:
                 ar = np.arange(2 * size + 1)
                 labels = ar % k
+                rows = ar // k
+            if table.shape[1] <= t:
+                table = _binomials(k, 2 * t)
             if t:
                 bumped = (counts[:, None, :] + unit).reshape(-1, k)
                 n_src = len(bumped)
-                rank = _composition_rank(bumped, t)
+                rank = _composition_rank(bumped, t, table)
                 counts = np.empty((size // k, k), dtype=np.intp)
                 counts[rank] = bumped
                 # cnt(t, c) collects e(t, c - e_x, x) in slot x; a slot with
@@ -378,22 +382,32 @@ class UniversalElementwiseMixture(HmmModel):
                 logw[slot] = 0.0
                 layers.append(ArcLayer(src.ravel(), logw.ravel(), ar[:size + 1:k], True))
             draw = np.log((0.5 + counts) / (0.5 * k + t)).ravel()
-            layers.append(ArcLayer(n_src + ar[:size] // k, draw, ar[:size + 1], True))
+            layers.append(ArcLayer(n_src + rows[:size], draw, ar[:size + 1], True))
             yield LevelArcs(tuple(layers), labels[:size],
-                            _count_states(counts, t + 1), _count_indices(t, k))
+                            _count_states(counts, t + 1), _count_indices(t, table))
 
 
-def _composition_rank(rows: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic rank of each row among the compositions of n into
-    len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m), where
-    r is the mass left before it, c its value and m the parts after it."""
-    k = rows.shape[1]
-    table = np.ones((k, n + 1), dtype=np.int64)   # table[m, r] = C(r + m, m)
+def _binomials(k: int, n: int) -> np.ndarray:
+    """The table C(r + m, m) at [m, r] for parts m < k and masses r <= n."""
+    table = np.ones((k, n + 1), dtype=np.int64)
     for m in range(1, k):
         np.cumsum(table[m - 1], out=table[m])
-    after = n - np.cumsum(rows, axis=1)
-    m = np.arange(k - 1, 0, -1)
-    return (table[m, (after + rows)[:, :-1]] - table[m, after[:, :-1]]).sum(axis=1)
+    return table
+
+
+def _composition_rank(rows: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row among the compositions of n into
+    len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m), where
+    r is the mass left before it, c its value and m the parts after it.
+    ``table`` is a :func:`_binomials` table for at least masses up to n;
+    the last part always contributes 0."""
+    k = rows.shape[1]
+    lead = rows[:, :-1]
+    # r - c of every leading part, offset to row m of the flattened table
+    after = n - lead.cumsum(axis=1)
+    after += np.arange(k - 1, 0, -1) * table.shape[1]
+    flat = table.ravel()
+    return (flat.take(after + lead) - flat.take(after)).sum(axis=1)
 
 
 def _count_states(counts, n):
@@ -402,10 +416,13 @@ def _count_states(counts, n):
                         for row, x in zip(counts[idx // k].tolist(), (idx % k).tolist())]
 
 
-def _count_indices(t, k):
+def _count_indices(t, table):
+    k = len(table)
+
     def indices(qs):
         rows = np.array([q[2] for q in qs], dtype=np.intp).reshape(-1, k)
-        return _composition_rank(rows, t) * k + np.array([q[3] for q in qs], dtype=np.intp)
+        return (_composition_rank(rows, t, table) * k
+                + np.array([q[3] for q in qs], dtype=np.intp))
     return indices
 
 
@@ -446,11 +463,15 @@ class UniversalShare(HmmModel):
         # sources of its stay layer. e(t + 1, x, m) has two arcs, a stay from
         # e(t, x, m) and a draw from draw(t, m), node n_src + t + m - 1; the
         # stay of m = t and the draw of m = 0 are zero-mass arcs from node 0
-        # and from the last bump node.
+        # and from the last bump node. half holds m + 0.5 at [m * k, (m + 1) * k),
+        # so both weight vectors are slices of it: the bump of e(t, x, m) has
+        # mass (m + 0.5) / t and its stay (t - m - 0.5) / t, which is half
+        # read backwards from n_src.
         k = self.num_experts
         lw = np.array(self._log_w)
-        ar = labels = zero = pair_src = pair_w = np.arange(0)
-        yield _first_level(lw, _grid_states(1, k, False), _grid_indices(k, False))
+        ar = labels = zero = half = pair_src = pair_w = np.arange(0)
+        indices = _grid_indices(k, False)
+        yield _first_level(lw, _grid_states(1, k, False), indices)
         for t in count(1):
             n_src = t * k
             if len(zero) <= t:
@@ -458,20 +479,20 @@ class UniversalShare(HmmModel):
                 ar = np.arange(2 * rows * k + 1)
                 labels = ar % k
                 zero = np.zeros(rows)
-                pair_src = np.stack([ar[:rows * k], ar[:rows * k] // k - 1], axis=1)
+                row = ar[:rows * k] // k
+                half = row + 0.5
+                pair_src = np.stack([ar[:rows * k], row - 1], axis=1)
                 pair_w = np.stack([np.full(rows * k, NEG_INF), np.tile(lw, rows)], axis=1)
                 pair_w[:k, 1] = NEG_INF
-            m = ar[:t]
-            bump = ArcLayer(ar[:n_src], np.repeat(np.log((m + 0.5) / t), k),
-                            ar[:n_src + 1:k], True)
+            bump = ArcLayer(ar[:n_src], np.log(half[:n_src] / t), ar[:n_src + 1:k], True)
             draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1], True)
             src = pair_src[:n_src + k] + (0, n_src + t)
             src[n_src:, 0] = 0
             logw = pair_w[:n_src + k].copy()
-            logw[:n_src, 0] = np.repeat(np.log((t - m - 0.5) / t), k)
+            logw[:n_src, 0] = np.log(half[n_src - 1::-1] / t)
             stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2], True)
             yield LevelArcs((bump, draw, stay), labels[:n_src + k],
-                            _grid_states(t + 1, k, False), _grid_indices(k, False))
+                            _grid_states(t + 1, k, False), indices)
 
 
 class OverconfidentExperts(HmmModel):
@@ -619,7 +640,8 @@ class RunLengthHmm(HmmModel):
         lw = np.array(self._log_w)
         ar = labels = zero = leave_w = np.arange(0)
         step_w = lw
-        yield _first_level(lw, _grid_states(1, k, True), _grid_indices(k, True))
+        indices = _grid_indices(k, True)
+        yield _first_level(lw, _grid_states(1, k, True), indices)
         for t in count(1):
             if span is None or t <= span:
                 d_next = t + 1 if span is None or t < span else t
@@ -642,8 +664,7 @@ class RunLengthHmm(HmmModel):
                 layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k], True),
                           ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t], True),
                           ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1], True))
-            yield LevelArcs(layers, labels[:d_next * k],
-                            _grid_states(t + 1, k, True), _grid_indices(k, True))
+            yield LevelArcs(layers, labels[:d_next * k], _grid_states(t + 1, k, True), indices)
 
 
 def _regrown(buf: np.ndarray, size: int) -> np.ndarray:

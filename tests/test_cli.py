@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,47 @@ class TestParsing:
                    "--alpha", "0.2", *BASE, "--out", str(out)])
         assert rc == 0
         assert "p_exp:safe-uniform" in out.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("cmd,model", [
+        ("evaluate", "bayes"), ("posterior", "bayes"), ("map", "switch"),
+        ("evaluate", "overconfident"), ("posterior", "overconfident"),
+    ])
+    @pytest.mark.parametrize("header", ["a,a", "x,safe-uniform"])
+    def test_duplicate_expert_names_rejected(self, tmp_path, data_file, capsys,
+                                             cmd, model, header):
+        # Every output keys experts by name, so a repeated one would drop
+        # an expert; overconfident appends its own "safe-uniform".
+        advice = tmp_path / "advice.csv"
+        write(advice, header + "\n" + "0.5,0.5\n" * 4)
+        out = tmp_path / "o.txt"
+        rc = main([cmd, str(data_file), "--model", model, "--alpha", "0.1", "--alphabet", "0,1",
+                   "--experts", f"file:{advice}", "--advice-mode", "realized",
+                   "--out", str(out)])
+        dup = header.split(",")[1]
+        if dup == "safe-uniform" and model != "overconfident":
+            assert rc == 0      # the name is free unless the model adds it
+            return
+        assert rc == 2
+        assert f"duplicate expert name {dup!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        data = tmp_path / "d.txt"
+        write(data, "".join(f"{i % 3}\n" for i in range(5000)))
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "expertseq", "evaluate", str(data), "--model", "bayes",
+             "--alphabet", "0,1,2", "--experts", "builtin:kt;laplace"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert lines[1].startswith(b"1,0,")
+        assert "Traceback" not in err and "Exception ignored" not in err, err

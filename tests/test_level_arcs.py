@@ -9,6 +9,7 @@ pull_arcs and the reverse replay of recorded regions.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -59,13 +60,13 @@ def instance(name, seed):
     return make, w, experts, data
 
 
-def run(model, experts, data, mode, p=None):
+def run(model, experts, data, mode, p=None, keep_steps=True):
     hook = None if p is None else es.trimming_hook(p)
     if mode == "experts":
-        fp = es.ForwardPass(model, experts, frontier_hook=hook)
+        fp = es.ForwardPass(model, experts, frontier_hook=hook, keep_steps=keep_steps)
     else:
         fp = es.ForwardPass(model, logpred_matrix=es.prediction_matrix(experts, data),
-                            frontier_hook=hook)
+                            frontier_hook=hook, keep_steps=keep_steps)
     for x in data:
         fp.advance(x)
     return fp
@@ -141,9 +142,10 @@ def ruled_out_at_step_7(name):
 def test_zero_marginal_at_same_step(name, mode, hook):
     model, experts, data = ruled_out_at_step_7(name)
     for m in (model, TupleOnly(model)):
-        with pytest.raises(es.ZeroMarginalError) as exc:
-            run(m, experts, data, mode, HOOKS[hook])
-        assert exc.value.step == 7
+        for keep_steps in (True, False):
+            with pytest.raises(es.ZeroMarginalError) as exc:
+                run(m, experts, data, mode, HOOKS[hook], keep_steps)
+            assert exc.value.step == 7
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -285,8 +287,8 @@ def test_finite_span_levels_share_their_arrays(law):
 @pytest.mark.parametrize("name", ARRAY_MODELS)
 def test_shape_facts_hold_and_only_skip_work(name):
     # Every layer's dense fact is true of its arrays, every arc names a
-    # node numbered before the layer, and stepping with the fact cleared
-    # gives the same bits.
+    # node numbered before the layer, and stepping with the fact cleared,
+    # or without counting transitions, gives the same bits.
     k, make = ARRAY_MODELS[name]
     rng = np.random.default_rng(3)
     levels = make(rng.dirichlet(np.ones(k))).level_arcs()
@@ -304,6 +306,72 @@ def test_shape_facts_hold_and_only_skip_work(name):
         out, transitions, peak = es.hmm.propagate_arcs(vec, level.layers)
         ref = es.hmm.propagate_arcs(vec, plain)
         assert out.tobytes() == ref[0].tobytes() and (transitions, peak) == ref[1:]
+        for layers in (level.layers, plain):
+            bare = es.hmm.propagate_arcs(vec, layers, count_transitions=False)
+            assert bare[0].tobytes() == out.tobytes() and bare[1:] == (0, peak)
         pulled = es.hmm.pull_arcs(out, level.layers, len(vec))
         assert pulled.tobytes() == es.hmm.pull_arcs(out, plain, len(vec)).tobytes()
         vec = out + rng.normal(size=len(out))
+
+
+@pytest.mark.parametrize("p", [None, 0.99])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_streaming_pass_is_the_same(name, mode, p):
+    # keep_steps=False skips the transition count and the step list, and
+    # nothing else: every step, the marginal and the peak are bit for bit.
+    make, w, experts, data = instance(name, SEEDS.index(name))
+    hook = None if p is None else es.trimming_hook(p)
+    kwargs = ({"logpred_matrix": es.prediction_matrix(experts, data)}
+              if mode == "matrix" else {})
+    kept, streamed = (
+        es.ForwardPass(make(w), None if kwargs else experts, frontier_hook=hook,
+                       keep_steps=keep, **kwargs)
+        for keep in (True, False))
+    for x in data:
+        assert kept.advance(x) == streamed.advance(x)
+        a, b = kept.last_step, streamed.last_step
+        assert a.log_cond == b.log_cond and a.pre_update_total == b.pre_update_total
+        assert a.expert_dist.tobytes() == b.expert_dist.tobytes()
+        assert kept.log_marginal == streamed.log_marginal
+        assert kept.peak_weights == streamed.peak_weights
+    assert len(kept.transitions_per_level) == N and streamed.transitions_per_level == []
+    assert streamed.steps == []
+
+
+def test_universal_share_weights_from_the_template():
+    # Both weight vectors are slices of one m + 0.5 template grown by
+    # doubling; they equal the per-level expressions they replaced, byte
+    # for byte, across several regrowths.
+    k = 3
+    levels = es.universal_share([0.2, 0.3, 0.5]).level_arcs()
+    next(levels)
+    for t in range(1, 71):
+        bump, _, stay = next(levels).layers
+        m = np.arange(t)
+        assert bump.logw.tobytes() == np.repeat(np.log((m + 0.5) / t), k).tobytes()
+        kept = stay.logw.reshape(-1, 2)[:t * k, 0]
+        assert kept.tobytes() == np.repeat(np.log((t - m - 0.5) / t), k).tobytes()
+
+
+def test_universal_elementwise_levels_from_the_template(monkeypatch):
+    # The binomial table of the ranks is built once per run and grown by
+    # doubling; a build that makes a fresh table for every rank call gives
+    # the same levels, byte for byte, across several regrowths.
+    k, levels = 3, 71
+    model = es.universal_elementwise(k)
+    grown = list(itertools.islice(model.level_arcs(), levels))
+    numbered = [(a.indices(a.states(np.arange(len(a.labels)))) if t % 10 == 0 else None)
+                for t, a in enumerate(grown)]
+    rank = es.models._composition_rank
+    monkeypatch.setattr(es.models, "_composition_rank", lambda rows, n, table: rank(
+        rows, n, es.models._binomials(rows.shape[1], n)))
+    fresh = model.level_arcs()
+    for a, b, nums in zip(grown, fresh, numbered):
+        assert a.labels.tobytes() == b.labels.tobytes()
+        for x, y in zip(a.layers, b.layers, strict=True):
+            assert x.dense == y.dense
+            for field in ("src", "logw", "indptr"):
+                assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
+        if nums is not None:
+            assert np.array_equal(nums, np.arange(len(a.labels)))
