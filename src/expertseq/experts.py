@@ -8,11 +8,13 @@ streams at constant cost per step; the base class replays ``predict``.
 ``_forecast_rows`` merges k streams into one (k, alphabet) array per step,
 the one source of forecasts: ``ForwardPass`` reads it as it advances, and
 every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
-bounds) reads ``prediction_matrix``, which reads it too. Symbols are
-checked against the alphabet before any expert sees them, and a realized
-log-probability that is NaN or positive is rejected with its step where a
-matrix enters a computation: at ``ForwardPass`` construction in matrix
-mode and in the shared offline check.
+bounds) reads ``prediction_matrix``, which reads it too. Experts of
+different alphabet sizes are rejected where they enter, and symbols are
+checked against the alphabet before any expert sees them. A matrix that
+is not (n, k), or a realized log-probability that is NaN or positive
+(named with its step), is rejected where the matrix enters a
+computation: at ``ForwardPass`` construction in matrix mode and in the
+shared offline check.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ def _forecast_rows(experts: Sequence[ForecastingSystem]) -> Iterator[np.ndarray]
         row = np.array([s.send(x) for s in streams])
 
 
+def _alphabet_size(experts: Sequence[ForecastingSystem]) -> int:
+    """The outcome count the experts share; a ValueError names the first
+    expert whose ``size`` differs from expert 0's."""
+    size = experts[0].size
+    for j, e in enumerate(experts):
+        if e.size != size:
+            raise ValueError(f"expert {j} forecasts {e.size} outcomes, expert 0 forecasts {size}")
+    return size
+
+
 def _check_symbols(data: Sequence[int], size: int) -> None:
     for i, x in enumerate(data):
         if not 0 <= int(x) < size:
@@ -95,8 +107,8 @@ def _check_symbols(data: Sequence[int], size: int) -> None:
 
 def _realized_rows(experts: Sequence[ForecastingSystem], data: Sequence[int]):
     """Per step i, the (k,) array of log P_xi(x_i | x^{i-1}) over the
-    experts. Symbols are checked against the alphabet up front."""
-    _check_symbols(data, experts[0].size)
+    experts. The experts' alphabet sizes and the symbols are checked up front."""
+    _check_symbols(data, _alphabet_size(experts))
     rows, sent = _forecast_rows(experts), None
     for x in data:
         x = int(x)
@@ -135,6 +147,14 @@ def _check_logpreds(lp: np.ndarray) -> np.ndarray:
     return lp
 
 
+def _logpred_matrix(logpred_matrix, k: int) -> np.ndarray:
+    """A given logpred matrix as a float array; it must be 2-D with k columns."""
+    lp = np.asarray(logpred_matrix, dtype=float)
+    if lp.ndim != 2 or lp.shape[1] != k:
+        raise ValueError(f"logpred matrix must be (n, {k}), got shape {lp.shape}")
+    return lp
+
+
 def _realized_matrix(experts, data: Sequence[int], logpred_matrix, k: int) -> np.ndarray:
     """The validated (n, k) realized log-predictions of an offline run,
     from exactly one of ``experts`` (asked once per step) or a given matrix
@@ -145,9 +165,7 @@ def _realized_matrix(experts, data: Sequence[int], logpred_matrix, k: int) -> np
         if len(experts) != k:
             raise ValueError(f"model labels {k} experts, got {len(experts)}")
         return _check_logpreds(prediction_matrix(experts, data))
-    lp = np.asarray(logpred_matrix, dtype=float)
-    if lp.ndim != 2 or lp.shape[1] != k:
-        raise ValueError(f"logpred matrix must be (n, {k}), got shape {lp.shape}")
+    lp = _logpred_matrix(logpred_matrix, k)
     if lp.shape[0] < len(data):
         raise ValueError("logpred matrix shorter than the data")
     return _check_logpreds(lp[: len(data)])
@@ -323,7 +341,7 @@ class ModelExpert(ForecastingSystem):
         from .forward import ForwardPass  # runtime import to avoid a cycle
 
         self._make_pass = lambda: ForwardPass(model, experts, keep_steps=False)
-        self.size = experts[0].size
+        self.size = _alphabet_size(experts)
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
         stream = self.forecasts()

@@ -1,16 +1,20 @@
 """The generalized forward algorithm, backward posteriors and Viterbi.
 
 The forward pass is strictly online: each outcome is consumed once, the
-retained state is one weight map over a single level interval, and the
+retained state is one frontier over a single level interval, and the
 marginal so far is available after every step. Work and space counters
 are exposed so the complexity contracts of the models can be checked.
 
-A model that provides level arcs runs as a log-weight vector plus a label
-array (:func:`~expertseq.hmm.propagate_arcs`), and its smoothed posterior
-pulls the backward vector through the same arcs
-(:func:`~expertseq.hmm.pull_arcs`); every other run keeps a weight map of
-tuple states and :func:`~expertseq.hmm.propagate_frontier`, and its
-posterior replays the recorded silent regions in reverse.
+:class:`ForwardPass` is one loop over one of two frontier cores, chosen
+once from ``model.level_arcs()``: ``_ArcCore`` steps a log-weight vector
+with :func:`~expertseq.hmm.propagate_arcs`, ``_TupleCore`` a weight map
+of tuple states with :func:`~expertseq.hmm.propagate_frontier`. Each
+owns its frontier, peak count and records, and offers ``propagate`` (the
+next stratum's per-label masses, their total, the transitions),
+``update`` (by the realized log-likelihoods and the hook; the new
+marginal), ``weight_map``, and ``backward_rows``, the smoothed
+posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
+recorded arcs, or the recorded silent regions in reverse.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .experts import ForecastingSystem, _check_logpreds, _forecast_rows, _realized_matrix
+from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _forecast_rows,
+                      _logpred_matrix, _realized_matrix)
 from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
 
@@ -56,43 +61,189 @@ class StepRecord:
     outcome_dist: np.ndarray | None   # log P(x_i = . | x^{i-1}), experts mode only
 
 
+class _TupleCore:
+    """The frontier as a weight map of tuple states holding Python floats."""
+
+    def __init__(self, model: HmmModel, record: bool):
+        self.model, self.record, self.peak = model, record, 0
+        self.regions, self.stratum_weights = [], []
+        self.frontier: dict[StateId, LogMass] = dict(model.initial())
+        self.pre: dict[StateId, LogMass] | None = None
+
+    def propagate(self, target: int, count_transitions: bool):
+        record = [] if self.record else None
+        self.pre, transitions, peak = propagate_frontier(
+            self.model, self.frontier, target, record=record)
+        if self.record:
+            self.regions.append(record)
+        if peak > self.peak:
+            self.peak = peak
+        by_label = [NEG_INF] * self.model.num_experts
+        label = self.model.label
+        for q, v in self.pre.items():
+            lab = label(q)
+            by_label[lab] = log_sum(by_label[lab], v)
+        return np.array(by_label), log_sum_iter(self.pre.values()), transitions
+
+    def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
+        # Python floats keep the dict loop and propagate_frontier off numpy scalars.
+        lp = lp.tolist()
+        label = self.model.label
+        post = {}
+        for q, v in self.pre.items():
+            m = v + lp[label(q)]
+            if m != NEG_INF:
+                post[q] = m
+        if not post:
+            raise ZeroMarginalError(step)
+        new_marginal = log_sum_iter(post.values())
+        if hook is not None:
+            post = hook(WeightMap(post, step)).entries
+        if self.record:
+            self.stratum_weights.append(dict(post))
+        if len(post) > self.peak:
+            self.peak = len(post)
+        self.frontier, self.pre = post, None
+        return new_marginal
+
+    def weight_map(self, t: int) -> WeightMap:
+        return WeightMap(dict(self.frontier), t)
+
+    def backward_rows(self, lp_all: np.ndarray):
+        """Unnormalised posterior rows of strata n, n - 1, ..., 1."""
+        model, post = self.model, self.stratum_weights
+        label, is_prod, level = model.label, model.is_productive, model.level
+        # beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i.
+        beta: dict[StateId, LogMass] = {q: 0.0 for q in post[-1]}
+        for i in range(len(post), 0, -1):
+            row = np.full(model.num_experts, NEG_INF)
+            acc: dict[int, LogMass] = {}
+            for q, f in post[i - 1].items():
+                b = beta.get(q, NEG_INF)
+                if b == NEG_INF:
+                    continue
+                lab = label(q)
+                m = f + b
+                acc[lab] = log_sum(acc[lab], m) if lab in acc else m
+            for lab, v in acc.items():
+                row[lab] = v
+            yield row
+
+            if i == 1:
+                break
+            # Replay the silent region between strata i-1 and i in reverse
+            # topological order to pull beta back one stratum.
+            lp = lp_all[i - 1].tolist()
+            node_beta = {q: b + lp[label(q)] for q, b in beta.items()}
+            prev_beta: dict[StateId, LogMass] = {}
+            for u, succ in reversed(self.regions[i - 1]):
+                vals = []
+                for v, w in succ:
+                    bv = node_beta.get(v, NEG_INF)
+                    if bv != NEG_INF:
+                        vals.append(w + bv)
+                b = log_sum_iter(vals)
+                node_beta[u] = b
+                if is_prod(u) and level(u) == i - 1:
+                    prev_beta[u] = b
+            beta = prev_beta
+
+
+class _ArcCore:
+    """The frontier as a log-weight vector over the numbering of the level
+    that produced it (``initial()`` order before the first)."""
+
+    def __init__(self, model: HmmModel, record: bool, levels):
+        self.model, self.record, self.peak = model, record, 0
+        self.regions, self.stratum_weights = [], []
+        self.levels = levels
+        self.frontier = np.array([v for _, v in model.initial()], dtype=float)
+        self.level: LevelArcs | None = None      # the level that numbered the frontier
+        self.pending: LevelArcs | None = None    # the level being stepped
+
+    def propagate(self, target: int, count_transitions: bool):
+        level = self.pending = next(self.levels)
+        self.pre, transitions, peak = propagate_arcs(
+            self.frontier, level.layers, count_transitions=count_transitions)
+        if self.record:
+            self.regions.append(level)
+        if peak > self.peak:
+            self.peak = peak
+        self.by_label = logsumexp_by(self.pre, level.labels, self.model.num_experts)
+        return self.by_label, logsumexp(self.by_label), transitions
+
+    def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
+        level = self.pending
+        post = self.pre + lp[level.labels]
+        # A label's post-update mass is its pre-update mass times its
+        # expert's likelihood, zero exactly when every node of the label is.
+        new_marginal = logsumexp(self.by_label + lp)
+        if new_marginal == NEG_INF:
+            raise ZeroMarginalError(step)
+        self.frontier, self.level, self.pre = post, level, None
+        trim_vector = getattr(hook, "trim_vector", None)
+        if trim_vector is not None:
+            self.frontier = trim_vector(post, level.states)
+        elif hook is not None:
+            # Any other hook gets a WeightMap, written back into the numbering.
+            entries = hook(self.weight_map(step)).entries
+            self.frontier = np.full(len(post), NEG_INF)
+            if entries:
+                self.frontier[level.indices(list(entries))] = list(entries.values())
+        if self.record:
+            self.stratum_weights.append(self.frontier)
+        return new_marginal
+
+    def weight_map(self, t: int) -> WeightMap:
+        if self.level is None:
+            return WeightMap(dict(self.model.initial()), 0)
+        live = np.flatnonzero(self.frontier > NEG_INF)
+        return WeightMap(dict(zip(self.level.states(live), self.frontier[live].tolist())), t)
+
+    def backward_rows(self, lp_all: np.ndarray):
+        """Unnormalised posterior rows of strata n, n - 1, ..., 1."""
+        k = self.model.num_experts
+        post = self.stratum_weights
+        # beta = log P(x_{i+1..n} | node, x^i) over the nodes of stratum i.
+        beta = np.zeros(len(post[-1]))
+        for i in range(len(post), 0, -1):
+            level = self.regions[i - 1]
+            yield logsumexp_by(post[i - 1] + beta, level.labels, k)
+            if i > 1:
+                beta = pull_arcs(beta + lp_all[i - 1][level.labels], level.layers, len(post[i - 2]))
+
+
 class ForwardPass:
     """Incremental forward evaluation of one (model, experts, data) triple.
 
-    Expert predictions come either from a list of forecasting systems or,
-    for evaluation-only runs, from a precomputed (n, k) matrix of log
-    probabilities assigned to the realized outcomes; the matrix is
-    validated once, here. In experts mode a step reads one (k, alphabet)
-    row from the experts' streams when it first needs it, sending them the
-    previous outcome only then. The row gives both the realized
-    likelihoods and, with ``want_outcome_dists``, the next-outcome
-    distribution in one ``np.logaddexp.reduce`` down the columns, which
-    gives -inf for an outcome no weighted expert allows. Each step builds one
-    ``StepRecord``, ``last_step``, kept in ``steps`` with its transition
-    count in ``transitions_per_level`` unless ``keep_steps`` is false; then
-    memory stays bounded by the frontier on long streams, and the array
-    step does not count transitions at all.
+    Expert predictions come either from forecasting systems over one
+    alphabet or, for evaluation-only runs, from a precomputed (n, k) matrix
+    of log probabilities assigned to the realized outcomes; the experts'
+    sizes and the matrix's shape and values are checked once, here. In
+    experts mode a step reads one (k, alphabet) row from the experts'
+    streams when it first needs it, sending them the previous outcome only
+    then. The row gives the realized likelihoods and, with
+    ``want_outcome_dists``, the next-outcome distribution in one
+    ``np.logaddexp.reduce`` down the columns (-inf for an outcome no
+    weighted expert allows). Each step builds one ``StepRecord``,
+    ``last_step``, kept in ``steps`` with its transition count in
+    ``transitions_per_level`` unless ``keep_steps`` is false; then memory
+    stays bounded by the frontier, and the array core counts no transitions.
 
-    When the model provides level arcs, the frontier is a log-weight
-    vector over the level's numbering. A hook with a ``trim_vector``
-    method, such as :func:`~expertseq.approx.trimming_hook`'s, is handed
-    the vector and the level's state map directly; for any other hook a
-    ``WeightMap`` is built and its result written back into the vector.
-    A ``WeightMap`` is otherwise built only for ``weight_map``. With
-    ``record_regions``, each level appends to ``regions`` and
-    ``stratum_weights``: on that array path the level's
-    ``LevelArcs`` and its post-update log-weight vector, otherwise the
+    The frontier lives in one of two cores, chosen here once (see the
+    module docstring). The frontier hook sees a ``WeightMap`` after each
+    update; a hook with a ``trim_vector`` method, such as
+    :func:`~expertseq.approx.trimming_hook`'s, trims the array core's
+    vector directly. With ``record_regions``, each level appends to
+    ``regions`` and ``stratum_weights`` what :func:`posterior_experts`
+    sweeps back: the level's ``LevelArcs`` and post-update vector, or the
     live ``(state, successors)`` pairs in topological order and a copy of
-    the post-update weight map.
+    the post-update map.
 
     ``peak_weights`` is the most weights the pass held at once, counted as
-    each core holds them: on level arcs, the live weights of every node of
-    one level (sources, silent layers and stratum together), as
-    ``propagate_arcs`` reports them, since the weights left after the
-    update and any trimming are a subset of those; on the tuple core, the
-    largest working set of ``propagate_frontier``'s Kahn sweep or
-    post-update frontier. One run therefore reads differently on the two
-    cores. The tuple core's frontier holds Python floats.
+    each core holds them, so one run reads differently on the two: every
+    live weight of one level (``propagate_arcs``'s count) on the array
+    core, the largest Kahn working set or post-update frontier on the tuple.
     """
 
     def __init__(
@@ -113,72 +264,36 @@ class ForwardPass:
                 f"model labels {model.num_experts} experts, got {len(experts)}")
         self.model = model
         self.experts = list(experts) if experts is not None else None
-        self._matrix = (None if logpred_matrix is None
-                        else _check_logpreds(np.asarray(logpred_matrix, dtype=float)))
+        self._size = None if experts is None else _alphabet_size(self.experts)
+        self._matrix = (None if logpred_matrix is None else
+                        _check_logpreds(_logpred_matrix(logpred_matrix, model.num_experts)))
         self._hook = frontier_hook
-        self._trim_vector = getattr(frontier_hook, "trim_vector", None)
-        self._record_regions = record_regions
         self._want_outcome = want_outcome_dists and experts is not None
         self._keep_steps = keep_steps
 
         self.steps: list[StepRecord] = []
         self.last_step: StepRecord | None = None
         self.transitions_per_level: list[int] = []
-        self.peak_weights = 0
         self.log_marginal: LogMass = 0.0
-        self.regions: list[list | LevelArcs] = []
-        self.stratum_weights: list[dict | np.ndarray] = []
-
-        # Array frontiers are numbered by the level that produced them
-        # (None: initial() order).
-        self._levels = model.level_arcs()
-        initial = model.initial()
-        self._frontier: dict[StateId, LogMass] | np.ndarray = (
-            dict(initial) if self._levels is None
-            else np.array([v for _, v in initial], dtype=float))
-        self._level: LevelArcs | None = None
-        self._pre_level: LevelArcs | None = None
+        levels = model.level_arcs()
+        self._core = (_TupleCore(model, record_regions) if levels is None
+                      else _ArcCore(model, record_regions, levels))
+        self.regions, self.stratum_weights = self._core.regions, self._core.stratum_weights
         self._t = 0
-        self._pre: dict[StateId, LogMass] | np.ndarray | None = None
-        self._pre_total: LogMass = NEG_INF
+        # The next stratum's per-label masses and their total, once propagated.
         self._pre_by_label: np.ndarray | None = None
+        self._pre_total: LogMass = NEG_INF
         # Experts mode: the row source, this step's row once read, and the
         # outcome to send for the next one.
         self._rows = None if experts is None else _forecast_rows(self.experts)
         self._preds: np.ndarray | None = None
         self._last: int | None = None
 
-    # -- propagation and per-step predictions -----------------------------
+    @property
+    def peak_weights(self) -> int:
+        return self._core.peak
 
-    def _ensure_propagated(self) -> None:
-        if self._pre is not None:
-            return
-        if self._levels is not None:
-            self._pre_level = next(self._levels)
-            pre, transitions, peak = propagate_arcs(
-                self._frontier, self._pre_level.layers, count_transitions=self._keep_steps)
-            self._pre_by_label = logsumexp_by(
-                pre, self._pre_level.labels, self.model.num_experts)
-            self._pre_total = logsumexp(self._pre_by_label)
-            record = self._pre_level
-        else:
-            record = [] if self._record_regions else None
-            pre, transitions, peak = propagate_frontier(
-                self.model, self._frontier, self._t + 1, record=record)
-            by_label = [NEG_INF] * self.model.num_experts
-            label = self.model.label
-            for q, v in pre.items():
-                lab = label(q)
-                by_label[lab] = log_sum(by_label[lab], v)
-            self._pre_by_label = np.array(by_label)
-            self._pre_total = log_sum_iter(pre.values())
-        if self._record_regions:
-            self.regions.append(record)
-        self._pre = pre
-        if self._keep_steps:
-            self.transitions_per_level.append(transitions)
-        if peak > self.peak_weights:
-            self.peak_weights = peak
+    # -- propagation and per-step predictions -----------------------------
 
     def _expert_preds(self) -> np.ndarray:
         if self._preds is None:
@@ -187,7 +302,11 @@ class ForwardPass:
 
     def predict_expert(self) -> np.ndarray:
         """log P(xi_{t+1} = . | x^t) from the propagated frontier."""
-        self._ensure_propagated()
+        if self._pre_by_label is None:
+            self._pre_by_label, self._pre_total, transitions = self._core.propagate(
+                self._t + 1, self._keep_steps)
+            if self._keep_steps:
+                self.transitions_per_level.append(transitions)
         if self._pre_total == NEG_INF:
             raise ZeroMarginalError(self._t + 1)
         return self._pre_by_label - self._pre_total
@@ -206,16 +325,14 @@ class ForwardPass:
     def advance(self, symbol: int) -> LogMass:
         """Consume one outcome; returns log P(x_{t+1} | x^t). In matrix
         mode the symbol is not read."""
-        self._ensure_propagated()
-        pre, pre_total = self._pre, self._pre_total
-        step = self._t + 1
-
         expert_dist = self.predict_expert()
+        pre_total = self._pre_total
+        step = self._t + 1
         outcome_dist = self._mix_outcome(expert_dist) if self._want_outcome else None
 
         if self.experts is not None:
             symbol = int(symbol)
-            if not 0 <= symbol < self.experts[0].size:
+            if not 0 <= symbol < self._size:
                 raise ValueError(f"symbol {symbol!r} at step {step} is outside the alphabet")
             lp = self._expert_preds()[:, symbol]
             self._last = symbol
@@ -224,76 +341,20 @@ class ForwardPass:
                 raise ValueError(f"logpred matrix exhausted at step {step}")
             lp = self._matrix[self._t]
 
-        level = self._pre_level
-        if level is not None:
-            post = pre + lp[level.labels]
-            # The post-update mass of each label is its pre-update mass
-            # times that expert's likelihood; it is zero exactly when every
-            # node of the label is.
-            new_marginal = logsumexp(self._pre_by_label + lp)
-            if new_marginal == NEG_INF:
-                raise ZeroMarginalError(step)
-        else:
-            # Python floats keep the dict loop and propagate_frontier off
-            # numpy scalars.
-            lp = lp.tolist()
-            label = self.model.label
-            post = {}
-            for q, v in pre.items():
-                m = v + lp[label(q)]
-                if m != NEG_INF:
-                    post[q] = m
-            if not post:
-                raise ZeroMarginalError(step)
-            new_marginal = log_sum_iter(post.values())
+        new_marginal = self._core.update(lp, step, self._hook)
         log_cond = new_marginal - self.log_marginal
-
-        if self._hook is not None:
-            if level is not None and self._trim_vector is not None:
-                post = self._trim_vector(post, level.states)
-            elif level is not None:
-                wm = self._hook(_vector_weight_map(post, level, step))
-                post = _weight_map_vector(wm, level, len(post))
-            else:
-                wm = self._hook(WeightMap(post, step))
-                post = wm.entries
-        if self._record_regions:
-            self.stratum_weights.append(post if level is not None else dict(post))
-        # On level arcs the post-update weights are among those
-        # propagate_arcs counted as held over the level.
-        if level is None and len(post) > self.peak_weights:
-            self.peak_weights = len(post)
-
         self.last_step = StepRecord(log_cond, pre_total, expert_dist, outcome_dist)
         if self._keep_steps:
             self.steps.append(self.last_step)
         self.log_marginal = new_marginal
-        self._frontier = post
-        self._level = level
         self._t += 1
-        self._pre = None
+        self._pre_by_label = None
         self._preds = None
         return log_cond
 
     @property
     def weight_map(self) -> WeightMap:
-        if self._levels is None:
-            return WeightMap(dict(self._frontier), self._t)
-        if self._level is None:
-            return WeightMap(dict(self.model.initial()), 0)
-        return _vector_weight_map(self._frontier, self._level, self._t)
-
-
-def _vector_weight_map(vec: np.ndarray, level: LevelArcs, t: int) -> WeightMap:
-    live = np.flatnonzero(vec > NEG_INF)
-    return WeightMap(dict(zip(level.states(live), vec[live].tolist())), t)
-
-
-def _weight_map_vector(wm: WeightMap, level: LevelArcs, size: int) -> np.ndarray:
-    vec = np.full(size, NEG_INF)
-    if wm.entries:
-        vec[level.indices(list(wm.entries))] = list(wm.entries.values())
-    return vec
+        return self._core.weight_map(self._t)
 
 
 @dataclass
@@ -387,73 +448,12 @@ def posterior_experts(
         fp.advance(x)
 
     grid = np.full((n, model.num_experts), NEG_INF)
-    rows = _array_rows if fp._levels is not None else _tuple_rows
-    for i, row in zip(range(n, 0, -1), rows(fp, lp_all)):
+    for i, row in zip(range(n, 0, -1), fp._core.backward_rows(lp_all)):
         total = logsumexp(row)
         if total == NEG_INF:
             raise ZeroMarginalError(i)
         grid[i - 1] = row - total
     return grid
-
-
-def _array_rows(fp: ForwardPass, lp_all: np.ndarray):
-    """Unnormalised posterior rows of strata n, n - 1, ..., 1 of a run
-    recorded on the array path."""
-    k = fp.model.num_experts
-    post = fp.stratum_weights
-    # beta = log P(x_{i+1..n} | node, x^i) over the nodes of stratum i.
-    beta = np.zeros(len(post[-1]))
-    for i in range(len(post), 0, -1):
-        level = fp.regions[i - 1]
-        yield logsumexp_by(post[i - 1] + beta, level.labels, k)
-        if i > 1:
-            beta = pull_arcs(beta + lp_all[i - 1][level.labels], level.layers, len(post[i - 2]))
-
-
-def _tuple_rows(fp: ForwardPass, lp_all: np.ndarray):
-    """Unnormalised posterior rows of strata n, n - 1, ..., 1 of a run
-    recorded on the tuple path."""
-    model = fp.model
-    k = model.num_experts
-    label, is_prod, level = model.label, model.is_productive, model.level
-    n = len(fp.stratum_weights)
-    # beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i.
-    beta: dict[StateId, LogMass] = {q: 0.0 for q in fp.stratum_weights[n - 1]}
-    for i in range(n, 0, -1):
-        fwd = fp.stratum_weights[i - 1]
-        row = np.full(k, NEG_INF)
-        acc: dict[int, LogMass] = {}
-        for q, f in fwd.items():
-            b = beta.get(q, NEG_INF)
-            if b == NEG_INF:
-                continue
-            lab = label(q)
-            m = f + b
-            acc[lab] = log_sum(acc[lab], m) if lab in acc else m
-        for lab, v in acc.items():
-            row[lab] = v
-        yield row
-
-        if i == 1:
-            break
-        # Replay the silent region between strata i-1 and i in reverse
-        # topological order to pull beta back one stratum.
-        lp = lp_all[i - 1].tolist()
-        node_beta: dict[StateId, LogMass] = {}
-        for q, b in beta.items():
-            node_beta[q] = b + lp[label(q)]
-        prev_beta: dict[StateId, LogMass] = {}
-        for u, succ in reversed(fp.regions[i - 1]):
-            vals = []
-            for v, w in succ:
-                bv = node_beta.get(v, NEG_INF)
-                if bv != NEG_INF:
-                    vals.append(w + bv)
-            b = log_sum_iter(vals)
-            node_beta[u] = b
-            if is_prod(u) and level(u) == i - 1:
-                prev_beta[u] = b
-        beta = prev_beta
 
 
 def viterbi_unambiguous(

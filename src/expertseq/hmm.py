@@ -136,17 +136,6 @@ class ArcLayer:
     indptr: np.ndarray
     dense: bool = False
 
-    @classmethod
-    def from_slots(cls, src: np.ndarray, logw: np.ndarray) -> ArcLayer:
-        """Build from equally shaped (destinations, slots) grids of candidate
-        arcs; slots whose log mass is -inf are not arcs."""
-        keep = logw > NEG_INF
-        if keep.all():
-            return cls(src.ravel(), logw.ravel(), np.arange(0, keep.size + 1, keep.shape[1]))
-        indptr = np.zeros(len(keep) + 1, dtype=np.intp)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return cls(src[keep], logw[keep], indptr)
-
 
 @dataclass(frozen=True)
 class LevelArcs:

@@ -250,6 +250,11 @@ OFFLINE_ENTRY_POINTS = {
         es.laplace_expert_conditional(2), ex, d),
 }
 
+ONLINE_ENTRY_POINTS = {
+    "ForwardPass": lambda ex, d: es.ForwardPass(es.fixed_share([0.5, 0.5], 0.2), ex),
+    "model_as_expert": lambda ex, d: es.model_as_expert(es.fixed_share([0.5, 0.5], 0.2), ex),
+}
+
 
 class TestRealizedPredictions:
     @pytest.mark.parametrize("entry", sorted(OFFLINE_ENTRY_POINTS))
@@ -270,6 +275,14 @@ class TestRealizedPredictions:
         experts = [CountingExpert(es.KTEstimator(2)), CountingExpert(es.uniform_expert(2))]
         with pytest.raises(ValueError, match="position 1"):
             OFFLINE_ENTRY_POINTS[entry](experts, [0, bad, 1])
+        assert [e.calls for e in experts] == [0, 0]
+
+    @pytest.mark.parametrize("entry", sorted(OFFLINE_ENTRY_POINTS) + sorted(ONLINE_ENTRY_POINTS))
+    def test_mixed_alphabet_sizes_rejected_where_experts_enter(self, entry):
+        experts = [CountingExpert(es.KTEstimator(2)), CountingExpert(es.KTEstimator(3))]
+        call = OFFLINE_ENTRY_POINTS.get(entry) or ONLINE_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match="expert 1 forecasts 3 outcomes, expert 0 forecasts 2"):
+            call(experts, [0, 1, 1])
         assert [e.calls for e in experts] == [0, 0]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import expertseq as es
-from oracles import (ZOO_NAMES, brute_map, brute_marginal, brute_posterior,
+from oracles import (ZOO_NAMES, TupleOnly, brute_map, brute_marginal, brute_posterior,
                      random_constant_experts, random_zoo_instance)
 
 
@@ -150,6 +151,22 @@ class TestForwardMarginal:
             es.viterbi_unambiguous(model, None, [0, 1, 0], logpred_matrix=lp)
         with pytest.raises(ValueError, match="step 2"):
             es.switch_map(es.default_switch_config(2), None, [0, 1, 0], logpred_matrix=lp)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,), ()])
+    @pytest.mark.parametrize("core", ["arrays", "tuples"])
+    @pytest.mark.parametrize("name", ["bayes", "run_length"])
+    def test_matrix_mode_rejects_wrong_shape(self, name, core, shape):
+        # Every shape but (n, 2) is refused where the matrix enters, on both
+        # cores, rather than scored on some columns or failing later.
+        model = {"bayes": es.bayes([0.5, 0.5]),
+                 "run_length": es.run_length(es.inv_poly(), [0.5, 0.5])}[name]
+        model = model if core == "arrays" else TupleOnly(model)
+        lp = np.full(shape, np.log(0.5))
+        expected = re.escape(f"logpred matrix must be (n, 2), got shape {shape}")
+        with pytest.raises(ValueError, match=expected):
+            es.ForwardPass(model, logpred_matrix=lp)
+        with pytest.raises(ValueError, match=expected):
+            es.posterior_experts(model, None, [0, 1, 1, 0], logpred_matrix=lp)
 
 
 class TestOutcomeMixing:

@@ -47,7 +47,16 @@ SEVERAL_EXPERTS = [name for name, (k, _) in ARRAY_MODELS.items() if k > 1]
 # Trimming at 0.99 need not shrink a frontier whose masses are the prior's
 # (one expert), nor one a finite-span law keeps at span * k weights.
 GROWING = [name for name in SEVERAL_EXPERTS if "uniform" not in name]
-HOOKS = {"exact": None, "trim_1": 1.0, "trim_0.99": 0.99}
+
+
+def plain_trim(wm):
+    """A plain function has no ``trim_vector``: the array core hands it a
+    WeightMap and writes the states it keeps back into the vector."""
+    return es.trim_frontier(wm, 0.9)
+
+
+HOOKS = {"exact": None, "trim_1": es.trimming_hook(1.0), "trim_0.99": es.trimming_hook(0.99),
+         "plain_trim_0.9": plain_trim}
 MODES = ("experts", "matrix")
 
 
@@ -60,8 +69,7 @@ def instance(name, seed):
     return make, w, experts, data
 
 
-def run(model, experts, data, mode, p=None, keep_steps=True):
-    hook = None if p is None else es.trimming_hook(p)
+def run(model, experts, data, mode, hook=None, keep_steps=True):
     if mode == "experts":
         fp = es.ForwardPass(model, experts, frontier_hook=hook, keep_steps=keep_steps)
     else:
@@ -97,7 +105,7 @@ def test_array_step_matches_tuple_core(name, mode, hook):
 def test_trimming_shrinks_array_frontier(name, mode):
     make, w, experts, data = instance(name, 7)
     exact = run(make(w), experts, data, mode)
-    trimmed = run(make(w), experts, data, mode, 0.99)
+    trimmed = run(make(w), experts, data, mode, es.trimming_hook(0.99))
     assert trimmed.peak_weights < exact.peak_weights
 
 
@@ -181,8 +189,7 @@ def test_weight_map_round_trip_keeps_vector():
     assert fp.weight_map.entries == plain.weight_map.entries
 
 
-def recorded(model, experts, data, mode, p):
-    hook = None if p is None else es.trimming_hook(p)
+def recorded(model, experts, data, mode, hook):
     if mode == "experts":
         fp = es.ForwardPass(model, experts, frontier_hook=hook, record_regions=True)
     else:
@@ -213,8 +220,9 @@ def test_array_counts_are_exact(name, mode, p):
     # the Kahn working set of the tuple core), so the array peak is checked
     # against the tuple core's count of what the array step holds.
     make, w, experts, data = instance(name, SEEDS.index(name))
-    fast = run(make(w), experts, data, mode, p)
-    ref = recorded(TupleOnly(make(w)), experts, data, mode, p)
+    hook = None if p is None else es.trimming_hook(p)
+    fast = run(make(w), experts, data, mode, hook)
+    ref = recorded(TupleOnly(make(w)), experts, data, mode, hook)
     assert fast.transitions_per_level == ref.transitions_per_level
     assert fast.weight_map.entries.keys() == ref.weight_map.entries.keys()
     assert fast.peak_weights == max(held_per_level(ref))
@@ -245,33 +253,6 @@ def test_trim_tie_across_the_cut_keeps_trim_frontier_states(name, mode):
         ref.advance(x)
         assert fast.weight_map.entries.keys() == ref.weight_map.entries.keys()
     assert split
-
-
-@pytest.mark.parametrize("make", [
-    lambda: es.run_length(es.inv_poly(), [0.3, 0.7]),
-    lambda: es.run_length(es.uniform_span(2, 4), [0.3, 0.7]),
-    lambda: es.universal_share([0.3, 0.7]),
-    lambda: es.universal_elementwise(2),
-], ids=["run_length_inv_poly", "run_length_uniform_2_4", "universal_share",
-        "universal_elementwise"])
-def test_levels_after_the_first_build_no_slot_grids(monkeypatch, make):
-    _, _, experts, data = instance("run_length_inv_poly", 0)
-    lp = es.prediction_matrix(experts, data)
-    plain = es.ForwardPass(make(), logpred_matrix=lp)
-    fp = es.ForwardPass(make(), logpred_matrix=lp)
-    plain.advance(None)
-    fp.advance(None)    # level 0 is built here
-
-    def refuse(*args):
-        raise AssertionError("a slot grid was built after level 0")
-
-    monkeypatch.setattr(es.hmm.ArcLayer, "from_slots", refuse)
-    for _ in data[1:]:
-        fp.advance(None)
-    monkeypatch.undo()
-    for _ in data[1:]:
-        plain.advance(None)
-    assert fp.log_marginal == plain.log_marginal
 
 
 @pytest.mark.parametrize("law", [es.uniform_span(1, 3), es.truncate(es.elias_delta(), 6)],
