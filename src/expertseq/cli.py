@@ -64,10 +64,11 @@ def _parse_pi_t(spec: str) -> models.SwitchTimeLaw:
     if spec.startswith("geometric:"):
         return models.geometric(float(spec.split(":", 1)[1]))
     if spec.startswith("uniform:"):
-        ab = _parse_floats(spec.split(":", 1)[1], "--pi-t uniform bounds")
-        if len(ab) != 2:
-            raise InputError("--pi-t uniform needs two bounds a,b")
-        return models.uniform_span(int(ab[0]), int(ab[1]))
+        try:
+            a, b = (int(tok) for tok in spec.split(":", 1)[1].split(","))
+        except ValueError:
+            raise InputError(f"--pi-t uniform needs two integer bounds a,b, got {spec!r}") from None
+        return models.uniform_span(a, b)
     raise InputError(f"unknown --pi-t spec {spec!r}")
 
 

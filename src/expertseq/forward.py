@@ -434,16 +434,17 @@ def posterior_experts(
     grid of log masses, each row log-summing to 0.
 
     Computed as forward times backward over productive states, projected
-    down to expert labels. A recording forward pass keeps each level; the
-    backward sweep then pulls beta back one stratum per level, through the
-    level's arcs with :func:`~expertseq.hmm.pull_arcs` when the model
-    provides level arcs, otherwise by replaying the recorded silent region
-    in reverse topological order. Raises ZeroMarginalError with the first
-    step at which the marginal vanishes.
+    down to expert labels. A recording forward pass keeps each level and
+    no steps (``keep_steps=False``: no ``StepRecord`` list, no transition
+    count); the backward sweep then pulls beta back one stratum per level,
+    through the level's arcs with :func:`~expertseq.hmm.pull_arcs` when
+    the model provides level arcs, otherwise by replaying the recorded
+    silent region in reverse topological order. Raises ZeroMarginalError
+    with the first step at which the marginal vanishes.
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
-    fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True)
+    fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True, keep_steps=False)
     for x in data:
         fp.advance(x)
 

@@ -34,7 +34,7 @@ skips the count when its caller does not keep it
 (``count_transitions=False``), which saves two numpy calls a layer. Its
 backward counterpart, :func:`pull_arcs`, walks the same layers in
 reverse and pulls a vector over the next stratum back to the level's
-sources; it is the backward sweep of the smoothed posterior.
+sources, one scatter a layer; it is the smoothed posterior's backward sweep.
 :func:`propagate_frontier` and the reverse replay of its recorded
 regions stay the definition both array steps are tested against.
 
@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp_by
+from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter
 
 StateId = tuple
 
@@ -297,19 +297,18 @@ def pull_arcs(
 
     Entry u of the result is the log-sum, over every path from source u to
     a destination v, of the path's log mass plus ``target[v]``. Layers are
-    walked in reverse; each scatters a per-source log-sum-exp of its arcs
-    into the nodes before it, so a node's value is complete once every
-    later layer has been walked.
+    walked in reverse; each adds its arcs' log masses to their
+    destinations' values and scatters them into their sources with one
+    ``np.logaddexp.at``, completing a node once every later layer is done.
     """
     starts = list(accumulate((len(layer.indptr) - 1 for layer in layers), initial=num_sources))
     held = np.full(starts[-1], NEG_INF)
     held[starts[-2]:] = target
     for layer, at, end in zip(reversed(layers), reversed(starts[:-1]), reversed(starts[1:])):
-        dst = np.arange(at, end)
+        vals = held[at:end]
         if not (layer.dense and len(layer.src) == end - at):
-            dst = dst.repeat(np.diff(layer.indptr))
-        pulled = logsumexp_by(held[dst] + layer.logw, layer.src, at)
-        np.logaddexp(held[:at], pulled, out=held[:at])
+            vals = vals.repeat(layer.indptr[1:] - layer.indptr[:-1])
+        np.logaddexp.at(held, layer.src, vals + layer.logw)
     return held[:num_sources]
 
 

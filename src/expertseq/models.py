@@ -129,6 +129,8 @@ class FinitePmfLaw(SwitchTimeLaw):
     def __init__(self, probs: Sequence[float], *, renormalize: bool = False,
                  declared_truncation: bool = True, name: str = "finite"):
         p = np.asarray(probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError(f"finite law masses must be finite, got {p.tolist()}")
         if p.ndim != 1 or len(p) < 1 or np.any(p < 0) or p[-1] == 0.0:
             raise ValueError("finite law needs masses for d = 1..span with mass at the span")
         s = p.sum()
@@ -187,6 +189,8 @@ def _log_dist(w, k: int | None = None, what: str = "weights") -> list[float]:
         raise ValueError(f"{what} must be a flat vector")
     if k is not None and len(p) != k:
         raise ValueError(f"{what} must have length {k}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{what} must be finite, got {p.tolist()}")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"{what} must be a normalized distribution")
     return [from_linear(float(x)) for x in p]

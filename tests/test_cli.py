@@ -330,6 +330,23 @@ class TestParsing:
                        "--pi-t", spec, *BASE, "--out", str(tmp_path / "o.csv")])
             assert rc == 0, spec
 
+    @pytest.mark.parametrize("model", ["bayes", "fixed-share", "run-length"])
+    def test_nan_weights_rejected(self, tmp_path, data_file, capsys, model):
+        out = tmp_path / "o.csv"
+        assert main(["evaluate", str(data_file), "--model", model, "--alpha", "0.1", *BASE,
+                     "--weights", "nan,1", "--out", str(out)]) == 2
+        assert "nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["uniform:1.5,2", "uniform:inf,2", "uniform:1,1e400",
+                                      "uniform:1,2,3", "uniform:2"])
+    def test_pi_t_uniform_bounds_must_be_integers(self, tmp_path, data_file, capsys, spec):
+        out = tmp_path / "o.csv"
+        assert main(["evaluate", str(data_file), "--model", "run-length", "--pi-t", spec,
+                     *BASE, "--out", str(out)]) == 2
+        assert "integer bounds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overconfident_appends_safe_expert(self, tmp_path, data_file):
         out = tmp_path / "o.csv"
         rc = main(["evaluate", str(data_file), "--model", "overconfident",

@@ -295,6 +295,27 @@ def test_shape_facts_hold_and_only_skip_work(name):
         vec = out + rng.normal(size=len(out))
 
 
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_pull_is_the_adjoint_of_propagate(name):
+    # With A the level's arc masses, sum_v (A s)_v b_v = sum_u s_u (A^T b)_u:
+    # the mass s sends into b is the mass b pulls back onto s. In log space
+    # this checks each step against the other, not against itself.
+    k, make = ARRAY_MODELS[name]
+    rng = np.random.default_rng(SEEDS.index(name))
+    model = make(rng.dirichlet(np.ones(k)))
+    levels = model.level_arcs()
+    size = len(model.initial())
+    for _ in range(15):
+        level = next(levels)
+        s = np.where(rng.random(size) < 0.2, -np.inf, rng.normal(size=size))
+        out = es.hmm.propagate_arcs(s, level.layers)[0]
+        b = np.where(rng.random(len(out)) < 0.25, -np.inf, rng.normal(size=len(out)))
+        pushed = es.logprob.logsumexp(out + b)
+        pulled = es.logprob.logsumexp(s + es.hmm.pull_arcs(b, level.layers, size))
+        assert pulled == pytest.approx(pushed, rel=1e-12)
+        size = len(out)
+
+
 @pytest.mark.parametrize("p", [None, 0.99])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ARRAY_MODELS)

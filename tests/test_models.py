@@ -348,3 +348,17 @@ class TestConstructorValidation:
             es.geometric(0.0)
         with pytest.raises(ValueError):
             es.uniform_span(3, 2)
+
+    @pytest.mark.parametrize("make", [
+        es.bayes, es.fixed_elementwise, es.universal_share,
+        lambda w: es.fixed_share(w, 0.2), lambda w: es.overconfident(w, 0.2),
+        lambda w: es.run_length(es.inv_poly(), w),
+        lambda w: es.SwitchConfig(0.5, es.inv_poly(), tuple(w)),
+        es.models.FinitePmfLaw,
+    ], ids=["bayes", "fixed_elementwise", "universal_share", "fixed_share", "overconfident",
+            "run_length", "switch_config", "finite_law"])
+    @pytest.mark.parametrize("w", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
+    def test_nan_weights_rejected_naming_them(self, make, w):
+        # NaN fails no comparison, so a sum or sign test alone lets it through.
+        with pytest.raises(ValueError, match=r"finite, got \[.*nan"):
+            make(w)
