@@ -290,17 +290,21 @@ def measure_bayes(log_marginal: LogMass, lp: np.ndarray, w) -> BoundReport:
                        bayes_bound(w, best), {"expert": best, "n": lp.shape[0]})
 
 
-def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
+def measure_fixed_share(fs_log_marginal_at, lp: np.ndarray, k: int,
+                        max_blocks: int | None = None) -> Iterator[BoundReport]:
     """Per block count m: run fixed share at the empirical rate
     alpha* = (m-1)/(n-1) and compare with the best m-block segmentation.
 
     ``fs_log_marginal_at`` maps a switching rate to the model's log
     marginal on the same data. Reports are yielded in order of m, and each
     marginal is computed only when its report is asked for, so a caller
-    that stops after a few block counts runs no further passes.
+    that stops after a few block counts runs no further passes. With
+    ``max_blocks`` only block counts m <= max_blocks are reported, from a
+    segmentation table of that many rows.
     """
     n = lp.shape[0]
-    for m, seg in enumerate(best_segmentations(lp, n), start=1):
+    segs = best_segmentations(lp, n if max_blocks is None else max_blocks)
+    for m, seg in enumerate(segs, start=1):
         if seg is None:
             continue
         alpha_star = 0.0 if n == 1 else (m - 1) / (n - 1)
@@ -322,7 +326,8 @@ def measure_universal_share(us_log_marginal: LogMass, lp: np.ndarray, w,
                        measured, universal_share_bound(n), {"n": n, "grid": grid})
 
 
-def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
+def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int,
+                   max_blocks: int | None = None) -> Iterator[BoundReport]:
     """Per parameter length m: compare against the best switch parameter of
     that length (equivalently, the best sequence with at most m maximal
     blocks, padded with reflexive switches).
@@ -333,7 +338,8 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator
     blocks; within one block count the table's own tie rules apply
     (continuing a block beats an equal switch, the lowest expert index
     wins among equals). Reports are yielded in order of m, skipping each m
-    for which every sequence of at most m blocks has zero likelihood.
+    for which every sequence of at most m blocks has zero likelihood; with
+    ``max_blocks`` only m <= max_blocks are reported.
 
     Raises ValueError, naming the step, when every segmentation has zero
     likelihood because every expert gives the outcome probability zero.
@@ -344,7 +350,8 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator
         raise ValueError(f"every segmentation has zero likelihood: every expert gives "
                          f"the outcome at step {dead[0] + 1} probability zero")
     seg = None
-    for m, s in enumerate(best_segmentations(lp, n), start=1):
+    segs = best_segmentations(lp, n if max_blocks is None else max_blocks)
+    for m, s in enumerate(segs, start=1):
         if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
             seg = s
         if seg is None:
@@ -359,12 +366,15 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator
             {"n": n, "m": m, "t_m": t_m, "k": k})
 
 
-def measure_run_length(rl_log_marginal: LogMass, lp: np.ndarray, k: int) -> Iterator[BoundReport]:
+def measure_run_length(rl_log_marginal: LogMass, lp: np.ndarray, k: int,
+                       max_blocks: int | None = None) -> Iterator[BoundReport]:
     """Per block count m: compare against the best sequence with exactly m
     maximal blocks. Reports are yielded in order of m, from one
-    segmentation table built when the first report is asked for."""
+    segmentation table built when the first report is asked for; with
+    ``max_blocks`` only m <= max_blocks are reported."""
     n = lp.shape[0]
-    for m, seg in enumerate(best_segmentations(lp, n), start=1):
+    segs = best_segmentations(lp, n if max_blocks is None else max_blocks)
+    for m, seg in enumerate(segs, start=1):
         if seg is None:
             continue
         measured = to_bits(rl_log_marginal) - to_bits(seg.log_likelihood)

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -345,7 +344,7 @@ def _cmd_bounds(args) -> int:
     w = _weights(args.weights, k if args.model != "overconfident" else k - 1)
 
     def marginal_of(m) -> float:
-        fp = ForwardPass(m, logpred_matrix=lp)
+        fp = ForwardPass(m, logpred_matrix=lp, keep_steps=False)
         for x in data:
             fp.advance(x)
         return fp.log_marginal
@@ -354,18 +353,21 @@ def _cmd_bounds(args) -> int:
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]
     elif name == "fixed-share":
-        reports = bnd.measure_fixed_share(lambda a: marginal_of(models.fixed_share(w, a)), lp, k)
+        reports = bnd.measure_fixed_share(lambda a: marginal_of(models.fixed_share(w, a)), lp, k,
+                                          args.max_blocks)
     elif name == "universal-share":
         reports = [bnd.measure_universal_share(marginal_of(model), lp, w, grid=args.grid)]
     elif name == "switch":
-        reports = bnd.measure_switch(marginal_of(model), lp, k)
+        reports = bnd.measure_switch(marginal_of(model), lp, k, args.max_blocks)
     elif name == "run-length":
-        reports = bnd.measure_run_length(marginal_of(model), lp, k)
+        reports = bnd.measure_run_length(marginal_of(model), lp, k, args.max_blocks)
     elif name == "universal-elementwise":
         reports = [bnd.measure_unimix(marginal_of(model), lp, c=args.unimix_c, grid=args.grid)]
     else:
         raise UnsupportedError(f"no bound report is defined for model {name!r}")
-    reports = list(islice(reports, args.max_blocks))
+    # Every report is computed before the output opens, so one that fails
+    # leaves no partial file.
+    reports = list(reports)
 
     out = _open_out(args)
     try:
@@ -395,30 +397,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expertseq",
         description="Online evaluation of expert-combination models over expert-sequence priors.")
+    # The options every subcommand shares, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("data", help="data file, one symbol per line")
+    common.add_argument("--model", required=True,
+                        choices=["bayes", "fixed-elementwise", "universal-elementwise",
+                                 "fixed-share", "universal-share", "overconfident",
+                                 "switch", "run-length"])
+    common.add_argument("--alphabet", required=True, help="comma-separated outcome symbols")
+    common.add_argument("--experts", required=True,
+                        help="builtin:<spec>(;<spec>...) or file:<path>")
+    common.add_argument("--advice-mode", choices=["full", "realized"], default="full")
+    common.add_argument("--weights", default=None,
+                        help="comma-separated expert weights (default uniform)")
+    common.add_argument("--alpha", type=float, default=None)
+    common.add_argument("--theta", type=float, default=0.5)
+    common.add_argument("--pi-t", dest="pi_t", default="inv-poly",
+                        help="inv-poly | geometric:<r> | uniform:<a>,<b> | elias")
+    common.add_argument("--trim", type=float, default=None,
+                        help="retained frontier mass fraction in (0, 1]")
+    common.add_argument("--out", default=None)
+    common.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, fn in [("evaluate", _cmd_evaluate), ("posterior", _cmd_posterior),
                     ("map", _cmd_map), ("bounds", _cmd_bounds)]:
-        p = sub.add_parser(cmd)
+        p = sub.add_parser(cmd, parents=[common])
         p.set_defaults(func=fn)
-        p.add_argument("data", help="data file, one symbol per line")
-        p.add_argument("--model", required=True,
-                       choices=["bayes", "fixed-elementwise", "universal-elementwise",
-                                "fixed-share", "universal-share", "overconfident",
-                                "switch", "run-length"])
-        p.add_argument("--alphabet", required=True, help="comma-separated outcome symbols")
-        p.add_argument("--experts", required=True,
-                       help="builtin:<spec>(;<spec>...) or file:<path>")
-        p.add_argument("--advice-mode", choices=["full", "realized"], default="full")
-        p.add_argument("--weights", default=None,
-                       help="comma-separated expert weights (default uniform)")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--theta", type=float, default=0.5)
-        p.add_argument("--pi-t", dest="pi_t", default="inv-poly",
-                       help="inv-poly | geometric:<r> | uniform:<a>,<b> | elias")
-        p.add_argument("--trim", type=float, default=None,
-                       help="retained frontier mass fraction in (0, 1]")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
         if cmd == "bounds":
             p.add_argument("--grid", type=int, default=1024)
             p.add_argument("--unimix-c", dest="unimix_c", type=float, default=1.1)

@@ -51,11 +51,23 @@ def logsumexp(arr) -> float:
 # The shift of an empty group: finite, so that -inf minus it stays -inf
 # where -inf minus -inf would be nan.
 _EMPTY_SHIFT = -np.finfo(float).max
+_TINY = np.finfo(float).tiny
 
 
 def logsumexp_by(values: np.ndarray, groups: np.ndarray, size: int) -> np.ndarray:
     """Per-group log-sum-exp of a log-mass vector: entry g folds the values
-    whose group is g, -inf for groups 0..size-1 with no finite value."""
+    whose group is g, -inf for groups 0..size-1 with no finite value.
+
+    Every group is shifted by the global maximum and summed in one
+    ``np.bincount``. A group whose sum is then zero or below the normal
+    range (empty, all -inf, or far below the top) would lose its digits,
+    so the call falls back to shifting each group by its own maximum.
+    """
+    top = values.max(initial=NEG_INF)
+    if top > NEG_INF:
+        sums = np.bincount(groups, weights=np.exp(values - top), minlength=size)
+        if sums.min() >= _TINY:
+            return top + np.log(sums)
     top = np.full(size, _EMPTY_SHIFT)
     np.maximum.at(top, groups, values)
     sums = np.bincount(groups, weights=np.exp(values - top[groups]), minlength=size)

@@ -9,6 +9,7 @@ probability zero are omitted so frontiers stay tight.
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -312,6 +313,12 @@ class UniversalElementwiseMixture(HmmModel):
     sample size n has C(n+k-1, k-1) states. A state budget guards the
     blowup for k >= 3: a level whose count-state number exceeds it raises
     StateBudgetExceeded.
+
+    Its level arcs number a count vector c of level t by its tail c[1:] in
+    graded order: by the tail's sum, then lexicographically, with
+    c[0] = t - sum(c[1:]). The count vectors of level t are then the first
+    C(t+k-1, k-1) of level t + 1, so every level is a slice of one set of
+    per-run templates.
     """
 
     productive_tags = frozenset({"e"})
@@ -351,44 +358,85 @@ class UniversalElementwiseMixture(HmmModel):
 
     def level_arcs(self):
         # Stratum t + 1 holds e(t + 1, c, x) for the count vectors c of
-        # level t, numbered rank(c) * k + x (see _composition_rank).
-        # Both layers are dense with k slots per count state and one arc
-        # per expert state; the index templates ar, labels and rows (ar // k)
-        # and the binomial table of the ranks are grown by doubling.
+        # level t, numbered i * k + x where i numbers c's tail (see
+        # _tail_templates). Both layers are dense with k slots per count
+        # state and one arc per expert state, and are slices of templates
+        # grown by doubling. cnt(t, c) collects e(t, c - e_x, x) in slot x;
+        # the one per-level patch is slot 0 of the newest tails (sum t, so
+        # c[0] = 0), which becomes a zero-mass arc from node 0. The draw
+        # weights are log((c + 0.5) / (k / 2 + t)), and counts holds c with
+        # c[0] offset by -t.
         k = self.num_experts
-        unit = np.eye(k, dtype=np.intp)
-        counts = np.zeros((1, k), dtype=np.intp)
-        ar = labels = rows = np.arange(0)
-        table = _binomials(k, 0)
+        counts = np.empty((0, k), dtype=np.intp)
+        lead = np.full(k, 0.5)
+        indices = _tail_indices(k)
+        n_src = 0
         for t in count():
             self._check_budget(t)
+            size = math.comb(t + k - 1, k - 1)
+            if len(counts) < size:
+                counts, cnt_src, cnt_w, ar, labels, rows = _tail_templates(
+                    k, _tail_sum_for(k, 2 * size))
+            nodes = size * k
             layers = []
-            n_src = 0
-            size = math.comb(t + k - 1, k - 1) * k
-            if len(ar) <= size:
-                ar = np.arange(2 * size + 1)
-                labels = ar % k
-                rows = ar // k
-            if table.shape[1] <= t:
-                table = _binomials(k, 2 * t)
             if t:
-                bumped = (counts[:, None, :] + unit).reshape(-1, k)
-                n_src = len(bumped)
-                rank = _composition_rank(bumped, t, table)
-                counts = np.empty((size // k, k), dtype=np.intp)
-                counts[rank] = bumped
-                # cnt(t, c) collects e(t, c - e_x, x) in slot x; a slot with
-                # c_x = 0 is a zero-mass arc from node 0.
-                slot = (rank, labels[:n_src])
-                src = np.zeros((len(counts), k), dtype=np.intp)
-                logw = np.full((len(counts), k), NEG_INF)
-                src[slot] = ar[:n_src]
-                logw[slot] = 0.0
-                layers.append(ArcLayer(src.ravel(), logw.ravel(), ar[:size + 1:k], True))
-            draw = np.log((0.5 + counts) / (0.5 * k + t)).ravel()
-            layers.append(ArcLayer(n_src + rows[:size], draw, ar[:size + 1], True))
-            yield LevelArcs(tuple(layers), labels[:size],
-                            _count_states(counts, t + 1), _count_indices(t, table))
+                src, logw = cnt_src[:nodes].copy(), cnt_w[:nodes].copy()
+                src[n_src::k] = 0
+                logw[n_src::k] = NEG_INF
+                layers.append(ArcLayer(src, logw, ar[:nodes + 1:k], True))
+            lead[0] = t + 0.5
+            draw = counts[:size] + lead
+            draw /= 0.5 * k + t
+            layers.append(ArcLayer(n_src + rows[:nodes], np.log(draw, out=draw).ravel(),
+                                   ar[:nodes + 1], True))
+            yield LevelArcs(tuple(layers), labels[:nodes], _tail_states(counts, t), indices)
+            n_src = nodes
+
+
+def _tail_sum_for(k: int, rows: int) -> int:
+    """The least s such that at least ``rows`` tails of k - 1 parts have a
+    sum of at most s: C(s + k - 1, k - 1) >= rows. With k = 1 there is one
+    tail whatever s is, and ``rows`` comes back."""
+    return bisect.bisect_left(range(rows), rows, key=lambda s: math.comb(s + k - 1, k - 1))
+
+
+def _tail_templates(k: int, top: int):
+    """Templates of UniversalElementwiseMixture.level_arcs over the tails of
+    k - 1 parts with sum at most ``top``, in graded order: by sum, then
+    lexicographically.
+
+    Returns the count vectors, row i holding (-s, tail i) for the tail's
+    sum s, so that adding t to its first part gives the count vector of
+    level t; the sources and log masses of the count layer, with k slots
+    per tail; and the index templates ar, labels and rows (ar // k).
+    Slot 0 of tail i takes from node i * k of the previous stratum, which
+    holds the same tail while its sum is below the level; a level patches
+    the rest. Slot x >= 1 takes from the tail with one less in part x:
+    taking one from part x keeps the graded order, and every tail of sum
+    below ``top`` is reached once, so that tail is numbered by how many
+    earlier tails have a positive part x.
+    """
+    # Split each sum s, in increasing order, into ascending leading parts
+    # and what is left; with k = 1 the one tail is empty.
+    s = np.arange(top + 1 if k > 1 else 1)
+    cols, rest = [-s], s
+    for _ in range(k - 2):
+        room = rest + 1
+        ends = room.cumsum()
+        part = np.arange(ends[-1]) - (ends - room).repeat(room)
+        cols = [c.repeat(room) for c in cols] + [part]
+        rest = rest.repeat(room) - part
+    counts = np.empty((len(rest), k), dtype=np.intp)
+    for x, col in enumerate(cols + [rest][:k - 1]):
+        counts[:, x] = col
+    ar = np.arange(len(counts) * k + 1)
+    # Slot x of tail i has an arc where part x is positive, and slot 0
+    # always; the arcs of a slot so far number its source's tail.
+    has = counts > 0
+    has[:, 0] = True
+    src = ((has.cumsum(axis=0) - 1) * k + ar[:k]) * has
+    logw = np.where(has, 0.0, NEG_INF)
+    return counts, src.ravel(), logw.ravel(), ar, ar % k, ar // k
 
 
 def _binomials(k: int, n: int) -> np.ndarray:
@@ -399,33 +447,44 @@ def _binomials(k: int, n: int) -> np.ndarray:
     return table
 
 
-def _composition_rank(rows: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row among the compositions of n into
-    len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m), where
-    r is the mass left before it, c its value and m the parts after it.
-    ``table`` is a :func:`_binomials` table for at least masses up to n;
-    the last part always contributes 0."""
+def _composition_rank(rows: np.ndarray, n: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row among the compositions of its sum
+    n[i] into len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m),
+    where r is the mass left before it, c its value and m the parts after
+    it. ``table`` is a :func:`_binomials` table for at least masses up to
+    max(n); the last part always contributes 0."""
     k = rows.shape[1]
     lead = rows[:, :-1]
     # r - c of every leading part, offset to row m of the flattened table
-    after = n - lead.cumsum(axis=1)
+    after = n[:, None] - lead.cumsum(axis=1)
     after += np.arange(k - 1, 0, -1) * table.shape[1]
     flat = table.ravel()
     return (flat.take(after + lead) - flat.take(after)).sum(axis=1)
 
 
-def _count_states(counts, n):
+def _tail_states(counts, t):
+    """Node i * k + x of stratum t + 1 as its tuple state ("e", t + 1, c, x)."""
     k = counts.shape[1]
-    return lambda idx: [("e", n, tuple(row), x)
-                        for row, x in zip(counts[idx // k].tolist(), (idx % k).tolist())]
+
+    def states(idx):
+        rows = counts[idx // k]
+        rows[:, 0] += t
+        return [("e", t + 1, tuple(row), x) for row, x in zip(rows.tolist(), (idx % k).tolist())]
+    return states
 
 
-def _count_indices(t, table):
-    k = len(table)
+def _tail_indices(k):
+    """Tuple states ("e", t + 1, c, x) of any level as nodes i * k + x,
+    with i the graded rank of c's tail."""
 
     def indices(qs):
         rows = np.array([q[2] for q in qs], dtype=np.intp).reshape(-1, k)
-        return (_composition_rank(rows, t, table) * k
+        tails = rows[:, 1:]
+        sums = tails.sum(axis=1)
+        table = _binomials(k, int(sums.max(initial=0)))
+        # C(s + k - 2, k - 1) tails have a sum below s.
+        below = np.where(sums > 0, table[k - 1, sums - 1], 0)
+        return ((below + _composition_rank(tails, sums, table)) * k
                 + np.array([q[3] for q in qs], dtype=np.intp))
     return indices
 

@@ -241,6 +241,25 @@ class TestMeasurements:
         assert next(reports).inputs["m"] == 1
         assert calls == [len(data)]
 
+    @pytest.mark.parametrize("name", ["fixed_share", "switch", "run_length"])
+    def test_block_limit_sizes_the_table(self, monkeypatch, name):
+        # With max_blocks = M the reports are those of the unlimited run
+        # with m <= M, here its first M, from a table of M rows.
+        experts, data, lp = self._instance(77)
+        measure = getattr(bnd, f"measure_{name}")
+        first = (lambda a: -5.0 - a) if name == "fixed_share" else -5.0
+        full = list(measure(first, lp, 2))
+        real = bnd.best_segmentations
+        calls = []
+        monkeypatch.setattr(bnd, "best_segmentations",
+                            lambda lp, m: calls.append(m) or real(lp, m))
+        for limit in (1, 2, 3):
+            calls.clear()
+            reports = list(measure(first, lp, 2, max_blocks=limit))
+            assert calls == [limit]
+            assert [r.inputs["m"] for r in reports] == list(range(1, limit + 1))
+            assert reports == full[:limit]
+
     def test_switch_names_step_where_every_segmentation_is_zero(self):
         lp = np.array([[0.0, 0.0], [-np.inf, -np.inf], [-np.inf, -np.inf]])
         with pytest.raises(ValueError, match="step 2"):

@@ -278,11 +278,18 @@ class TestBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize("model", ["fixed-share", "switch", "run-length"])
-    def test_max_blocks_limits_every_block_count_report(self, tmp_path, data_file, model):
+    def test_max_blocks_limits_every_block_count_report(self, tmp_path, data_file, model,
+                                                        monkeypatch):
+        # The segmentation table has one row per block count reported.
+        real = es.bounds.best_segmentations
+        rows = []
+        monkeypatch.setattr(es.bounds, "best_segmentations",
+                            lambda lp, m: rows.append(m) or real(lp, m))
         out = tmp_path / "b.json"
         assert main(["bounds", str(data_file), "--model", model, *BASE,
                      "--max-blocks", "2", "--format", "json", "--out", str(out)]) == 0
         assert [r["inputs"]["m"] for r in json.loads(out.read_text())] == [1, 2]
+        assert rows == [2]
 
 
     @pytest.mark.parametrize("value", ["0", "1.5", "-1", "nan"])

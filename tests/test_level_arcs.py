@@ -10,6 +10,7 @@ pull_arcs and the reverse replay of recorded regions.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ LATER_MODELS = {
     "run_length_uniform_2_4": (2, lambda w: es.run_length(es.uniform_span(2, 4), w)),
     "run_length_inv_poly_k1": (1, lambda w: es.run_length(es.inv_poly(), w)),
     "universal_share_k1": (1, lambda w: es.universal_share(w)),
+    # one count state per level: the tail c[1:] has no parts
+    "universal_elementwise_1": (1, lambda w: es.universal_elementwise(1)),
 }
 # A model's seed is its position here: later models come after the sorted
 # first ones, so every earlier model keeps its inputs.
@@ -357,23 +360,46 @@ def test_universal_share_weights_from_the_template():
 
 
 def test_universal_elementwise_levels_from_the_template(monkeypatch):
-    # The binomial table of the ranks is built once per run and grown by
-    # doubling; a build that makes a fresh table for every rank call gives
-    # the same levels, byte for byte, across several regrowths.
+    # The templates are grown by doubling; templates built fresh at each
+    # level's own size give the same levels, byte for byte, across several
+    # regrowths, and the same tuple states.
     k, levels = 3, 71
     model = es.universal_elementwise(k)
     grown = list(itertools.islice(model.level_arcs(), levels))
-    numbered = [(a.indices(a.states(np.arange(len(a.labels)))) if t % 10 == 0 else None)
-                for t, a in enumerate(grown)]
-    rank = es.models._composition_rank
-    monkeypatch.setattr(es.models, "_composition_rank", lambda rows, n, table: rank(
-        rows, n, es.models._binomials(rows.shape[1], n)))
+    sum_for = es.models._tail_sum_for
+    sizes = []
+    monkeypatch.setattr(es.models, "_tail_sum_for",
+                        lambda k, rows: sizes.append(rows // 2) or sum_for(k, rows // 2))
     fresh = model.level_arcs()
-    for a, b, nums in zip(grown, fresh, numbered):
+    for t, (a, b) in enumerate(zip(grown, fresh)):
+        assert sizes[-1] == math.comb(t + k - 1, k - 1)
         assert a.labels.tobytes() == b.labels.tobytes()
         for x, y in zip(a.layers, b.layers, strict=True):
             assert x.dense == y.dense
             for field in ("src", "logw", "indptr"):
                 assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
-        if nums is not None:
-            assert np.array_equal(nums, np.arange(len(a.labels)))
+        if t % 10 == 0:
+            nodes = np.arange(len(a.labels))
+            assert a.states(nodes) == b.states(nodes)
+    assert len(sizes) == levels
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_universal_elementwise_graded_numbering(k):
+    # Node i * k + x of every level is numbered by the graded rank of its
+    # count vector's tail: indices inverts states, and the count vectors of
+    # level t come first, in the same order, at level t + 1.
+    levels = es.universal_elementwise(k).level_arcs()
+    before = []
+    for t in range(41):
+        level = next(levels)
+        nodes = np.arange(len(level.labels))
+        states = level.states(nodes)
+        assert np.array_equal(level.indices(states), nodes)
+        assert all(q[1] == t + 1 and sum(q[2]) == t and q[3] == i % k
+                   for i, q in enumerate(states))
+        tails = [q[2][1:] for q in states[::k]]
+        assert len(tails) == math.comb(t + k - 1, k - 1) == len(set(tails))
+        assert tails[:len(before)] == before
+        assert tails == sorted(tails, key=lambda c: (sum(c), c))
+        before = tails

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expertseq.logprob import (NEG_INF, from_linear, log_normalize, log_sum,
-                               log_sum_iter, logsumexp, to_bits)
+                               log_sum_iter, logsumexp, logsumexp_by, to_bits)
 
 
 class TestLogSum:
@@ -76,3 +76,40 @@ class TestHelpers:
         with pytest.raises(ValueError):
             from_linear(-0.1)
 
+
+
+def per_group(values, groups, size):
+    """logsumexp_by's definition: each group folded on its own."""
+    return np.array([logsumexp(values[groups == g]) for g in range(size)])
+
+
+class TestLogsumexpBy:
+    # Runs under the suite's error::RuntimeWarning filter, so neither the
+    # shared shift nor the fallback may warn on -inf or empty groups.
+
+    @pytest.mark.parametrize("case", ["live", "empty_group", "dead_group", "all_dead",
+                                      "empty_input", "far_below", "subnormal_sum"])
+    def test_matches_per_group_fold(self, case):
+        rng = np.random.default_rng(7)
+        values = rng.normal(scale=3.0, size=40)
+        groups = rng.integers(0, 4, size=40)
+        size = 4
+        if case == "empty_group":
+            size = 5
+        elif case == "dead_group":
+            values[groups == 1] = NEG_INF
+        elif case == "all_dead":
+            values[:] = NEG_INF
+        elif case == "empty_input":
+            values, groups = values[:0], groups[:0]
+        elif case == "far_below":
+            # exp(-800) is 0: the shared shift would lose group 2 entirely.
+            values[groups == 2] -= 800.0
+        elif case == "subnormal_sum":
+            # exp(-720) is subnormal: the sum would keep only a few digits.
+            values[groups == 3] = values.max() - 720.0 - rng.random((groups == 3).sum())
+        got = logsumexp_by(values, groups, size)
+        want = per_group(values, groups, size)
+        assert np.array_equal(got == NEG_INF, want == NEG_INF)
+        live = want > NEG_INF
+        assert np.allclose(got[live], want[live], rtol=1e-14, atol=0)
