@@ -8,7 +8,6 @@ which costs O(n k) regardless of the prior's state space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .experts import ForecastingSystem, LaplaceEstimator, prediction_matrix
 from .forward import WeightMap, ZeroMarginalError
-from .logprob import NEG_INF, LogMass, logsumexp
+from .logprob import NEG_INF, LogMass, from_linear, logsumexp
 
 
 def trim_frontier(weights: WeightMap, p: float) -> WeightMap:
@@ -30,12 +29,12 @@ def trim_frontier(weights: WeightMap, p: float) -> WeightMap:
     entries = weights.entries
     if not entries:
         raise ValueError("cannot trim an empty frontier")
+    total = _total(np.fromiter(entries.values(), float, len(entries)))
     if p == 1.0:
-        _check_mass(max(entries.values()))
         return WeightMap(dict(entries), weights.level)
     states = sorted(entries)
     masses = np.array([entries[q] for q in states])
-    ranked, keep, shift = _ranked_cut(masses, p)
+    ranked, keep, shift = _ranked_cut(masses, total, p)
     kept = ranked[:keep]
     return WeightMap(dict(zip([states[j] for j in kept.tolist()], (masses[kept] + shift).tolist())),
                      weights.level)
@@ -46,38 +45,33 @@ def _check_fraction(p: float) -> None:
         raise ValueError("p must be in (0, 1]")
 
 
-def _check_mass(top: float) -> None:
-    """Reject a frontier whose largest log mass is zero mass."""
-    if top == NEG_INF:
+def _total(masses: np.ndarray) -> float:
+    """Log-sum of a frontier's masses, folded left to right in the order
+    given (the frontier's own order)."""
+    total = float(np.logaddexp.reduce(masses))
+    if total == NEG_INF:
         raise ValueError("cannot trim a frontier of zero mass")
+    return total
 
 
-# The cut's tolerance: a prefix within a factor exp(-1e-12) of the target
-# mass reaches it.
-_SLACK = math.exp(-1e-12)
-
-
-def _ranked_cut(masses: np.ndarray, p: float) -> tuple[np.ndarray, int, float]:
+def _ranked_cut(masses: np.ndarray, total: float, p: float) -> tuple[np.ndarray, int, float]:
     """The ranking core of trimming: positions of ``masses`` by descending
     mass, equal masses in the order given; the number of leading positions
-    whose mass first reaches a fraction p of the total; and the log factor
-    that rescales them back to the total.
+    whose mass first reaches a fraction p of ``total``; and the log factor
+    that rescales them back to ``total``.
 
-    One stable argsort ranks the masses, and one cumulative sum of their
-    ratios to the top mass gives every prefix's mass: acc[j] is the mass
-    of the top j + 1 over the top one, non-decreasing in j, and the total
-    is its last entry, acc[-1]. Equal masses feed it the same values in
+    ``total`` is :func:`_total` of the same masses, folded in the
+    frontier's own order; both callers fold it in the log domain, so the
+    rescaled masses are the sequential definition's to the last bit.
+    np.logaddexp folds left to right, so acc[j] is the mass of the top
+    j + 1, non-decreasing in j. Equal masses feed it the same values in
     any order, so the cut and the factor do not depend on how ties are
-    ordered; only which of the tied positions are kept does. Raises
-    ValueError when every mass is zero (-inf).
+    ordered; only which of the tied positions are kept does.
     """
     ranked = np.argsort(-masses, kind="stable")
-    ordered = masses[ranked]
-    _check_mass(ordered[0])
-    acc = np.exp(ordered - ordered[0]).cumsum()
-    total = float(acc[-1])
-    cut = int(np.searchsorted(acc, total * p * _SLACK))
-    return ranked, cut + 1, math.log(total / acc[cut])
+    acc = np.logaddexp.accumulate(masses[ranked])
+    cut = int(np.searchsorted(acc, total + from_linear(p) - 1e-12))
+    return ranked, cut + 1, total - acc[cut]
 
 
 class FrontierTrim:
@@ -101,22 +95,24 @@ class FrontierTrim:
         """Trim a log-weight vector; -inf entries are not states. ``states``
         maps node indices to their tuple states, which rank equal masses
         that straddle the cut as :func:`trim_frontier` does."""
+        live = np.flatnonzero(vec > NEG_INF)
+        masses = vec[live]
+        total = _total(masses)
         if self.p == 1.0:
-            _check_mass(vec.max())
             return vec
-        ranked, keep, shift = _ranked_cut(vec, self.p)
+        ranked, keep, shift = _ranked_cut(masses, total, self.p)
         kept = ranked[:keep]
-        if keep < len(ranked) and vec[ranked[keep]] == vec[ranked[keep - 1]]:
+        if keep < len(ranked) and masses[ranked[keep]] == masses[ranked[keep - 1]]:
             # Equal masses straddle the cut: keep the tied nodes whose
             # states come first.
-            tie = vec[ranked[keep - 1]]
-            above = np.flatnonzero(vec > tie)
-            tied = np.flatnonzero(vec == tie)
-            ids = states(tied)
+            tie = masses[ranked[keep - 1]]
+            above = np.flatnonzero(masses > tie)
+            tied = np.flatnonzero(masses == tie)
+            ids = states(live[tied])
             first = sorted(range(len(tied)), key=ids.__getitem__)[:keep - len(above)]
             kept = np.concatenate([above, tied[first]])
         out = np.full(len(vec), NEG_INF)
-        out[kept] = vec[kept] + shift
+        out[live[kept]] = masses[kept] + shift
         return out
 
 

@@ -9,7 +9,6 @@ probability zero are omitted so frontiers stay tight.
 
 from __future__ import annotations
 
-import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -361,7 +360,7 @@ class UniversalElementwiseMixture(HmmModel):
         # level t, numbered i * k + x where i numbers c's tail (see
         # _tail_templates). Both layers are dense with k slots per count
         # state and one arc per expert state, and are slices of templates
-        # grown by doubling. cnt(t, c) collects e(t, c - e_x, x) in slot x;
+        # grown about twofold. cnt(t, c) collects e(t, c - e_x, x) in slot x;
         # the one per-level patch is slot 0 of the newest tails (sum t, so
         # c[0] = 0), which becomes a zero-mass arc from node 0. The draw
         # weights are log((c + 0.5) / (k / 2 + t)), and counts holds c with
@@ -375,8 +374,11 @@ class UniversalElementwiseMixture(HmmModel):
             self._check_budget(t)
             size = math.comb(t + k - 1, k - 1)
             if len(counts) < size:
-                counts, cnt_src, cnt_w, ar, labels, rows = _tail_templates(
-                    k, _tail_sum_for(k, 2 * size))
+                # C(s + k - 1, k - 1) tails have a sum of at most s, about
+                # s ** (k - 1) / (k - 1)!, so this top sum about doubles
+                # the rows.
+                top = int(t * 2 ** (1 / max(k - 1, 1))) + 1
+                counts, cnt_src, cnt_w, ar, labels, rows = _tail_templates(k, top)
             nodes = size * k
             layers = []
             if t:
@@ -391,13 +393,6 @@ class UniversalElementwiseMixture(HmmModel):
                                    ar[:nodes + 1], True))
             yield LevelArcs(tuple(layers), labels[:nodes], _tail_states(counts, t), indices)
             n_src = nodes
-
-
-def _tail_sum_for(k: int, rows: int) -> int:
-    """The least s such that at least ``rows`` tails of k - 1 parts have a
-    sum of at most s: C(s + k - 1, k - 1) >= rows. With k = 1 there is one
-    tail whatever s is, and ``rows`` comes back."""
-    return bisect.bisect_left(range(rows), rows, key=lambda s: math.comb(s + k - 1, k - 1))
 
 
 def _tail_templates(k: int, top: int):

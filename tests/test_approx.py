@@ -36,13 +36,6 @@ class TestTrimFrontier:
         out = trim_frontier(m, 0.5)
         assert set(out.entries) == {("e", 1, 0), ("e", 1, 1)}
 
-    @pytest.mark.parametrize("masses, p", [((0.5, 0.3, 0.2), 0.8), ((0.7, 0.2, 0.1), 0.9)])
-    def test_prefix_reaching_p_up_to_rounding_is_enough(self, masses, p):
-        # The top two states hold exactly p of the mass; rounding in the
-        # log masses must not pull in the third.
-        m = wm({("e", 1, j): v for j, v in enumerate(masses)})
-        assert set(trim_frontier(m, p).entries) == {("e", 1, 0), ("e", 1, 1)}
-
     def test_tiny_p_keeps_top_state(self):
         m = wm({("a", 1): 0.9, ("b", 1): 0.1})
         out = trim_frontier(m, 1e-9)
@@ -93,9 +86,6 @@ class TestTrimFrontier:
     def test_matches_sequential_definition(self):
         # The definition folded one state at a time: total in dict order,
         # then the ranked states until the cut. Ties are frequent here.
-        # trim_frontier sums the ranked masses relative to the top one, so
-        # the kept states and their order are the same and the rescaled
-        # masses agree to rounding.
         def reference(entries, p):
             total = es.log_sum_iter(entries.values())
             ranked = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -115,10 +105,8 @@ class TestTrimFrontier:
             entries = {("e", int(i), int(j)): float(v)
                        for i, j, v in zip(rng.permutation(s), rng.integers(0, 3, s), vals)}
             for p in (1e-9, 0.25, 0.5, 0.9, 0.999):
-                got = list(trim_frontier(WeightMap(entries, 4), p).entries.items())
-                ref = reference(entries, p)
-                assert [q for q, _ in got] == [q for q, _ in ref]
-                assert np.allclose([v for _, v in got], [v for _, v in ref], rtol=0, atol=1e-13)
+                got = trim_frontier(WeightMap(entries, 4), p)
+                assert list(got.entries.items()) == reference(entries, p)
 
 
 class TestTrimmingHook:

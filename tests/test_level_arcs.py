@@ -360,16 +360,22 @@ def test_universal_share_weights_from_the_template():
 
 
 def test_universal_elementwise_levels_from_the_template(monkeypatch):
-    # The templates are grown by doubling; templates built fresh at each
+    # The templates are grown about twofold; templates built fresh at each
     # level's own size give the same levels, byte for byte, across several
-    # regrowths, and the same tuple states.
+    # regrowths, and the same tuple states. Built at the tail sum of the
+    # level itself, a template is too small for the next level, so call t
+    # builds level t's.
     k, levels = 3, 71
     model = es.universal_elementwise(k)
     grown = list(itertools.islice(model.level_arcs(), levels))
-    sum_for = es.models._tail_sum_for
+    templates = es.models._tail_templates
     sizes = []
-    monkeypatch.setattr(es.models, "_tail_sum_for",
-                        lambda k, rows: sizes.append(rows // 2) or sum_for(k, rows // 2))
+
+    def exact(k, top):
+        built = templates(k, len(sizes))
+        sizes.append(len(built[0]))
+        return built
+    monkeypatch.setattr(es.models, "_tail_templates", exact)
     fresh = model.level_arcs()
     for t, (a, b) in enumerate(zip(grown, fresh)):
         assert sizes[-1] == math.comb(t + k - 1, k - 1)
