@@ -44,10 +44,6 @@ def cross_entropy_bits(a_star: float, a: float) -> float:
     return total
 
 
-def binary_entropy_bits(a: float) -> float:
-    return cross_entropy_bits(a, a)
-
-
 def log2_factorial(m: int) -> float:
     return math.lgamma(m + 1) / LN2
 

@@ -185,11 +185,19 @@ class _ArcCore:
         if trim_vector is not None:
             self.frontier = trim_vector(post, level.states)
         elif hook is not None:
-            # Any other hook gets a WeightMap, written back into the numbering.
-            entries = hook(self.weight_map(step)).entries
+            # Any other hook gets a WeightMap of the live states and may
+            # return any states of the stratum, written back by node.
+            states = level.states(np.arange(len(post)))
+            live = np.flatnonzero(post > NEG_INF)
+            shown = dict(zip([states[i] for i in live.tolist()], post[live].tolist()))
+            entries = hook(WeightMap(shown, step)).entries
+            node = dict(zip(states, range(len(states))))
+            for q in entries:
+                if q not in node:
+                    raise ValueError(f"frontier hook returned {q!r} at step {step}, "
+                                     f"which is not a state of stratum {step}")
             self.frontier = np.full(len(post), NEG_INF)
-            if entries:
-                self.frontier[level.indices(list(entries))] = list(entries.values())
+            self.frontier[[node[q] for q in entries]] = list(entries.values())
         if self.record:
             self.stratum_weights.append(self.frontier)
         return new_marginal
@@ -234,11 +242,14 @@ class ForwardPass:
     module docstring). The frontier hook sees a ``WeightMap`` after each
     update; a hook with a ``trim_vector`` method, such as
     :func:`~expertseq.approx.trimming_hook`'s, trims the array core's
-    vector directly. With ``record_regions``, each level appends to
-    ``regions`` and ``stratum_weights`` what :func:`posterior_experts`
-    sweeps back: the level's ``LevelArcs`` and post-update vector, or the
-    live ``(state, successors)`` pairs in topological order and a copy of
-    the post-update map.
+    vector directly. On the array core any other hook may return states
+    of the stratum it was shown, live or not, which are written back to
+    their nodes; a state outside that stratum raises ``ValueError``
+    naming the step and the state. With ``record_regions``, each level
+    appends to ``regions`` and ``stratum_weights`` what
+    :func:`posterior_experts` sweeps back: the level's ``LevelArcs`` and
+    post-update vector, or the live ``(state, successors)`` pairs in
+    topological order and a copy of the post-update map.
 
     ``peak_weights`` is the most weights the pass held at once, counted as
     each core holds them, so one run reads differently on the two: every

@@ -13,30 +13,27 @@ The one graph primitive everything else is built on is
 region between two strata in a deterministic topological (Kahn) order.
 It is the definition of a level step and the oracle for the array step.
 
-A model whose frontier is a dense grid may also describe each level as
+A model whose frontier is a grid may also describe each level as
 layers of arcs over a numbering local to that level (:class:`LevelArcs`):
 the level's sources (the initial support, in ``initial()`` order, for
 level 0, otherwise stratum t) are nodes 0..S-1, and each layer's
 destinations are numbered after every node before them. A layer lists,
 per destination, its incoming arcs as source indices and log masses.
-It may carry arcs of zero mass (log mass -inf), so that a model can
-keep one fixed arc template across levels where a hazard is 0 or 1 or
-a weight vanishes; such arcs add nothing and are never counted. A
-destination may also have no arcs at all. A layer may state that it is
-``dense`` (every destination has an arc), which lets the step skip its
-general case; a dense layer with one arc per destination is a copy. The
-last layer's
-destinations are stratum t + 1, numbered as the sources of the next
-level. :func:`propagate_arcs` pushes a log-weight vector through those
-layers; it touches the same arcs of positive mass as
-:func:`propagate_frontier` and reports the same transition count, or
-skips the count when its caller does not keep it
-(``count_transitions=False``), which saves two numpy calls a layer. Its
-backward counterpart, :func:`pull_arcs`, walks the same layers in
-reverse and pulls a vector over the next stratum back to the level's
-sources, one scatter a layer; it is the smoothed posterior's backward sweep.
-:func:`propagate_frontier` and the reverse replay of its recorded
-regions stay the definition both array steps are tested against.
+Every destination has at least one arc, which may have zero mass (log
+mass -inf): a zero-mass arc adds nothing and is never counted, and lets
+a model keep one arc template across levels where a hazard is 0 or 1 or
+a weight vanishes. The last layer's destinations are stratum t + 1,
+numbered as the sources of the next level. :func:`propagate_arcs`
+pushes a log-weight vector through those layers, a copy for a layer with
+one arc per destination and one ``reduceat`` for any other; it touches
+the same arcs of positive mass as :func:`propagate_frontier` and reports
+the same transition count, or skips the count when its caller does not
+keep it (``count_transitions=False``). Its backward counterpart,
+:func:`pull_arcs`, walks the same layers in reverse and pulls a vector
+over the next stratum back to the level's sources, one scatter a layer;
+it is the smoothed posterior's backward sweep. :func:`propagate_frontier`
+and the reverse replay of its recorded regions stay the definition both
+array steps are tested against.
 
 The array description is meant to be cheap per level: a model keeps
 its arc templates (index ranges, repeated weights) in the iterator,
@@ -74,7 +71,8 @@ class HmmModel(ABC):
 
     ``level_arcs`` optionally describes the same levels as arrays: per
     level, layers of arcs over a level-local numbering (the level's
-    sources first, then each layer's destinations in turn); see
+    sources first, then each layer's destinations in turn), the label of
+    each node of the next stratum, and its tuple state; see
     :class:`LevelArcs`. The tuple interface stays the definition and
     :func:`propagate_frontier` the oracle: the arrays must carry exactly
     the arcs of positive mass, the masses and the labels that
@@ -125,23 +123,22 @@ class ArcLayer:
     ``logw[...]``; ``src`` indexes the level's numbering so far. Arcs of
     log mass -inf are allowed and carry nothing.
 
-    ``dense`` says every destination has at least one arc. It is a fact
-    about the arrays, not about the masses, and may be left false: the
-    step then checks the shape itself. It is not checked when true, and a
-    layer that states it wrongly gives wrong weights.
+    Every destination must have at least one arc; a zero-mass arc will do.
+    This is a fact about the arrays, not about the masses. It is not
+    checked, and a layer that breaks it gives wrong weights.
     """
 
     src: np.ndarray
     logw: np.ndarray
     indptr: np.ndarray
-    dense: bool = False
 
 
 @dataclass(frozen=True)
 class LevelArcs:
     """One level as array layers: ``labels`` gives the expert of each node
-    of the next stratum; ``states`` maps an array of those nodes to their
-    tuple states and ``indices`` maps tuple states back.
+    of the next stratum, and ``states`` maps an array of those nodes to
+    their tuple states. A forward pass inverts ``states`` itself where it
+    needs to, so a model writes no map back.
 
     The arrays may be views of templates that other levels of the same
     run share, so they must never be written to.
@@ -150,7 +147,6 @@ class LevelArcs:
     layers: tuple[ArcLayer, ...]
     labels: np.ndarray
     states: Callable[[np.ndarray], list[StateId]]
-    indices: Callable[[Sequence[StateId]], np.ndarray]
 
 
 def propagate_frontier(
@@ -269,22 +265,13 @@ def propagate_arcs(
     for layer, size in zip(layers, sizes):
         block = held[at:at + size]
         at += size
-        if layer.dense and len(layer.src) == size:
-            np.add(held[layer.src], layer.logw, out=block)
-            if count_transitions:
-                transitions += int(np.count_nonzero(block > NEG_INF))
-            continue
-        vals = held[layer.src] + layer.logw
+        if len(layer.src) == size:
+            vals = np.add(held[layer.src], layer.logw, out=block)
+        else:
+            vals = held[layer.src] + layer.logw
+            np.logaddexp.reduceat(vals, layer.indptr[:-1], out=block)
         if count_transitions:
             transitions += int(np.count_nonzero(vals > NEG_INF))
-        starts = layer.indptr[:-1]
-        if layer.dense:
-            np.logaddexp.reduceat(vals, starts, out=block)
-        else:
-            filled = starts < layer.indptr[1:]
-            block.fill(NEG_INF)
-            if len(vals):
-                block[filled] = np.logaddexp.reduceat(vals, starts[filled])
     return block, transitions, int(np.count_nonzero(held > NEG_INF))
 
 
@@ -306,7 +293,7 @@ def pull_arcs(
     held[starts[-2]:] = target
     for layer, at, end in zip(reversed(layers), reversed(starts[:-1]), reversed(starts[1:])):
         vals = held[at:end]
-        if not (layer.dense and len(layer.src) == end - at):
+        if len(layer.src) != end - at:
             vals = vals.repeat(layer.indptr[1:] - layer.indptr[:-1])
         np.logaddexp.at(held, layer.src, vals + layer.logw)
     return held[:num_sources]

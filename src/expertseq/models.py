@@ -358,17 +358,17 @@ class UniversalElementwiseMixture(HmmModel):
     def level_arcs(self):
         # Stratum t + 1 holds e(t + 1, c, x) for the count vectors c of
         # level t, numbered i * k + x where i numbers c's tail (see
-        # _tail_templates). Both layers are dense with k slots per count
-        # state and one arc per expert state, and are slices of templates
-        # grown about twofold. cnt(t, c) collects e(t, c - e_x, x) in slot x;
-        # the one per-level patch is slot 0 of the newest tails (sum t, so
-        # c[0] = 0), which becomes a zero-mass arc from node 0. The draw
-        # weights are log((c + 0.5) / (k / 2 + t)), and counts holds c with
-        # c[0] offset by -t.
+        # _tail_templates). The count layer gives each count state k arcs,
+        # one a slot, and the draw layer gives each expert state one, so
+        # every destination has an arc; both are slices of templates grown
+        # about twofold. cnt(t, c) collects e(t, c - e_x, x) in slot x, and
+        # a slot with no such state holds a zero-mass arc from node 0; the
+        # one per-level patch is slot 0 of the newest tails (sum t, so
+        # c[0] = 0). The draw weights are log((c + 0.5) / (k / 2 + t)), and
+        # counts holds c with c[0] offset by -t.
         k = self.num_experts
         counts = np.empty((0, k), dtype=np.intp)
         lead = np.full(k, 0.5)
-        indices = _tail_indices(k)
         n_src = 0
         for t in count():
             self._check_budget(t)
@@ -385,13 +385,13 @@ class UniversalElementwiseMixture(HmmModel):
                 src, logw = cnt_src[:nodes].copy(), cnt_w[:nodes].copy()
                 src[n_src::k] = 0
                 logw[n_src::k] = NEG_INF
-                layers.append(ArcLayer(src, logw, ar[:nodes + 1:k], True))
+                layers.append(ArcLayer(src, logw, ar[:nodes + 1:k]))
             lead[0] = t + 0.5
             draw = counts[:size] + lead
             draw /= 0.5 * k + t
             layers.append(ArcLayer(n_src + rows[:nodes], np.log(draw, out=draw).ravel(),
-                                   ar[:nodes + 1], True))
-            yield LevelArcs(tuple(layers), labels[:nodes], _tail_states(counts, t), indices)
+                                   ar[:nodes + 1]))
+            yield LevelArcs(tuple(layers), labels[:nodes], _tail_states(counts, t))
             n_src = nodes
 
 
@@ -434,29 +434,6 @@ def _tail_templates(k: int, top: int):
     return counts, src.ravel(), logw.ravel(), ar, ar % k, ar // k
 
 
-def _binomials(k: int, n: int) -> np.ndarray:
-    """The table C(r + m, m) at [m, r] for parts m < k and masses r <= n."""
-    table = np.ones((k, n + 1), dtype=np.int64)
-    for m in range(1, k):
-        np.cumsum(table[m - 1], out=table[m])
-    return table
-
-
-def _composition_rank(rows: np.ndarray, n: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row among the compositions of its sum
-    n[i] into len(row) parts: part i contributes C(r + m, m) - C(r - c + m, m),
-    where r is the mass left before it, c its value and m the parts after
-    it. ``table`` is a :func:`_binomials` table for at least masses up to
-    max(n); the last part always contributes 0."""
-    k = rows.shape[1]
-    lead = rows[:, :-1]
-    # r - c of every leading part, offset to row m of the flattened table
-    after = n[:, None] - lead.cumsum(axis=1)
-    after += np.arange(k - 1, 0, -1) * table.shape[1]
-    flat = table.ravel()
-    return (flat.take(after + lead) - flat.take(after)).sum(axis=1)
-
-
 def _tail_states(counts, t):
     """Node i * k + x of stratum t + 1 as its tuple state ("e", t + 1, c, x)."""
     k = counts.shape[1]
@@ -466,22 +443,6 @@ def _tail_states(counts, t):
         rows[:, 0] += t
         return [("e", t + 1, tuple(row), x) for row, x in zip(rows.tolist(), (idx % k).tolist())]
     return states
-
-
-def _tail_indices(k):
-    """Tuple states ("e", t + 1, c, x) of any level as nodes i * k + x,
-    with i the graded rank of c's tail."""
-
-    def indices(qs):
-        rows = np.array([q[2] for q in qs], dtype=np.intp).reshape(-1, k)
-        tails = rows[:, 1:]
-        sums = tails.sum(axis=1)
-        table = _binomials(k, int(sums.max(initial=0)))
-        # C(s + k - 2, k - 1) tails have a sum below s.
-        below = np.where(sums > 0, table[k - 1, sums - 1], 0)
-        return ((below + _composition_rank(tails, sums, table)) * k
-                + np.array([q[3] for q in qs], dtype=np.intp))
-    return indices
 
 
 class UniversalShare(HmmModel):
@@ -521,15 +482,15 @@ class UniversalShare(HmmModel):
         # sources of its stay layer. e(t + 1, x, m) has two arcs, a stay from
         # e(t, x, m) and a draw from draw(t, m), node n_src + t + m - 1; the
         # stay of m = t and the draw of m = 0 are zero-mass arcs from node 0
-        # and from the last bump node. half holds m + 0.5 at [m * k, (m + 1) * k),
-        # so both weight vectors are slices of it: the bump of e(t, x, m) has
-        # mass (m + 0.5) / t and its stay (t - m - 0.5) / t, which is half
-        # read backwards from n_src.
+        # and from the last bump node, so every destination has an arc:
+        # bump(t, m) has k, draw(t, m) one and e(t + 1, x, m) two. half
+        # holds m + 0.5 at [m * k, (m + 1) * k), so both weight vectors are
+        # slices of it: the bump of e(t, x, m) has mass (m + 0.5) / t and its
+        # stay (t - m - 0.5) / t, which is half read backwards from n_src.
         k = self.num_experts
         lw = np.array(self._log_w)
         ar = labels = zero = half = pair_src = pair_w = np.arange(0)
-        indices = _grid_indices(k, False)
-        yield _first_level(lw, _grid_states(1, k, False), indices)
+        yield _first_level(lw, _grid_states(1, k, False))
         for t in count(1):
             n_src = t * k
             if len(zero) <= t:
@@ -542,15 +503,14 @@ class UniversalShare(HmmModel):
                 pair_src = np.stack([ar[:rows * k], row - 1], axis=1)
                 pair_w = np.stack([np.full(rows * k, NEG_INF), np.tile(lw, rows)], axis=1)
                 pair_w[:k, 1] = NEG_INF
-            bump = ArcLayer(ar[:n_src], np.log(half[:n_src] / t), ar[:n_src + 1:k], True)
-            draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1], True)
+            bump = ArcLayer(ar[:n_src], np.log(half[:n_src] / t), ar[:n_src + 1:k])
+            draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1])
             src = pair_src[:n_src + k] + (0, n_src + t)
             src[n_src:, 0] = 0
             logw = pair_w[:n_src + k].copy()
             logw[:n_src, 0] = np.log(half[n_src - 1::-1] / t)
-            stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2], True)
-            yield LevelArcs((bump, draw, stay), labels[:n_src + k],
-                            _grid_states(t + 1, k, False), indices)
+            stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2])
+            yield LevelArcs((bump, draw, stay), labels[:n_src + k], _grid_states(t + 1, k, False))
 
 
 class OverconfidentExperts(HmmModel):
@@ -693,13 +653,13 @@ class RunLengthHmm(HmmModel):
         # slices of templates grown by doubling: leave_w holds log hazard(d)
         # at [(d - 1) * k, d * k), step_w the draw weights at [0, k) and
         # log(1 - hazard(d)) at [d * k, (d + 1) * k). A hazard of 0 or 1
-        # leaves zero-mass arcs in them.
+        # leaves zero-mass arcs in them, so every destination keeps its arcs:
+        # q(t, t - d) has k, the hub t and each node of stratum t + 1 one.
         k, law, span = self.num_experts, self._law, self._law.span
         lw = np.array(self._log_w)
         ar = labels = zero = leave_w = np.arange(0)
         step_w = lw
-        indices = _grid_indices(k, True)
-        yield _first_level(lw, _grid_states(1, k, True), indices)
+        yield _first_level(lw, _grid_states(1, k, True))
         for t in count(1):
             if span is None or t <= span:
                 d_next = t + 1 if span is None or t < span else t
@@ -719,10 +679,10 @@ class RunLengthHmm(HmmModel):
                 # stratum t + 1 node j >= k continues from node j - k.
                 src = ar[:d_next * k] - k
                 src[:k] = hub
-                layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k], True),
-                          ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t], True),
-                          ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1], True))
-            yield LevelArcs(layers, labels[:d_next * k], _grid_states(t + 1, k, True), indices)
+                layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k]),
+                          ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t]),
+                          ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1]))
+            yield LevelArcs(layers, labels[:d_next * k], _grid_states(t + 1, k, True))
 
 
 def _regrown(buf: np.ndarray, size: int) -> np.ndarray:
@@ -732,12 +692,12 @@ def _regrown(buf: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _first_level(logw: np.ndarray, states, indices) -> LevelArcs:
+def _first_level(logw: np.ndarray, states) -> LevelArcs:
     """Level 0 of a model whose one initial state draws expert x with
     log mass logw[x]."""
     k = len(logw)
-    layer = ArcLayer(np.zeros(k, dtype=np.intp), logw, np.arange(k + 1), True)
-    return LevelArcs((layer,), np.arange(k), states, indices)
+    layer = ArcLayer(np.zeros(k, dtype=np.intp), logw, np.arange(k + 1))
+    return LevelArcs((layer,), np.arange(k), states)
 
 
 def _grid_states(n, k, by_run_length):
@@ -747,13 +707,6 @@ def _grid_states(n, k, by_run_length):
         return [("e", n, x, n - 1 - r if by_run_length else r)
                 for r, x in zip((idx // k).tolist(), (idx % k).tolist())]
     return states
-
-
-def _grid_indices(k, by_run_length):
-    def indices(qs):
-        return np.array([((q[1] - 1 - q[3]) if by_run_length else q[3]) * k + q[2]
-                         for q in qs], dtype=np.intp)
-    return indices
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ step, and so must the smoothed posteriors, whose backward sweeps are
 pull_arcs and the reverse replay of recorded regions.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -181,15 +180,37 @@ def test_no_switch_before_span_start_at_same_step(mode):
             assert exc.value.step == 2
 
 
-def test_weight_map_round_trip_keeps_vector():
-    # A hook that returns its input unchanged leaves the run as it was.
-    make, w, experts, data = instance("universal_elementwise_3", 3)
-    plain = run(make(w), experts, data, "experts")
-    fp = es.ForwardPass(make(w), experts, frontier_hook=lambda wm: wm)
-    for x in data:
-        fp.advance(x)
-    assert [s.log_cond for s in fp.steps] == [s.log_cond for s in plain.steps]
-    assert fp.weight_map.entries == plain.weight_map.entries
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_weight_map_round_trip_keeps_vector(name, mode):
+    # A hook that returns its input unchanged leaves the run as it was, bit
+    # for bit: the array core's inverse of ``states`` puts every state back
+    # on its own node, on every model's numbering.
+    make, w, experts, data = instance(name, SEEDS.index(name))
+    plain = run(make(w), experts, data, mode)
+    hooked = run(make(w), experts, data, mode, lambda wm: wm)
+    assert [s.log_cond for s in hooked.steps] == [s.log_cond for s in plain.steps]
+    assert hooked.weight_map.entries == plain.weight_map.entries
+
+
+@pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_hook_state_off_the_stratum_raises_with_step(name):
+    # A hook moves one state up one level. That state is not a node of the
+    # stratum, even where its numbering would fit one, so the pass refuses
+    # it and names the step and the state.
+    make, w, experts, data = instance(name, SEEDS.index(name))
+    lifted = []
+
+    def lift(wm):
+        entries = dict(wm.entries)
+        q, v = entries.popitem()
+        lifted.append((q[0], q[1] + 1, *q[2:]))
+        entries[lifted[-1]] = v
+        return es.WeightMap(entries, wm.level)
+
+    with pytest.raises(ValueError, match="at step 1,") as exc:
+        run(make(w), experts, data, "matrix", lift)
+    assert repr(lifted[-1]) in str(exc.value)
 
 
 def recorded(model, experts, data, mode, hook):
@@ -270,9 +291,9 @@ def test_finite_span_levels_share_their_arrays(law):
 
 @pytest.mark.parametrize("name", ARRAY_MODELS)
 def test_shape_facts_hold_and_only_skip_work(name):
-    # Every layer's dense fact is true of its arrays, every arc names a
-    # node numbered before the layer, and stepping with the fact cleared,
-    # or without counting transitions, gives the same bits.
+    # Every destination of every layer has an arc, every arc names a node
+    # numbered before the layer, and stepping without counting transitions
+    # gives the same bits.
     k, make = ARRAY_MODELS[name]
     rng = np.random.default_rng(3)
     levels = make(rng.dirichlet(np.ones(k))).level_arcs()
@@ -283,18 +304,12 @@ def test_shape_facts_hold_and_only_skip_work(name):
         for layer in level.layers:
             counts = np.diff(layer.indptr)
             assert layer.indptr[0] == 0 and layer.indptr[-1] == len(layer.src) == len(layer.logw)
-            assert not layer.dense or counts.min(initial=1) >= 1
+            assert counts.min(initial=1) >= 1
             assert layer.src.min(initial=0) >= 0 and layer.src.max(initial=0) < size
             size += len(counts)
-        plain = [dataclasses.replace(layer, dense=False) for layer in level.layers]
         out, transitions, peak = es.hmm.propagate_arcs(vec, level.layers)
-        ref = es.hmm.propagate_arcs(vec, plain)
-        assert out.tobytes() == ref[0].tobytes() and (transitions, peak) == ref[1:]
-        for layers in (level.layers, plain):
-            bare = es.hmm.propagate_arcs(vec, layers, count_transitions=False)
-            assert bare[0].tobytes() == out.tobytes() and bare[1:] == (0, peak)
-        pulled = es.hmm.pull_arcs(out, level.layers, len(vec))
-        assert pulled.tobytes() == es.hmm.pull_arcs(out, plain, len(vec)).tobytes()
+        bare = es.hmm.propagate_arcs(vec, level.layers, count_transitions=False)
+        assert bare[0].tobytes() == out.tobytes() and bare[1:] == (0, peak)
         vec = out + rng.normal(size=len(out))
 
 
@@ -381,7 +396,6 @@ def test_universal_elementwise_levels_from_the_template(monkeypatch):
         assert sizes[-1] == math.comb(t + k - 1, k - 1)
         assert a.labels.tobytes() == b.labels.tobytes()
         for x, y in zip(a.layers, b.layers, strict=True):
-            assert x.dense == y.dense
             for field in ("src", "logw", "indptr"):
                 assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
         if t % 10 == 0:
@@ -393,15 +407,14 @@ def test_universal_elementwise_levels_from_the_template(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_universal_elementwise_graded_numbering(k):
     # Node i * k + x of every level is numbered by the graded rank of its
-    # count vector's tail: indices inverts states, and the count vectors of
-    # level t come first, in the same order, at level t + 1.
+    # count vector's tail: states names each node once, and the count
+    # vectors of level t come first, in the same order, at level t + 1.
     levels = es.universal_elementwise(k).level_arcs()
     before = []
     for t in range(41):
         level = next(levels)
         nodes = np.arange(len(level.labels))
         states = level.states(nodes)
-        assert np.array_equal(level.indices(states), nodes)
         assert all(q[1] == t + 1 and sum(q[2]) == t and q[3] == i % k
                    for i, q in enumerate(states))
         tails = [q[2][1:] for q in states[::k]]
