@@ -2,13 +2,16 @@
 
 An expert is a sequential forecaster P(x_{t+1} | x^t) over outcome
 indices. ``predict(history)`` defines it for any history, in any order;
-``forecasts()`` streams it, each outcome sent once. Every built-in expert
-streams at constant cost per step; the base class replays ``predict``.
+``forecasts()`` streams it, each outcome sent once; ``realized(data)``
+gives the whole column of log P(x_i | x^{i-1}) for a known sequence.
+Every built-in expert streams at constant cost per step and computes its
+column in a few numpy calls; the base class replays ``predict`` to stream
+and reads its stream once for the column.
 
-``_forecast_rows`` merges k streams into one (k, alphabet) array per step,
-the one source of forecasts: ``ForwardPass`` reads it as it advances, and
-every offline entry point (posterior, Viterbi, switch MAP, ML estimates,
-bounds) reads ``prediction_matrix``, which reads it too. Experts of
+``_forecast_rows`` merges k streams into one (k, alphabet) array per step
+for ``ForwardPass``, which reads it as it advances. Every offline entry
+point (posterior, Viterbi, switch MAP, ML estimates, bounds) reads
+``prediction_matrix``, one ``realized`` column per expert. Experts of
 different alphabet sizes are rejected where they enter, and symbols are
 checked against the alphabet before any expert sees them. A matrix that
 is not (n, k), or a realized log-probability that is NaN or positive
@@ -59,7 +62,8 @@ class ForecastingSystem(ABC):
 
     ``size`` is the number of outcomes; ``predict`` returns a vector of
     ``size`` natural-log probabilities summing to one (in linear scale).
-    Subclasses define ``predict`` and may override ``forecasts`` to stream.
+    Subclasses define ``predict`` and may override ``forecasts`` to stream
+    and ``realized`` to compute a known sequence's column in one pass.
     """
 
     size: int
@@ -77,6 +81,18 @@ class ForecastingSystem(ABC):
         while True:
             x = yield self.predict(history)
             history.append(x)
+
+    def realized(self, data: np.ndarray) -> np.ndarray:
+        """The (n,) log P(x_i | x^{i-1}) of a checked ``np.intp`` symbol
+        array. This default reads ``forecasts()`` once: n forecasts and
+        n - 1 sends."""
+        out = np.empty(len(data))
+        if len(data):
+            stream = self.forecasts()
+            out[0] = next(stream)[data[0]]
+            for i, (sent, x) in enumerate(zip(data[:-1].tolist(), data[1:].tolist()), 1):
+                out[i] = stream.send(sent)[x]
+        return out
 
 
 def _forecast_rows(experts: Sequence[ForecastingSystem]) -> Iterator[np.ndarray]:
@@ -99,21 +115,16 @@ def _alphabet_size(experts: Sequence[ForecastingSystem]) -> int:
     return size
 
 
-def _check_symbols(data: Sequence[int], size: int) -> None:
+def _symbols(data: Sequence[int], size: int) -> list[int]:
+    """The symbols as ints, each read once; a ValueError names the first
+    outside the alphabet with its position."""
+    out = []
     for i, x in enumerate(data):
-        if not 0 <= int(x) < size:
+        v = int(x)
+        if not 0 <= v < size:
             raise ValueError(f"symbol {x!r} at position {i} is outside the alphabet")
-
-
-def _realized_rows(experts: Sequence[ForecastingSystem], data: Sequence[int]):
-    """Per step i, the (k,) array of log P_xi(x_i | x^{i-1}) over the
-    experts. The experts' alphabet sizes and the symbols are checked up front."""
-    _check_symbols(data, _alphabet_size(experts))
-    rows, sent = _forecast_rows(experts), None
-    for x in data:
-        x = int(x)
-        yield rows.send(sent)[:, x]
-        sent = x
+        out.append(v)
+    return out
 
 
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
@@ -122,18 +133,28 @@ def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     Returns sum_i log P(x_i | x^{i-1}); -inf as soon as any factor is zero,
     without asking the expert about any later history.
     """
-    total = 0.0
-    for (v,) in _realized_rows([pfs], data):
-        total += float(v)
+    stream, sent, total = pfs.forecasts(), None, 0.0
+    for x in _symbols(data, pfs.size):
+        total += float(stream.send(sent)[x])
         if total == NEG_INF:
             return NEG_INF
+        sent = x
     return total
 
 
 def prediction_matrix(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> np.ndarray:
-    """(n, k) matrix of log P_xi(x_i | x^{i-1}) for the realized outcomes."""
-    rows = list(_realized_rows(experts, data))
-    return np.array(rows, dtype=float).reshape(len(data), len(experts))
+    """(n, k) matrix of log P_xi(x_i | x^{i-1}) for the realized outcomes,
+    column j from ``experts[j].realized``. The experts' alphabet sizes and
+    the symbols are checked before any expert is asked."""
+    x = np.array(_symbols(data, _alphabet_size(experts)), dtype=np.intp)
+    lp = np.empty((len(x), len(experts)))
+    for j, e in enumerate(experts):
+        col = e.realized(x)
+        if np.shape(col) != (len(x),):
+            raise ValueError(f"expert {j} realized shape {np.shape(col)} "
+                             f"for {len(x)} symbols")
+        lp[:, j] = col
+    return lp
 
 
 def _check_logpreds(lp: np.ndarray) -> np.ndarray:
@@ -191,6 +212,9 @@ class ConstantExpert(ForecastingSystem):
         while True:
             yield self._logp
 
+    def realized(self, data: np.ndarray) -> np.ndarray:
+        return self._logp[data]
+
 
 def uniform_expert(size: int) -> ConstantExpert:
     return ConstantExpert(np.full(size, 1.0 / size))
@@ -232,6 +256,18 @@ class _AddSmoothedCounts(ForecastingSystem):
                 self._reject(x, n)
             counts[x] += 1
             n += 1
+
+    def realized(self, data: np.ndarray) -> np.ndarray:
+        # counts[i] is how often data[i] occurs in data[:i]: its rank among
+        # the equal symbols after a stable sort, in O(n + size) memory.
+        order = np.argsort(data, kind="stable")
+        ranked = data[order]
+        totals = np.bincount(data, minlength=self.size)
+        starts = np.cumsum(totals) - totals
+        counts = np.empty(len(data), dtype=np.intp)
+        counts[order] = np.arange(len(data)) - starts[ranked]
+        a = self.smoothing
+        return np.log((counts + a) / (np.arange(len(data)) + a * self.size))
 
 
 class KTEstimator(_AddSmoothedCounts):
@@ -275,6 +311,12 @@ class MarkovExpert(ForecastingSystem):
         while True:
             x = yield self._log_trans[x]
 
+    def realized(self, data: np.ndarray) -> np.ndarray:
+        out = np.empty(len(data))
+        out[:1] = self._log_init[data[:1]]
+        out[1:] = self._log_trans[data[:-1], data[1:]]
+        return out
+
 
 class AdviceExpert(ForecastingSystem):
     """Expert backed by a precomputed per-step table of distributions.
@@ -305,6 +347,11 @@ class AdviceExpert(ForecastingSystem):
         for row in self._logp:
             yield row
         raise ValueError(f"advice exhausted: step {self._steps} beyond {self._steps} rows")
+
+    def realized(self, data: np.ndarray) -> np.ndarray:
+        if len(data) > self._steps:
+            raise ValueError(f"advice exhausted: step {self._steps} beyond {self._steps} rows")
+        return self._logp[np.arange(len(data)), data]
 
 
 def make_builtin_expert(kind: str, **params) -> ForecastingSystem:

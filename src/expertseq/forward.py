@@ -61,6 +61,11 @@ class StepRecord:
     outcome_dist: np.ndarray | None   # log P(x_i = . | x^{i-1}), experts mode only
 
 
+def _off_stratum(q: StateId, step: int) -> ValueError:
+    return ValueError(f"frontier hook returned {q!r} at step {step}, "
+                      f"which is not a state of stratum {step}")
+
+
 class _TupleCore:
     """The frontier as a weight map of tuple states holding Python floats."""
 
@@ -99,6 +104,10 @@ class _TupleCore:
         new_marginal = log_sum_iter(post.values())
         if hook is not None:
             post = hook(WeightMap(post, step)).entries
+            tags = self.model.productive_tags
+            for q in post:
+                if not (q[0] in tags and q[1] == step):
+                    raise _off_stratum(q, step)
         if self.record:
             self.stratum_weights.append(dict(post))
         if len(post) > self.peak:
@@ -186,16 +195,18 @@ class _ArcCore:
             self.frontier = trim_vector(post, level.states)
         elif hook is not None:
             # Any other hook gets a WeightMap of the live states and may
-            # return any states of the stratum, written back by node.
-            states = level.states(np.arange(len(post)))
+            # return any states of the stratum, written back by node. Only
+            # a state it was not shown costs the inverse of the whole stratum.
             live = np.flatnonzero(post > NEG_INF)
-            shown = dict(zip([states[i] for i in live.tolist()], post[live].tolist()))
-            entries = hook(WeightMap(shown, step)).entries
-            node = dict(zip(states, range(len(states))))
-            for q in entries:
-                if q not in node:
-                    raise ValueError(f"frontier hook returned {q!r} at step {step}, "
-                                     f"which is not a state of stratum {step}")
+            states = level.states(live)
+            node = dict(zip(states, live.tolist()))
+            entries = hook(WeightMap(dict(zip(states, post[live].tolist())), step)).entries
+            if not entries.keys() <= node.keys():
+                states = level.states(np.arange(len(post)))
+                node = dict(zip(states, range(len(states))))
+                for q in entries:
+                    if q not in node:
+                        raise _off_stratum(q, step)
             self.frontier = np.full(len(post), NEG_INF)
             self.frontier[[node[q] for q in entries]] = list(entries.values())
         if self.record:
@@ -242,14 +253,15 @@ class ForwardPass:
     module docstring). The frontier hook sees a ``WeightMap`` after each
     update; a hook with a ``trim_vector`` method, such as
     :func:`~expertseq.approx.trimming_hook`'s, trims the array core's
-    vector directly. On the array core any other hook may return states
-    of the stratum it was shown, live or not, which are written back to
-    their nodes; a state outside that stratum raises ``ValueError``
-    naming the step and the state. With ``record_regions``, each level
-    appends to ``regions`` and ``stratum_weights`` what
-    :func:`posterior_experts` sweeps back: the level's ``LevelArcs`` and
-    post-update vector, or the live ``(state, successors)`` pairs in
-    topological order and a copy of the post-update map.
+    vector directly. Any other hook may return states of the stratum it
+    was shown, live or not, which the array core writes back to their
+    nodes; on either core a state outside that stratum raises
+    ``ValueError`` naming the step and the state. With
+    ``record_regions``, each level appends to ``regions`` and
+    ``stratum_weights`` what :func:`posterior_experts` sweeps back: the
+    level's ``LevelArcs`` and post-update vector, or the live
+    ``(state, successors)`` pairs in topological order and a copy of the
+    post-update map.
 
     ``peak_weights`` is the most weights the pass held at once, counted as
     each core holds them, so one run reads differently on the two: every

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -371,6 +372,66 @@ class TestForecastStreams:
         assert res.ml_sequence == np.argmax(lp, axis=1).tolist()
 
 
+def streamed_column(e, data):
+    """log P(x_i | x^{i-1}) read off the expert's stream, one step at a time."""
+    stream, out = e.forecasts(), []
+    for i, x in enumerate(data):
+        out.append(next(stream)[x] if i == 0 else stream.send(data[i - 1])[x])
+    return np.array(out, dtype=float)
+
+
+class TestRealizedColumns:
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_column_is_the_stream_bit_for_bit(self, name, size, n):
+        rng = np.random.default_rng(34 + 10 * size + n)
+        e = builtin_experts(rng, size=size)[name]
+        data = rng.integers(0, size, n).astype(np.intp)
+        got = e.realized(data)
+        assert got.dtype == np.float64
+        assert got.tobytes() == streamed_column(e, data.tolist()).tobytes()
+
+    def test_advice_exhausts_like_the_stream(self):
+        e = es.AdviceExpert([[0.9, 0.1], [0.3, 0.7]])
+        with pytest.raises(ValueError) as streamed:
+            streamed_column(e, [0, 1, 1])
+        with pytest.raises(ValueError) as offline:
+            es.prediction_matrix([e], [0, 1, 1])
+        assert str(offline.value) == str(streamed.value) == "advice exhausted: step 2 beyond 2 rows"
+
+    def test_builtin_columns_open_no_stream(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        n = 30
+        experts = [e for name, e in builtin_experts(rng, size=2, steps=n).items() if name != "model"]
+        counts = [record_stream(monkeypatch, cls)[0] for cls in
+                  (es.KTEstimator, es.LaplaceEstimator, es.ConstantExpert, es.MarkovExpert,
+                   es.AdviceExpert)]
+        lp = es.prediction_matrix(experts, rng.integers(0, 2, n).tolist())
+        assert lp.shape == (n, len(experts))
+        assert counts == [[0]] * len(counts)
+
+    def test_column_of_the_wrong_shape_names_the_expert(self):
+        class Short(es.ConstantExpert):
+            def realized(self, data):
+                return super().realized(data)[1:]
+
+        with pytest.raises(ValueError, match="expert 1 realized shape"):
+            es.prediction_matrix([es.uniform_expert(2), Short([0.5, 0.5])], [0, 1, 1])
+
+    def test_counting_column_memory_is_linear_in_n(self):
+        # A one-hot running count would take n * size * 8 bytes, 205 MB here.
+        data = np.random.default_rng(36).integers(0, 256, 100_000).astype(np.intp)
+        tracemalloc.start()
+        try:
+            col = es.KTEstimator(256).realized(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col.shape == (100_000,)
+        assert peak < 16e6, peak
+
+
 class CountingSequence(Sequence):
     """A read-only sequence that counts the elements read from it."""
 
@@ -394,6 +455,5 @@ class TestConstantWorkPerStep:
                    if name != "laplace_expert_conditional"]
         data = CountingSequence(int(x) for x in rng.integers(0, 2, n))
         es.prediction_matrix(experts, data)
-        # Once to check the alphabet, once to send it: the reads per step
-        # do not grow with n.
-        assert data.reads == 2 * n
+        # Once, checked and kept as the symbol array every column reads.
+        assert data.reads == n

@@ -193,12 +193,35 @@ def test_weight_map_round_trip_keeps_vector(name, mode):
     assert hooked.weight_map.entries == plain.weight_map.entries
 
 
-@pytest.mark.parametrize("name", ARRAY_MODELS)
-def test_hook_state_off_the_stratum_raises_with_step(name):
+# Models that only offer the tuple interface, for the hook checks.
+TUPLE_MODELS = {
+    "fixed_share": lambda w: es.fixed_share(w, 0.2),
+    "switch": lambda w: es.switch(es.default_switch_config(2), 2),
+}
+
+
+def off_stratum_cases():
+    for name in ARRAY_MODELS:
+        yield pytest.param(name, False, id=name)
+        yield pytest.param(name, True, id=f"{name}-tuple")
+    for name in TUPLE_MODELS:
+        yield pytest.param(name, True, id=name)
+
+
+@pytest.mark.parametrize("name, tuple_core", off_stratum_cases())
+def test_hook_state_off_the_stratum_raises_with_step(name, tuple_core):
     # A hook moves one state up one level. That state is not a node of the
-    # stratum, even where its numbering would fit one, so the pass refuses
-    # it and names the step and the state.
-    make, w, experts, data = instance(name, SEEDS.index(name))
+    # stratum, even where its numbering would fit one, and the tuple core
+    # would take it for a state already on the next stratum, so either
+    # core refuses it and names the step and the state.
+    if name in TUPLE_MODELS:
+        rng = np.random.default_rng(len(SEEDS) + list(TUPLE_MODELS).index(name))
+        experts = random_constant_experts(rng, 2, ALPHABET)
+        data = [int(x) for x in rng.integers(0, ALPHABET, N)]
+        model = TUPLE_MODELS[name](rng.dirichlet(np.ones(2) * 5.0))
+    else:
+        make, w, experts, data = instance(name, SEEDS.index(name))
+        model = TupleOnly(make(w)) if tuple_core else make(w)
     lifted = []
 
     def lift(wm):
@@ -209,7 +232,7 @@ def test_hook_state_off_the_stratum_raises_with_step(name):
         return es.WeightMap(entries, wm.level)
 
     with pytest.raises(ValueError, match="at step 1,") as exc:
-        run(make(w), experts, data, "matrix", lift)
+        run(model, experts, data, "matrix", lift)
     assert repr(lifted[-1]) in str(exc.value)
 
 
