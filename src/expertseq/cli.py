@@ -16,6 +16,7 @@ identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -223,26 +224,43 @@ def _load_inputs(args):
     return alphabet, data, names, experts, matrix, model
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing and closed on exit, or stdout,
+    which is left open."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="\n") as out:
+        yield out
+
+
+# --trim thins the forward frontier, so only evaluate takes it.
+_NO_TRIM = {"posterior": "--trim is not supported with posterior (the backward pass is exact)",
+            "map": "--trim does not apply to MAP decoding",
+            "bounds": "--trim does not apply to bounds (every report is exact)"}
+
+
+def _check_trim(args) -> None:
+    if args.trim is None:
+        return
+    if args.command in _NO_TRIM:
+        raise UnsupportedError(_NO_TRIM[args.command])
+    if not 0.0 < args.trim <= 1.0:
+        raise InputError(f"--trim must be in (0, 1], got {args.trim}")
 
 
 def _cmd_evaluate(args) -> int:
-    if args.trim is not None and not 0.0 < args.trim <= 1.0:
-        raise InputError(f"--trim must be in (0, 1], got {args.trim}")
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
     hook = trimming_hook(args.trim) if args.trim is not None else None
     full = experts is not None
     fp = ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
                      want_outcome_dists=full, keep_steps=False)
-    out = _open_out(args)
     json_mode = args.format == "json"
     cum = 0.0
-    try:
-        # Rows are written as they are produced; memory stays bounded by
-        # the frontier regardless of the stream length.
+    # Rows are written as they are produced; memory stays bounded by
+    # the frontier regardless of the stream length.
+    with _output(args) as out:
         if json_mode:
             out.write('{\n"steps": [')
         else:
@@ -276,20 +294,14 @@ def _cmd_evaluate(args) -> int:
                 out.write(",".join(cells) + "\n")
         if json_mode:
             out.write(f'\n],\n"n": {len(data)},\n"total_bits": {_fmt(cum)}\n}}\n')
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_posterior(args) -> int:
-    if args.trim is not None:
-        raise UnsupportedError("--trim is not supported with posterior (the backward pass is exact)")
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
     grid = posterior_experts(model, experts, data, logpred_matrix=matrix)
     probs = np.exp(grid)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             payload = [{nm: float(_fmt(v)) for nm, v in zip(names, row)} for row in probs]
             json.dump(payload, out, indent=2, sort_keys=True)
@@ -298,9 +310,6 @@ def _cmd_posterior(args) -> int:
             out.write(",".join(names) + "\n")
             for row in probs:
                 out.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -308,14 +317,9 @@ def _cmd_map(args) -> int:
     if args.model != "switch":
         raise UnsupportedError(
             f"MAP decoding is implemented for the switch model only, not {args.model!r}")
-    if args.trim is not None:
-        raise UnsupportedError("--trim does not apply to MAP decoding")
     alphabet, data, names, experts, matrix, model = _load_inputs(args)
-    cfg = models.SwitchConfig(args.theta, _parse_pi_t(args.pi_t),
-                              tuple(_weights(args.weights, len(names))))
-    res = switch_map(cfg, experts, data, logpred_matrix=matrix)
-    out = _open_out(args)
-    try:
+    res = switch_map(model.cfg, experts, data, logpred_matrix=matrix)
+    with _output(args) as out:
         if args.format == "json":
             json.dump({"sequence": [names[x] for x in res.sequence],
                        "map_bits": float(_fmt(to_bits(res.log_probability))) if data else 0.0},
@@ -324,9 +328,6 @@ def _cmd_map(args) -> int:
         else:
             for x in res.sequence:
                 out.write(names[x] + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -369,8 +370,7 @@ def _cmd_bounds(args) -> int:
     # leaves no partial file.
     reports = list(reports)
 
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             payload = [{"model": r.model, "comparator": r.comparator,
                         "measured_bits": float(_fmt(r.measured_bits)),
@@ -387,9 +387,6 @@ def _cmd_bounds(args) -> int:
                 out.write(",".join([r.model, '"' + r.comparator + '"',
                                     _fmt(r.measured_bits), _fmt(r.bound_bits),
                                     "yes" if r.satisfied else "no", r.note]) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -415,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pi-t", dest="pi_t", default="inv-poly",
                         help="inv-poly | geometric:<r> | uniform:<a>,<b> | elias")
     common.add_argument("--trim", type=float, default=None,
-                        help="retained frontier mass fraction in (0, 1]")
+                        help="retained frontier mass fraction in (0, 1]; evaluate only")
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -437,6 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else int(e.code or 0)
     try:
+        _check_trim(args)
         status = args.func(args)
         # A reader that has gone away is met here, not in the
         # interpreter's final flush.

@@ -160,12 +160,14 @@ class _TupleCore:
 
 class _ArcCore:
     """The frontier as a log-weight vector over the numbering of the level
-    that produced it (``initial()`` order before the first)."""
+    that produced it (``initial()`` order before the first). Node j carries
+    expert j % k, read off ``grid``, which ``labels_of`` grows by doubling."""
 
     def __init__(self, model: HmmModel, record: bool, levels):
         self.model, self.record, self.peak = model, record, 0
         self.regions, self.stratum_weights = [], []
         self.levels = levels
+        self.grid = np.arange(0)
         self.frontier = np.array([v for _, v in model.initial()], dtype=float)
         self.level: LevelArcs | None = None      # the level that numbered the frontier
         self.pending: LevelArcs | None = None    # the level being stepped
@@ -178,12 +180,18 @@ class _ArcCore:
             self.regions.append(level)
         if peak > self.peak:
             self.peak = peak
-        self.by_label = logsumexp_by(self.pre, level.labels, self.model.num_experts)
+        self.labels = self.labels_of(len(self.pre))
+        self.by_label = logsumexp_by(self.pre, self.labels, self.model.num_experts)
         return self.by_label, logsumexp(self.by_label), transitions
+
+    def labels_of(self, size: int) -> np.ndarray:
+        if len(self.grid) < size:
+            self.grid = np.arange(2 * size) % self.model.num_experts
+        return self.grid[:size]
 
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
         level = self.pending
-        post = self.pre + lp[level.labels]
+        post = self.pre + lp[self.labels]
         # A label's post-update mass is its pre-update mass times its
         # expert's likelihood, zero exactly when every node of the label is.
         new_marginal = logsumexp(self.by_label + lp)
@@ -226,10 +234,11 @@ class _ArcCore:
         # beta = log P(x_{i+1..n} | node, x^i) over the nodes of stratum i.
         beta = np.zeros(len(post[-1]))
         for i in range(len(post), 0, -1):
-            level = self.regions[i - 1]
-            yield logsumexp_by(post[i - 1] + beta, level.labels, k)
+            labels = self.labels_of(len(beta))
+            yield logsumexp_by(post[i - 1] + beta, labels, k)
             if i > 1:
-                beta = pull_arcs(beta + lp_all[i - 1][level.labels], level.layers, len(post[i - 2]))
+                layers = self.regions[i - 1].layers
+                beta = pull_arcs(beta + lp_all[i - 1][labels], layers, len(post[i - 2]))
 
 
 class ForwardPass:

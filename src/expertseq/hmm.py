@@ -13,22 +13,23 @@ The one graph primitive everything else is built on is
 region between two strata in a deterministic topological (Kahn) order.
 It is the definition of a level step and the oracle for the array step.
 
-A model whose frontier is a grid may also describe each level as
-layers of arcs over a numbering local to that level (:class:`LevelArcs`):
-the level's sources (the initial support, in ``initial()`` order, for
-level 0, otherwise stratum t) are nodes 0..S-1, and each layer's
-destinations are numbered after every node before them. A layer lists,
-per destination, its incoming arcs as source indices and log masses.
-Every destination has at least one arc, which may have zero mass (log
-mass -inf): a zero-mass arc adds nothing and is never counted, and lets
-a model keep one arc template across levels where a hazard is 0 or 1 or
-a weight vanishes. The last layer's destinations are stratum t + 1,
-numbered as the sources of the next level. :func:`propagate_arcs`
+A model whose strata are grids of k columns, for k experts, may also
+describe each level as layers of arcs over a numbering local to that
+level (:class:`LevelArcs`): the level's sources (the initial support, in
+``initial()`` order, for level 0, otherwise stratum t) are nodes 0..S-1,
+and each layer's destinations are numbered after every node before them.
+A layer lists, per destination, its incoming arcs as source indices and
+log masses. Every destination has at least one arc, which may have zero
+mass (log mass -inf): a zero-mass arc adds nothing and is never counted,
+and lets a model keep one arc template across levels where a hazard is 0
+or 1 or a weight vanishes. The last layer's destinations are stratum
+t + 1, numbered as the sources of the next level: a stratum has a
+multiple of k nodes, and node j carries expert j % k. :func:`propagate_arcs`
 pushes a log-weight vector through those layers, a copy for a layer with
 one arc per destination and one ``reduceat`` for any other; it touches
 the same arcs of positive mass as :func:`propagate_frontier` and reports
-the same transition count, or skips the count when its caller does not
-keep it (``count_transitions=False``). Its backward counterpart,
+the same transition count, or skips the count
+(``count_transitions=False``). Its backward counterpart,
 :func:`pull_arcs`, walks the same layers in reverse and pulls a vector
 over the next stratum back to the level's sources, one scatter a layer;
 it is the smoothed posterior's backward sweep. :func:`propagate_frontier`
@@ -70,14 +71,14 @@ class HmmModel(ABC):
     semantics.
 
     ``level_arcs`` optionally describes the same levels as arrays: per
-    level, layers of arcs over a level-local numbering (the level's
-    sources first, then each layer's destinations in turn), the label of
-    each node of the next stratum, and its tuple state; see
-    :class:`LevelArcs`. The tuple interface stays the definition and
-    :func:`propagate_frontier` the oracle: the arrays must carry exactly
-    the arcs of positive mass, the masses and the labels that
-    ``successors`` and ``label`` enumerate. They may also carry arcs of
-    zero mass, which add nothing and are never counted as transitions.
+    level, layers of arcs over a level-local numbering (the level's sources
+    first, then each layer's destinations in turn) and the tuple state of
+    each node j of the next stratum, whose ``label`` must be j % k for
+    k = ``num_experts``; see :class:`LevelArcs`. The tuple interface stays
+    the definition and :func:`propagate_frontier` the oracle: the arrays
+    must carry exactly the arcs of positive mass and the masses that
+    ``successors`` enumerate. They may also carry arcs of zero mass, which
+    add nothing and are never counted as transitions.
     Per-run caches, such as arc templates shared by the levels of one
     run, live in the iterator ``level_arcs`` returns, never on the model.
     """
@@ -135,17 +136,16 @@ class ArcLayer:
 
 @dataclass(frozen=True)
 class LevelArcs:
-    """One level as array layers: ``labels`` gives the expert of each node
-    of the next stratum, and ``states`` maps an array of those nodes to
-    their tuple states. A forward pass inverts ``states`` itself where it
-    needs to, so a model writes no map back.
+    """One level: its array layers, and ``states``, which maps an array
+    of nodes of the next stratum to their tuple states. Of k experts,
+    node j carries expert j % k, so no labels are listed. A forward pass
+    inverts ``states`` itself where needed, so a model writes no map back.
 
     The arrays may be views of templates that other levels of the same
     run share, so they must never be written to.
     """
 
     layers: tuple[ArcLayer, ...]
-    labels: np.ndarray
     states: Callable[[np.ndarray], list[StateId]]
 
 

@@ -378,7 +378,7 @@ class UniversalElementwiseMixture(HmmModel):
                 # s ** (k - 1) / (k - 1)!, so this top sum about doubles
                 # the rows.
                 top = int(t * 2 ** (1 / max(k - 1, 1))) + 1
-                counts, cnt_src, cnt_w, ar, labels, rows = _tail_templates(k, top)
+                counts, cnt_src, cnt_w, ar, rows = _tail_templates(k, top)
             nodes = size * k
             layers = []
             if t:
@@ -391,7 +391,7 @@ class UniversalElementwiseMixture(HmmModel):
             draw /= 0.5 * k + t
             layers.append(ArcLayer(n_src + rows[:nodes], np.log(draw, out=draw).ravel(),
                                    ar[:nodes + 1]))
-            yield LevelArcs(tuple(layers), labels[:nodes], _tail_states(counts, t))
+            yield LevelArcs(tuple(layers), _tail_states(counts, t))
             n_src = nodes
 
 
@@ -403,7 +403,7 @@ def _tail_templates(k: int, top: int):
     Returns the count vectors, row i holding (-s, tail i) for the tail's
     sum s, so that adding t to its first part gives the count vector of
     level t; the sources and log masses of the count layer, with k slots
-    per tail; and the index templates ar, labels and rows (ar // k).
+    per tail; and the index templates ar and rows (ar // k).
     Slot 0 of tail i takes from node i * k of the previous stratum, which
     holds the same tail while its sum is below the level; a level patches
     the rest. Slot x >= 1 takes from the tail with one less in part x:
@@ -431,7 +431,7 @@ def _tail_templates(k: int, top: int):
     has[:, 0] = True
     src = ((has.cumsum(axis=0) - 1) * k + ar[:k]) * has
     logw = np.where(has, 0.0, NEG_INF)
-    return counts, src.ravel(), logw.ravel(), ar, ar % k, ar // k
+    return counts, src.ravel(), logw.ravel(), ar, ar // k
 
 
 def _tail_states(counts, t):
@@ -477,40 +477,38 @@ class UniversalShare(HmmModel):
 
     def level_arcs(self):
         # Stratum t holds e(t, x, m) for switch counts m < t, numbered m * k + x.
-        # Every index range and fixed weight is a slice of a template grown
-        # by doubling; a level computes its two weight vectors and the
-        # sources of its stay layer. e(t + 1, x, m) has two arcs, a stay from
-        # e(t, x, m) and a draw from draw(t, m), node n_src + t + m - 1; the
-        # stay of m = t and the draw of m = 0 are zero-mass arcs from node 0
-        # and from the last bump node, so every destination has an arc:
-        # bump(t, m) has k, draw(t, m) one and e(t + 1, x, m) two. half
+        # Every index range and the m + 0.5 weights are slices of templates
+        # grown by doubling; a level computes its two weight vectors and
+        # writes its stay layer afresh. e(t + 1, x, m) has two arcs, a stay
+        # from e(t, x, m) and a draw from draw(t, m), node n_src + t + m - 1;
+        # the stay of m = t and the draw of m = 0 are zero-mass arcs from
+        # node 0 and from the last bump node, so every destination has an
+        # arc: bump(t, m) has k, draw(t, m) one and e(t + 1, x, m) two. half
         # holds m + 0.5 at [m * k, (m + 1) * k), so both weight vectors are
         # slices of it: the bump of e(t, x, m) has mass (m + 0.5) / t and its
         # stay (t - m - 0.5) / t, which is half read backwards from n_src.
         k = self.num_experts
         lw = np.array(self._log_w)
-        ar = labels = zero = half = pair_src = pair_w = np.arange(0)
+        ar = zero = half = np.arange(0)
         yield _first_level(lw, _grid_states(1, k, False))
         for t in count(1):
             n_src = t * k
             if len(zero) <= t:
                 rows = 2 * (t + 1)
-                ar = np.arange(2 * rows * k + 1)
-                labels = ar % k
+                ar = np.arange(2 * rows * (k + 1))
                 zero = np.zeros(rows)
-                row = ar[:rows * k] // k
-                half = row + 0.5
-                pair_src = np.stack([ar[:rows * k], row - 1], axis=1)
-                pair_w = np.stack([np.full(rows * k, NEG_INF), np.tile(lw, rows)], axis=1)
-                pair_w[:k, 1] = NEG_INF
+                half = ar[:rows * k] // k + 0.5
             bump = ArcLayer(ar[:n_src], np.log(half[:n_src] / t), ar[:n_src + 1:k])
             draw = ArcLayer(ar[n_src:n_src + t], zero[:t], ar[:t + 1])
-            src = pair_src[:n_src + k] + (0, n_src + t)
-            src[n_src:, 0] = 0
-            logw = pair_w[:n_src + k].copy()
-            logw[:n_src, 0] = np.log(half[n_src - 1::-1] / t)
+            # Arcs [stay, draw] of each destination, by (m, x).
+            src = np.zeros((t + 1, k, 2), dtype=np.intp)
+            src[:t, :, 0] = ar[:n_src].reshape(t, k)
+            src[:, :, 1] = ar[n_src + t - 1:n_src + 2 * t, None]
+            logw = np.full((t + 1, k, 2), NEG_INF)
+            logw[:t, :, 0] = np.log(half[n_src - 1::-1] / t).reshape(t, k)
+            logw[1:, :, 1] = lw
             stay = ArcLayer(src.ravel(), logw.ravel(), ar[:2 * (n_src + k) + 1:2])
-            yield LevelArcs((bump, draw, stay), labels[:n_src + k], _grid_states(t + 1, k, False))
+            yield LevelArcs((bump, draw, stay), _grid_states(t + 1, k, False))
 
 
 class OverconfidentExperts(HmmModel):
@@ -553,7 +551,8 @@ class OverconfidentExperts(HmmModel):
 class SwitchHmm(HmmModel):
     """Two expert bands. The unstable band escapes with the hazard of the
     switch-time law at the current sample size; an escape re-enters the
-    unstable band with mass theta or stabilizes forever with 1 - theta."""
+    unstable band with mass theta or stabilizes forever with 1 - theta.
+    ``cfg`` is the SwitchConfig the model was built from."""
 
     productive_tags = frozenset({"u", "s"})
     unambiguous = False
@@ -570,6 +569,7 @@ class SwitchHmm(HmmModel):
             raise ValueError(
                 "switch-time law has finite support without a declared truncation; "
                 "the hazard would condition on a zero tail")
+        self.cfg = cfg
         self._law = law
         self._log_theta = from_linear(cfg.theta)
         self._log_stab = from_linear(1.0 - cfg.theta)
@@ -657,7 +657,7 @@ class RunLengthHmm(HmmModel):
         # q(t, t - d) has k, the hub t and each node of stratum t + 1 one.
         k, law, span = self.num_experts, self._law, self._law.span
         lw = np.array(self._log_w)
-        ar = labels = zero = leave_w = np.arange(0)
+        ar = zero = leave_w = np.arange(0)
         step_w = lw
         yield _first_level(lw, _grid_states(1, k, True))
         for t in count(1):
@@ -668,7 +668,6 @@ class RunLengthHmm(HmmModel):
                 if len(ar) <= hub + k:
                     size = 2 * (hub + k)
                     ar = np.arange(size)
-                    labels = ar % k
                     zero = np.zeros(size)
                     leave_w = _regrown(leave_w, size)
                     step_w = _regrown(step_w, size)
@@ -682,7 +681,7 @@ class RunLengthHmm(HmmModel):
                 layers = (ArcLayer(ar[:n_src], leave_w[:n_src], ar[:n_src + 1:k]),
                           ArcLayer(ar[n_src:hub], zero[:t], ar[:t + 1:t]),
                           ArcLayer(src, step_w[:d_next * k], ar[:d_next * k + 1]))
-            yield LevelArcs(layers, labels[:d_next * k], _grid_states(t + 1, k, True))
+            yield LevelArcs(layers, _grid_states(t + 1, k, True))
 
 
 def _regrown(buf: np.ndarray, size: int) -> np.ndarray:
@@ -697,7 +696,7 @@ def _first_level(logw: np.ndarray, states) -> LevelArcs:
     log mass logw[x]."""
     k = len(logw)
     layer = ArcLayer(np.zeros(k, dtype=np.intp), logw, np.arange(k + 1))
-    return LevelArcs((layer,), np.arange(k), states)
+    return LevelArcs((layer,), states)
 
 
 def _grid_states(n, k, by_run_length):

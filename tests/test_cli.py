@@ -354,6 +354,18 @@ class TestParsing:
         assert "integer bounds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0.5", "7"])
+    @pytest.mark.parametrize("cmd,model", [("posterior", "bayes"), ("map", "switch"),
+                                           ("bounds", "run-length")])
+    def test_trim_only_on_evaluate(self, tmp_path, data_file, capsys, cmd, model, value):
+        # --trim thins the forward frontier; every other output is exact,
+        # so it refuses the flag, in range or not, before writing anything.
+        out = tmp_path / "o.txt"
+        assert main([cmd, str(data_file), "--model", model, *BASE,
+                     "--trim", value, "--out", str(out)]) == 4
+        assert "--trim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overconfident_appends_safe_expert(self, tmp_path, data_file):
         out = tmp_path / "o.csv"
         rc = main(["evaluate", str(data_file), "--model", "overconfident",

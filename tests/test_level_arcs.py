@@ -71,6 +71,11 @@ def instance(name, seed):
     return make, w, experts, data
 
 
+def stratum(level):
+    """The nodes of the stratum the level steps to."""
+    return np.arange(len(level.layers[-1].indptr) - 1)
+
+
 def run(model, experts, data, mode, hook=None, keep_steps=True):
     if mode == "experts":
         fp = es.ForwardPass(model, experts, frontier_hook=hook, keep_steps=keep_steps)
@@ -337,6 +342,18 @@ def test_shape_facts_hold_and_only_skip_work(name):
 
 
 @pytest.mark.parametrize("name", ARRAY_MODELS)
+def test_strata_are_k_column_grids(name):
+    # The array core lists no labels: node j of every stratum carries
+    # expert j % k, so a stratum has a multiple of k nodes.
+    k, make = ARRAY_MODELS[name]
+    model = make(np.random.default_rng(SEEDS.index(name)).dirichlet(np.ones(k)))
+    for level in itertools.islice(model.level_arcs(), 40):
+        nodes = stratum(level)
+        assert len(nodes) % k == 0
+        assert [model.label(q) for q in level.states(nodes)] == (nodes % k).tolist()
+
+
+@pytest.mark.parametrize("name", ARRAY_MODELS)
 def test_pull_is_the_adjoint_of_propagate(name):
     # With A the level's arc masses, sum_v (A s)_v b_v = sum_u s_u (A^T b)_u:
     # the mass s sends into b is the mass b pulls back onto s. In log space
@@ -384,17 +401,28 @@ def test_streaming_pass_is_the_same(name, mode, p):
 
 def test_universal_share_weights_from_the_template():
     # Both weight vectors are slices of one m + 0.5 template grown by
-    # doubling; they equal the per-level expressions they replaced, byte
-    # for byte, across several regrowths.
+    # doubling, and the draw and stay arcs are slices of index templates;
+    # they equal per-level expressions, byte for byte, across several
+    # regrowths.
     k = 3
     levels = es.universal_share([0.2, 0.3, 0.5]).level_arcs()
     next(levels)
     for t in range(1, 71):
-        bump, _, stay = next(levels).layers
+        bump, draw, stay = next(levels).layers
         m = np.arange(t)
         assert bump.logw.tobytes() == np.repeat(np.log((m + 0.5) / t), k).tobytes()
         kept = stay.logw.reshape(-1, 2)[:t * k, 0]
         assert kept.tobytes() == np.repeat(np.log((t - m - 0.5) / t), k).tobytes()
+        # draw(t, m + 1), node t * k + t + m, follows bump(t, m), node t * k + m.
+        assert draw.src.tobytes() == np.arange(t * k, t * k + t).tobytes()
+        assert draw.logw.tobytes() == np.zeros(t).tobytes()
+        assert draw.indptr.tobytes() == np.arange(t + 1).tobytes()
+        # e(t + 1, x, m) stays from node m * k + x (node 0 at m = t, with
+        # zero mass) and draws from draw(t, m), node t * k + t + m - 1.
+        row = np.arange(t + 1).repeat(k)
+        node = np.arange((t + 1) * k)
+        pairs = np.stack([np.where(row < t, node, 0), t * k + t - 1 + row], axis=1)
+        assert stay.src.tobytes() == pairs.tobytes()
 
 
 def test_universal_elementwise_levels_from_the_template(monkeypatch):
@@ -417,12 +445,11 @@ def test_universal_elementwise_levels_from_the_template(monkeypatch):
     fresh = model.level_arcs()
     for t, (a, b) in enumerate(zip(grown, fresh)):
         assert sizes[-1] == math.comb(t + k - 1, k - 1)
-        assert a.labels.tobytes() == b.labels.tobytes()
         for x, y in zip(a.layers, b.layers, strict=True):
             for field in ("src", "logw", "indptr"):
                 assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
         if t % 10 == 0:
-            nodes = np.arange(len(a.labels))
+            nodes = stratum(a)
             assert a.states(nodes) == b.states(nodes)
     assert len(sizes) == levels
 
@@ -436,7 +463,7 @@ def test_universal_elementwise_graded_numbering(k):
     before = []
     for t in range(41):
         level = next(levels)
-        nodes = np.arange(len(level.labels))
+        nodes = stratum(level)
         states = level.states(nodes)
         assert all(q[1] == t + 1 and sum(q[2]) == t and q[3] == i % k
                    for i, q in enumerate(states))
