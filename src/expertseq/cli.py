@@ -166,10 +166,10 @@ def _weights(arg: str | None, k: int) -> list[float]:
     return w
 
 
-def _build_model(args, k: int, alphabet_size: int):
-    """Returns (model, safe_expert_appended: bool). k counts the supplied experts."""
+def _build_model(args, w: list[float]):
+    """Returns (model, safe_expert_appended: bool). w weighs the supplied experts."""
     name = args.model
-    w = _weights(args.weights, k)
+    k = len(w)
     if name == "bayes":
         return models.bayes(w), False
     if name == "fixed-elementwise":
@@ -206,8 +206,8 @@ def _load_inputs(args):
                                               args.advice_mode, len(data))
     else:
         raise InputError("--experts must be builtin:<spec> or file:<path>")
-    k = len(names)
-    model, add_safe = _build_model(args, k, len(alphabet))
+    w = _weights(args.weights, len(names))
+    model, add_safe = _build_model(args, w)
     if add_safe:
         names = names + ["safe-uniform"]
         if experts is not None:
@@ -221,7 +221,7 @@ def _load_inputs(args):
     if dup is not None:
         hint = " (--model overconfident adds it)" if add_safe and dup == names[-1] else ""
         raise InputError(f"duplicate expert name {dup!r}{hint}")
-    return alphabet, data, names, experts, matrix, model
+    return alphabet, data, names, experts, matrix, model, w
 
 
 @contextlib.contextmanager
@@ -251,7 +251,7 @@ def _check_trim(args) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    alphabet, data, names, experts, matrix, model = _load_inputs(args)
+    alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     hook = trimming_hook(args.trim) if args.trim is not None else None
     full = experts is not None
     fp = ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
@@ -298,7 +298,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
-    alphabet, data, names, experts, matrix, model = _load_inputs(args)
+    alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     grid = posterior_experts(model, experts, data, logpred_matrix=matrix)
     probs = np.exp(grid)
     with _output(args) as out:
@@ -317,7 +317,7 @@ def _cmd_map(args) -> int:
     if args.model != "switch":
         raise UnsupportedError(
             f"MAP decoding is implemented for the switch model only, not {args.model!r}")
-    alphabet, data, names, experts, matrix, model = _load_inputs(args)
+    alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     res = switch_map(model.cfg, experts, data, logpred_matrix=matrix)
     with _output(args) as out:
         if args.format == "json":
@@ -331,18 +331,30 @@ def _cmd_map(args) -> int:
     return 0
 
 
+_BOUND_MODELS = ("bayes", "fixed-share", "universal-share", "switch", "run-length",
+                 "universal-elementwise")
+
+
 def _cmd_bounds(args) -> int:
+    name = args.model
+    if name not in _BOUND_MODELS:
+        raise UnsupportedError(f"no bound report is defined for model {name!r}")
+    if name == "fixed-share":
+        if args.alpha is not None:
+            raise UnsupportedError("--alpha does not apply to fixed-share bounds "
+                                   "(each report runs at alpha* = (m - 1)/(n - 1))")
+        args.alpha = 0.0  # unused: the fixed-share report sweeps alpha itself
     for flag, value in (("--max-blocks", args.max_blocks), ("--grid", args.grid)):
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
-    if args.model == "fixed-share" and args.alpha is None:
-        args.alpha = 0.0  # unused: the fixed-share report sweeps alpha itself
-    alphabet, data, names, experts, matrix, model = _load_inputs(args)
+    alphabet, data, names, experts, matrix, model, w = _load_inputs(args)
     if not data:
         raise InputError("bounds need a nonempty data file")
     k = len(names)
+    if name == "universal-elementwise" and k != 2:
+        # Refused before the forward pass, which holds O(n^(k-1)) states.
+        raise UnsupportedError("the mixture-weight grid oracle is limited to two experts")
     lp = _realized_matrix(experts, data, matrix, k)
-    w = _weights(args.weights, k if args.model != "overconfident" else k - 1)
 
     def marginal_of(m) -> float:
         fp = ForwardPass(m, logpred_matrix=lp, keep_steps=False)
@@ -350,7 +362,6 @@ def _cmd_bounds(args) -> int:
             fp.advance(x)
         return fp.log_marginal
 
-    name = args.model
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]
     elif name == "fixed-share":
@@ -362,10 +373,8 @@ def _cmd_bounds(args) -> int:
         reports = bnd.measure_switch(marginal_of(model), lp, k, args.max_blocks)
     elif name == "run-length":
         reports = bnd.measure_run_length(marginal_of(model), lp, k, args.max_blocks)
-    elif name == "universal-elementwise":
+    else:  # universal-elementwise
         reports = [bnd.measure_unimix(marginal_of(model), lp, c=args.unimix_c, grid=args.grid)]
-    else:
-        raise UnsupportedError(f"no bound report is defined for model {name!r}")
     # Every report is computed before the output opens, so one that fails
     # leaves no partial file.
     reports = list(reports)

@@ -9,8 +9,9 @@ are exposed so the complexity contracts of the models can be checked.
 once from ``model.level_arcs()``: ``_ArcCore`` steps a log-weight vector
 with :func:`~expertseq.hmm.propagate_arcs`, ``_TupleCore`` a weight map
 of tuple states with :func:`~expertseq.hmm.propagate_frontier`. Each
-owns its frontier, peak count and records, and offers ``propagate`` (the
-next stratum's per-label masses, their total, the transitions),
+owns its frontier and records, and offers ``propagate`` (the next
+stratum's per-label masses, their total, the transitions, the weights
+the level held),
 ``update`` (by the realized log-likelihoods and the hook; the new
 marginal), ``weight_map``, and ``backward_rows``, the smoothed
 posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
@@ -70,25 +71,23 @@ class _TupleCore:
     """The frontier as a weight map of tuple states holding Python floats."""
 
     def __init__(self, model: HmmModel, record: bool):
-        self.model, self.record, self.peak = model, record, 0
+        self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
         self.frontier: dict[StateId, LogMass] = dict(model.initial())
         self.pre: dict[StateId, LogMass] | None = None
 
     def propagate(self, target: int, count_transitions: bool):
         record = [] if self.record else None
-        self.pre, transitions, peak = propagate_frontier(
+        self.pre, transitions, held = propagate_frontier(
             self.model, self.frontier, target, record=record)
         if self.record:
             self.regions.append(record)
-        if peak > self.peak:
-            self.peak = peak
         by_label = [NEG_INF] * self.model.num_experts
         label = self.model.label
         for q, v in self.pre.items():
             lab = label(q)
             by_label[lab] = log_sum(by_label[lab], v)
-        return np.array(by_label), log_sum_iter(self.pre.values()), transitions
+        return np.array(by_label), log_sum_iter(self.pre.values()), transitions, held
 
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
         # Python floats keep the dict loop and propagate_frontier off numpy scalars.
@@ -110,8 +109,6 @@ class _TupleCore:
                     raise _off_stratum(q, step)
         if self.record:
             self.stratum_weights.append(dict(post))
-        if len(post) > self.peak:
-            self.peak = len(post)
         self.frontier, self.pre = post, None
         return new_marginal
 
@@ -164,7 +161,7 @@ class _ArcCore:
     expert j % k, read off ``grid``, which ``labels_of`` grows by doubling."""
 
     def __init__(self, model: HmmModel, record: bool, levels):
-        self.model, self.record, self.peak = model, record, 0
+        self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
         self.levels = levels
         self.grid = np.arange(0)
@@ -174,15 +171,13 @@ class _ArcCore:
 
     def propagate(self, target: int, count_transitions: bool):
         level = self.pending = next(self.levels)
-        self.pre, transitions, peak = propagate_arcs(
+        self.pre, transitions, held = propagate_arcs(
             self.frontier, level.layers, count_transitions=count_transitions)
         if self.record:
             self.regions.append(level)
-        if peak > self.peak:
-            self.peak = peak
         self.labels = self.labels_of(len(self.pre))
         self.by_label = logsumexp_by(self.pre, self.labels, self.model.num_experts)
-        return self.by_label, logsumexp(self.by_label), transitions
+        return self.by_label, logsumexp(self.by_label), transitions, held
 
     def labels_of(self, size: int) -> np.ndarray:
         if len(self.grid) < size:
@@ -272,10 +267,9 @@ class ForwardPass:
     ``(state, successors)`` pairs in topological order and a copy of the
     post-update map.
 
-    ``peak_weights`` is the most weights the pass held at once, counted as
-    each core holds them, so one run reads differently on the two: every
-    live weight of one level (``propagate_arcs``'s count) on the array
-    core, the largest Kahn working set or post-update frontier on the tuple.
+    ``peak_weights`` is the most weights one level has held so far: its
+    live sources, its live silent nodes and the live states it puts on the
+    next stratum, as both cores count them.
     """
 
     def __init__(
@@ -307,6 +301,7 @@ class ForwardPass:
         self.last_step: StepRecord | None = None
         self.transitions_per_level: list[int] = []
         self.log_marginal: LogMass = 0.0
+        self.peak_weights = 0
         levels = model.level_arcs()
         self._core = (_TupleCore(model, record_regions) if levels is None
                       else _ArcCore(model, record_regions, levels))
@@ -321,10 +316,6 @@ class ForwardPass:
         self._preds: np.ndarray | None = None
         self._last: int | None = None
 
-    @property
-    def peak_weights(self) -> int:
-        return self._core.peak
-
     # -- propagation and per-step predictions -----------------------------
 
     def _expert_preds(self) -> np.ndarray:
@@ -335,8 +326,9 @@ class ForwardPass:
     def predict_expert(self) -> np.ndarray:
         """log P(xi_{t+1} = . | x^t) from the propagated frontier."""
         if self._pre_by_label is None:
-            self._pre_by_label, self._pre_total, transitions = self._core.propagate(
+            self._pre_by_label, self._pre_total, transitions, held = self._core.propagate(
                 self._t + 1, self._keep_steps)
+            self.peak_weights = max(self.peak_weights, held)
             if self._keep_steps:
                 self.transitions_per_level.append(transitions)
         if self._pre_total == NEG_INF:

@@ -28,8 +28,8 @@ multiple of k nodes, and node j carries expert j % k. :func:`propagate_arcs`
 pushes a log-weight vector through those layers, a copy for a layer with
 one arc per destination and one ``reduceat`` for any other; it touches
 the same arcs of positive mass as :func:`propagate_frontier` and reports
-the same transition count, or skips the count
-(``count_transitions=False``). Its backward counterpart,
+the same count of held weights and the same transition count, or skips
+the latter (``count_transitions=False``). Its backward counterpart,
 :func:`pull_arcs`, walks the same layers in reverse and pulls a vector
 over the next stratum back to the level's sources, one scatter a layer;
 it is the smoothed posterior's backward sweep. :func:`propagate_frontier`
@@ -169,7 +169,8 @@ def propagate_frontier(
     ``(state, successor_list)`` in processing order; a backward sweep can
     replay the region in reverse.
 
-    Returns ``(new_frontier, transitions_touched, peak_weights)``.
+    Returns ``(new_frontier, transitions_touched, held)``; ``held`` counts
+    the level's live sources, live silent nodes and new stratum states.
     """
     successors = model.successors
     prod_tags = model.productive_tags
@@ -201,13 +202,14 @@ def propagate_frontier(
 
     ready = [u for u in acc if indeg.get(u, 0) == 0]
     transitions = 0
-    peak = len(acc) + len(sinks)
+    held = 0
     done = 0
     while ready:
         u = ready.pop()
         mass = acc.pop(u, NEG_INF)
         live = mass != NEG_INF
         if live:
+            held += 1
             transitions += len(adj[u])
             if record is not None:
                 record.append((u, adj[u]))
@@ -236,13 +238,10 @@ def propagate_frontier(
                 if indeg[v] == 0:
                     ready.append(v)
         done += 1
-        size = len(acc) + len(sinks)
-        if size > peak:
-            peak = size
     if done != len(adj):
         leftover = [u for u in adj if indeg.get(u, 0) > 0][:3]
         raise ValueError(f"silent region is not a DAG near states {leftover}")
-    return sinks, transitions, peak
+    return sinks, transitions, held + len(sinks)
 
 
 def propagate_arcs(
@@ -250,11 +249,11 @@ def propagate_arcs(
 ) -> tuple[np.ndarray, int, int]:
     """Push a log-weight vector over a level's sources through its layers.
 
-    Returns ``(next_stratum, transitions, peak)``: the last layer's
+    Returns ``(next_stratum, transitions, held)``: the last layer's
     log-weight vector, the number of arcs of positive mass leaving live
     (finite) nodes, and the number of live weights held over the level.
     With ``count_transitions`` false the arcs are not counted and
-    ``transitions`` is 0; the weights and the peak are the same.
+    ``transitions`` is 0; the weights and ``held`` are the same.
     """
     sizes = [len(layer.indptr) - 1 for layer in layers]
     held = np.empty(len(source) + sum(sizes))

@@ -75,15 +75,6 @@ def logsumexp_by(values: np.ndarray, groups: np.ndarray, size: int) -> np.ndarra
         return top + np.log(sums)
 
 
-def log_normalize(arr) -> np.ndarray:
-    """Shift a log-mass vector so it log-sums to 0 (a proper distribution)."""
-    a = np.asarray(arr, dtype=float)
-    total = logsumexp(a)
-    if total == NEG_INF:
-        raise ValueError("cannot normalize a vector of zero total mass")
-    return a - total
-
-
 def to_bits(a: LogMass) -> float:
     """Code length in bits of a log mass; +inf for probability zero."""
     if a == 0.0:

@@ -30,13 +30,12 @@ class SwitchTimeLaw(ABC):
     P(Z >= d) and hazard P(Z = d | Z >= d).
 
     ``span`` is the last support point for finite-support laws (None means
-    infinite support). For a declared truncation the hazard is defined as 1
+    infinite support). Past a finite support the hazard is defined as 1
     from the span onward, which forces a switch and keeps frontiers finite.
     """
 
     name: str = "law"
     span: int | None = None
-    declared_truncation: bool = True
 
     @abstractmethod
     def pmf(self, d: int) -> float: ...
@@ -127,7 +126,7 @@ class FinitePmfLaw(SwitchTimeLaw):
     """Explicit finite-support law with masses for d = 1..span."""
 
     def __init__(self, probs: Sequence[float], *, renormalize: bool = False,
-                 declared_truncation: bool = True, name: str = "finite"):
+                 name: str = "finite"):
         p = np.asarray(probs, dtype=float)
         if not np.isfinite(p).all():
             raise ValueError(f"finite law masses must be finite, got {p.tolist()}")
@@ -141,7 +140,6 @@ class FinitePmfLaw(SwitchTimeLaw):
         self._pmf = p
         self._tail = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
         self.span = len(p)
-        self.declared_truncation = declared_truncation
         self.name = name
 
     def pmf(self, d: int) -> float:
@@ -564,13 +562,8 @@ class SwitchHmm(HmmModel):
         self._log_w = _log_dist(cfg.pi_k, k, what="pi_k")
         if any(lw == NEG_INF for lw in self._log_w):
             raise ValueError("pi_k must give positive mass to every expert")
-        law = cfg.pi_t
-        if law.span is not None and not law.declared_truncation:
-            raise ValueError(
-                "switch-time law has finite support without a declared truncation; "
-                "the hazard would condition on a zero tail")
         self.cfg = cfg
-        self._law = law
+        self._law = cfg.pi_t
         self._log_theta = from_linear(cfg.theta)
         self._log_stab = from_linear(1.0 - cfg.theta)
         self.num_experts = k
@@ -615,10 +608,6 @@ class RunLengthHmm(HmmModel):
     silent_depth_bound = 2
 
     def __init__(self, pi_t: SwitchTimeLaw, w):
-        if pi_t.span is not None and not pi_t.declared_truncation:
-            raise ValueError(
-                "run-length law has finite support without a declared truncation; "
-                "the hazard would condition on a zero tail")
         self._law = pi_t
         self._log_w = _log_dist(w)
         self.num_experts = len(self._log_w)

@@ -244,6 +244,35 @@ class TestBounds:
         rc = main(["bounds", str(data_file), "--model", "overconfident", "--alpha", "0.2", *BASE])
         assert rc == 4
 
+    # The refusals below come before any file is read: the data file here
+    # does not exist.
+    @pytest.mark.parametrize("model", ["fixed-elementwise", "overconfident"])
+    def test_model_without_report_rejected_up_front(self, tmp_path, capsys, model):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(tmp_path / "missing.txt"), "--model", model,
+                     "--alpha", "0.2", *BASE, "--out", str(out)]) == 4
+        assert f"no bound report is defined for model {model!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_share_alpha_rejected_up_front(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(tmp_path / "missing.txt"), "--model", "fixed-share",
+                     "--alpha", "0.7", *BASE, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "alpha* = (m - 1)/(n - 1)" in err
+        assert not out.exists()
+
+    def test_unimix_beyond_two_experts_rejected_before_the_pass(self, tmp_path, data_file,
+                                                                capsys, monkeypatch):
+        # Any forward pass would now fail: the refusal must come first.
+        monkeypatch.setattr(cli_mod, "ForwardPass", None)
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(data_file), "--model", "universal-elementwise",
+                     "--alphabet", "0,1", "--experts", "builtin:kt;laplace;kt",
+                     "--out", str(out)]) == 4
+        assert "limited to two experts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fixed_share_max_blocks_runs_one_pass(self, tmp_path, data_file, monkeypatch):
         passes = []
 

@@ -67,8 +67,8 @@ class TestForwardMarginal:
         model = es.fixed_share([1 / k] * k, 0.4)
         data = list(rng.integers(0, 2, 300))
         res = es.forward_marginal(model, experts, data)
-        # One level interval holds at most both strata plus the hub.
-        assert res.peak_weights <= 2 * k + 1
+        # A level holds both strata plus the hub.
+        assert res.peak_weights == 2 * k + 1
         res_short = es.forward_marginal(model, experts, data[:30])
         assert res.peak_weights == res_short.peak_weights
 

@@ -79,6 +79,18 @@ class TestValidate:
         with pytest.raises(ValueError):
             propagate_frontier(_SilentLoop(), {("s", 0): 0.0}, 1)
 
+    def test_propagation_counts_held_weights(self):
+        # A fixed-share level holds its live sources, the hub and the k
+        # states it puts on the next stratum; a source of zero mass is not held.
+        k = 3
+        model = es.fixed_share([1 / k] * k, 0.4)
+        frontier = {("e", 1, x): -math.log(k) for x in range(k)}
+        sinks, transitions, held = propagate_frontier(model, frontier, 2)
+        assert len(sinks) == k and transitions == 3 * k
+        assert held == k + 1 + k
+        frontier[("e", 1, 0)] = NEG_INF
+        assert propagate_frontier(model, frontier, 2)[2] == (k - 1) + 1 + k
+
 
 class TestExpertSequencePrior:
     def test_bayes_constant_sequence(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from expertseq.logprob import (NEG_INF, from_linear, log_normalize, log_sum,
-                               log_sum_iter, logsumexp, logsumexp_by, to_bits)
+from expertseq.logprob import (NEG_INF, from_linear, log_sum, log_sum_iter, logsumexp,
+                               logsumexp_by, to_bits)
 
 
 class TestLogSum:
@@ -63,12 +63,6 @@ class TestHelpers:
     def test_logsumexp_empty_and_dead(self):
         assert logsumexp([]) == NEG_INF
         assert logsumexp([NEG_INF, NEG_INF]) == NEG_INF
-
-    def test_log_normalize(self):
-        v = log_normalize(np.log([0.2, 0.6]))
-        assert logsumexp(v) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            log_normalize([NEG_INF, NEG_INF])
 
     def test_from_linear(self):
         assert from_linear(0.0) == NEG_INF

@@ -37,7 +37,7 @@ class TestLaws:
         law = es.uniform_span(1, 2)
         assert law.hazard(1) == pytest.approx(0.5)
         assert law.hazard(2) == pytest.approx(1.0)
-        assert law.hazard(5) == 1.0  # declared truncation continues at 1
+        assert law.hazard(5) == 1.0  # past the span the hazard is 1
 
     def test_elias_is_a_complete_code(self):
         law = es.elias_delta()
@@ -58,13 +58,6 @@ class TestLaws:
     def test_finite_law_normalization_guard(self):
         with pytest.raises(ValueError):
             es.models.FinitePmfLaw([0.2, 0.2])
-
-    def test_undeclared_truncation_rejected_by_models(self):
-        law = es.models.FinitePmfLaw([0.5, 0.5], declared_truncation=False)
-        with pytest.raises(ValueError):
-            es.run_length(law, [0.5, 0.5])
-        with pytest.raises(ValueError):
-            es.switch(es.SwitchConfig(0.5, law, (0.5, 0.5)), 2)
 
 
 class TestBayesModel:
