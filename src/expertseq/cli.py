@@ -186,15 +186,35 @@ def _build_model(args, w: list[float]):
         if args.alpha is None:
             raise InputError("--model overconfident requires --alpha")
         return models.overconfident(w, args.alpha), True
-    if name == "switch":
-        cfg = models.SwitchConfig(args.theta, _parse_pi_t(args.pi_t), tuple(w))
-        return models.switch(cfg, k), False
-    if name == "run-length":
-        return models.run_length(_parse_pi_t(args.pi_t), w), False
+    if name in ("switch", "run-length"):
+        pi_t = _parse_pi_t("inv-poly" if args.pi_t is None else args.pi_t)
+        if name == "run-length":
+            return models.run_length(pi_t, w), False
+        theta = 0.5 if args.theta is None else args.theta
+        return models.switch(models.SwitchConfig(theta, pi_t, tuple(w)), k), False
     raise InputError(f"unknown model {name!r}")
 
 
+# The models that read each model parameter.
+_READERS = {"--alpha": ("fixed-share", "overconfident"),
+            "--theta": ("switch",),
+            "--pi-t": ("switch", "run-length"),
+            "--weights": ("bayes", "fixed-elementwise", "fixed-share", "universal-share",
+                          "overconfident", "switch", "run-length")}
+
+
+def _check_model_parameters(args) -> None:
+    """Refuse a model parameter the chosen model would silently ignore."""
+    given = {"--alpha": args.alpha, "--theta": args.theta, "--pi-t": args.pi_t,
+             "--weights": args.weights}
+    for flag, value in given.items():
+        if value is not None and args.model not in _READERS[flag]:
+            raise UnsupportedError(f"{flag} does not apply to --model {args.model} "
+                                   f"(read by {', '.join(_READERS[flag])})")
+
+
 def _load_inputs(args):
+    _check_model_parameters(args)
     alphabet = Alphabet.of(tok.strip() for tok in args.alphabet.split(","))
     data = _read_data(args.data, alphabet)
     spec = args.experts
@@ -415,11 +435,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="builtin:<spec>(;<spec>...) or file:<path>")
     common.add_argument("--advice-mode", choices=["full", "realized"], default="full")
     common.add_argument("--weights", default=None,
-                        help="comma-separated expert weights (default uniform)")
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--theta", type=float, default=0.5)
-    common.add_argument("--pi-t", dest="pi_t", default="inv-poly",
-                        help="inv-poly | geometric:<r> | uniform:<a>,<b> | elias")
+                        help="comma-separated expert weights (default uniform); "
+                             "every model but universal-elementwise")
+    common.add_argument("--alpha", type=float, default=None,
+                        help="switching rate; fixed-share and overconfident only")
+    common.add_argument("--theta", type=float, default=None,
+                        help="switch only (default 0.5)")
+    common.add_argument("--pi-t", dest="pi_t", default=None,
+                        help="inv-poly | geometric:<r> | uniform:<a>,<b> | elias; "
+                             "switch and run-length only (default inv-poly)")
     common.add_argument("--trim", type=float, default=None,
                         help="retained frontier mass fraction in (0, 1]; evaluate only")
     common.add_argument("--out", default=None)

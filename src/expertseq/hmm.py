@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,8 +116,7 @@ class StateBudgetExceeded(RuntimeError):
     than the budget allows."""
 
 
-@dataclass(frozen=True)
-class ArcLayer:
+class ArcLayer(NamedTuple):
     """Arcs into one block of destinations, sorted by destination: the arcs
     of destination d are ``src[indptr[d]:indptr[d + 1]]`` with log masses
     ``logw[...]``; ``src`` indexes the level's numbering so far. Arcs of
@@ -134,8 +132,7 @@ class ArcLayer:
     indptr: np.ndarray
 
 
-@dataclass(frozen=True)
-class LevelArcs:
+class LevelArcs(NamedTuple):
     """One level: its array layers, and ``states``, which maps an array
     of nodes of the next stratum to their tuple states. Of k experts,
     node j carries expert j % k, so no labels are listed. A forward pass
@@ -298,8 +295,7 @@ def pull_arcs(
     return held[:num_sources]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     kind: str
     state: StateId | None
     detail: str

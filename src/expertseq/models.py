@@ -550,7 +550,12 @@ class SwitchHmm(HmmModel):
     """Two expert bands. The unstable band escapes with the hazard of the
     switch-time law at the current sample size; an escape re-enters the
     unstable band with mass theta or stabilizes forever with 1 - theta.
-    ``cfg`` is the SwitchConfig the model was built from."""
+    ``cfg`` is the SwitchConfig the model was built from.
+
+    On level arcs stratum t is a grid of two rows: node x is u(t, x) and
+    node k + x is s(t, x). After the sources, level t >= 1 numbers p(t)
+    as node 2k and pu(t), ps(t) as nodes 2k + 1 and 2k + 2; level 0
+    numbers p(0) as node 0 and pu(0), ps(0) as nodes 1 and 2."""
 
     productive_tags = frozenset({"u", "s"})
     unambiguous = False
@@ -596,6 +601,41 @@ class SwitchHmm(HmmModel):
 
     def label(self, q):
         return q[2]
+
+    def level_arcs(self):
+        # Level t >= 1: p(t) collects the u row with mass hazard(t); pu(t)
+        # and ps(t) take theta and 1 - theta from p(t); node r * k + x of
+        # stratum t + 1 has two arcs, its stay from node r * k + x (mass
+        # 1 - hazard(t) on the u row, 1 on the s row) and its draw from
+        # node 2k + 1 + r (mass w_x). Level 0 splits p(0) the same way and
+        # draws stratum 1. Theta = 1 and a hazard of 0 or 1 leave zero-mass
+        # arcs. The index arrays and the split layer are built once per
+        # run; a level writes only its two hazard weight vectors afresh,
+        # into one array: the collect weights at [0, k), then the step
+        # weights, [stay, draw] per destination by (row, x).
+        k, law = self.num_experts, self._law
+        lw = np.array(self._log_w)
+        ar = np.arange(4 * k + 1)
+        thetas = np.array([self._log_theta, self._log_stab])
+
+        def states(n):
+            # Node r * k + x of stratum n as its tuple state.
+            return lambda idx: [(("u", "s")[r], n, x)
+                                for r, x in zip((idx // k).tolist(), (idx % k).tolist())]
+        draws = ArcLayer(ar[1:3].repeat(k), np.tile(lw, 2), ar[:2 * k + 1])
+        yield LevelArcs((ArcLayer(np.zeros(2, dtype=np.intp), thetas, ar[:3]), draws), states(1))
+        u_row, collect_at, step_at = ar[:k], ar[:k + 1:k], ar[:4 * k + 1:2]
+        split = ArcLayer(np.full(2, 2 * k), thetas, ar[:3])
+        src = np.stack([ar[:2 * k], (2 * k + 1 + ar[:2]).repeat(k)], axis=1).ravel()
+        step_w = np.stack([np.zeros(2 * k), np.tile(lw, 2)], axis=1).ravel()
+        blank = np.concatenate([np.zeros(k), step_w])
+        for t in count(1):
+            h = law.hazard(t)
+            w = blank.copy()
+            w[:k] = math.log(h) if h > 0.0 else NEG_INF
+            w[k:3 * k:2] = math.log1p(-h) if h < 1.0 else NEG_INF
+            yield LevelArcs((ArcLayer(u_row, w[:k], collect_at), split,
+                             ArcLayer(src, w[k:], step_at)), states(t + 1))
 
 
 class RunLengthHmm(HmmModel):

@@ -369,7 +369,8 @@ class TestParsing:
     @pytest.mark.parametrize("model", ["bayes", "fixed-share", "run-length"])
     def test_nan_weights_rejected(self, tmp_path, data_file, capsys, model):
         out = tmp_path / "o.csv"
-        assert main(["evaluate", str(data_file), "--model", model, "--alpha", "0.1", *BASE,
+        alpha = ["--alpha", "0.1"] if model == "fixed-share" else []
+        assert main(["evaluate", str(data_file), "--model", model, *alpha, *BASE,
                      "--weights", "nan,1", "--out", str(out)]) == 2
         assert "nan" in capsys.readouterr().err
         assert not out.exists()
@@ -414,7 +415,8 @@ class TestParsing:
         advice = tmp_path / "advice.csv"
         write(advice, header + "\n" + "0.5,0.5\n" * 4)
         out = tmp_path / "o.txt"
-        rc = main([cmd, str(data_file), "--model", model, "--alpha", "0.1", "--alphabet", "0,1",
+        alpha = ["--alpha", "0.1"] if model == "overconfident" else []
+        rc = main([cmd, str(data_file), "--model", model, *alpha, "--alphabet", "0,1",
                    "--experts", f"file:{advice}", "--advice-mode", "realized",
                    "--out", str(out)])
         dup = header.split(",")[1]
@@ -424,6 +426,48 @@ class TestParsing:
         assert rc == 2
         assert f"duplicate expert name {dup!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestModelParameters:
+    """A model parameter the chosen model does not read is refused (exit 4)
+    in every subcommand that takes the model, naming the flag and the
+    model, before any file is read: the data file here does not exist."""
+
+    def assert_refused(self, tmp_path, capsys, model, flag, value):
+        cmds = ["evaluate", "posterior"] + (["map"] if model == "switch" else [])
+        cmds += ["bounds"] if model in cli_mod._BOUND_MODELS else []
+        for cmd in cmds:
+            out = tmp_path / "o.txt"
+            assert main([cmd, str(tmp_path / "missing.txt"), "--model", model, flag, value,
+                         *BASE, "--out", str(out)]) == 4, cmd
+            assert f"{flag} does not apply to --model {model}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["bayes", "fixed-elementwise", "universal-elementwise",
+                                       "universal-share", "switch", "run-length"])
+    def test_alpha_only_for_fixed_share_and_overconfident(self, tmp_path, capsys, model):
+        self.assert_refused(tmp_path, capsys, model, "--alpha", "0.1")
+
+    @pytest.mark.parametrize("model", ["bayes", "fixed-share", "universal-share", "run-length"])
+    def test_theta_only_for_switch(self, tmp_path, capsys, model):
+        self.assert_refused(tmp_path, capsys, model, "--theta", "0.5")
+
+    @pytest.mark.parametrize("model", ["bayes", "fixed-elementwise", "universal-share",
+                                       "overconfident"])
+    def test_pi_t_only_for_switch_and_run_length(self, tmp_path, capsys, model):
+        self.assert_refused(tmp_path, capsys, model, "--pi-t", "inv-poly")
+
+    def test_weights_not_for_universal_elementwise(self, tmp_path, capsys):
+        self.assert_refused(tmp_path, capsys, "universal-elementwise", "--weights", "0.5,0.5")
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "posterior", "map", "bounds"])
+    def test_defaults_are_the_same_bytes(self, tmp_path, data_file, cmd):
+        # --theta and --pi-t default to 0.5 and inv-poly when left out.
+        outs = tmp_path / "a.txt", tmp_path / "b.txt"
+        for out, flags in zip(outs, ([], ["--theta", "0.5", "--pi-t", "inv-poly"])):
+            assert main([cmd, str(data_file), "--model", "switch", *flags, *BASE,
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestClosedStdout:

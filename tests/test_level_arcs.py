@@ -38,6 +38,16 @@ LATER_MODELS = {
     "universal_share_k1": (1, lambda w: es.universal_share(w)),
     # one count state per level: the tail c[1:] has no parts
     "universal_elementwise_1": (1, lambda w: es.universal_elementwise(1)),
+    "switch_inv_poly": (3, lambda w: es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), 3)),
+    # theta = 1: the stable band gets zero-mass arcs only
+    "switch_theta_1_elias": (
+        2, lambda w: es.switch(es.SwitchConfig(1.0, es.elias_delta(), tuple(w)), 2)),
+    # hazard 0 at level 1, then 1 from level 4 on
+    "switch_uniform_2_4": (
+        2, lambda w: es.switch(es.SwitchConfig(0.5, es.uniform_span(2, 4), tuple(w)), 2)),
+    "switch_geometric_1": (
+        2, lambda w: es.switch(es.SwitchConfig(0.5, es.geometric(1.0), tuple(w)), 2)),
+    "switch_k1": (1, lambda w: es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), 1)),
 }
 # A model's seed is its position here: later models come after the sorted
 # first ones, so every earlier model keeps its inputs.
@@ -47,8 +57,10 @@ ARRAY_MODELS |= LATER_MODELS
 # expert nothing to explain it with.
 SEVERAL_EXPERTS = [name for name, (k, _) in ARRAY_MODELS.items() if k > 1]
 # Trimming at 0.99 need not shrink a frontier whose masses are the prior's
-# (one expert), nor one a finite-span law keeps at span * k weights.
-GROWING = [name for name in SEVERAL_EXPERTS if "uniform" not in name]
+# (one expert), one a finite-span law keeps at span * k weights, nor a
+# switch frontier, which never holds more than 2k states.
+GROWING = [name for name in SEVERAL_EXPERTS
+           if "uniform" not in name and not name.startswith("switch")]
 
 
 def plain_trim(wm):
@@ -100,7 +112,11 @@ def test_array_step_matches_tuple_core(name, mode, hook):
     for a, b in zip(fast.steps, ref.steps, strict=True):
         assert abs(a.log_cond - b.log_cond) <= TOL
         assert abs(a.pre_update_total - b.pre_update_total) <= TOL
-        assert np.all(np.abs(a.expert_dist - b.expert_dist) <= TOL)
+        # A hook may trim every state of a label: both cores then give
+        # -inf there, in the same places.
+        ruled_out = a.expert_dist == -np.inf
+        assert np.array_equal(ruled_out, b.expert_dist == -np.inf)
+        assert np.all(np.abs(a.expert_dist[~ruled_out] - b.expert_dist[~ruled_out]) <= TOL)
     assert fast.log_marginal == pytest.approx(ref.log_marginal, abs=TOL * N)
     fast_w, ref_w = fast.weight_map.entries, ref.weight_map.entries
     assert fast_w.keys() == ref_w.keys()
@@ -198,8 +214,9 @@ def test_weight_map_round_trip_keeps_vector(name, mode):
     assert hooked.weight_map.entries == plain.weight_map.entries
 
 
-# Models that only offer the tuple interface, for the hook checks.
-TUPLE_MODELS = {
+# Two more models for the hook checks: fixed share, which only offers the
+# tuple interface, and the default switch model, as the CLI builds it.
+OTHER_MODELS = {
     "fixed_share": lambda w: es.fixed_share(w, 0.2),
     "switch": lambda w: es.switch(es.default_switch_config(2), 2),
 }
@@ -209,7 +226,7 @@ def off_stratum_cases():
     for name in ARRAY_MODELS:
         yield pytest.param(name, False, id=name)
         yield pytest.param(name, True, id=f"{name}-tuple")
-    for name in TUPLE_MODELS:
+    for name in OTHER_MODELS:
         yield pytest.param(name, True, id=name)
 
 
@@ -219,11 +236,11 @@ def test_hook_state_off_the_stratum_raises_with_step(name, tuple_core):
     # stratum, even where its numbering would fit one, and the tuple core
     # would take it for a state already on the next stratum, so either
     # core refuses it and names the step and the state.
-    if name in TUPLE_MODELS:
-        rng = np.random.default_rng(len(SEEDS) + list(TUPLE_MODELS).index(name))
+    if name in OTHER_MODELS:
+        rng = np.random.default_rng(len(SEEDS) + list(OTHER_MODELS).index(name))
         experts = random_constant_experts(rng, 2, ALPHABET)
         data = [int(x) for x in rng.integers(0, ALPHABET, N)]
-        model = TUPLE_MODELS[name](rng.dirichlet(np.ones(2) * 5.0))
+        model = OTHER_MODELS[name](rng.dirichlet(np.ones(2) * 5.0))
     else:
         make, w, experts, data = instance(name, SEEDS.index(name))
         model = TupleOnly(make(w)) if tuple_core else make(w)
