@@ -16,18 +16,30 @@ the level held),
 marginal), ``weight_map``, and ``backward_rows``, the smoothed
 posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
 recorded arcs, or the recorded silent regions in reverse.
+
+For a model that declares itself ``stationary``, the tuple core of a
+pass that records nothing compiles the level of a frontier shape that
+comes back within a few levels and replays it by index after that, bit
+for bit (:class:`~expertseq.hmm.LevelPlan`). It calls
+:func:`~expertseq.hmm.propagate_frontier` at level 1, for a shape without
+a plan, where a plan meets a dead node, and for the rest of a pass once
+a frontier hook leaves other than all the propagated states in their
+order, as when it trims or reorders or the update drops a state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import is_
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _forecast_rows,
                       _logpred_matrix, _realized_matrix)
-from .hmm import HmmModel, LevelArcs, StateId, propagate_arcs, propagate_frontier, pull_arcs
+from .hmm import (HmmModel, LevelArcs, LevelPlan, StateId, compile_level, propagate_arcs,
+                  propagate_frontier, pull_arcs, shape_of)
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
 
 
@@ -68,20 +80,41 @@ def _off_stratum(q: StateId, step: int) -> ValueError:
 
 
 class _TupleCore:
-    """The frontier as a weight map of tuple states holding Python floats."""
+    """The frontier as a weight map of tuple states holding Python floats.
+
+    ``plans`` maps a frontier shape (:func:`~expertseq.hmm.shape_of`) to
+    its compiled level. A shape is compiled when it comes back within
+    ``PLANS`` levels of its last sighting, so ``PLANS`` plans, the oldest
+    dropped first, hold any cycle of shapes that short (Kahn's order can
+    reverse a frontier each level). After ``PLANS`` new shapes in a row,
+    shapes no plan named are computed only at levels that are powers of
+    two, so shapes that do not repeat cost little."""
+
+    PLANS = 8
 
     def __init__(self, model: HmmModel, record: bool):
         self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
         self.frontier: dict[StateId, LogMass] = dict(model.initial())
         self.pre: dict[StateId, LogMass] | None = None
+        self.plan_levels = model.stationary and not record
+        self.plans: dict[tuple, LevelPlan] = {}
+        self.seen: dict[tuple, int] = {}    # shape -> the last level it was seen at
+        self.misses = 0                     # new shapes since the last replay
+        # The frontier's shape and that of pre, where a plan named them.
+        self.shape: tuple | None = None
+        self.pre_shape: tuple | None = None
 
     def propagate(self, target: int, count_transitions: bool):
-        record = [] if self.record else None
-        self.pre, transitions, held = propagate_frontier(
-            self.model, self.frontier, target, record=record)
-        if self.record:
-            self.regions.append(record)
+        step = self._planned(target) if self.plan_levels else None
+        if step is None:
+            record = [] if self.record else None
+            self.pre, transitions, held = propagate_frontier(
+                self.model, self.frontier, target, record=record)
+            if self.record:
+                self.regions.append(record)
+        else:
+            self.pre, transitions, held = step
         by_label = [NEG_INF] * self.model.num_experts
         label = self.model.label
         for q, v in self.pre.items():
@@ -89,12 +122,50 @@ class _TupleCore:
             by_label[lab] = log_sum(by_label[lab], v)
         return np.array(by_label), log_sum_iter(self.pre.values()), transitions, held
 
+    def _planned(self, target: int):
+        """The level to ``target`` from the frontier shape's plan, as
+        propagate_frontier returns it, or None. Past level 1 the frontier
+        lies on stratum ``target - 1`` (update checks a hook's states), so
+        no state of it is on the target stratum; the initial frontier
+        may hold such states, but level 1 never has a plan, since a shape
+        is compiled only where it was seen before."""
+        shape, frontier = self.shape, self.frontier
+        if shape is None:
+            if self.misses >= self.PLANS:       # look again at levels 2^j only
+                if target & (target - 1):
+                    return None
+                self.misses = 0
+            shape = shape_of(frontier)
+        plan = self.plans.get(shape)
+        if plan is None:
+            if target - self.seen.get(shape, -self.PLANS) > self.PLANS:
+                self._keep(self.seen, shape, target)
+                self.misses += 1
+                return None
+            record = []
+            sinks = propagate_frontier(self.model, frontier, target, record)[0]
+            plan = compile_level(frontier, record, sinks)
+            if plan is None:
+                return None
+            self._keep(self.plans, shape, plan)
+        pre = plan.replay(list(frontier.values()), target)
+        if pre is None:
+            return None
+        self.misses = 0
+        self.pre_shape = plan.sinks
+        return pre, plan.transitions, plan.held
+
+    def _keep(self, cache: dict, key: tuple, value) -> None:
+        if len(cache) == self.PLANS:
+            del cache[next(iter(cache))]
+        cache[key] = value
+
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
         # Python floats keep the dict loop and propagate_frontier off numpy scalars.
         lp = lp.tolist()
         label = self.model.label
-        post = {}
-        for q, v in self.pre.items():
+        pre, post = self.pre, {}
+        for q, v in pre.items():
             m = v + lp[label(q)]
             if m != NEG_INF:
                 post[q] = m
@@ -107,6 +178,14 @@ class _TupleCore:
             for q in post:
                 if not (q[0] in tags and q[1] == step):
                     raise _off_stratum(q, step)
+        if self.plan_levels:
+            same = len(post) == len(pre)
+            if hook is not None and not (same and all(map(is_, post, pre))):
+                self.plan_levels = False    # a hook's frontiers need not repeat
+            shape = self.pre_shape
+            if not same and shape is not None:      # the update dropped states
+                shape = tuple(compress(shape, map(post.__contains__, pre)))
+            self.shape, self.pre_shape = shape, None
         if self.record:
             self.stratum_weights.append(dict(post))
         self.frontier, self.pre = post, None
@@ -266,6 +345,11 @@ class ForwardPass:
     level's ``LevelArcs`` and post-update vector, or the live
     ``(state, successors)`` pairs in topological order and a copy of the
     post-update map.
+
+    The tuple core replays a stationary model's levels from compiled
+    plans where it can, to the last bit of what
+    :func:`~expertseq.hmm.propagate_frontier` gives (see the module
+    docstring for when it falls back).
 
     ``peak_weights`` is the most weights one level has held so far: its
     live sources, its live silent nodes and the live states it puts on the

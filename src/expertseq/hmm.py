@@ -80,11 +80,20 @@ class HmmModel(ABC):
     add nothing and are never counted as transitions.
     Per-run caches, such as arc templates shared by the levels of one
     run, live in the iterator ``level_arcs`` returns, never on the model.
+
+    ``stationary`` declares that every level from level 1 on is the one
+    before it moved up by one: raising a state's level by one raises the
+    level of each of its successors by one, in the same order and with
+    the same masses. The order is part of the contract, because the Kahn
+    order and the fold order come from it. :func:`validate` checks the
+    declaration; a forward pass replays such levels by index
+    (:class:`LevelPlan`).
     """
 
     num_experts: int
     silent_depth_bound: int
     unambiguous: bool = False
+    stationary: bool = False
     productive_tags: frozenset[str] = frozenset()
 
     @abstractmethod
@@ -241,6 +250,67 @@ def propagate_frontier(
     return sinks, transitions, held + len(sinks)
 
 
+def shape_of(states) -> tuple:
+    """A frontier's shape: its states without their level, in order."""
+    return tuple([(q[0], q[2:]) for q in states])
+
+
+class LevelPlan(NamedTuple):
+    """One level of a stationary model by index (see :func:`compile_level`).
+    ``order`` lists, in Kahn order, each processed node's slot and its arcs
+    as (slot, log mass) pairs. Slots number the frontier in its order, then
+    the other processed nodes (``nodes`` in all), then the sinks of shape
+    ``sinks`` in the order they were reached; ``pad`` is a None per slot
+    after the frontier."""
+
+    order: tuple
+    pad: list
+    nodes: int
+    sinks: tuple
+    transitions: int
+    held: int
+
+    def replay(self, masses: list[LogMass], target_level: int) -> dict[StateId, LogMass] | None:
+        """What :func:`propagate_frontier` returns as the new frontier, bit
+        for bit and in order, for a frontier of the compiled shape on the
+        stratum below ``target_level`` with these masses in frontier order;
+        None at a dead node (mass -inf), which the plan does not cover."""
+        log1p, exp = math.log1p, math.exp
+        vals = masses + self.pad
+        for u, arcs in self.order:
+            mass = vals[u]
+            if mass == NEG_INF:
+                return None
+            for d, w in arcs:       # propagate_frontier's log-sum, in its order
+                m = mass + w
+                old = vals[d]
+                if old is None:
+                    vals[d] = m
+                elif old <= m:
+                    vals[d] = m + log1p(exp(old - m)) if old != NEG_INF else m
+                else:
+                    vals[d] = old + log1p(exp(m - old))
+        return dict(zip([(tag, target_level) + rest for tag, rest in self.sinks],
+                        vals[self.nodes:]))
+
+
+def compile_level(frontier: dict[StateId, LogMass], record: list,
+                  sinks: dict[StateId, LogMass]) -> LevelPlan | None:
+    """The :class:`LevelPlan` of a :func:`propagate_frontier` call from
+    ``frontier`` that recorded ``record`` and returned ``sinks``, or None
+    where a node was dead, so the record misses it."""
+    slot = dict.fromkeys(frontier)
+    slot.update((u, None) for u, _ in record)
+    if len(slot) != len(record):
+        return None
+    slot = {q: i for i, q in enumerate([*slot, *sinks])}
+    if any(v not in slot for _, succ in record for v, _ in succ):
+        return None
+    order = tuple((slot[u], tuple((slot[v], w) for v, w in succ)) for u, succ in record)
+    return LevelPlan(order, [None] * (len(slot) - len(frontier)), len(record), shape_of(sinks),
+                     sum(len(succ) for _, succ in record), len(record) + len(sinks))
+
+
 def propagate_arcs(
     source: np.ndarray, layers: Sequence[ArcLayer], *, count_transitions: bool = True,
 ) -> tuple[np.ndarray, int, int]:
@@ -303,7 +373,9 @@ class ValidationIssue(NamedTuple):
 
 def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
     """Exhaustively explore the model up to the given stratum and report
-    normalization, silent-depth and level-monotonicity violations.
+    normalization, silent-depth and level-monotonicity violations, and,
+    for a model declared ``stationary``, each state of a level from 1 on
+    whose successors one level up are not its own raised by one level.
 
     An empty report means the explored portion is a well-formed continuous
     leveled HMM.
@@ -344,6 +416,12 @@ def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
             if abs(s) > NORMALIZATION_TOL:
                 issues.append(ValidationIssue("successor-normalization", q,
                                               f"successor masses log-sum to {s:.3e}"))
+            if model.stationary and 1 <= lvl < levels - 1:
+                up = [((v[0], v[1] + 1, *v[2:]), w) for v, w in succ]
+                if model.successors((q[0], lvl + 1, *q[2:])) != up:
+                    issues.append(ValidationIssue("stationary", q,
+                                                  "successors one level up are not these "
+                                                  "raised by one level"))
         for v, _ in succ:
             vlvl = model.level(v)
             if model.is_productive(v):

@@ -227,6 +227,7 @@ class BayesMixture(HmmModel):
 
     productive_tags = frozenset({"e"})
     unambiguous = True
+    stationary = True
     silent_depth_bound = 0
 
     def __init__(self, w):
@@ -249,6 +250,7 @@ class FixedElementwiseMixture(HmmModel):
 
     productive_tags = frozenset({"e"})
     unambiguous = True
+    stationary = True
     silent_depth_bound = 1
 
     def __init__(self, alpha):
@@ -275,6 +277,7 @@ class FixedShare(HmmModel):
 
     productive_tags = frozenset({"e"})
     unambiguous = True
+    stationary = True
     silent_depth_bound = 1
 
     def __init__(self, w, alpha: float):
@@ -516,6 +519,7 @@ class OverconfidentExperts(HmmModel):
 
     productive_tags = frozenset({"e"})
     unambiguous = False
+    stationary = True
     silent_depth_bound = 1
 
     def __init__(self, w, alpha: float):
