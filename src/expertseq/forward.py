@@ -17,14 +17,17 @@ marginal), ``weight_map``, and ``backward_rows``, the smoothed
 posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
 recorded arcs, or the recorded silent regions in reverse.
 
-For a model that declares itself ``stationary``, the tuple core of a
-pass that records nothing compiles the level of a frontier shape that
-comes back within a few levels and replays it by index after that, bit
-for bit (:class:`~expertseq.hmm.LevelPlan`). It calls
+For a model that declares itself ``stationary``, the tuple core compiles
+the level of a frontier shape that comes back within a few levels and
+replays it by index after that, bit for bit
+(:class:`~expertseq.hmm.LevelPlan`); a recording pass records the plan,
+and the backward sweep pulls beta through it by slot. The core calls
 :func:`~expertseq.hmm.propagate_frontier` at level 1, for a shape without
-a plan, where a plan meets a dead node, and for the rest of a pass once
-a frontier hook leaves other than all the propagated states in their
-order, as when it trims or reorders or the update drops a state.
+a plan, where a plan meets a dead node, at every level of a pass that
+records and has a frontier hook, and for the rest of a pass once a
+frontier hook leaves other than all the propagated states in their
+order, as when it trims or reorders or the update drops a state. Viterbi
+on such a model reads one table of silent routes per frontier shape.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import is_
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,33 +91,36 @@ class _TupleCore:
     dropped first, hold any cycle of shapes that short (Kahn's order can
     reverse a frontier each level). After ``PLANS`` new shapes in a row,
     shapes no plan named are computed only at levels that are powers of
-    two, so shapes that do not repeat cost little."""
+    two, so shapes that do not repeat cost little.
+
+    Plans serve a stationary model's levels, except in a pass that records
+    and has a frontier hook, since a hook may leave any states in any
+    order and a replayed level records its masses by sink."""
 
     PLANS = 8
 
-    def __init__(self, model: HmmModel, record: bool):
+    def __init__(self, model: HmmModel, record: bool, hook: Callable | None):
         self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
         self.frontier: dict[StateId, LogMass] = dict(model.initial())
         self.pre: dict[StateId, LogMass] | None = None
-        self.plan_levels = model.stationary and not record
+        self.plan_levels = model.stationary and not (record and hook is not None)
         self.plans: dict[tuple, LevelPlan] = {}
         self.seen: dict[tuple, int] = {}    # shape -> the last level it was seen at
         self.misses = 0                     # new shapes since the last replay
-        # The frontier's shape and that of pre, where a plan named them.
-        self.shape: tuple | None = None
-        self.pre_shape: tuple | None = None
+        self.shape: tuple | None = None     # the frontier's shape, where a plan named it
+        self.plan: LevelPlan | None = None  # the plan that gave pre, if one did
 
     def propagate(self, target: int, count_transitions: bool):
-        step = self._planned(target) if self.plan_levels else None
-        if step is None:
+        plan = self._planned(target) if self.plan_levels else None
+        if plan is None:
             record = [] if self.record else None
             self.pre, transitions, held = propagate_frontier(
                 self.model, self.frontier, target, record=record)
-            if self.record:
-                self.regions.append(record)
         else:
-            self.pre, transitions, held = step
+            record, transitions, held = plan, plan.transitions, plan.held
+        if self.record:
+            self.regions.append(record)
         by_label = [NEG_INF] * self.model.num_experts
         label = self.model.label
         for q, v in self.pre.items():
@@ -122,9 +128,9 @@ class _TupleCore:
             by_label[lab] = log_sum(by_label[lab], v)
         return np.array(by_label), log_sum_iter(self.pre.values()), transitions, held
 
-    def _planned(self, target: int):
-        """The level to ``target`` from the frontier shape's plan, as
-        propagate_frontier returns it, or None. Past level 1 the frontier
+    def _planned(self, target: int) -> LevelPlan | None:
+        """The frontier shape's plan, having replayed it to ``target`` into
+        ``pre`` as propagate_frontier would, or None. Past level 1 the frontier
         lies on stratum ``target - 1`` (update checks a hook's states), so
         no state of it is on the target stratum; the initial frontier
         may hold such states, but level 1 never has a plan, since a shape
@@ -144,7 +150,7 @@ class _TupleCore:
                 return None
             record = []
             sinks = propagate_frontier(self.model, frontier, target, record)[0]
-            plan = compile_level(frontier, record, sinks)
+            plan = compile_level(frontier, record, sinks, self.model.label)
             if plan is None:
                 return None
             self._keep(self.plans, shape, plan)
@@ -152,11 +158,12 @@ class _TupleCore:
         if pre is None:
             return None
         self.misses = 0
-        self.pre_shape = plan.sinks
-        return pre, plan.transitions, plan.held
+        self.pre, self.plan = pre, plan
+        return plan
 
-    def _keep(self, cache: dict, key: tuple, value) -> None:
-        if len(cache) == self.PLANS:
+    @classmethod
+    def _keep(cls, cache: dict, key: tuple, value) -> None:
+        if len(cache) == cls.PLANS:
             del cache[next(iter(cache))]
         cache[key] = value
 
@@ -178,16 +185,22 @@ class _TupleCore:
             for q in post:
                 if not (q[0] in tags and q[1] == step):
                     raise _off_stratum(q, step)
+        plan, self.plan = self.plan, None
         if self.plan_levels:
             same = len(post) == len(pre)
             if hook is not None and not (same and all(map(is_, post, pre))):
                 self.plan_levels = False    # a hook's frontiers need not repeat
-            shape = self.pre_shape
+            shape = None if plan is None else plan.sinks
             if not same and shape is not None:      # the update dropped states
                 shape = tuple(compress(shape, map(post.__contains__, pre)))
-            self.shape, self.pre_shape = shape, None
+            self.shape = shape
         if self.record:
-            self.stratum_weights.append(dict(post))
+            if plan is None:
+                self.stratum_weights.append(dict(post))
+            elif len(post) == len(pre):
+                self.stratum_weights.append(list(post.values()))
+            else:       # by sink, -inf where the update dropped a state
+                self.stratum_weights.append([post.get(q, NEG_INF) for q in pre])
         self.frontier, self.pre = post, None
         return new_marginal
 
@@ -195,43 +208,75 @@ class _TupleCore:
         return WeightMap(dict(self.frontier), t)
 
     def backward_rows(self, lp_all: np.ndarray):
-        """Unnormalised posterior rows of strata n, n - 1, ..., 1."""
-        model, post = self.model, self.stratum_weights
+        """Unnormalised posterior rows of strata n, n - 1, ..., 1, as lists.
+
+        beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i, held as
+        the level's record holds its masses: by sink, -inf where the update
+        dropped the state, on a level replayed from a plan; by live state on
+        one that fell back. The sweep pulls beta back one stratum through
+        the plan's order in reverse, slot by slot, or through the recorded
+        silent region; both fold each node's live arcs with log_sum_iter in
+        the forward's arc order, so they agree to the last bit."""
+        model, regions, post = self.model, self.regions, self.stratum_weights
         label, is_prod, level = model.label, model.is_productive, model.level
-        # beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i.
-        beta: dict[StateId, LogMass] = {q: 0.0 for q in post[-1]}
+        k = model.num_experts
+        last = post[-1]
+        beta = (dict.fromkeys(last, 0.0) if type(last) is dict
+                else [NEG_INF if m == NEG_INF else 0.0 for m in last])
         for i in range(len(post), 0, -1):
-            row = np.full(model.num_experts, NEG_INF)
-            acc: dict[int, LogMass] = {}
-            for q, f in post[i - 1].items():
-                b = beta.get(q, NEG_INF)
-                if b == NEG_INF:
-                    continue
-                lab = label(q)
-                m = f + b
-                acc[lab] = log_sum(acc[lab], m) if lab in acc else m
-            for lab, v in acc.items():
-                row[lab] = v
+            region, weights = regions[i - 1], post[i - 1]
+            planned = type(region) is LevelPlan
+            row = [NEG_INF] * k
+            if planned:
+                labels = region.labels
+                for f, b, lab in zip(weights, beta, labels):
+                    if b != NEG_INF:
+                        row[lab] = log_sum(row[lab], f + b)
+            else:
+                for q, f in weights.items():
+                    b = beta.get(q, NEG_INF)
+                    if b != NEG_INF:
+                        lab = label(q)
+                        row[lab] = log_sum(row[lab], f + b)
             yield row
 
             if i == 1:
                 break
-            # Replay the silent region between strata i-1 and i in reverse
-            # topological order to pull beta back one stratum.
             lp = lp_all[i - 1].tolist()
-            node_beta = {q: b + lp[label(q)] for q, b in beta.items()}
-            prev_beta: dict[StateId, LogMass] = {}
-            for u, succ in reversed(self.regions[i - 1]):
-                vals = []
-                for v, w in succ:
-                    bv = node_beta.get(v, NEG_INF)
-                    if bv != NEG_INF:
-                        vals.append(w + bv)
-                b = log_sum_iter(vals)
-                node_beta[u] = b
-                if is_prod(u) and level(u) == i - 1:
-                    prev_beta[u] = b
-            beta = prev_beta
+            prev = post[i - 2]
+            if planned:
+                # Slots: the frontier (the live states of stratum i - 1, in
+                # order), the silent nodes, then the sinks.
+                node_beta = [None] * region.nodes
+                node_beta += [b + lp[lab] for b, lab in zip(beta, labels)]
+                for u, arcs in reversed(region.order):
+                    node_beta[u] = log_sum_iter([w + node_beta[d] for d, w in arcs
+                                                 if node_beta[d] != NEG_INF])
+                if type(prev) is dict:
+                    beta = dict(zip(prev, node_beta))
+                elif NEG_INF in prev:
+                    live = iter(node_beta)
+                    beta = [NEG_INF if m == NEG_INF else next(live) for m in prev]
+                else:
+                    beta = node_beta[:len(prev)]
+            else:
+                # Replay the silent region between strata i-1 and i in
+                # reverse topological order.
+                node_beta = {q: b + lp[label(q)] for q, b in beta.items()}
+                prev_beta: dict[StateId, LogMass] = {}
+                for u, succ in reversed(region):
+                    vals = []
+                    for v, w in succ:
+                        bv = node_beta.get(v, NEG_INF)
+                        if bv != NEG_INF:
+                            vals.append(w + bv)
+                    b = log_sum_iter(vals)
+                    node_beta[u] = b
+                    if is_prod(u) and level(u) == i - 1:
+                        prev_beta[u] = b
+                beta = (prev_beta if type(prev) is dict else
+                        [prev_beta.get((tag, i - 1) + rest, NEG_INF)
+                         for tag, rest in regions[i - 2].sinks])
 
 
 class _ArcCore:
@@ -341,10 +386,13 @@ class ForwardPass:
     nodes; on either core a state outside that stratum raises
     ``ValueError`` naming the step and the state. With
     ``record_regions``, each level appends to ``regions`` and
-    ``stratum_weights`` what :func:`posterior_experts` sweeps back: the
-    level's ``LevelArcs`` and post-update vector, or the live
-    ``(state, successors)`` pairs in topological order and a copy of the
-    post-update map.
+    ``stratum_weights`` what :func:`posterior_experts` sweeps back: on the
+    array core, the level's ``LevelArcs`` and post-update vector; on the
+    tuple core, for a level replayed from a plan, its ``LevelPlan`` and a
+    list of the post-update masses in the order of the plan's sinks, -inf
+    where the update dropped a state, and for a level that fell back, the
+    live ``(state, successors)`` pairs in topological order and a copy of
+    the post-update map.
 
     The tuple core replays a stationary model's levels from compiled
     plans where it can, to the last bit of what
@@ -387,7 +435,7 @@ class ForwardPass:
         self.log_marginal: LogMass = 0.0
         self.peak_weights = 0
         levels = model.level_arcs()
-        self._core = (_TupleCore(model, record_regions) if levels is None
+        self._core = (_TupleCore(model, record_regions, frontier_hook) if levels is None
                       else _ArcCore(model, record_regions, levels))
         self.regions, self.stratum_weights = self._core.regions, self._core.stratum_weights
         self._t = 0
@@ -544,11 +592,14 @@ def posterior_experts(
     Computed as forward times backward over productive states, projected
     down to expert labels. A recording forward pass keeps each level and
     no steps (``keep_steps=False``: no ``StepRecord`` list, no transition
-    count); the backward sweep then pulls beta back one stratum per level,
+    count); the backward sweep then pulls beta back one stratum per level:
     through the level's arcs with :func:`~expertseq.hmm.pull_arcs` when
-    the model provides level arcs, otherwise by replaying the recorded
-    silent region in reverse topological order. Raises ZeroMarginalError
-    with the first step at which the marginal vanishes.
+    the model provides level arcs, through a stationary model's replayed
+    plan by slot, otherwise by replaying the recorded silent region in
+    reverse topological order. The rows are normalised together at the
+    end. Raises ZeroMarginalError with the step at which the forward
+    marginal vanishes or, should a row have no mass, the last such step,
+    the first one the sweep meets.
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
@@ -558,10 +609,12 @@ def posterior_experts(
 
     grid = np.full((n, model.num_experts), NEG_INF)
     for i, row in zip(range(n, 0, -1), fp._core.backward_rows(lp_all)):
-        total = logsumexp(row)
-        if total == NEG_INF:
-            raise ZeroMarginalError(i)
-        grid[i - 1] = row - total
+        grid[i - 1] = row
+    totals = np.logaddexp.reduce(grid, axis=1)
+    zero = np.flatnonzero(totals == NEG_INF)
+    if len(zero):
+        raise ZeroMarginalError(int(zero[-1]) + 1)
+    grid -= totals[:, None]
     return grid
 
 
@@ -579,6 +632,14 @@ def viterbi_unambiguous(
     between consecutive productive states are aggregated by summation and
     the maximization runs over productive choices. Ties go to the lowest
     expert index at each maximization.
+
+    A stationary model runs on route tables from stratum 1 on: one per
+    frontier shape, built once, holding the log-summed silent routes from
+    each state of the shape to each state of the next stratum. Any other
+    model propagates each state of each stratum on its own with
+    :func:`~expertseq.hmm.propagate_frontier`, which adds the state's
+    value before summing its routes, so the two paths may give values
+    that differ in the last bits.
     """
     if not model.unambiguous:
         raise AmbiguousModelError(
@@ -595,15 +656,16 @@ def viterbi_unambiguous(
     sinks, _, _ = propagate_frontier(model, dict(model.initial()), 1)
     lp = lp_all[0].tolist()
     values: dict[StateId, LogMass] = {}
-    parents: list[dict[StateId, StateId | None]] = [{}]
     for q, v in sinks.items():
         m = v + lp[label(q)]
         if m != NEG_INF:
             values[q] = m
-            parents[0][q] = None
     if not values:
         raise ZeroMarginalError(1)
+    if model.stationary:
+        return _viterbi_routes(model, lp_all, values)
 
+    parents: list[dict[StateId, StateId | None]] = [dict.fromkeys(values)]
     for i in range(1, n):
         lp = lp_all[i].tolist()
         best: dict[StateId, tuple[LogMass, StateId]] = {}
@@ -632,3 +694,66 @@ def viterbi_unambiguous(
         seq_states.append(parents[i][seq_states[-1]])
     seq_states.reverse()
     return [label(q) for q in seq_states], values[final]
+
+
+class _Routes(NamedTuple):
+    """One level of a stationary model's Viterbi from sources of one shape,
+    listed by (label, state): ``table[s, j]`` log-sums the silent routes
+    from source s to sink j, -inf where there is none. The sinks, of shape
+    ``sinks`` and labels ``labels``, are listed by (label, state) too, so
+    the live ones are the next level's sources in order."""
+
+    table: np.ndarray
+    sinks: tuple
+    labels: np.ndarray
+
+    @classmethod
+    def build(cls, model: HmmModel, sources: list[StateId], target: int) -> _Routes:
+        rows = [propagate_frontier(model, {q: 0.0}, target)[0] for q in sources]
+        label = model.label
+        sinks = sorted({v for row in rows for v in row}, key=lambda v: (label(v), v))
+        at = {v: j for j, v in enumerate(sinks)}
+        table = np.full((len(sources), len(sinks)), NEG_INF)
+        for s, row in enumerate(rows):
+            table[s, [at[v] for v in row]] = list(row.values())
+        return cls(table, shape_of(sinks), np.array([label(v) for v in sinks], dtype=np.intp))
+
+
+def _viterbi_routes(model: HmmModel, lp_all: np.ndarray,
+                    values: dict[StateId, LogMass]) -> tuple[list[int], LogMass]:
+    """:func:`viterbi_unambiguous` of a stationary model from stratum 1,
+    whose live states and values are ``values``. Each level takes, per
+    sink, the first maximum of the sources' values plus their routes, so
+    ties go to the lowest (label, state) as on the per-state path. A state
+    whose value drops to -inf stays a source, so the frontier keeps the
+    shape of the table's sinks and one table serves every later level."""
+    label = model.label
+    states = sorted(values, key=lambda s: (label(s), s))
+    vals = np.array([values[q] for q in states])
+    shape = shape_of(states)
+    labels = [np.array([label(q) for q in states], dtype=np.intp)]
+    parents = []        # parents[i - 1][j]: the source, at stratum i, of source j at i + 1
+    tables: dict[tuple, _Routes] = {}
+    key = None
+    for i in range(1, len(lp_all)):
+        if shape is not key:
+            key, routes = shape, tables.get(shape)
+            if routes is None:
+                routes = _Routes.build(model, [(tag, i) + rest for tag, rest in shape], i + 1)
+                _TupleCore._keep(tables, shape, routes)
+        cand = routes.table + vals[:, None]
+        parents.append(cand.argmax(axis=0))
+        vals = cand.max(axis=0) + lp_all[i][routes.labels]
+        if max(vals.tolist()) == NEG_INF:
+            raise ZeroMarginalError(i + 1)
+        labels.append(routes.labels)
+        shape = routes.sinks
+
+    j = int(vals.argmax())
+    value = float(vals[j])
+    seq = [int(labels[-1][j])]
+    for lab, parent in zip(reversed(labels[:-1]), reversed(parents)):
+        j = parent[j]
+        seq.append(int(lab[j]))
+    seq.reverse()
+    return seq, value

@@ -84,10 +84,11 @@ class HmmModel(ABC):
     ``stationary`` declares that every level from level 1 on is the one
     before it moved up by one: raising a state's level by one raises the
     level of each of its successors by one, in the same order and with
-    the same masses. The order is part of the contract, because the Kahn
-    order and the fold order come from it. :func:`validate` checks the
-    declaration; a forward pass replays such levels by index
-    (:class:`LevelPlan`).
+    the same masses, and keeps the label of a productive state. The order
+    is part of the contract, because the Kahn order and the fold order
+    come from it. :func:`validate` checks the declaration; a forward pass
+    replays such levels by index (:class:`LevelPlan`), and Viterbi reuses
+    one level's silent routes at every level of the same shape.
     """
 
     num_experts: int
@@ -260,13 +261,14 @@ class LevelPlan(NamedTuple):
     ``order`` lists, in Kahn order, each processed node's slot and its arcs
     as (slot, log mass) pairs. Slots number the frontier in its order, then
     the other processed nodes (``nodes`` in all), then the sinks of shape
-    ``sinks`` in the order they were reached; ``pad`` is a None per slot
-    after the frontier."""
+    ``sinks`` in the order they were reached, whose labels are ``labels``;
+    ``pad`` is a None per slot after the frontier."""
 
     order: tuple
     pad: list
     nodes: int
     sinks: tuple
+    labels: tuple
     transitions: int
     held: int
 
@@ -295,10 +297,11 @@ class LevelPlan(NamedTuple):
 
 
 def compile_level(frontier: dict[StateId, LogMass], record: list,
-                  sinks: dict[StateId, LogMass]) -> LevelPlan | None:
+                  sinks: dict[StateId, LogMass], label: Callable[[StateId], int],
+                  ) -> LevelPlan | None:
     """The :class:`LevelPlan` of a :func:`propagate_frontier` call from
-    ``frontier`` that recorded ``record`` and returned ``sinks``, or None
-    where a node was dead, so the record misses it."""
+    ``frontier`` that recorded ``record`` and returned ``sinks``, labelled
+    by ``label``, or None where a node was dead, so the record misses it."""
     slot = dict.fromkeys(frontier)
     slot.update((u, None) for u, _ in record)
     if len(slot) != len(record):
@@ -308,7 +311,8 @@ def compile_level(frontier: dict[StateId, LogMass], record: list,
         return None
     order = tuple((slot[u], tuple((slot[v], w) for v, w in succ)) for u, succ in record)
     return LevelPlan(order, [None] * (len(slot) - len(frontier)), len(record), shape_of(sinks),
-                     sum(len(succ) for _, succ in record), len(record) + len(sinks))
+                     tuple(map(label, sinks)), sum(len(succ) for _, succ in record),
+                     len(record) + len(sinks))
 
 
 def propagate_arcs(
@@ -417,11 +421,15 @@ def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
                 issues.append(ValidationIssue("successor-normalization", q,
                                               f"successor masses log-sum to {s:.3e}"))
             if model.stationary and 1 <= lvl < levels - 1:
+                raised = (q[0], lvl + 1, *q[2:])
                 up = [((v[0], v[1] + 1, *v[2:]), w) for v, w in succ]
-                if model.successors((q[0], lvl + 1, *q[2:])) != up:
+                if model.successors(raised) != up:
                     issues.append(ValidationIssue("stationary", q,
                                                   "successors one level up are not these "
                                                   "raised by one level"))
+                if model.is_productive(q) and model.label(raised) != model.label(q):
+                    issues.append(ValidationIssue("stationary", q,
+                                                  "label one level up is not this one"))
         for v, _ in succ:
             vlvl = model.level(v)
             if model.is_productive(v):

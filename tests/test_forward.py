@@ -336,6 +336,16 @@ class TestViterbi:
         seq, _ = es.viterbi_unambiguous(model, experts, [0, 1, 0])
         assert seq == [0, 0, 0]
 
+    @pytest.mark.parametrize("wrap", [lambda m: m, TupleOnly])
+    @pytest.mark.parametrize("model", [es.fixed_share([0.5, 0.5], 1.0),
+                                       es.fixed_elementwise([0.5, 0.5])])
+    def test_tied_sources_break_to_lowest_expert(self, model, wrap):
+        # Both states reach each next state by equal routes, so every
+        # maximization over sources is a tie, on route tables and off them.
+        experts = [es.ConstantExpert([0.5, 0.5]), es.ConstantExpert([0.5, 0.5])]
+        seq, _ = es.viterbi_unambiguous(wrap(model), experts, [0, 1, 0])
+        assert seq == [0, 0, 0]
+
     def test_ambiguous_model_rejected(self):
         model = es.switch(es.default_switch_config(2), 2)
         with pytest.raises(es.AmbiguousModelError):

@@ -2,12 +2,14 @@
 
 A model that declares ``stationary`` repeats its levels, so the tuple core
 of a forward pass compiles a level once and replays it at later levels
-whose frontier has the same shape. ``oracles.TupleOnly`` does not copy
-the declaration, so the same model wrapped in it runs propagate_frontier
-at every level; the two passes must agree to the last bit.
+whose frontier has the same shape, and Viterbi reuses one level's routes.
+``oracles.TupleOnly`` does not copy the declaration, so the same model
+wrapped in it runs propagate_frontier at every level; the forward pass and
+the posterior must agree with it to the last bit, Viterbi to 1e-12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ import pytest
 import expertseq as es
 import expertseq.forward as forward_mod
 from expertseq.forward import _TupleCore
+from expertseq.hmm import LevelPlan
 from expertseq.models import FixedShare
-from oracles import TupleOnly
+from oracles import TupleOnly, brute_map, iter_sequence_priors
 
 N = 40
 ALPHABET = 3
@@ -27,6 +30,7 @@ STATIONARY = {
     "fixed_share": lambda w: es.fixed_share(w, 0.3),
     "overconfident": lambda w: es.overconfident(w, 0.2),
 }
+UNAMBIGUOUS = [name for name in STATIONARY if STATIONARY[name]([0.5, 0.5]).unambiguous]
 NOT_STATIONARY = {
     "switch": lambda w: es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), len(w)),
     "run_length": lambda w: es.run_length(es.inv_poly(), w),
@@ -100,6 +104,26 @@ def forward(model, experts, data, mode, hook=None):
     return fp, maps, error
 
 
+def offline(fn, model, experts, data, mode):
+    """An offline entry point's result in experts or matrix mode."""
+    if mode == "experts":
+        return fn(model, experts, data)
+    return fn(model, None, data, logpred_matrix=es.prediction_matrix(experts, data))
+
+
+def rotating_matrix(k):
+    """Rules out expert i % k at step i, so each frontier lacks a different
+    expert; a shape comes back after k levels."""
+    lp = np.log(np.random.default_rng(2).uniform(0.1, 1.0, (5 * k, k)))
+    lp[np.arange(5 * k), np.arange(5 * k) % k] = -np.inf
+    return lp
+
+
+def assert_viterbi_close(fast, ref):
+    assert fast[0] == ref[0]
+    assert fast[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
+
+
 def dist_bytes(d):
     return None if d is None else d.tobytes()
 
@@ -149,6 +173,20 @@ class TestDeclaration:
         bad = [i for i in issues if i.kind == "stationary"]
         assert bad and {i.state for i in bad} == {("e", n, x) for n in (1, 2, 3) for x in (0, 1)}
         assert all(i.kind == "stationary" for i in issues)
+
+    def test_level_dependent_label_is_reported(self):
+        class Relabel(FixedShare):
+            """Swaps its two experts' labels at odd levels, yet declares
+            itself stationary."""
+
+            stationary = True
+
+            def label(self, q):
+                return (q[2] + q[1]) % 2
+
+        issues = es.validate(Relabel([0.5, 0.5], 0.1), 5)
+        assert issues and all(i.kind == "stationary" for i in issues)
+        assert {i.state for i in issues} == {("e", n, x) for n in (1, 2, 3) for x in (0, 1)}
 
     def test_tuple_only_hides_the_declaration(self, monkeypatch):
         model, experts, data = instance("fixed_share")
@@ -241,8 +279,7 @@ def test_rotating_ruled_out_expert(k):
     # comes back only after more levels than the core looks back, and
     # nothing it holds may grow past the cap.
     model = es.fixed_share([1.0 / k] * k, 0.3)
-    lp = np.log(np.random.default_rng(2).uniform(0.1, 1.0, (5 * k, k)))
-    lp[np.arange(5 * k), np.arange(5 * k) % k] = -np.inf
+    lp = rotating_matrix(k)
     fast = es.ForwardPass(model, logpred_matrix=lp)
     ref = es.ForwardPass(TupleOnly(model), logpred_matrix=lp)
     for _ in range(5 * k):
@@ -256,10 +293,116 @@ def test_rotating_ruled_out_expert(k):
     assert bool(fast._core.plans) == (k == 3)
 
 
-def test_recording_pass_makes_no_plans():
+def test_recording_pass_replays_plans():
+    # A replayed level records its plan and its post-update masses by sink,
+    # -inf where the update dropped a state; only a level that fell back
+    # holds a region of (state, successors) pairs and a dict.
     model, experts, data = instance("fixed_share")
-    fp = es.ForwardPass(model, logpred_matrix=es.prediction_matrix(experts, data),
+    lp = es.prediction_matrix(experts, data)
+    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
+    for x in data:
+        fp.advance(x)
+    assert len(fp.regions) == len(fp.stratum_weights) == N
+    replayed = [type(r) is LevelPlan for r in fp.regions]
+    assert sum(replayed) > N // 2
+    for region, weights in zip(fp.regions, fp.stratum_weights):
+        if type(region) is LevelPlan:
+            assert type(weights) is list and len(weights) == len(region.sinks)
+        else:
+            assert type(region) is list and type(weights) is dict
+    assert any(-math.inf in w for w in fp.stratum_weights if type(w) is list)
+    # A hook may leave any states in any order, so a recording pass with one
+    # records regions at every level.
+    fp = es.ForwardPass(model, logpred_matrix=lp, frontier_hook=lambda wm: wm,
                         record_regions=True, keep_steps=False)
     for x in data:
         fp.advance(x)
-    assert fp._core.plans == {} and len(fp.regions) == N
+    assert fp._core.plans == {} and all(type(r) is list for r in fp.regions)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", STATIONARY)
+def test_posterior_matches_tuple_only(name, mode, k):
+    # Expert 0 rules out symbol 0, so replayed levels from step 12 on drop
+    # its states, and the sweep crosses between replayed and fallback levels.
+    model, experts, data = instance(name, k)
+    fast = offline(es.posterior_experts, model, experts, data, mode)
+    ref = offline(es.posterior_experts, TupleOnly(model), experts, data, mode)
+    assert fast.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", UNAMBIGUOUS)
+def test_viterbi_matches_tuple_only(name, mode, k):
+    model, experts, data = instance(name, k)
+    assert_viterbi_close(offline(es.viterbi_unambiguous, model, experts, data, mode),
+                         offline(es.viterbi_unambiguous, TupleOnly(model), experts, data, mode))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", UNAMBIGUOUS)
+def test_viterbi_matches_brute_force(name, k):
+    model, experts, _ = instance(name, k)
+    data = [1, 2, 1, 0, 2, 1, 0]        # expert 0's states die at steps 4 and 7
+    assert_viterbi_close(es.viterbi_unambiguous(model, experts, data),
+                         brute_map(model, experts, data))
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_offline_passes_with_rotating_ruled_out_expert(k):
+    # At k = 3 the recording pass replays plans; at k = 12 it compiles none.
+    model = es.fixed_share([1.0 / k] * k, 0.3)
+    lp = rotating_matrix(k)
+    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
+    for _ in lp:
+        fp.advance(None)
+    assert any(type(r) is LevelPlan for r in fp.regions) == (k == 3)
+    data = [None] * len(lp)
+    fast = es.posterior_experts(model, None, data, logpred_matrix=lp)
+    ref = es.posterior_experts(TupleOnly(model), None, data, logpred_matrix=lp)
+    assert fast.tobytes() == ref.tobytes()
+    assert_viterbi_close(es.viterbi_unambiguous(model, None, data, logpred_matrix=lp),
+                         es.viterbi_unambiguous(TupleOnly(model), None, data, logpred_matrix=lp))
+    if k == 3:      # brute force over the first 7 steps, on the matrix
+        short = lp[:7]
+        table = {seq: prior + short[np.arange(7), list(seq)].sum()
+                 for seq, prior in iter_sequence_priors(model, 7)}
+        best = max(sorted(table), key=table.get)
+        assert_viterbi_close(es.viterbi_unambiguous(model, None, data[:7], logpred_matrix=short),
+                             (list(best), table[best]))
+
+
+@pytest.mark.parametrize("name", STATIONARY)
+def test_offline_zero_marginal_at_the_same_step(name):
+    model, _, _ = instance(name)
+    lp = np.log(np.random.default_rng(1).uniform(0.1, 1.0, (N, model.num_experts)))
+    lp[17] = -np.inf
+    fns = [es.posterior_experts] + [es.viterbi_unambiguous] * model.unambiguous
+    for fn in fns:
+        for m in (model, TupleOnly(model)):
+            with pytest.raises(es.ZeroMarginalError) as e:
+                fn(m, None, [None] * N, logpred_matrix=lp)
+            assert e.value.step == 18
+
+
+@pytest.mark.parametrize("k, per_step", [(2, 400), (8, 800)])
+def test_posterior_memory_per_step(k, per_step):
+    # A replayed level holds its plan and a list of masses; a region and a
+    # dict copy per level took about 1,500 B a step at k = 2.
+    n = 2000
+    lp = np.log(np.random.default_rng(k).uniform(0.05, 0.95, (n, k)))
+    model = es.fixed_share([1.0 / k] * k, 0.05)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        es.posterior_experts(model, None, [None] * n, logpred_matrix=lp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= per_step * n
