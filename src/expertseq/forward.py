@@ -15,19 +15,20 @@ the level held),
 ``update`` (by the realized log-likelihoods and the hook; the new
 marginal), ``weight_map``, and ``backward_rows``, the smoothed
 posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
-recorded arcs, or the recorded silent regions in reverse.
+recorded arcs, or each level's recorded plan (:class:`~expertseq.hmm.LevelPlan`)
+in reverse, slot by slot.
 
 For a model that declares itself ``stationary``, the tuple core compiles
 the level of a frontier shape that comes back within a few levels and
-replays it by index after that, bit for bit
-(:class:`~expertseq.hmm.LevelPlan`); a recording pass records the plan,
-and the backward sweep pulls beta through it by slot. The core calls
+replays it by index after that, bit for bit. The core calls
 :func:`~expertseq.hmm.propagate_frontier` at level 1, for a shape without
-a plan, where a plan meets a dead node, at every level of a pass that
-records and has a frontier hook, and for the rest of a pass once a
-frontier hook leaves other than all the propagated states in their
-order, as when it trims or reorders or the update drops a state. Viterbi
-on such a model reads one table of silent routes per frontier shape.
+a plan, where a plan meets a dead node, and for the rest of a pass once
+a frontier hook leaves other than all the propagated states in their
+order, as when it trims or reorders or the update drops a state. A
+recording pass records a replayed level's plan, and compiles one from
+what propagate_frontier recorded at every level that fell back. Viterbi
+on a stationary model reads one table of silent routes per frontier
+shape.
 """
 
 from __future__ import annotations
@@ -91,20 +92,23 @@ class _TupleCore:
     dropped first, hold any cycle of shapes that short (Kahn's order can
     reverse a frontier each level). After ``PLANS`` new shapes in a row,
     shapes no plan named are computed only at levels that are powers of
-    two, so shapes that do not repeat cost little.
+    two, so shapes that do not repeat cost little. Plans serve a
+    stationary model's levels.
 
-    Plans serve a stationary model's levels, except in a pass that records
-    and has a frontier hook, since a hook may leave any states in any
-    order and a replayed level records its masses by sink."""
+    A recording pass records every level as a :class:`~expertseq.hmm.LevelPlan`
+    and the post-update masses in the order of its sinks, -inf where the
+    update dropped a state: a replayed level its plan, a level that fell
+    back one compiled from what propagate_frontier recorded, which never
+    enters ``plans``."""
 
     PLANS = 8
 
-    def __init__(self, model: HmmModel, record: bool, hook: Callable | None):
+    def __init__(self, model: HmmModel, record: bool):
         self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
         self.frontier: dict[StateId, LogMass] = dict(model.initial())
         self.pre: dict[StateId, LogMass] | None = None
-        self.plan_levels = model.stationary and not (record and hook is not None)
+        self.plan_levels = model.stationary
         self.plans: dict[tuple, LevelPlan] = {}
         self.seen: dict[tuple, int] = {}    # shape -> the last level it was seen at
         self.misses = 0                     # new shapes since the last replay
@@ -115,26 +119,24 @@ class _TupleCore:
         plan = self._planned(target) if self.plan_levels else None
         if plan is None:
             record = [] if self.record else None
-            self.pre, transitions, held = propagate_frontier(
-                self.model, self.frontier, target, record=record)
+            propagated = propagate_frontier(self.model, self.frontier, target, record=record)
+            self.pre, transitions, held = propagated
+            if self.record:
+                plan = compile_level(self.frontier, record, propagated, self.model.label)
         else:
-            record, transitions, held = plan, plan.transitions, plan.held
+            transitions, held = plan.transitions, plan.held
         if self.record:
-            self.regions.append(record)
+            self.regions.append(plan)
         by_label = [NEG_INF] * self.model.num_experts
-        label = self.model.label
-        for q, v in self.pre.items():
-            lab = label(q)
+        labels = map(self.model.label, self.pre) if plan is None else plan.labels
+        for lab, v in zip(labels, self.pre.values()):
             by_label[lab] = log_sum(by_label[lab], v)
         return np.array(by_label), log_sum_iter(self.pre.values()), transitions, held
 
     def _planned(self, target: int) -> LevelPlan | None:
         """The frontier shape's plan, having replayed it to ``target`` into
-        ``pre`` as propagate_frontier would, or None. Past level 1 the frontier
-        lies on stratum ``target - 1`` (update checks a hook's states), so
-        no state of it is on the target stratum; the initial frontier
-        may hold such states, but level 1 never has a plan, since a shape
-        is compiled only where it was seen before."""
+        ``pre`` as propagate_frontier would, or None. A plan with a dead
+        node is not kept: at a later level that node may be live."""
         shape, frontier = self.shape, self.frontier
         if shape is None:
             if self.misses >= self.PLANS:       # look again at levels 2^j only
@@ -149,9 +151,10 @@ class _TupleCore:
                 self.misses += 1
                 return None
             record = []
-            sinks = propagate_frontier(self.model, frontier, target, record)[0]
-            plan = compile_level(frontier, record, sinks, self.model.label)
-            if plan is None:
+            plan = compile_level(frontier, record,
+                                 propagate_frontier(self.model, frontier, target, record),
+                                 self.model.label)
+            if len(plan.order) < plan.nodes:
                 return None
             self._keep(self.plans, shape, plan)
         pre = plan.replay(list(frontier.values()), target)
@@ -186,21 +189,17 @@ class _TupleCore:
                 if not (q[0] in tags and q[1] == step):
                     raise _off_stratum(q, step)
         plan, self.plan = self.plan, None
+        same = len(post) == len(pre)
         if self.plan_levels:
-            same = len(post) == len(pre)
             if hook is not None and not (same and all(map(is_, post, pre))):
                 self.plan_levels = False    # a hook's frontiers need not repeat
             shape = None if plan is None else plan.sinks
             if not same and shape is not None:      # the update dropped states
                 shape = tuple(compress(shape, map(post.__contains__, pre)))
             self.shape = shape
-        if self.record:
-            if plan is None:
-                self.stratum_weights.append(dict(post))
-            elif len(post) == len(pre):
-                self.stratum_weights.append(list(post.values()))
-            else:       # by sink, -inf where the update dropped a state
-                self.stratum_weights.append([post.get(q, NEG_INF) for q in pre])
+        if self.record:     # no hook: post is pre less the states the update dropped
+            self.stratum_weights.append(list(post.values()) if same else
+                                        [post.get(q, NEG_INF) for q in pre])
         self.frontier, self.pre = post, None
         return new_marginal
 
@@ -212,71 +211,42 @@ class _TupleCore:
 
         beta[q] = log P(x_{i+1..n} | q, x^i) for q in stratum i, held as
         the level's record holds its masses: by sink, -inf where the update
-        dropped the state, on a level replayed from a plan; by live state on
-        one that fell back. The sweep pulls beta back one stratum through
-        the plan's order in reverse, slot by slot, or through the recorded
-        silent region; both fold each node's live arcs with log_sum_iter in
-        the forward's arc order, so they agree to the last bit."""
-        model, regions, post = self.model, self.regions, self.stratum_weights
-        label, is_prod, level = model.label, model.is_productive, model.level
-        k = model.num_experts
-        last = post[-1]
-        beta = (dict.fromkeys(last, 0.0) if type(last) is dict
-                else [NEG_INF if m == NEG_INF else 0.0 for m in last])
+        dropped the state. The sweep pulls beta back one stratum through
+        the level's plan: its arcs in reverse order, slot by slot, each
+        node's live arcs log-summed from -inf in the forward's arc order,
+        as log_sum_iter folds them. A dead node's beta stays -inf."""
+        plans, post = self.regions, self.stratum_weights
+        k = self.model.num_experts
+        beta = [NEG_INF if m == NEG_INF else 0.0 for m in post[-1]]
         for i in range(len(post), 0, -1):
-            region, weights = regions[i - 1], post[i - 1]
-            planned = type(region) is LevelPlan
+            plan, weights = plans[i - 1], post[i - 1]
+            labels = plan.labels
             row = [NEG_INF] * k
-            if planned:
-                labels = region.labels
-                for f, b, lab in zip(weights, beta, labels):
-                    if b != NEG_INF:
-                        row[lab] = log_sum(row[lab], f + b)
-            else:
-                for q, f in weights.items():
-                    b = beta.get(q, NEG_INF)
-                    if b != NEG_INF:
-                        lab = label(q)
-                        row[lab] = log_sum(row[lab], f + b)
+            for f, b, lab in zip(weights, beta, labels):
+                if b != NEG_INF:
+                    row[lab] = log_sum(row[lab], f + b)
             yield row
 
             if i == 1:
                 break
             lp = lp_all[i - 1].tolist()
+            # Slots: the frontier (the live states of stratum i - 1, in
+            # order), the other nodes, then the sinks.
+            node_beta = [NEG_INF] * plan.nodes
+            node_beta += [b + lp[lab] for b, lab in zip(beta, labels)]
+            for u, arcs in reversed(plan.order):
+                total = NEG_INF
+                for d, w in arcs:
+                    b = node_beta[d]
+                    if b != NEG_INF:
+                        total = log_sum(total, w + b)
+                node_beta[u] = total
             prev = post[i - 2]
-            if planned:
-                # Slots: the frontier (the live states of stratum i - 1, in
-                # order), the silent nodes, then the sinks.
-                node_beta = [None] * region.nodes
-                node_beta += [b + lp[lab] for b, lab in zip(beta, labels)]
-                for u, arcs in reversed(region.order):
-                    node_beta[u] = log_sum_iter([w + node_beta[d] for d, w in arcs
-                                                 if node_beta[d] != NEG_INF])
-                if type(prev) is dict:
-                    beta = dict(zip(prev, node_beta))
-                elif NEG_INF in prev:
-                    live = iter(node_beta)
-                    beta = [NEG_INF if m == NEG_INF else next(live) for m in prev]
-                else:
-                    beta = node_beta[:len(prev)]
+            if NEG_INF in prev:
+                live = iter(node_beta)
+                beta = [NEG_INF if m == NEG_INF else next(live) for m in prev]
             else:
-                # Replay the silent region between strata i-1 and i in
-                # reverse topological order.
-                node_beta = {q: b + lp[label(q)] for q, b in beta.items()}
-                prev_beta: dict[StateId, LogMass] = {}
-                for u, succ in reversed(region):
-                    vals = []
-                    for v, w in succ:
-                        bv = node_beta.get(v, NEG_INF)
-                        if bv != NEG_INF:
-                            vals.append(w + bv)
-                    b = log_sum_iter(vals)
-                    node_beta[u] = b
-                    if is_prod(u) and level(u) == i - 1:
-                        prev_beta[u] = b
-                beta = (prev_beta if type(prev) is dict else
-                        [prev_beta.get((tag, i - 1) + rest, NEG_INF)
-                         for tag, rest in regions[i - 2].sinks])
+                beta = node_beta[:len(prev)]
 
 
 class _ArcCore:
@@ -388,11 +358,10 @@ class ForwardPass:
     ``record_regions``, each level appends to ``regions`` and
     ``stratum_weights`` what :func:`posterior_experts` sweeps back: on the
     array core, the level's ``LevelArcs`` and post-update vector; on the
-    tuple core, for a level replayed from a plan, its ``LevelPlan`` and a
-    list of the post-update masses in the order of the plan's sinks, -inf
-    where the update dropped a state, and for a level that fell back, the
-    live ``(state, successors)`` pairs in topological order and a copy of
-    the post-update map.
+    tuple core, the level's ``LevelPlan`` and a list of the post-update
+    masses in the order of the plan's sinks, -inf where the update dropped
+    a state. A record holds only what the level's own update left, so
+    ``record_regions`` with a frontier hook raises ``ValueError``.
 
     The tuple core replays a stationary model's levels from compiled
     plans where it can, to the last bit of what
@@ -417,6 +386,8 @@ class ForwardPass:
     ):
         if (experts is None) == (logpred_matrix is None):
             raise ValueError("provide either experts or a logpred matrix")
+        if record_regions and frontier_hook is not None:
+            raise ValueError("a recording pass takes no frontier hook")
         if experts is not None and len(experts) != model.num_experts:
             raise ValueError(
                 f"model labels {model.num_experts} experts, got {len(experts)}")
@@ -435,7 +406,7 @@ class ForwardPass:
         self.log_marginal: LogMass = 0.0
         self.peak_weights = 0
         levels = model.level_arcs()
-        self._core = (_TupleCore(model, record_regions, frontier_hook) if levels is None
+        self._core = (_TupleCore(model, record_regions) if levels is None
                       else _ArcCore(model, record_regions, levels))
         self.regions, self.stratum_weights = self._core.regions, self._core.stratum_weights
         self._t = 0
@@ -594,12 +565,11 @@ def posterior_experts(
     no steps (``keep_steps=False``: no ``StepRecord`` list, no transition
     count); the backward sweep then pulls beta back one stratum per level:
     through the level's arcs with :func:`~expertseq.hmm.pull_arcs` when
-    the model provides level arcs, through a stationary model's replayed
-    plan by slot, otherwise by replaying the recorded silent region in
-    reverse topological order. The rows are normalised together at the
-    end. Raises ZeroMarginalError with the step at which the forward
-    marginal vanishes or, should a row have no mass, the last such step,
-    the first one the sweep meets.
+    the model provides level arcs, otherwise through the level's recorded
+    plan, its silent region by slot in reverse topological order. The
+    rows are normalised together at the end. Raises ZeroMarginalError
+    with the step at which the forward marginal vanishes or, should a row
+    have no mass, the last such step, the first one the sweep meets.
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)

@@ -32,8 +32,9 @@ the same count of held weights and the same transition count, or skips
 the latter (``count_transitions=False``). Its backward counterpart,
 :func:`pull_arcs`, walks the same layers in reverse and pulls a vector
 over the next stratum back to the level's sources, one scatter a layer;
-it is the smoothed posterior's backward sweep. :func:`propagate_frontier`
-and the reverse replay of its recorded regions stay the definition both
+it is the smoothed posterior's backward sweep. :func:`propagate_frontier`,
+and the reverse replay of the regions it records
+(``region_posterior`` in ``tests/oracles.py``), stay the definition both
 array steps are tested against.
 
 The array description is meant to be cheap per level: a model keeps
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -173,8 +174,9 @@ def propagate_frontier(
     zero are dropped eagerly and their outgoing arcs are not touched.
 
     If ``record`` is a list, each processed live node is appended as
-    ``(state, successor_list)`` in processing order; a backward sweep can
-    replay the region in reverse.
+    ``(state, successor_list)`` in processing order: the record that
+    :func:`compile_level` turns into slots, and that the reference
+    backward sweep in ``tests/oracles.py`` replays in reverse.
 
     Returns ``(new_frontier, transitions_touched, held)``; ``held`` counts
     the level's live sources, live silent nodes and new stratum states.
@@ -257,12 +259,15 @@ def shape_of(states) -> tuple:
 
 
 class LevelPlan(NamedTuple):
-    """One level of a stationary model by index (see :func:`compile_level`).
-    ``order`` lists, in Kahn order, each processed node's slot and its arcs
-    as (slot, log mass) pairs. Slots number the frontier in its order, then
-    the other processed nodes (``nodes`` in all), then the sinks of shape
-    ``sinks`` in the order they were reached, whose labels are ``labels``;
-    ``pad`` is a None per slot after the frontier."""
+    """One level by index (see :func:`compile_level`). ``order`` lists, in
+    Kahn order, each processed node's slot and its arcs as (slot, log
+    mass) pairs. Slots number the frontier in its order, then the other
+    nodes (``nodes`` in all), then the sinks of shape ``sinks`` in the
+    order they were reached, whose labels are ``labels``; ``pad`` is a
+    None per slot after the frontier. Arcs name sink j of S as slot
+    j - S, which indexes the same entry of a list of all the slots. A
+    dead node, one of mass -inf, has a slot but no place in ``order``, so
+    a plan that replays every node has ``len(order) == nodes``."""
 
     order: tuple
     pad: list
@@ -276,7 +281,9 @@ class LevelPlan(NamedTuple):
         """What :func:`propagate_frontier` returns as the new frontier, bit
         for bit and in order, for a frontier of the compiled shape on the
         stratum below ``target_level`` with these masses in frontier order;
-        None at a dead node (mass -inf), which the plan does not cover."""
+        None at a dead node (mass -inf), whose arcs propagate_frontier
+        would skip. It is exact only for a plan whose ``order`` covers
+        every node."""
         log1p, exp = math.log1p, math.exp
         vals = masses + self.pad
         for u, arcs in self.order:
@@ -297,22 +304,30 @@ class LevelPlan(NamedTuple):
 
 
 def compile_level(frontier: dict[StateId, LogMass], record: list,
-                  sinks: dict[StateId, LogMass], label: Callable[[StateId], int],
-                  ) -> LevelPlan | None:
+                  propagated: tuple[dict[StateId, LogMass], int, int],
+                  label: Callable[[StateId], int]) -> LevelPlan:
     """The :class:`LevelPlan` of a :func:`propagate_frontier` call from
-    ``frontier`` that recorded ``record`` and returned ``sinks``, labelled
-    by ``label``, or None where a node was dead, so the record misses it."""
-    slot = dict.fromkeys(frontier)
-    slot.update((u, None) for u, _ in record)
-    if len(slot) != len(record):
-        return None
-    slot = {q: i for i, q in enumerate([*slot, *sinks])}
-    if any(v not in slot for _, succ in record for v, _ in succ):
-        return None
-    order = tuple((slot[u], tuple((slot[v], w) for v, w in succ)) for u, succ in record)
-    return LevelPlan(order, [None] * (len(slot) - len(frontier)), len(record), shape_of(sinks),
-                     tuple(map(label, sinks)), sum(len(succ) for _, succ in record),
-                     len(record) + len(sinks))
+    ``frontier`` that recorded ``record`` and returned ``propagated``,
+    labelled by ``label``. A frontier state already on the target stratum,
+    as initial mass may be, gets an arc of log mass 0 to its sink, ahead of
+    every other arc: propagate_frontier puts such states first among the
+    sinks. A dead node, which the record misses, gets a slot outside
+    ``order``."""
+    sinks, transitions, held = propagated
+    slot = {q: i for i, q in enumerate(frontier)}
+    s = len(sinks)
+    order = [(slot[q], ((j - s, 0.0),))
+             for j, q in enumerate(takewhile(slot.__contains__, sinks))]
+    # The other nodes are numbered as the arcs reach them, after the
+    # frontier, whose states on the target stratum now name their sinks.
+    shift = len(order) - s
+    slot.update(zip(sinks, range(-s, 0)))
+    setdefault = slot.setdefault
+    order += [(slot[u], tuple([(setdefault(v, len(slot) + shift), w) for v, w in succ]))
+              for u, succ in record]
+    nodes = len(slot) + shift
+    return LevelPlan(tuple(order), [None] * (nodes + s - len(frontier)), nodes,
+                     shape_of(sinks), tuple(map(label, sinks)), transitions, held)
 
 
 def propagate_arcs(
@@ -377,9 +392,10 @@ class ValidationIssue(NamedTuple):
 
 def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
     """Exhaustively explore the model up to the given stratum and report
-    normalization, silent-depth and level-monotonicity violations, and,
-    for a model declared ``stationary``, each state of a level from 1 on
-    whose successors one level up are not its own raised by one level.
+    normalization, silent-depth and level-monotonicity violations, arcs
+    of probability zero, which the tuple interface omits, and, for a
+    model declared ``stationary``, each state of a level from 1 on whose
+    successors one level up are not its own raised by one level.
 
     An empty report means the explored portion is a well-formed continuous
     leveled HMM.
@@ -420,6 +436,8 @@ def validate(model: HmmModel, levels: int) -> list[ValidationIssue]:
             if abs(s) > NORMALIZATION_TOL:
                 issues.append(ValidationIssue("successor-normalization", q,
                                               f"successor masses log-sum to {s:.3e}"))
+            issues.extend(ValidationIssue("zero-arc", q, f"arc to {v!r} has probability zero")
+                          for v, w in succ if w == NEG_INF)
             if model.stationary and 1 <= lvl < levels - 1:
                 raised = (q[0], lvl + 1, *q[2:])
                 up = [((v[0], v[1] + 1, *v[2:]), w) for v, w in succ]

@@ -5,7 +5,11 @@ to check: joint tables are built from the prior enumerator plus chain-rule
 likelihood products, and the run-length and switch prior oracles enumerate
 switch subsets directly. Silent-state elimination rewrites a model into an
 equivalent one with fewer silent states, a check on the reduction
-identities.
+identities. ``region_posterior`` is the smoothed posterior's definition on
+the tuple interface: the reverse replay of the silent regions that
+propagate_frontier records, against which both backward sweeps of the
+package, by slot through compiled plans and ``pull_arcs`` through level
+arcs, are tested.
 """
 
 import itertools
@@ -17,7 +21,7 @@ import numpy as np
 import expertseq as es
 from expertseq.bounds import Segmentation
 from expertseq.hmm import propagate_frontier
-from expertseq.logprob import from_linear
+from expertseq.logprob import NEG_INF, from_linear
 
 ZOO_NAMES = (
     "bayes",
@@ -50,6 +54,58 @@ class TupleOnly(es.HmmModel):
 
     def label(self, state):
         return self.inner.label(state)
+
+
+def region_posterior(model, lp):
+    """``posterior_experts`` on the tuple interface alone, from the (n, k)
+    realized log-predictions ``lp``: a forward pass records each level's
+    silent region as propagate_frontier processes it and a copy of the
+    post-update map, and the backward sweep replays the regions in reverse
+    topological order, beta held by state. Folds in the same order as the
+    package, so the grid agrees to the last bit; raises ZeroMarginalError
+    where posterior_experts does."""
+    n, k = len(lp), model.num_experts
+    label = model.label
+    frontier = dict(model.initial())
+    regions, posts = [], []
+    for i in range(n):
+        region, lp_row = [], lp[i].tolist()
+        pre = propagate_frontier(model, frontier, i + 1, record=region)[0]
+        frontier = {}
+        for q, v in pre.items():
+            m = v + lp_row[label(q)]
+            if m != NEG_INF:
+                frontier[q] = m
+        if not frontier:
+            raise es.ZeroMarginalError(i + 1)
+        regions.append(region)
+        posts.append(frontier)
+
+    grid = np.full((n, k), NEG_INF)
+    beta = dict.fromkeys(frontier, 0.0)
+    for i in range(n, 0, -1):
+        row = [NEG_INF] * k
+        for q, f in posts[i - 1].items():
+            b = beta.get(q, NEG_INF)
+            if b != NEG_INF:
+                row[label(q)] = es.log_sum(row[label(q)], f + b)
+        grid[i - 1] = row
+        if i == 1:
+            break
+        lp_row = lp[i - 1].tolist()
+        node_beta = {q: b + lp_row[label(q)] for q, b in beta.items()}
+        beta = {}
+        for u, succ in reversed(regions[i - 1]):
+            b = es.log_sum_iter([w + node_beta[v] for v, w in succ
+                                 if node_beta.get(v, NEG_INF) != NEG_INF])
+            node_beta[u] = b
+            if model.is_productive(u) and model.level(u) == i - 1:
+                beta[u] = b
+    totals = np.logaddexp.reduce(grid, axis=1)
+    zero = np.flatnonzero(totals == NEG_INF)
+    if len(zero):
+        raise es.ZeroMarginalError(int(zero[-1]) + 1)
+    return grid - totals[:, None]
 
 
 def iter_sequence_priors(model, n):

@@ -4,8 +4,9 @@ Every model that provides level arcs runs twice on the same inputs: as
 itself, so ForwardPass keeps a log-weight vector and calls
 propagate_arcs, and wrapped in ``oracles.TupleOnly``, so ForwardPass keeps
 a weight map and calls propagate_frontier. The two runs must agree step by
-step, and so must the smoothed posteriors, whose backward sweeps are
-pull_arcs and the reverse replay of recorded regions.
+step. The smoothed posterior, whose backward sweep is pull_arcs, must
+agree with ``oracles.region_posterior``, the reverse replay of the silent
+regions propagate_frontier records.
 """
 
 import itertools
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 import expertseq as es
-from oracles import TupleOnly, random_constant_experts
+from expertseq.hmm import propagate_frontier
+from oracles import TupleOnly, random_constant_experts, region_posterior
 
 TOL = 1e-11
 N = 40
@@ -149,11 +151,13 @@ def test_posterior_matches_tuple_core(name, mode, n):
     experts[0] = es.ConstantExpert(np.append(np.random.default_rng(n).dirichlet(np.ones(2)), 0.0))
     data = data[:n]
     fast = posterior(make(w), experts, data, mode)
-    ref = posterior(TupleOnly(make(w)), experts, data, mode)
+    ref = region_posterior(make(w), es.prediction_matrix(experts, data))
     assert fast.shape == ref.shape == (n, len(experts))
     assert np.array_equal(fast == -np.inf, ref == -np.inf)
     assert (n < N) or (fast == -np.inf).any()
     assert np.all(np.abs(np.exp(fast) - np.exp(ref)) <= 1e-12)
+    # The tuple core sweeps a plan compiled at every level, to the same bits.
+    assert posterior(TupleOnly(make(w)), experts, data, mode).tobytes() == ref.tobytes()
 
 
 def ruled_out_at_step_7(name):
@@ -187,6 +191,9 @@ def test_posterior_zero_marginal_at_same_step(name, mode):
         with pytest.raises(es.ZeroMarginalError) as exc:
             posterior(m, experts, data, mode)
         assert exc.value.step == 7
+    with pytest.raises(es.ZeroMarginalError) as exc:
+        region_posterior(model, es.prediction_matrix(experts, data))
+    assert exc.value.step == 7
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -258,23 +265,26 @@ def test_hook_state_off_the_stratum_raises_with_step(name, tuple_core):
     assert repr(lifted[-1]) in str(exc.value)
 
 
-def recorded(model, experts, data, mode, hook):
-    if mode == "experts":
-        fp = es.ForwardPass(model, experts, frontier_hook=hook, record_regions=True)
-    else:
-        fp = es.ForwardPass(model, logpred_matrix=es.prediction_matrix(experts, data),
-                            frontier_hook=hook, record_regions=True)
-    for x in data:
-        fp.advance(x)
-    return fp
+def captured(model, experts, data, mode, hook):
+    """A run and the frontier of each level: the initial one, then each
+    one the hook returned (the update's own where there is no hook)."""
+    frontiers = [dict(model.initial())]
+
+    def capture(wm):
+        wm = wm if hook is None else hook(wm)
+        frontiers.append(dict(wm.entries))
+        return wm
+    return run(model, experts, data, mode, capture), frontiers
 
 
-def held_per_level(fp):
-    """What the array step holds at each level, counted on a recorded run of
-    the tuple core: the live nodes of the silent region, sources included,
-    plus the states of the next stratum they reach."""
-    model = fp.model
-    for t, region in enumerate(fp.regions):
+def held_per_level(model, frontiers):
+    """What the array step holds at each level, counted on the tuple
+    interface: the live nodes of the silent region that propagate_frontier
+    records from the level's frontier, sources included, plus the states
+    of the next stratum they reach."""
+    for t, frontier in enumerate(frontiers[:-1]):
+        region = []
+        propagate_frontier(model, frontier, t + 1, record=region)
         reached = {v for _, succ in region for v, _ in succ
                    if model.is_productive(v) and model.level(v) == t + 1}
         yield len(region) + len(reached)
@@ -286,14 +296,15 @@ def held_per_level(fp):
 def test_array_counts_are_exact(name, mode, p):
     # Counts and kept states must be equal, not close. Both cores count a
     # level's live weights for peak_weights; the count is also checked
-    # against held_per_level, read off the tuple core's recorded regions.
+    # against held_per_level, recounted from the tuple core's frontiers.
     make, w, experts, data = instance(name, SEEDS.index(name))
     hook = None if p is None else es.trimming_hook(p)
     fast = run(make(w), experts, data, mode, hook)
-    ref = recorded(TupleOnly(make(w)), experts, data, mode, hook)
+    ref, frontiers = captured(TupleOnly(make(w)), experts, data, mode, hook)
+    assert len(frontiers) == N + 1
     assert fast.transitions_per_level == ref.transitions_per_level
     assert fast.weight_map.entries.keys() == ref.weight_map.entries.keys()
-    assert fast.peak_weights == ref.peak_weights == max(held_per_level(ref))
+    assert fast.peak_weights == ref.peak_weights == max(held_per_level(make(w), frontiers))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,13 +1,15 @@
-"""Property tests: the reduction identities and trimming at p = 1 hold on
-every instance hypothesis draws, not only on the seeded ones of the
-acceptance suite."""
+"""Property tests: the reduction identities, trimming at p = 1 and the
+tuple core's posterior sweep hold on every instance hypothesis draws, not
+only on the seeded ones of the acceptance suite."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expertseq as es
 from expertseq.approx import trim_frontier, trimming_hook
+from oracles import TupleOnly, region_posterior
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -81,3 +83,46 @@ def test_forward_trimmed_at_one_is_exact(inst):
     model = es.fixed_share(w, alpha)
     trimmed = es.forward_marginal(model, experts, data, frontier_hook=trimming_hook(1.0))
     assert trimmed.log_marginal == marginal(model, experts, data)
+
+
+# Models on the tuple core: stationary ones, whose recording pass replays
+# plans; bayes, whose initial mass is on stratum 1; and array models that
+# TupleOnly keeps on the tuple core, every level compiled where it fell back.
+TUPLE_CORE = {
+    "bayes": lambda w, alpha: es.bayes(w),
+    "fixed_share": lambda w, alpha: es.fixed_share(w, alpha),
+    "overconfident": lambda w, alpha: es.overconfident(w, alpha),
+    "switch": lambda w, alpha: TupleOnly(
+        es.switch(es.SwitchConfig(0.5, es.geometric(alpha), tuple(w)), len(w))),
+    "run_length": lambda w, alpha: TupleOnly(es.run_length(es.inv_poly(), w)),
+}
+
+
+@st.composite
+def tuple_core_runs(draw, make):
+    """(model, lp): the model on k = 2 or 3 experts and an (n, width)
+    log-prediction matrix, n <= 12, with cells drawn -inf at random."""
+    k = draw(st.integers(2, 3))
+    model = make(draw(distributions(k)).tolist(), draw(st.floats(0.05, 0.95)))
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.floats(-5.0, 0.0)),
+                          min_size=n * model.num_experts, max_size=n * model.num_experts))
+    lp = np.array([v if live else -np.inf for live, v in cells])
+    return model, lp.reshape(n, model.num_experts)
+
+
+def grid_or_step(fn, *args, **kwargs):
+    """A posterior grid's bytes, or the step of its ZeroMarginalError."""
+    try:
+        return fn(*args, **kwargs).tobytes()
+    except es.ZeroMarginalError as e:
+        return e.step
+
+
+@pytest.mark.parametrize("name", TUPLE_CORE)
+@PROPERTY
+@given(data=st.data())
+def test_tuple_core_posterior_is_region_replay(name, data):
+    model, lp = data.draw(tuple_core_runs(TUPLE_CORE[name]))
+    fast = grid_or_step(es.posterior_experts, model, None, [None] * len(lp), logpred_matrix=lp)
+    assert fast == grid_or_step(region_posterior, model, lp)

@@ -4,12 +4,15 @@ A model that declares ``stationary`` repeats its levels, so the tuple core
 of a forward pass compiles a level once and replays it at later levels
 whose frontier has the same shape, and Viterbi reuses one level's routes.
 ``oracles.TupleOnly`` does not copy the declaration, so the same model
-wrapped in it runs propagate_frontier at every level; the forward pass and
-the posterior must agree with it to the last bit, Viterbi to 1e-12.
+wrapped in it runs propagate_frontier at every level; the forward pass
+must agree with it to the last bit, Viterbi to 1e-12. The posterior, on
+either, must agree to the last bit with ``oracles.region_posterior``, the
+reverse replay of the silent regions propagate_frontier records.
 """
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ import expertseq.forward as forward_mod
 from expertseq.forward import _TupleCore
 from expertseq.hmm import LevelPlan
 from expertseq.models import FixedShare
-from oracles import TupleOnly, brute_map, iter_sequence_priors
+from oracles import TupleOnly, brute_map, iter_sequence_priors, region_posterior
 
 N = 40
 ALPHABET = 3
@@ -218,16 +221,19 @@ def test_replayed_levels_match_tuple_only(name, mode, hook):
         assert fast[0]._core.plans
 
 
-def test_zero_mass_arc_is_not_compiled():
-    # Listing an arc of zero mass breaks the interface's contract, but the
-    # silent node it alone feeds is dead, so its level cannot be compiled
-    # and the pass runs propagate_frontier instead.
-    class NoShare(FixedShare):
-        def successors(self, q):
-            if q[0] == "draw":
-                return super().successors(q)
-            return [(("e", q[1] + 1, q[2]), 0.0), (("draw", q[1]), -math.inf)]
+class NoShare(FixedShare):
+    """Fixed share at alpha 0 that lists its arc of zero mass to the draw
+    node, against the interface's contract; that node is dead."""
 
+    def successors(self, q):
+        if q[0] == "draw":
+            return super().successors(q)
+        return [(("e", q[1] + 1, q[2]), 0.0), (("draw", q[1]), -math.inf)]
+
+
+def test_zero_mass_arc_is_not_compiled():
+    # The silent node the zero-mass arc alone feeds is dead, so no plan
+    # covers its level and the pass runs propagate_frontier instead.
     model = NoShare([0.5, 0.5], 0.0)
     lp = np.log(np.random.default_rng(3).uniform(0.1, 1.0, (N, 2)))
     fast = es.ForwardPass(model, logpred_matrix=lp)
@@ -238,6 +244,21 @@ def test_zero_mass_arc_is_not_compiled():
     assert [s.log_cond for s in fast.steps] == [s.log_cond for s in ref.steps]
     assert fast.transitions_per_level == ref.transitions_per_level
     assert not fast._core.plans
+
+
+def test_zero_mass_arc_is_reported_and_swept():
+    # validate names each state that lists an arc of zero mass, and the
+    # posterior's sweep keeps the dead node it feeds at -inf.
+    model = NoShare([0.5, 0.5], 0.0)
+    issues = es.validate(model, 4)
+    assert {i.kind for i in issues} == {"zero-arc"}
+    assert {i.state for i in issues} == {("e", n, x) for n in (1, 2, 3) for x in (0, 1)}
+    lp = np.log(np.random.default_rng(3).uniform(0.1, 1.0, (N, 2)))
+    lp[5:, 0] = -np.inf
+    ref = region_posterior(model, lp)
+    for m in (model, TupleOnly(model)):
+        fast = es.posterior_experts(m, None, [None] * N, logpred_matrix=lp)
+        assert fast.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", STATIONARY)
@@ -294,30 +315,46 @@ def test_rotating_ruled_out_expert(k):
 
 
 def test_recording_pass_replays_plans():
-    # A replayed level records its plan and its post-update masses by sink,
-    # -inf where the update dropped a state; only a level that fell back
-    # holds a region of (state, successors) pairs and a dict.
+    # Every level records a plan and its post-update masses by sink, -inf
+    # where the update dropped a state. Replayed levels share their plan;
+    # a level that fell back, such as level 1, records a plan of its own
+    # that the replay cache never holds.
     model, experts, data = instance("fixed_share")
     lp = es.prediction_matrix(experts, data)
     fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
     for x in data:
         fp.advance(x)
     assert len(fp.regions) == len(fp.stratum_weights) == N
-    replayed = [type(r) is LevelPlan for r in fp.regions]
-    assert sum(replayed) > N // 2
-    for region, weights in zip(fp.regions, fp.stratum_weights):
-        if type(region) is LevelPlan:
-            assert type(weights) is list and len(weights) == len(region.sinks)
-        else:
-            assert type(region) is list and type(weights) is dict
-    assert any(-math.inf in w for w in fp.stratum_weights if type(w) is list)
-    # A hook may leave any states in any order, so a recording pass with one
-    # records regions at every level.
-    fp = es.ForwardPass(model, logpred_matrix=lp, frontier_hook=lambda wm: wm,
-                        record_regions=True, keep_steps=False)
-    for x in data:
-        fp.advance(x)
-    assert fp._core.plans == {} and all(type(r) is list for r in fp.regions)
+    for plan, weights in zip(fp.regions, fp.stratum_weights):
+        assert type(plan) is LevelPlan and type(weights) is list
+        assert len(weights) == len(plan.sinks) == len(plan.labels)
+    uses = Counter(map(id, fp.regions))
+    assert sum(uses[id(plan)] > 1 for plan in fp.regions) > N // 2
+    assert uses[id(fp.regions[0])] == 1
+    assert all(plan is not fp.regions[0] for plan in fp._core.plans.values())
+    assert any(-math.inf in w for w in fp.stratum_weights)
+    # A hook may leave any states in any order, which a record by sink
+    # cannot hold, so a recording pass refuses one on either core.
+    switch = es.switch(es.default_switch_config(2), 2)
+    for m in (model, switch):
+        with pytest.raises(ValueError, match="frontier hook"):
+            es.ForwardPass(m, logpred_matrix=lp[:, :2], frontier_hook=lambda wm: wm,
+                           record_regions=True)
+
+
+def test_initial_mass_on_stratum_1_is_an_arc_of_mass_0():
+    # Bayes puts its initial mass on stratum 1, so level 1 processes no
+    # node: each state keeps its frontier slot and reaches its own sink by
+    # one arc of log mass 0.
+    k = 3
+    model = es.bayes([0.2, 0.3, 0.5])
+    fp = es.ForwardPass(model, logpred_matrix=np.zeros((2, k)), record_regions=True)
+    fp.advance(None)
+    plan = fp.regions[0]
+    assert plan.order == tuple((j, ((j - k, 0.0),)) for j in range(k))
+    assert plan.nodes == k and plan.labels == tuple(range(k))
+    assert (plan.transitions, plan.held) == (0, k) == (fp.transitions_per_level[0], fp.peak_weights)
+    assert plan.replay([v for _, v in model.initial()], 1) == dict(model.initial())
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -325,11 +362,12 @@ def test_recording_pass_replays_plans():
 @pytest.mark.parametrize("name", STATIONARY)
 def test_posterior_matches_tuple_only(name, mode, k):
     # Expert 0 rules out symbol 0, so replayed levels from step 12 on drop
-    # its states, and the sweep crosses between replayed and fallback levels.
+    # its states, and the sweep crosses between replayed levels and levels
+    # compiled where they fell back.
     model, experts, data = instance(name, k)
-    fast = offline(es.posterior_experts, model, experts, data, mode)
-    ref = offline(es.posterior_experts, TupleOnly(model), experts, data, mode)
-    assert fast.tobytes() == ref.tobytes()
+    ref = region_posterior(model, es.prediction_matrix(experts, data))
+    for m in (model, TupleOnly(model)):
+        assert offline(es.posterior_experts, m, experts, data, mode).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -358,11 +396,10 @@ def test_offline_passes_with_rotating_ruled_out_expert(k):
     fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
     for _ in lp:
         fp.advance(None)
-    assert any(type(r) is LevelPlan for r in fp.regions) == (k == 3)
+    assert bool(fp._core.plans) == (k == 3)
     data = [None] * len(lp)
     fast = es.posterior_experts(model, None, data, logpred_matrix=lp)
-    ref = es.posterior_experts(TupleOnly(model), None, data, logpred_matrix=lp)
-    assert fast.tobytes() == ref.tobytes()
+    assert fast.tobytes() == region_posterior(model, lp).tobytes()
     assert_viterbi_close(es.viterbi_unambiguous(model, None, data, logpred_matrix=lp),
                          es.viterbi_unambiguous(TupleOnly(model), None, data, logpred_matrix=lp))
     if k == 3:      # brute force over the first 7 steps, on the matrix
@@ -385,6 +422,9 @@ def test_offline_zero_marginal_at_the_same_step(name):
             with pytest.raises(es.ZeroMarginalError) as e:
                 fn(m, None, [None] * N, logpred_matrix=lp)
             assert e.value.step == 18
+    with pytest.raises(es.ZeroMarginalError) as e:
+        region_posterior(model, lp)
+    assert e.value.step == 18
 
 
 @pytest.mark.parametrize("k, per_step", [(2, 400), (8, 800)])
