@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,6 +128,10 @@ def _symbols(data: Sequence[int], size: int) -> list[int]:
     return out
 
 
+def _outside(x, i: int, size: int) -> ValueError:
+    return ValueError(f"symbol {x!r} at position {i} is outside 0..{size - 1}")
+
+
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     """Chain-rule log mass the expert assigns to the whole sequence.
 
@@ -176,15 +181,21 @@ def _logpred_matrix(logpred_matrix, k: int) -> np.ndarray:
     return lp
 
 
+def _check_source(experts, logpred_matrix, k: int) -> None:
+    """Rejects a run given both or neither of ``experts`` and a logpred
+    matrix, or other than k experts."""
+    if (experts is None) == (logpred_matrix is None):
+        raise ValueError("provide either experts or a logpred matrix")
+    if experts is not None and len(experts) != k:
+        raise ValueError(f"model labels {k} experts, got {len(experts)}")
+
+
 def _realized_matrix(experts, data: Sequence[int], logpred_matrix, k: int) -> np.ndarray:
     """The validated (n, k) realized log-predictions of an offline run,
     from exactly one of ``experts`` (asked once per step) or a given matrix
     with k columns and at least n rows."""
-    if (experts is None) == (logpred_matrix is None):
-        raise ValueError("provide either experts or a logpred matrix")
+    _check_source(experts, logpred_matrix, k)
     if experts is not None:
-        if len(experts) != k:
-            raise ValueError(f"model labels {k} experts, got {len(experts)}")
         return _check_logpreds(prediction_matrix(experts, data))
     lp = _logpred_matrix(logpred_matrix, k)
     if lp.shape[0] < len(data):
@@ -234,15 +245,12 @@ class _AddSmoothedCounts(ForecastingSystem):
             raise ValueError("alphabet size must be >= 1")
         self.size = size
 
-    def _reject(self, x, i: int):
-        raise ValueError(f"symbol {x!r} at position {i} is outside 0..{self.size - 1}")
-
     def predict(self, history: Sequence[int]) -> np.ndarray:
         values = np.asarray(history, dtype=np.intp)
         bad = np.flatnonzero((values < 0) | (values >= self.size))
         if len(bad):
             i = int(bad[0])
-            self._reject(history[i], i)
+            raise _outside(history[i], i, self.size)
         counts = np.bincount(values, minlength=self.size)
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
@@ -253,7 +261,7 @@ class _AddSmoothedCounts(ForecastingSystem):
         while True:
             x = yield np.log((counts + a) / (n + a * self.size))
             if not 0 <= x < self.size:
-                self._reject(x, n)
+                raise _outside(x, n, self.size)
             counts[x] += 1
             n += 1
 
@@ -284,7 +292,8 @@ class LaplaceEstimator(_AddSmoothedCounts):
 
 class MarkovExpert(ForecastingSystem):
     """Fixed first-order Markov source: initial distribution plus a
-    row-stochastic transition matrix indexed by the last symbol."""
+    row-stochastic transition matrix indexed by the last symbol. A last
+    symbol outside 0..size-1 raises ValueError naming its position."""
 
     def __init__(self, initial, transition):
         init = np.asarray(initial, dtype=float)
@@ -304,11 +313,16 @@ class MarkovExpert(ForecastingSystem):
     def predict(self, history: Sequence[int]) -> np.ndarray:
         if len(history) == 0:
             return self._log_init
-        return self._log_trans[history[-1]]
+        x = history[-1]
+        if not 0 <= x < self.size:
+            raise _outside(x, len(history) - 1, self.size)
+        return self._log_trans[x]
 
     def forecasts(self) -> Iterator[np.ndarray]:
         x = yield self._log_init
-        while True:
+        for i in count():
+            if not 0 <= x < self.size:
+                raise _outside(x, i, self.size)
             x = yield self._log_trans[x]
 
     def realized(self, data: np.ndarray) -> np.ndarray:

@@ -26,9 +26,13 @@ a plan, where a plan meets a dead node, and for the rest of a pass once
 a frontier hook leaves other than all the propagated states in their
 order, as when it trims or reorders or the update drops a state. A
 recording pass records a replayed level's plan, and compiles one from
-what propagate_frontier recorded at every level that fell back. Viterbi
-on a stationary model reads one table of silent routes per frontier
-shape.
+what propagate_frontier recorded at every level that fell back.
+
+:func:`viterbi_unambiguous` is one loop over the strata for every
+unambiguous model, with one start, final choice and backtrack; only a
+level's maximisation differs. A stationary model reads one table of
+silent routes per frontier shape, any other propagates each live source
+alone, and both give the same bits.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _forecast_rows,
-                      _logpred_matrix, _realized_matrix)
+from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _check_source,
+                      _forecast_rows, _logpred_matrix, _realized_matrix)
 from .hmm import (HmmModel, LevelArcs, LevelPlan, StateId, compile_level, propagate_arcs,
                   propagate_frontier, pull_arcs, shape_of)
 from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
@@ -384,13 +388,9 @@ class ForwardPass:
         want_outcome_dists: bool = False,
         keep_steps: bool = True,
     ):
-        if (experts is None) == (logpred_matrix is None):
-            raise ValueError("provide either experts or a logpred matrix")
+        _check_source(experts, logpred_matrix, model.num_experts)
         if record_regions and frontier_hook is not None:
             raise ValueError("a recording pass takes no frontier hook")
-        if experts is not None and len(experts) != model.num_experts:
-            raise ValueError(
-                f"model labels {model.num_experts} experts, got {len(experts)}")
         self.model = model
         self.experts = list(experts) if experts is not None else None
         self._size = None if experts is None else _alphabet_size(self.experts)
@@ -600,70 +600,74 @@ def viterbi_unambiguous(
     Sound only for models declaring themselves unambiguous: one expert
     sequence corresponds to one productive-state path, so silent detours
     between consecutive productive states are aggregated by summation and
-    the maximization runs over productive choices. Ties go to the lowest
-    expert index at each maximization.
+    the maximization runs over productive choices.
 
-    A stationary model runs on route tables from stratum 1 on: one per
-    frontier shape, built once, holding the log-summed silent routes from
-    each state of the shape to each state of the next stratum. Any other
-    model propagates each state of each stratum on its own with
-    :func:`~expertseq.hmm.propagate_frontier`, which adds the state's
-    value before summing its routes, so the two paths may give values
-    that differ in the last bits.
+    One loop runs over the strata, each listed by (label, state). A
+    state's value is the greatest, over its sources, of the source's value
+    added to the log-summed silent routes between them, plus the state's
+    realized log-likelihood. Each state keeps the first maximum over its
+    sources and the final choice the first over the last stratum, so ties
+    go to the lowest (label, state). A stationary model reads the routes
+    from one table per frontier shape, built once, whose dead states stay
+    sources so that one table serves every later level; any other model
+    propagates each live source alone with
+    :func:`~expertseq.hmm.propagate_frontier`, and a state that only dead
+    sources reach drops out. Both add a source's value after its routes
+    are summed, so a model gives the same bits with its ``stationary``
+    declaration as without it.
     """
     if not model.unambiguous:
         raise AmbiguousModelError(
             "model is declared ambiguous; use the switch MAP decoder or brute force")
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
-    n = len(data)
-    if n == 0:
+    if len(data) == 0:
         return [], 0.0
 
     label = model.label
-
-    # values[q] = best joint log mass over expert prefixes reaching q;
-    # parents[i][q] = predecessor productive state on that best path.
-    sinks, _, _ = propagate_frontier(model, dict(model.initial()), 1)
-    lp = lp_all[0].tolist()
-    values: dict[StateId, LogMass] = {}
-    for q, v in sinks.items():
-        m = v + lp[label(q)]
-        if m != NEG_INF:
-            values[q] = m
-    if not values:
-        raise ZeroMarginalError(1)
-    if model.stationary:
-        return _viterbi_routes(model, lp_all, values)
-
-    parents: list[dict[StateId, StateId | None]] = [dict.fromkeys(values)]
-    for i in range(1, n):
-        lp = lp_all[i].tolist()
-        best: dict[StateId, tuple[LogMass, StateId]] = {}
-        for q in sorted(values, key=lambda s: (label(s), s)):
-            arrivals, _, _ = propagate_frontier(model, {q: values[q]}, i + 1)
-            for v, m in arrivals.items():
-                if v not in best or m > best[v][0]:
-                    best[v] = (m, q)
-        values = {}
-        parent_row: dict[StateId, StateId | None] = {}
-        for v, (m, q) in best.items():
-            m2 = m + lp[label(v)]
-            if m2 != NEG_INF:
-                values[v] = m2
-                parent_row[v] = q
-        if not values:
+    by_label = lambda q: (label(q), q)
+    sinks = propagate_frontier(model, dict(model.initial()), 1)[0]
+    states = sorted(sinks, key=by_label)
+    vals = np.array([sinks[q] for q in states])
+    labs = np.array([label(q) for q in states], dtype=np.intp)
+    # labels[i][j]: the label of state j of stratum i + 1; parents[i - 1][j]:
+    # the index of its best source in stratum i; vals: the last stratum's values.
+    labels, parents = [], []
+    shape, key, tables = shape_of(states), None, {}
+    for i, lp in enumerate(lp_all):
+        if i and model.stationary:      # stratum 1 is the start above
+            if shape is not key:
+                key, routes = shape, tables.get(shape)
+                if routes is None:
+                    routes = _Routes.build(model, [(tag, i) + rest for tag, rest in shape], i + 1)
+                    _TupleCore._keep(tables, shape, routes)
+            cand = routes.table + vals[:, None]
+            parents.append(cand.argmax(axis=0))
+            vals, labs, shape = cand.max(axis=0), routes.labels, routes.sinks
+        elif i:
+            best: dict[StateId, tuple[LogMass, int]] = {}
+            for s, (q, v) in enumerate(zip(states, vals.tolist())):
+                if v != NEG_INF:
+                    for u, w in propagate_frontier(model, {q: 0.0}, i + 1)[0].items():
+                        m = w + v
+                        old = best.get(u)
+                        if old is None or m > old[0]:
+                            best[u] = (m, s)
+            states = sorted(best, key=by_label)
+            parents.append([best[u][1] for u in states])
+            vals = np.array([best[u][0] for u in states])
+            labs = np.array([label(u) for u in states], dtype=np.intp)
+        vals = vals + lp[labs]
+        if max(vals.tolist() or [NEG_INF]) == NEG_INF:    # an empty stratum too
             raise ZeroMarginalError(i + 1)
-        parents.append(parent_row)
+        labels.append(labs)
 
-    final = None
-    for q in sorted(values, key=lambda s: (label(s), s)):
-        if final is None or values[q] > values[final]:
-            final = q
-    seq_states = [final]
-    for i in range(n - 1, 0, -1):
-        seq_states.append(parents[i][seq_states[-1]])
-    seq_states.reverse()
-    return [label(q) for q in seq_states], values[final]
+    j = int(vals.argmax())
+    seq = [int(labels[-1][j])]
+    for lab, parent in zip(reversed(labels[:-1]), reversed(parents)):
+        j = parent[j]
+        seq.append(int(lab[j]))
+    seq.reverse()
+    return seq, float(vals.max())
 
 
 class _Routes(NamedTuple):
@@ -671,7 +675,7 @@ class _Routes(NamedTuple):
     listed by (label, state): ``table[s, j]`` log-sums the silent routes
     from source s to sink j, -inf where there is none. The sinks, of shape
     ``sinks`` and labels ``labels``, are listed by (label, state) too, so
-    the live ones are the next level's sources in order."""
+    they are the next level's sources in order."""
 
     table: np.ndarray
     sinks: tuple
@@ -687,43 +691,3 @@ class _Routes(NamedTuple):
         for s, row in enumerate(rows):
             table[s, [at[v] for v in row]] = list(row.values())
         return cls(table, shape_of(sinks), np.array([label(v) for v in sinks], dtype=np.intp))
-
-
-def _viterbi_routes(model: HmmModel, lp_all: np.ndarray,
-                    values: dict[StateId, LogMass]) -> tuple[list[int], LogMass]:
-    """:func:`viterbi_unambiguous` of a stationary model from stratum 1,
-    whose live states and values are ``values``. Each level takes, per
-    sink, the first maximum of the sources' values plus their routes, so
-    ties go to the lowest (label, state) as on the per-state path. A state
-    whose value drops to -inf stays a source, so the frontier keeps the
-    shape of the table's sinks and one table serves every later level."""
-    label = model.label
-    states = sorted(values, key=lambda s: (label(s), s))
-    vals = np.array([values[q] for q in states])
-    shape = shape_of(states)
-    labels = [np.array([label(q) for q in states], dtype=np.intp)]
-    parents = []        # parents[i - 1][j]: the source, at stratum i, of source j at i + 1
-    tables: dict[tuple, _Routes] = {}
-    key = None
-    for i in range(1, len(lp_all)):
-        if shape is not key:
-            key, routes = shape, tables.get(shape)
-            if routes is None:
-                routes = _Routes.build(model, [(tag, i) + rest for tag, rest in shape], i + 1)
-                _TupleCore._keep(tables, shape, routes)
-        cand = routes.table + vals[:, None]
-        parents.append(cand.argmax(axis=0))
-        vals = cand.max(axis=0) + lp_all[i][routes.labels]
-        if max(vals.tolist()) == NEG_INF:
-            raise ZeroMarginalError(i + 1)
-        labels.append(routes.labels)
-        shape = routes.sinks
-
-    j = int(vals.argmax())
-    value = float(vals[j])
-    seq = [int(labels[-1][j])]
-    for lab, parent in zip(reversed(labels[:-1]), reversed(parents)):
-        j = parent[j]
-        seq.append(int(lab[j]))
-    seq.reverse()
-    return seq, value

@@ -341,6 +341,25 @@ class TestForecastStreams:
         with pytest.raises(ValueError, match="position 1"):
             stream.send(bad)
 
+    @pytest.mark.parametrize("make", [
+        lambda: es.KTEstimator(3),
+        lambda: es.LaplaceEstimator(3),
+        lambda: es.MarkovExpert([0.2, 0.3, 0.5], [[0.1, 0.6, 0.3]] * 3),
+    ], ids=["kt", "laplace", "markov"])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_predict_and_stream_reject_symbol_with_position(self, make, bad):
+        e = make()
+        for history in ([bad], [0, 2, bad]):
+            at = len(history) - 1
+            with pytest.raises(ValueError, match=rf"symbol {bad} at position {at} is outside 0\.\.2"):
+                e.predict(history)
+        stream = e.forecasts()
+        next(stream)
+        stream.send(0)
+        stream.send(2)
+        with pytest.raises(ValueError, match=rf"symbol {bad} at position 2 is outside 0\.\.2"):
+            stream.send(bad)
+
     def test_default_stream_replays_predict_on_one_growing_list(self):
         e = CountingExpert(es.KTEstimator(2))
         stream = e.forecasts()

@@ -1,6 +1,6 @@
-"""Property tests: the reduction identities, trimming at p = 1 and the
-tuple core's posterior sweep hold on every instance hypothesis draws, not
-only on the seeded ones of the acceptance suite."""
+"""Property tests: the reduction identities, trimming at p = 1, the
+tuple core's posterior sweep and Viterbi hold on every instance
+hypothesis draws, not only on the seeded ones of the acceptance suite."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import expertseq as es
 from expertseq.approx import trim_frontier, trimming_hook
-from oracles import TupleOnly, region_posterior
+from oracles import TupleOnly, brute_map, joint_table, region_posterior
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -99,12 +99,12 @@ TUPLE_CORE = {
 
 
 @st.composite
-def tuple_core_runs(draw, make):
+def tuple_core_runs(draw, make, max_n=12):
     """(model, lp): the model on k = 2 or 3 experts and an (n, width)
-    log-prediction matrix, n <= 12, with cells drawn -inf at random."""
+    log-prediction matrix, n <= max_n, with cells drawn -inf at random."""
     k = draw(st.integers(2, 3))
     model = make(draw(distributions(k)).tolist(), draw(st.floats(0.05, 0.95)))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     cells = draw(st.lists(st.tuples(st.integers(0, 9), st.floats(-5.0, 0.0)),
                           min_size=n * model.num_experts, max_size=n * model.num_experts))
     lp = np.array([v if live else -np.inf for live, v in cells])
@@ -126,3 +126,46 @@ def test_tuple_core_posterior_is_region_replay(name, data):
     model, lp = data.draw(tuple_core_runs(TUPLE_CORE[name]))
     fast = grid_or_step(es.posterior_experts, model, None, [None] * len(lp), logpred_matrix=lp)
     assert fast == grid_or_step(region_posterior, model, lp)
+
+
+# Unambiguous models: the stationary ones, whose Viterbi reads route tables,
+# and universal elementwise, whose Viterbi propagates each live source.
+UNAMBIGUOUS = {
+    "bayes": lambda w, alpha: es.bayes(w),
+    "fixed_elementwise": lambda w, alpha: es.fixed_elementwise(w),
+    "fixed_share": lambda w, alpha: es.fixed_share(w, alpha),
+    "universal_elementwise": lambda w, alpha: es.universal_elementwise(len(w)),
+}
+
+
+def advice(lp):
+    """Experts over outcomes {0, 1} that give outcome 0 at step i
+    probability exp(lp[i, j]), so the realized matrix of [0] * n is lp."""
+    return [es.AdviceExpert(np.stack([p, 1.0 - p], axis=1)) for p in np.exp(lp).T]
+
+
+def viterbi_or_step(model, experts, data):
+    """The best sequence and its value's bits, or the step of the ZeroMarginalError."""
+    try:
+        seq, value = es.viterbi_unambiguous(model, experts, data)
+    except es.ZeroMarginalError as e:
+        return e.step
+    return seq, value.hex()
+
+
+@pytest.mark.parametrize("name", UNAMBIGUOUS)
+@PROPERTY
+@given(data=st.data())
+def test_viterbi_is_exact_and_a_maximiser(name, data):
+    model, lp = data.draw(tuple_core_runs(UNAMBIGUOUS[name], max_n=6))
+    experts, symbols = advice(lp), [0] * len(lp)
+    got = viterbi_or_step(model, experts, symbols)
+    assert got == viterbi_or_step(TupleOnly(model), experts, symbols)
+    best = brute_map(model, experts, symbols)[1]
+    if isinstance(got, int):
+        assert best == -np.inf
+        return
+    # Exact ties may let brute force pick another maximiser: compare masses.
+    seq, value = got[0], float.fromhex(got[1])
+    assert abs(value - best) <= 1e-9
+    assert abs(joint_table(model, experts, symbols)[tuple(seq)] - value) <= 1e-9
