@@ -10,13 +10,18 @@ File formats (UTF-8, newline-delimited):
 Exit codes: 0 success, 1 standard output closed by its reader, 2 input
 error (including a repeated expert name), 3 zero-marginal abort,
 4 unsupported combination (including a model over its state budget). Output floats carry 12 significant digits so
-identical inputs produce byte-identical outputs.
+identical inputs produce byte-identical outputs: a CSV cell is the "%.12g"
+text, and a JSON number is the shortest float repr of that 12-digit value,
+as json.dumps writes it (1 in CSV is 1.0 in JSON). evaluate fixes each
+format's row layout once per run and fills it per step; rows are written
+as they are produced.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -270,6 +275,14 @@ def _check_trim(args) -> None:
         raise InputError(f"--trim must be in (0, 1], got {args.trim}")
 
 
+def _json_keys(labels: Sequence[str]) -> tuple[list[int], str]:
+    """The label positions in sorted order, and the '"label": %s' pairs in
+    that order as a '%'-format: the keys ``json.dumps(..., sort_keys=True)``
+    writes for a dict keyed by the labels."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return order, ", ".join(json.dumps(labels[j]).replace("%", "%%") + ": %s" for j in order)
+
+
 def _cmd_evaluate(args) -> int:
     alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     hook = trimming_hook(args.trim) if args.trim is not None else None
@@ -277,6 +290,22 @@ def _cmd_evaluate(args) -> int:
     fp = ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
                      want_outcome_dists=full, keep_steps=False)
     json_mode = args.format == "json"
+    symbols = alphabet.symbols
+    # Each row's layout is fixed here, once per run. A JSON row is the text
+    # json.dumps(row, sort_keys=True) gives for the row's dict of
+    # float(_fmt(v)) values: its keys come sorted, and a finite float's
+    # text there is its repr.
+    if json_mode:
+        by_name, expert_keys = _json_keys(names)
+        by_symbol, outcome_keys = _json_keys(symbols) if full else ([], "")
+        row = ('{"bits": %s, "cum_bits": %s, "next_expert": {' + expert_keys + "}"
+               + (', "next_outcome": {' + outcome_keys + "}" if full else "")
+               + ', "step": %d, "symbol": %s}')
+        symbol_text = [json.dumps(s) for s in symbols]
+        lead = "\n"
+    else:
+        cells = (len(symbols) if full else 0) + len(names) + 2
+        row = "%d,%s," + ",".join(["%.12g"] * cells) + "\n"
     cum = 0.0
     # Rows are written as they are produced; memory stays bounded by
     # the frontier regardless of the stream length.
@@ -286,7 +315,7 @@ def _cmd_evaluate(args) -> int:
         else:
             cols = ["step", "symbol"]
             if full:
-                cols += [f"p_out:{s}" for s in alphabet.symbols]
+                cols += [f"p_out:{s}" for s in symbols]
             cols += [f"p_exp:{nm}" for nm in names] + ["bits", "cum_bits"]
             out.write(",".join(cols) + "\n")
         for i, x in enumerate(data):
@@ -294,24 +323,16 @@ def _cmd_evaluate(args) -> int:
             step = fp.last_step
             bits = to_bits(log_cond)
             cum += bits
-            expert_dist = np.exp(step.expert_dist)
-            outcome_dist = np.exp(step.outcome_dist) if full else None
+            expert = np.exp(step.expert_dist).tolist()
+            outcome = np.exp(step.outcome_dist).tolist() if full else []
             if json_mode:
-                entry = {"step": i + 1, "symbol": alphabet.symbols[x],
-                         "bits": float(_fmt(bits)), "cum_bits": float(_fmt(cum)),
-                         "next_expert": {nm: float(_fmt(v))
-                                         for nm, v in zip(names, expert_dist)}}
-                if full:
-                    entry["next_outcome"] = {s: float(_fmt(v))
-                                             for s, v in zip(alphabet.symbols, outcome_dist)}
-                out.write(("," if i else "") + "\n" + json.dumps(entry, sort_keys=True))
+                nums = [bits, cum, *[expert[j] for j in by_name],
+                        *[outcome[j] for j in by_symbol]]
+                out.write(lead + row % (*[repr(float("%.12g" % v)) for v in nums],
+                                        i + 1, symbol_text[x]))
+                lead = ",\n"
             else:
-                cells = [str(i + 1), alphabet.symbols[x]]
-                if full:
-                    cells += [_fmt(v) for v in outcome_dist]
-                cells += [_fmt(v) for v in expert_dist]
-                cells += [_fmt(bits), _fmt(cum)]
-                out.write(",".join(cells) + "\n")
+                out.write(row % (i + 1, symbols[x], *outcome, *expert, bits, cum))
         if json_mode:
             out.write(f'\n],\n"n": {len(data)},\n"total_bits": {_fmt(cum)}\n}}\n')
     return 0
@@ -328,8 +349,9 @@ def _cmd_posterior(args) -> int:
             out.write("\n")
         else:
             out.write(",".join(names) + "\n")
-            for row in probs:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            row = ",".join(["%.12g"] * len(names)) + "\n"
+            for values in probs.tolist():
+                out.write(row % tuple(values))
     return 0
 
 
@@ -419,6 +441,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# parse_args leaves the parser as it was and returns a new Namespace, so
+# one parser serves every main call of a process.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expertseq",

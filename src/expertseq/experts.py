@@ -22,6 +22,7 @@ shared offline check.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import count
@@ -132,6 +133,18 @@ def _outside(x, i: int, size: int) -> ValueError:
     return ValueError(f"symbol {x!r} at position {i} is outside 0..{size - 1}")
 
 
+def _index(x, i: int, size: int) -> int:
+    """The symbol x at position i as an int; an x that is not an integer
+    (1.5, or the float 1.0) or lies outside 0..size-1 raises ``_outside``."""
+    try:
+        v = operator.index(x)
+    except TypeError:
+        raise _outside(x, i, size) from None
+    if not 0 <= v < size:
+        raise _outside(x, i, size)
+    return v
+
+
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     """Chain-rule log mass the expert assigns to the whole sequence.
 
@@ -234,8 +247,8 @@ def uniform_expert(size: int) -> ConstantExpert:
 class _AddSmoothedCounts(ForecastingSystem):
     """Dirichlet-smoothed relative frequencies: (count + a) / (n + a * size).
 
-    The stream keeps running counts. A symbol outside 0..size-1 raises
-    ValueError naming its position.
+    The stream keeps running counts. A symbol that is not an integer in
+    0..size-1 raises ValueError naming its position.
     """
 
     smoothing: float
@@ -246,11 +259,16 @@ class _AddSmoothedCounts(ForecastingSystem):
         self.size = size
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        values = np.asarray(history, dtype=np.intp)
-        bad = np.flatnonzero((values < 0) | (values >= self.size))
-        if len(bad):
-            i = int(bad[0])
-            raise _outside(history[i], i, self.size)
+        values = np.asarray(history)
+        if values.dtype.kind in "iu":
+            values = values.astype(np.intp, copy=False)
+            bad = np.flatnonzero((values < 0) | (values >= self.size))
+            if len(bad):
+                i = int(bad[0])
+                raise _outside(history[i], i, self.size)
+        else:  # floats, bools or Python objects: checked one at a time
+            values = np.array([_index(x, i, self.size) for i, x in enumerate(history)],
+                              dtype=np.intp)
         counts = np.bincount(values, minlength=self.size)
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
@@ -260,9 +278,7 @@ class _AddSmoothedCounts(ForecastingSystem):
         a, n = self.smoothing, 0
         while True:
             x = yield np.log((counts + a) / (n + a * self.size))
-            if not 0 <= x < self.size:
-                raise _outside(x, n, self.size)
-            counts[x] += 1
+            counts[_index(x, n, self.size)] += 1
             n += 1
 
     def realized(self, data: np.ndarray) -> np.ndarray:
@@ -293,7 +309,8 @@ class LaplaceEstimator(_AddSmoothedCounts):
 class MarkovExpert(ForecastingSystem):
     """Fixed first-order Markov source: initial distribution plus a
     row-stochastic transition matrix indexed by the last symbol. A last
-    symbol outside 0..size-1 raises ValueError naming its position."""
+    symbol that is not an integer in 0..size-1 raises ValueError naming
+    its position."""
 
     def __init__(self, initial, transition):
         init = np.asarray(initial, dtype=float)
@@ -313,17 +330,12 @@ class MarkovExpert(ForecastingSystem):
     def predict(self, history: Sequence[int]) -> np.ndarray:
         if len(history) == 0:
             return self._log_init
-        x = history[-1]
-        if not 0 <= x < self.size:
-            raise _outside(x, len(history) - 1, self.size)
-        return self._log_trans[x]
+        return self._log_trans[_index(history[-1], len(history) - 1, self.size)]
 
     def forecasts(self) -> Iterator[np.ndarray]:
         x = yield self._log_init
         for i in count():
-            if not 0 <= x < self.size:
-                raise _outside(x, i, self.size)
-            x = yield self._log_trans[x]
+            x = yield self._log_trans[_index(x, i, self.size)]
 
     def realized(self, data: np.ndarray) -> np.ndarray:
         out = np.empty(len(data))

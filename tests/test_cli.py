@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import expertseq as es
@@ -147,6 +148,103 @@ class TestEvaluate:
         rc = main(["evaluate", str(data_file), "--model", "universal-elementwise", *BASE])
         assert rc == 4
         assert capsys.readouterr().err.startswith("error: universal elementwise")
+
+
+def reference_evaluate(argv: list[str]) -> bytes:
+    """What evaluate writes for argv, each row built from scratch: a dict of
+    float(_fmt(v)) values through json.dumps(..., sort_keys=True), or a join
+    of one _fmt cell per value."""
+    args = cli_mod._build_parser().parse_args(argv)
+    alphabet, data, names, experts, matrix, model, _ = cli_mod._load_inputs(args)
+    fmt, symbols, full = cli_mod._fmt, alphabet.symbols, experts is not None
+    hook = es.trimming_hook(args.trim) if args.trim is not None else None
+    fp = es.ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
+                        want_outcome_dists=full, keep_steps=False)
+    cum, rows = 0.0, []
+    for i, x in enumerate(data):
+        bits = es.to_bits(fp.advance(x))
+        cum += bits
+        expert_dist = np.exp(fp.last_step.expert_dist)
+        outcome_dist = np.exp(fp.last_step.outcome_dist) if full else []
+        if args.format == "json":
+            entry = {"step": i + 1, "symbol": symbols[x],
+                     "bits": float(fmt(bits)), "cum_bits": float(fmt(cum)),
+                     "next_expert": {nm: float(fmt(v)) for nm, v in zip(names, expert_dist)}}
+            if full:
+                entry["next_outcome"] = {s: float(fmt(v)) for s, v in zip(symbols, outcome_dist)}
+            rows.append(("," if i else "") + "\n" + json.dumps(entry, sort_keys=True))
+        else:
+            cells = [str(i + 1), symbols[x], *map(fmt, outcome_dist), *map(fmt, expert_dist),
+                     fmt(bits), fmt(cum)]
+            rows.append(",".join(cells) + "\n")
+    if args.format == "json":
+        text = '{\n"steps": [' + "".join(rows) + (
+            f'\n],\n"n": {len(data)},\n"total_bits": {fmt(cum)}\n}}\n')
+    else:
+        cols = ["step", "symbol", *(f"p_out:{s}" for s in symbols if full),
+                *(f"p_exp:{nm}" for nm in names), "bits", "cum_bits"]
+        text = ",".join(cols) + "\n" + "".join(rows)
+    return text.encode("utf-8")
+
+
+class TestRowBytes:
+    """evaluate's rows, laid out once per run, are the bytes of rows built
+    one at a time: names that JSON escapes or that hold a '%', an alphabet
+    listed out of sorted order, and probabilities exactly 0 and 1."""
+
+    # Alphabet c,a,b: symbol 1 is "a", symbol 2 is "b".
+    DATA = "a\na\nc\nb\na\nc\na\nb\n"
+    NAMES = ['q"uote', "back\\slash", "été", "50%"]
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        data = tmp_path / "d.txt"
+        write(data, self.DATA)
+        symbols = self.DATA.split()
+        # Step 1 puts every expert's mass on "a", the outcome that comes;
+        # then q"uote keeps it there and 50% moves it to "b", so each dies
+        # at the first step its symbol misses. In realized mode été dies at
+        # the first "b" too, which leaves back\slash all the weight.
+        full = [",".join(["0,1,0"] * 4)]
+        full += ["0,1,0,0.25,0.5,0.25,0.5,0.25,0.25,0,0,1"] * (len(symbols) - 1)
+        realized = [f"{int(s == 'a')},0.25,{0 if s == 'b' else 0.5},{int(s == 'b')}"
+                    for s in symbols]
+        header = ",".join(self.NAMES) + "\n"
+        write(tmp_path / "full.csv", header + "\n".join(full) + "\n")
+        write(tmp_path / "realized.csv", header + "\n".join(realized) + "\n")
+        return {"builtin": [str(data), "--experts",
+                            "builtin:const:0,1,0;kt;markov:0.2,0.3,0.5|1,0,0|0,1,0|0,0,1"],
+                "full": [str(data), "--experts", f"file:{tmp_path / 'full.csv'}"],
+                "realized": [str(data), "--experts", f"file:{tmp_path / 'realized.csv'}",
+                             "--advice-mode", "realized"]}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["builtin", "full", "realized"])
+    @pytest.mark.parametrize("model", [["bayes"], ["fixed-share", "--alpha", "0.1"],
+                                       ["switch", "--trim", "0.9"]],
+                             ids=["bayes", "fixed-share", "switch-trim"])
+    def test_rows_match_rows_built_one_at_a_time(self, tmp_path, inputs, fmt, source, model):
+        out = tmp_path / f"out.{fmt}"
+        argv = ["evaluate", *inputs[source], "--alphabet", "c,a,b", "--model", *model,
+                "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        got = out.read_bytes()
+        assert got == reference_evaluate(argv)
+        if source != "builtin" and model == ["bayes"]:
+            # The cases where %.12g and JSON write a number differently.
+            text = got.decode("utf-8")
+            assert (": 0.0" in text and ": 1.0" in text) if fmt == "json" else (
+                ",0," in text and ",1," in text)
+
+    def test_cached_parser_keeps_nothing_between_calls(self, tmp_path, data_file):
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        argv = ["evaluate", str(data_file), "--model", "switch", *BASE]
+        first, second, fresh = (tmp_path / f"{nm}.csv" for nm in ("first", "second", "fresh"))
+        assert main(argv + ["--theta", "0.2", "--out", str(first)]) == 0
+        assert main(argv + ["--out", str(second)]) == 0
+        cli_mod._build_parser.cache_clear()
+        assert main(argv + ["--out", str(fresh)]) == 0
+        assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
 
 
 class TestPosterior:

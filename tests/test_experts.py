@@ -360,6 +360,49 @@ class TestForecastStreams:
         with pytest.raises(ValueError, match=rf"symbol {bad} at position 2 is outside 0\.\.2"):
             stream.send(bad)
 
+    # A symbol that is not an integer, even a whole float, is neither
+    # truncated nor used as a numpy index.
+    NOT_INTEGERS = [1.5, 1.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: es.KTEstimator(3),
+        lambda: es.LaplaceEstimator(3),
+        lambda: es.MarkovExpert([0.2, 0.3, 0.5], [[0.1, 0.6, 0.3]] * 3),
+    ], ids=["kt", "laplace", "markov"])
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_predict_rejects_non_integer_symbol_with_position(self, make, bad):
+        e = make()
+        for history in ([bad], [0, 2, bad]):
+            at = len(history) - 1
+            with pytest.raises(ValueError, match=rf"symbol {bad} at position {at} is outside 0\.\.2"):
+                e.predict(history)
+
+    @pytest.mark.parametrize("make", [
+        lambda: es.KTEstimator(3),
+        lambda: es.LaplaceEstimator(3),
+        lambda: es.MarkovExpert([0.2, 0.3, 0.5], [[0.1, 0.6, 0.3]] * 3),
+    ], ids=["kt", "laplace", "markov"])
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_stream_rejects_non_integer_symbol_with_position(self, make, bad):
+        stream = make().forecasts()
+        next(stream)
+        stream.send(0)
+        stream.send(2)
+        with pytest.raises(ValueError, match=rf"symbol {bad} at position 2 is outside 0\.\.2"):
+            stream.send(bad)
+
+    def test_integer_likes_are_symbols(self):
+        # numpy integers and arrays of any integer dtype read as before.
+        for e in (es.KTEstimator(3), es.MarkovExpert([0.2, 0.3, 0.5], [[0.1, 0.6, 0.3]] * 3)):
+            want = e.predict([0, 2, 1]).tobytes()
+            assert e.predict([np.int64(0), np.int32(2), np.uint8(1)]).tobytes() == want
+            assert e.predict(np.array([0, 2, 1], dtype=np.uint8)).tobytes() == want
+            stream = e.forecasts()
+            next(stream)
+            stream.send(np.int64(0))
+            stream.send(np.uint8(2))
+            assert stream.send(np.int32(1)).tobytes() == want
+
     def test_default_stream_replays_predict_on_one_growing_list(self):
         e = CountingExpert(es.KTEstimator(2))
         stream = e.forecasts()
