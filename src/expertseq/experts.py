@@ -118,15 +118,9 @@ def _alphabet_size(experts: Sequence[ForecastingSystem]) -> int:
 
 
 def _symbols(data: Sequence[int], size: int) -> list[int]:
-    """The symbols as ints, each read once; a ValueError names the first
-    outside the alphabet with its position."""
-    out = []
-    for i, x in enumerate(data):
-        v = int(x)
-        if not 0 <= v < size:
-            raise ValueError(f"symbol {x!r} at position {i} is outside the alphabet")
-        out.append(v)
-    return out
+    """The symbols as ints, each read once by ``_index``, which names the
+    first that is not an integer in 0..size-1 with its position."""
+    return [_index(x, i, size) for i, x in enumerate(data)]
 
 
 def _outside(x, i: int, size: int) -> ValueError:

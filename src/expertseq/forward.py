@@ -28,6 +28,14 @@ order, as when it trims or reorders or the update drops a state. A
 recording pass records a replayed level's plan, and compiles one from
 what propagate_frontier recorded at every level that fell back.
 
+:func:`posterior_experts` of a stationary model whose route table from
+stratum 1 to stratum 2 is closed (its sinks are its sources) and has at
+most ``SCAN_STATES`` states records no levels: it runs a blocked
+log-semiring scan over that table, in about sqrt(n) vectorised passes and
+sqrt(n) small products, exact in its -inf entries and within rounding of
+the recorded loop elsewhere. Any other model, a wider or open table, and
+every online pass keep the loop.
+
 :func:`viterbi_unambiguous` is one loop over the strata for every
 unambiguous model, with one start, final choice and backtrack; only a
 level's maximisation differs. A stationary model reads one table of
@@ -45,10 +53,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _check_source,
-                      _forecast_rows, _logpred_matrix, _realized_matrix)
+                      _forecast_rows, _index, _logpred_matrix, _realized_matrix)
 from .hmm import (HmmModel, LevelArcs, LevelPlan, StateId, compile_level, propagate_arcs,
                   propagate_frontier, pull_arcs, shape_of)
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp, logsumexp_by
+from .logprob import (_EMPTY_SHIFT, NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp,
+                      logsumexp_by)
 
 
 @dataclass
@@ -450,17 +459,16 @@ class ForwardPass:
     # -- consuming data ----------------------------------------------------
 
     def advance(self, symbol: int) -> LogMass:
-        """Consume one outcome; returns log P(x_{t+1} | x^t). In matrix
-        mode the symbol is not read."""
+        """Consume one outcome; returns log P(x_{t+1} | x^t). In experts
+        mode a symbol that is not an integer in the alphabet raises
+        ValueError naming its position t; in matrix mode it is not read."""
         expert_dist = self.predict_expert()
         pre_total = self._pre_total
         step = self._t + 1
         outcome_dist = self._mix_outcome(expert_dist) if self._want_outcome else None
 
         if self.experts is not None:
-            symbol = int(symbol)
-            if not 0 <= symbol < self._size:
-                raise ValueError(f"symbol {symbol!r} at step {step} is outside the alphabet")
+            symbol = _index(symbol, self._t, self._size)
             lp = self._expert_preds()[:, symbol]
             self._last = symbol
         else:
@@ -561,9 +569,14 @@ def posterior_experts(
     grid of log masses, each row log-summing to 0.
 
     Computed as forward times backward over productive states, projected
-    down to expert labels. A recording forward pass keeps each level and
-    no steps (``keep_steps=False``: no ``StepRecord`` list, no transition
-    count); the backward sweep then pulls beta back one stratum per level:
+    down to expert labels. A stationary model whose route table from
+    stratum 1 to stratum 2 is closed and has at most ``SCAN_STATES``
+    states runs as a blocked scan over that table (see
+    ``_scan_posterior``): its grid has the loop's -inf entries and its
+    finite ones within rounding of the loop's, summed in another order.
+    Otherwise a recording forward pass keeps each level and no steps
+    (``keep_steps=False``: no ``StepRecord`` list, no transition count);
+    the backward sweep then pulls beta back one stratum per level:
     through the level's arcs with :func:`~expertseq.hmm.pull_arcs` when
     the model provides level arcs, otherwise through the level's recorded
     plan, its silent region by slot in reverse topological order. The
@@ -573,19 +586,131 @@ def posterior_experts(
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
-    fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True, keep_steps=False)
-    for x in data:
-        fp.advance(x)
-
-    grid = np.full((n, model.num_experts), NEG_INF)
-    for i, row in zip(range(n, 0, -1), fp._core.backward_rows(lp_all)):
-        grid[i - 1] = row
+    grid = _scan_posterior(model, lp_all) if model.stationary and n else None
+    if grid is None:
+        fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True, keep_steps=False)
+        for x in data:
+            fp.advance(x)
+        grid = np.full((n, model.num_experts), NEG_INF)
+        for i, row in zip(range(n, 0, -1), fp._core.backward_rows(lp_all)):
+            grid[i - 1] = row
     totals = np.logaddexp.reduce(grid, axis=1)
     zero = np.flatnonzero(totals == NEG_INF)
     if len(zero):
         raise ZeroMarginalError(int(zero[-1]) + 1)
     grid -= totals[:, None]
     return grid
+
+
+# The most stratum states for which posterior_experts runs a stationary
+# model as a blocked scan: its products cost O(S^3) a step where the loop
+# costs O(transitions), and up to 32 states it is the faster on each of the
+# four builtin stationary models.
+SCAN_STATES = 32
+
+
+def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
+    """The unnormalised posterior grid of a stationary model as a blocked
+    scan, or None where the table is not closed or S is past SCAN_STATES.
+
+    With the route table T from stratum 1 to 2 (its states listed by
+    (label, state)), alpha_t = (alpha_{t-1} (x) T) + lp[t, labels] and
+    beta_{t-1} = T (x) (beta_t + lp[t, labels]) in the log semiring. Rows
+    1..n-1 are cut into about sqrt(n) blocks: one pass over the positions
+    builds every block's product, vectorised across the blocks; a loop
+    over the blocks carries alpha forward and beta back across their
+    boundaries, each carried vector shifted to a maximum of 0; two more
+    passes fill alpha and add beta inside the blocks. A row's scale cancels
+    when the grid is normalised, so none is kept."""
+    first = propagate_frontier(model, dict(model.initial()), 1)[0]
+    label = model.label
+    states = sorted(first, key=lambda q: (label(q), q))
+    if not 0 < len(states) <= SCAN_STATES:
+        return None
+    routes = _Routes.build(model, states, 2)
+    if routes.sinks != shape_of(states):
+        return None
+    table, labels, k = routes.table, routes.labels, model.num_experts
+    steps, size = len(lp) - 1, len(states)
+    width = int(steps ** 0.5) + 1
+    nb = -(-steps // width)
+    active = [nb] * (steps - (nb - 1) * width) + [nb - 1] * width   # blocks at a position
+    # Row 0, then rows 1..n-1 as nb blocks of width rows; padding is never read.
+    alpha = np.zeros((1 + nb * width, size))
+    alpha[0] = [first[q] for q in states]
+    alpha[0] += lp[0, labels]
+    blocks = alpha[1:].reshape(nb, width, size)
+    emit = np.zeros((nb * width, size))
+    np.take(lp[1:], labels, axis=1, out=emit[:steps], mode="clip")     # unbuffered
+    emit = emit.reshape(nb, width, size)
+    fwd, bwd = _exps(table), _exps(table.T)
+
+    prods = table + emit[:, 0, None, :]
+    for j in range(1, width):
+        m = active[j]
+        prods[:m] = _log_dot(prods[:m], fwd) + emit[:m, j, None, :]
+    # A carry is one vector, so it sums exactly in logs.
+    add = np.logaddexp.reduce
+    starts, ends = alpha[:1].repeat(nb, axis=0), np.zeros((nb, size))
+    for b in range(1, nb):
+        starts[b] = _scaled(add(starts[b - 1, :, None] + prods[b - 1], axis=0))
+    for b in range(nb - 1, 0, -1):
+        ends[b - 1] = _scaled(add(prods[b] + ends[b], axis=1))
+    a = starts
+    for j in range(width):
+        m = active[j]
+        a = blocks[:m, j] = _log_dot(a[:m], fwd) + emit[:m, j]
+    dead = ~(alpha[:steps + 1] > NEG_INF).any(axis=1)
+    if dead.any():
+        raise ZeroMarginalError(int(dead.argmax()) + 1)
+    beta = ends
+    for j in range(width - 1, -1, -1):
+        m = active[j]
+        blocks[:m, j] += beta[:m]
+        beta[:m] = _log_dot(beta[:m] + emit[:m, j], bwd)
+    if nb:
+        alpha[0] += beta[0]
+    grid = alpha[:steps + 1]
+    if not np.array_equal(labels, np.arange(k)):
+        grid = np.stack([add(grid[:, labels == g], axis=1) for g in range(k)], axis=1)
+    return grid
+
+
+# The least sum of scaled exps that underflow cannot have cost a digit:
+# S terms lost below 2^-1074 move it by under S * 2^-114, far below eps.
+_FLOOR = 2.0 ** -960
+
+
+def _exps(b: np.ndarray) -> tuple:
+    """A log-mass matrix as ``_log_dot`` takes it: its exps scaled by its
+    column maxima, those maxima, and which entries are finite, as 0 or 1."""
+    top = np.maximum(b.max(axis=0), _EMPTY_SHIFT)
+    return np.exp(b - top), top, (b > NEG_INF).astype(float), b
+
+
+def _log_dot(a: np.ndarray, exps: tuple) -> np.ndarray:
+    """The log-semiring product of a stack of matrices (or of row vectors)
+    and one matrix b: out[..., i, j] = logsum_s a[..., i, s] + b[s, j].
+    It is a product of exps, each row of a scaled by its maximum; an entry
+    too small for that to keep its digits is summed again in logs."""
+    lin_b, top_b, live_b, b = exps
+    top_a = np.maximum(a.max(axis=-1, keepdims=True), _EMPTY_SHIFT)
+    lin = np.exp(a - top_a) @ lin_b
+    if lin.min(initial=1.0) >= _FLOOR:
+        return np.log(lin) + top_a + top_b
+    with np.errstate(divide="ignore"):
+        out = np.log(lin) + top_a + top_b
+    lost = (lin < _FLOOR) & ((a > NEG_INF) @ live_b > 0)
+    if lost.any():
+        lost = np.nonzero(lost)
+        out[lost] = np.logaddexp.reduce(a[lost[:-1]] + b[:, lost[-1]].T, axis=1)
+    return out
+
+
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """A log-mass vector shifted so that its maximum is 0, clamped as
+    ``logsumexp_by`` clamps an empty group."""
+    return v - max(v.max(), _EMPTY_SHIFT)
 
 
 def viterbi_unambiguous(
@@ -671,8 +796,9 @@ def viterbi_unambiguous(
 
 
 class _Routes(NamedTuple):
-    """One level of a stationary model's Viterbi from sources of one shape,
-    listed by (label, state): ``table[s, j]`` log-sums the silent routes
+    """One level of a stationary model from sources of one shape, as Viterbi
+    and the posterior's scan read it, listed by (label, state):
+    ``table[s, j]`` log-sums the silent routes
     from source s to sink j, -inf where there is none. The sinks, of shape
     ``sinks`` and labels ``labels``, are listed by (label, state) too, so
     they are the next level's sources in order."""

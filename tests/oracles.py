@@ -9,7 +9,8 @@ identities. ``region_posterior`` is the smoothed posterior's definition on
 the tuple interface: the reverse replay of the silent regions that
 propagate_frontier records, against which both backward sweeps of the
 package, by slot through compiled plans and ``pull_arcs`` through level
-arcs, are tested.
+arcs, are tested, and the blocked scan of stationary models within
+``assert_posterior_close``'s tolerance.
 """
 
 import itertools
@@ -106,6 +107,27 @@ def region_posterior(model, lp):
     if len(zero):
         raise es.ZeroMarginalError(int(zero[-1]) + 1)
     return grid - totals[:, None]
+
+
+def posterior_or_step(fn, *args, **kwargs):
+    """A posterior grid, or the step of the ZeroMarginalError that stopped it."""
+    try:
+        return fn(*args, **kwargs)
+    except es.ZeroMarginalError as e:
+        return e.step
+
+
+def assert_posterior_close(fast, ref, rel=1e-12):
+    """Two results of ``posterior_or_step``: the same step, or grids with
+    the same -inf entries whose finite entries agree within
+    ``rel * max(1, |v|)`` of the reference's v."""
+    if isinstance(fast, int) or isinstance(ref, int):
+        assert fast == ref
+        return
+    assert fast.shape == ref.shape
+    assert np.array_equal(fast == NEG_INF, ref == NEG_INF)
+    live = ref > NEG_INF
+    assert np.all(np.abs(fast[live] - ref[live]) <= rel * np.maximum(1.0, np.abs(ref[live])))
 
 
 def iter_sequence_priors(model, n):

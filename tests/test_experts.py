@@ -391,6 +391,25 @@ class TestForecastStreams:
         with pytest.raises(ValueError, match=rf"symbol {bad} at position 2 is outside 0\.\.2"):
             stream.send(bad)
 
+    # The entry points read each symbol once, through the check the experts
+    # use, so none of them passes a truncated symbol on.
+    def test_forward_pass_rejects_non_integer_symbol_with_position(self):
+        fp = es.ForwardPass(es.bayes([0.5, 0.5]), [es.KTEstimator(2), es.ConstantExpert([0.8, 0.2])])
+        fp.advance(1)
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at position 1 is outside 0\.\.1"):
+            fp.advance(1.5)
+
+    def test_prediction_matrix_rejects_non_integer_symbol_with_position(self):
+        experts = [es.KTEstimator(2), es.ConstantExpert([0.8, 0.2])]
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at position 1 is outside 0\.\.1"):
+            es.prediction_matrix(experts, [0, 1.5])
+        with pytest.raises(ValueError, match=r"symbol 1\.5 at position 1 is outside 0\.\.1"):
+            es.posterior_experts(es.fixed_share([0.5, 0.5], 0.1), experts, [0, 1.5])
+
+    def test_sequential_log_loss_rejects_non_integer_symbol_with_position(self):
+        with pytest.raises(ValueError, match=r"symbol 1\.7 at position 0 is outside 0\.\.1"):
+            es.sequential_log_loss(es.KTEstimator(2), [1.7])
+
     def test_integer_likes_are_symbols(self):
         # numpy integers and arrays of any integer dtype read as before.
         for e in (es.KTEstimator(3), es.MarkovExpert([0.2, 0.3, 0.5], [[0.1, 0.6, 0.3]] * 3)):

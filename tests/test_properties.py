@@ -1,6 +1,7 @@
 """Property tests: the reduction identities, trimming at p = 1, the
-tuple core's posterior sweep and Viterbi hold on every instance
-hypothesis draws, not only on the seeded ones of the acceptance suite."""
+tuple core's posterior sweep, the blocked scan of stationary models and
+Viterbi hold on every instance hypothesis draws, not only on the seeded
+ones of the acceptance suite."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import expertseq as es
 from expertseq.approx import trim_frontier, trimming_hook
-from oracles import TupleOnly, brute_map, joint_table, region_posterior
+from oracles import (TupleOnly, assert_posterior_close, brute_map, joint_table,
+                     posterior_or_step, region_posterior)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -85,9 +87,10 @@ def test_forward_trimmed_at_one_is_exact(inst):
     assert trimmed.log_marginal == marginal(model, experts, data)
 
 
-# Models on the tuple core: stationary ones, whose recording pass replays
-# plans; bayes, whose initial mass is on stratum 1; and array models that
-# TupleOnly keeps on the tuple core, every level compiled where it fell back.
+# Models on the tuple core: stationary ones, whose posterior is a blocked
+# scan and whose TupleOnly's recording pass replays plans; bayes, whose
+# initial mass is on stratum 1; and array models that TupleOnly keeps on
+# the tuple core, every level compiled where it fell back.
 TUPLE_CORE = {
     "bayes": lambda w, alpha: es.bayes(w),
     "fixed_share": lambda w, alpha: es.fixed_share(w, alpha),
@@ -113,19 +116,40 @@ def tuple_core_runs(draw, make, max_n=12):
 
 def grid_or_step(fn, *args, **kwargs):
     """A posterior grid's bytes, or the step of its ZeroMarginalError."""
-    try:
-        return fn(*args, **kwargs).tobytes()
-    except es.ZeroMarginalError as e:
-        return e.step
+    got = posterior_or_step(fn, *args, **kwargs)
+    return got if isinstance(got, int) else got.tobytes()
 
 
 @pytest.mark.parametrize("name", TUPLE_CORE)
 @PROPERTY
 @given(data=st.data())
 def test_tuple_core_posterior_is_region_replay(name, data):
+    # A stationary model's own posterior is scanned; TupleOnly's is the loop.
     model, lp = data.draw(tuple_core_runs(TUPLE_CORE[name]))
-    fast = grid_or_step(es.posterior_experts, model, None, [None] * len(lp), logpred_matrix=lp)
-    assert fast == grid_or_step(region_posterior, model, lp)
+    symbols = [None] * len(lp)
+    ref = posterior_or_step(region_posterior, model, lp)
+    if model.stationary:
+        assert_posterior_close(posterior_or_step(es.posterior_experts, model, None, symbols,
+                                                 logpred_matrix=lp), ref)
+        model = TupleOnly(model)
+    fast = grid_or_step(es.posterior_experts, model, None, symbols, logpred_matrix=lp)
+    assert fast == (ref if isinstance(ref, int) else ref.tobytes())
+
+
+# The four stationary models, whose own posterior is scanned.
+SCANNED = {name: TUPLE_CORE[name] for name in ("bayes", "fixed_share", "overconfident")}
+SCANNED["fixed_elementwise"] = lambda w, alpha: es.fixed_elementwise(w)
+
+
+@pytest.mark.parametrize("name", SCANNED)
+@PROPERTY
+@given(data=st.data())
+def test_scan_posterior_matches_tuple_only(name, data):
+    # Up to 40 steps: up to six blocks of up to seven rows, the last one short.
+    model, lp = data.draw(tuple_core_runs(SCANNED[name], max_n=40))
+    runs = [posterior_or_step(es.posterior_experts, m, None, [None] * len(lp), logpred_matrix=lp)
+            for m in (model, TupleOnly(model))]
+    assert_posterior_close(*runs)
 
 
 # Unambiguous models: the stationary ones, whose Viterbi reads route tables,

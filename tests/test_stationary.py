@@ -1,13 +1,21 @@
-"""Stationary models: the declaration, and levels replayed by index.
+"""Stationary models: the declaration, levels replayed by index, and the
+posterior's blocked scan.
 
 A model that declares ``stationary`` repeats its levels, so the tuple core
 of a forward pass compiles a level once and replays it at later levels
 whose frontier has the same shape, and Viterbi reuses one level's routes.
 ``oracles.TupleOnly`` does not copy the declaration, so the same model
 wrapped in it runs propagate_frontier at every level; the forward pass
-must agree with it to the last bit, and so must Viterbi. The posterior, on
-either, must agree to the last bit with ``oracles.region_posterior``, the
-reverse replay of the silent regions propagate_frontier records.
+must agree with it to the last bit, and so must Viterbi.
+
+The posterior of a stationary model with at most ``SCAN_STATES`` stratum
+states and a closed route table is a blocked scan, which sums in another
+order: it must have the -inf entries of ``oracles.region_posterior``, the
+reverse replay of the silent regions propagate_frontier records, raise at
+its step, and agree with its finite entries within
+``oracles.assert_posterior_close``'s tolerance. Every other posterior,
+``TupleOnly``'s and that of a stationary model past the crossover
+included, replays recorded levels and agrees with it to the last bit.
 """
 
 import math
@@ -19,10 +27,11 @@ import pytest
 
 import expertseq as es
 import expertseq.forward as forward_mod
-from expertseq.forward import _TupleCore
+from expertseq.forward import SCAN_STATES, _TupleCore
 from expertseq.hmm import LevelPlan
 from expertseq.models import FixedShare
-from oracles import TupleOnly, brute_map, iter_sequence_priors, region_posterior
+from oracles import (TupleOnly, assert_posterior_close, brute_map, brute_posterior,
+                     iter_sequence_priors, posterior_or_step, region_posterior)
 
 N = 40
 ALPHABET = 3
@@ -260,9 +269,10 @@ def test_zero_mass_arc_is_reported_and_swept():
     lp = np.log(np.random.default_rng(3).uniform(0.1, 1.0, (N, 2)))
     lp[5:, 0] = -np.inf
     ref = region_posterior(model, lp)
-    for m in (model, TupleOnly(model)):
-        fast = es.posterior_experts(m, None, [None] * N, logpred_matrix=lp)
-        assert fast.tobytes() == ref.tobytes()
+    scan = es.posterior_experts(model, None, [None] * N, logpred_matrix=lp)
+    assert_posterior_close(scan, ref)
+    loop = es.posterior_experts(TupleOnly(model), None, [None] * N, logpred_matrix=lp)
+    assert loop.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", STATIONARY)
@@ -366,12 +376,13 @@ def test_initial_mass_on_stratum_1_is_an_arc_of_mass_0():
 @pytest.mark.parametrize("name", STATIONARY)
 def test_posterior_matches_tuple_only(name, mode, k):
     # Expert 0 rules out symbol 0, so replayed levels from step 12 on drop
-    # its states, and the sweep crosses between replayed levels and levels
-    # compiled where they fell back.
+    # its states, and TupleOnly's sweep crosses between replayed levels and
+    # levels compiled where they fell back; the model itself is scanned.
     model, experts, data = instance(name, k)
     ref = region_posterior(model, es.prediction_matrix(experts, data))
-    for m in (model, TupleOnly(model)):
-        assert offline(es.posterior_experts, m, experts, data, mode).tobytes() == ref.tobytes()
+    assert_posterior_close(offline(es.posterior_experts, model, experts, data, mode), ref)
+    loop = offline(es.posterior_experts, TupleOnly(model), experts, data, mode)
+    assert loop.tobytes() == ref.tobytes()
 
 
 # Universal elementwise is not stationary either way, and its states of
@@ -407,8 +418,8 @@ def test_offline_passes_with_rotating_ruled_out_expert(k):
         fp.advance(None)
     assert bool(fp._core.plans) == (k == 3)
     data = [None] * len(lp)
-    fast = es.posterior_experts(model, None, data, logpred_matrix=lp)
-    assert fast.tobytes() == region_posterior(model, lp).tobytes()
+    assert_posterior_close(es.posterior_experts(model, None, data, logpred_matrix=lp),
+                           region_posterior(model, lp))
     assert_viterbi_identical(es.viterbi_unambiguous(model, None, data, logpred_matrix=lp),
                              es.viterbi_unambiguous(TupleOnly(model), None, data, logpred_matrix=lp))
     if k == 3:      # brute force over the first 7 steps, on the matrix
@@ -455,3 +466,164 @@ def test_posterior_memory_per_step(k, per_step):
         if not tracing:
             tracemalloc.stop()
     assert peak <= per_step * n
+
+
+# -- the posterior's blocked scan ---------------------------------------------
+
+
+def posterior(model, lp):
+    return posterior_or_step(es.posterior_experts, model, None, [None] * len(lp),
+                             logpred_matrix=lp)
+
+
+def random_lp(model, n, seed=0):
+    return np.log(np.random.default_rng(seed).uniform(0.1, 1.0, (n, model.num_experts)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", STATIONARY)
+def test_scan_matches_brute_force(name, k):
+    model, experts, _ = instance(name, k)
+    data = [1, 2, 1, 0, 2, 1, 0][:7 if k < 4 else 5]   # expert 0's states die at each 0
+    lp = es.prediction_matrix(experts, data)
+    assert forward_mod._scan_posterior(model, lp) is not None
+    assert_posterior_close(es.posterior_experts(model, experts, data),
+                           brute_posterior(model, experts, data), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", STATIONARY)
+def test_scan_of_short_runs(name, n):
+    model = STATIONARY[name]([0.2, 0.3, 0.5])
+    lp = random_lp(model, n)
+    fast = posterior(model, lp)
+    assert fast.shape == (n, model.num_experts)
+    assert_posterior_close(fast, region_posterior(model, lp))
+    if n:       # a last row of zeros stops both at step n
+        lp[-1] = -np.inf
+        assert posterior(model, lp) == n == posterior_or_step(region_posterior, model, lp)
+
+
+@pytest.mark.parametrize("name", STATIONARY)
+def test_scan_zero_prior_weight_is_a_minus_inf_column(name):
+    model = STATIONARY[name]([0.0, 0.4, 0.6])
+    lp = random_lp(model, N)
+    assert forward_mod._scan_posterior(model, lp) is not None
+    fast = posterior(model, lp)
+    assert np.all(fast[:, 0] == -np.inf) and np.all(np.isfinite(fast[:, 1:]))
+    assert_posterior_close(fast, region_posterior(model, lp))
+
+
+@pytest.mark.parametrize("make", [lambda w: es.fixed_share(w, 0.0),
+                                  lambda w: es.fixed_share(w, 1.0),
+                                  lambda w: NoShare(w, 0.0)],
+                         ids=["alpha_0", "alpha_1", "zero_arc"])
+def test_scan_of_degenerate_tables(make):
+    # Alpha 0 and the zero-mass arc leave the table diagonal, alpha 1 makes
+    # every row the same; expert 0 is ruled out from step 6 on.
+    model = make([0.2, 0.3, 0.5])
+    lp = random_lp(model, N)
+    lp[5:, 0] = -np.inf
+    assert forward_mod._scan_posterior(model, lp) is not None
+    assert_posterior_close(posterior(model, lp), region_posterior(model, lp))
+
+
+@pytest.mark.parametrize("name", STATIONARY)
+def test_scan_keeps_masses_far_below_the_top(name):
+    # Expert 1 is e^-800 times as likely as expert 0 at every step, beyond
+    # what a scaled exp holds, so where nothing else reaches its states (as
+    # in bayes) the scan must sum those entries again in logs.
+    model = STATIONARY[name]([0.2, 0.3, 0.5])
+    lp = random_lp(model, N)
+    lp[:, 1] -= 800.0
+    fast = posterior(model, lp)
+    assert np.all(np.isfinite(fast[:, 1]))
+    assert_posterior_close(fast, region_posterior(model, lp))
+
+
+class LateShare(FixedShare):
+    """Fixed share whose initial mass sits on expert 0 of stratum 1, so
+    the routes from stratum 1's one state reach every expert: its table
+    is not closed."""
+
+    def initial(self):
+        return [(("e", 1, 0), 0.0)]
+
+
+def test_scan_falls_back_where_the_table_is_not_closed():
+    model = LateShare([0.2, 0.3, 0.5], 0.3)
+    assert model.stationary and es.validate(model, 6) == []
+    lp = random_lp(model, N)
+    assert forward_mod._scan_posterior(model, lp) is None
+    assert posterior(model, lp).tobytes() == region_posterior(model, lp).tobytes()
+
+
+def test_posterior_past_the_crossover_replays_plans():
+    # Past SCAN_STATES the recorded loop runs: expert 0 is ruled out from
+    # step 7 on, so replayed levels drop its state, to the last bit.
+    k = SCAN_STATES + 1
+    model = es.fixed_share([1.0 / k] * k, 0.3)
+    lp = random_lp(model, 20)
+    lp[6:, 0] = -np.inf
+    assert forward_mod._scan_posterior(model, lp) is None
+    assert forward_mod._scan_posterior(es.fixed_share([1.0 / (k - 1)] * (k - 1), 0.3),
+                                       lp[:, 1:]) is not None
+    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
+    for _ in lp:
+        fp.advance(None)
+    assert fp._core.plans
+    assert posterior(model, lp).tobytes() == region_posterior(model, lp).tobytes()
+
+
+def renormalised_fixed_share_posterior(lp, w, alpha):
+    """Fixed share's posterior by forward-backward in probabilities, each
+    forward and backward vector renormalised at every step."""
+    n, k = lp.shape
+    trans = (1.0 - alpha) * np.eye(k) + alpha * np.asarray(w)[None, :]
+    like = np.exp(lp)
+    fwd = np.empty((n, k))
+    f = np.asarray(w) * like[0]
+    fwd[0] = f / f.sum()
+    for t in range(1, n):
+        f = (fwd[t - 1] @ trans) * like[t]
+        fwd[t] = f / f.sum()
+    post, b = np.empty((n, k)), np.ones(k)
+    post[-1] = fwd[-1]
+    for t in range(n - 1, 0, -1):
+        b = trans @ (like[t] * b)
+        b /= b.sum()
+        p = fwd[t - 1] * b
+        post[t - 1] = p / p.sum()
+    return post
+
+
+def test_scan_precision_on_a_long_run():
+    # Each carried vector is rescaled, so no row's digits go to a log mass
+    # that grows with n: the recorded loop's probabilities are off by
+    # 2.5e-12 here, the scan's by 3.6e-14.
+    n, w, alpha = 20_000, [0.5, 0.5], 0.05
+    lp = np.log(np.random.default_rng(7).uniform(0.05, 0.95, (n, 2)))
+    got = es.posterior_experts(es.fixed_share(w, alpha), None, [None] * n, logpred_matrix=lp)
+    ref = renormalised_fixed_share_posterior(lp, w, alpha)
+    assert np.abs(np.exp(got) - ref).max() <= 1e-12
+
+
+def test_scan_memory():
+    # The grid and the forward values are (n, k) and (n, S) arrays, 1.6 MB
+    # each here; no (n, S, S) array and no per-level record is held.
+    n = 100_000
+    lp = np.log(np.random.default_rng(2).uniform(0.05, 0.95, (n, 2)))
+    data = [None] * n
+    model = es.fixed_share([0.5, 0.5], 0.05)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        es.posterior_experts(model, None, data, logpred_matrix=lp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16e6
