@@ -34,7 +34,7 @@ from . import models
 from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
                       KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
                       uniform_expert)
-from .forward import ForwardPass, ZeroMarginalError, posterior_experts
+from .forward import ForwardPass, ZeroMarginalError, _offline_forward, posterior_experts
 from .hmm import StateBudgetExceeded
 from .logprob import to_bits
 from .approx import trimming_hook
@@ -399,10 +399,7 @@ def _cmd_bounds(args) -> int:
     lp = _realized_matrix(experts, data, matrix, k)
 
     def marginal_of(m) -> float:
-        fp = ForwardPass(m, logpred_matrix=lp, keep_steps=False)
-        for x in data:
-            fp.advance(x)
-        return fp.log_marginal
+        return _offline_forward(m, lp, False)[1]
 
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]

@@ -5,18 +5,27 @@ retained state is one frontier over a single level interval, and the
 marginal so far is available after every step. Work and space counters
 are exposed so the complexity contracts of the models can be checked.
 
-:class:`ForwardPass` is one loop over one of two frontier cores, chosen
-once from ``model.level_arcs()``: ``_ArcCore`` steps a log-weight vector
-with :func:`~expertseq.hmm.propagate_arcs`, ``_TupleCore`` a weight map
-of tuple states with :func:`~expertseq.hmm.propagate_frontier`. Each
-owns its frontier and records, and offers ``propagate`` (the next
-stratum's per-label masses, their total, the transitions, the weights
-the level held),
-``update`` (by the realized log-likelihoods and the hook; the new
-marginal), ``weight_map``, and ``backward_rows``, the smoothed
-posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs` through the
-recorded arcs, or each level's recorded plan (:class:`~expertseq.hmm.LevelPlan`)
-in reverse, slot by slot.
+:class:`ForwardPass` is the online loop over one of two frontier cores,
+chosen once from ``model.level_arcs()`` (``_new_core``): ``_ArcCore``
+steps a log-weight vector with :func:`~expertseq.hmm.propagate_arcs`,
+``_TupleCore`` a weight map of tuple states with
+:func:`~expertseq.hmm.propagate_frontier`. Each owns its frontier and
+offers ``propagate`` (the next stratum's per-label masses, their total,
+the transitions, the weights the level held), ``update`` (by the
+realized log-likelihoods and the hook; the new marginal),
+``weight_map``, and ``backward_rows``, the smoothed posterior's backward
+sweep: :func:`~expertseq.hmm.pull_arcs` through the recorded arcs, or
+each level's recorded plan (:class:`~expertseq.hmm.LevelPlan`) in
+reverse, slot by slot.
+
+Offline passes over a realized matrix known up front run
+``_offline_forward``: it steps the same core in the same order as
+:meth:`ForwardPass.advance`, less the per-step records, so its marginal
+has the same bits. A recording core keeps each level for the backward
+sweep: the array core its ``LevelArcs`` and post-update vector, the tuple
+core its ``LevelPlan`` (a replayed level's, or one compiled from what
+propagate_frontier recorded where the level fell back) and post-update
+masses by sink, -inf where the update dropped a state.
 
 For a model that declares itself ``stationary``, the tuple core compiles
 the level of a frontier shape that comes back within a few levels and
@@ -24,9 +33,7 @@ replays it by index after that, bit for bit. The core calls
 :func:`~expertseq.hmm.propagate_frontier` at level 1, for a shape without
 a plan, where a plan meets a dead node, and for the rest of a pass once
 a frontier hook leaves other than all the propagated states in their
-order, as when it trims or reorders or the update drops a state. A
-recording pass records a replayed level's plan, and compiles one from
-what propagate_frontier recorded at every level that fell back.
+order, as when it trims or reorders or the update drops a state.
 
 :func:`posterior_experts` of a stationary model whose route table from
 stratum 1 to stratum 2 is closed (its sinks are its sources) and has at
@@ -47,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import is_
+from operator import index, is_
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -106,13 +113,8 @@ class _TupleCore:
     reverse a frontier each level). After ``PLANS`` new shapes in a row,
     shapes no plan named are computed only at levels that are powers of
     two, so shapes that do not repeat cost little. Plans serve a
-    stationary model's levels.
-
-    A recording pass records every level as a :class:`~expertseq.hmm.LevelPlan`
-    and the post-update masses in the order of its sinks, -inf where the
-    update dropped a state: a replayed level its plan, a level that fell
-    back one compiled from what propagate_frontier recorded, which never
-    enters ``plans``."""
+    stationary model's levels; a plan compiled for a record never enters
+    ``plans``."""
 
     PLANS = 8
 
@@ -343,6 +345,22 @@ class _ArcCore:
                 beta = pull_arcs(beta + lp_all[i - 1][labels], layers, len(post[i - 2]))
 
 
+def _new_core(model: HmmModel, record: bool):
+    levels = model.level_arcs()
+    return _TupleCore(model, record) if levels is None else _ArcCore(model, record, levels)
+
+
+def _offline_forward(model: HmmModel, lp_all: np.ndarray, record: bool):
+    """The core after a forward pass over the realized (n, k) matrix
+    ``lp_all``, and the log marginal; ZeroMarginalError names its step."""
+    core, marginal = _new_core(model, record), 0.0
+    for t, lp in enumerate(lp_all, 1):
+        if core.propagate(t, False)[1] == NEG_INF:
+            raise ZeroMarginalError(t)
+        marginal = core.update(lp, t, None)
+    return core, marginal
+
+
 class ForwardPass:
     """Incremental forward evaluation of one (model, experts, data) triple.
 
@@ -367,14 +385,7 @@ class ForwardPass:
     vector directly. Any other hook may return states of the stratum it
     was shown, live or not, which the array core writes back to their
     nodes; on either core a state outside that stratum raises
-    ``ValueError`` naming the step and the state. With
-    ``record_regions``, each level appends to ``regions`` and
-    ``stratum_weights`` what :func:`posterior_experts` sweeps back: on the
-    array core, the level's ``LevelArcs`` and post-update vector; on the
-    tuple core, the level's ``LevelPlan`` and a list of the post-update
-    masses in the order of the plan's sinks, -inf where the update dropped
-    a state. A record holds only what the level's own update left, so
-    ``record_regions`` with a frontier hook raises ``ValueError``.
+    ``ValueError`` naming the step and the state.
 
     The tuple core replays a stationary model's levels from compiled
     plans where it can, to the last bit of what
@@ -393,13 +404,10 @@ class ForwardPass:
         *,
         logpred_matrix: np.ndarray | None = None,
         frontier_hook: Callable[[WeightMap], WeightMap] | None = None,
-        record_regions: bool = False,
         want_outcome_dists: bool = False,
         keep_steps: bool = True,
     ):
         _check_source(experts, logpred_matrix, model.num_experts)
-        if record_regions and frontier_hook is not None:
-            raise ValueError("a recording pass takes no frontier hook")
         self.model = model
         self.experts = list(experts) if experts is not None else None
         self._size = None if experts is None else _alphabet_size(self.experts)
@@ -414,10 +422,7 @@ class ForwardPass:
         self.transitions_per_level: list[int] = []
         self.log_marginal: LogMass = 0.0
         self.peak_weights = 0
-        levels = model.level_arcs()
-        self._core = (_TupleCore(model, record_regions) if levels is None
-                      else _ArcCore(model, record_regions, levels))
-        self.regions, self.stratum_weights = self._core.regions, self._core.stratum_weights
+        self._core = _new_core(model, False)
         self._t = 0
         # The next stratum's per-label masses and their total, once propagated.
         self._pre_by_label: np.ndarray | None = None
@@ -541,21 +546,23 @@ def forward_marginal(
 
 def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
     """Prior mass of the event that the first n produced experts are ``labels``:
-    a forward pass over the one-hot matrix that keeps, at each stratum,
-    only the states carrying the required label."""
+    the offline forward pass over the one-hot matrix that keeps, at each
+    stratum, only the states carrying the required label. An integer label
+    outside 0..k-1 has no mass; a label that is not an integer (1.5, the
+    float 1.0, "1") raises ValueError naming its position."""
     k = model.num_experts
-    labels = np.asarray(labels, dtype=np.intp)
-    if np.any((labels < 0) | (labels >= k)):
-        return NEG_INF
     onehot = np.full((len(labels), k), NEG_INF)
-    onehot[np.arange(len(labels)), labels] = 0.0
-    fp = ForwardPass(model, logpred_matrix=onehot, keep_steps=False)
+    for i, x in enumerate(labels):
+        try:
+            x = index(x)
+        except TypeError:
+            raise ValueError(f"label {x!r} at position {i} is not an integer") from None
+        if 0 <= x < k:      # else the row stays -inf: no mass
+            onehot[i, x] = 0.0
     try:
-        for _ in labels:
-            fp.advance(None)
+        return _offline_forward(model, onehot, False)[1]
     except ZeroMarginalError:
         return NEG_INF
-    return fp.log_marginal
 
 
 def posterior_experts(
@@ -574,25 +581,23 @@ def posterior_experts(
     states runs as a blocked scan over that table (see
     ``_scan_posterior``): its grid has the loop's -inf entries and its
     finite ones within rounding of the loop's, summed in another order.
-    Otherwise a recording forward pass keeps each level and no steps
-    (``keep_steps=False``: no ``StepRecord`` list, no transition count);
-    the backward sweep then pulls beta back one stratum per level:
-    through the level's arcs with :func:`~expertseq.hmm.pull_arcs` when
-    the model provides level arcs, otherwise through the level's recorded
-    plan, its silent region by slot in reverse topological order. The
-    rows are normalised together at the end. Raises ZeroMarginalError
-    with the step at which the forward marginal vanishes or, should a row
-    have no mass, the last such step, the first one the sweep meets.
+    Otherwise a recording ``_offline_forward`` keeps each level (its record
+    is in the module docstring), and the backward sweep pulls beta back one
+    stratum per level: through the level's arcs with
+    :func:`~expertseq.hmm.pull_arcs` when the model provides level arcs,
+    otherwise through the level's recorded plan, its silent region by slot
+    in reverse topological order. The rows are normalised together at the
+    end. Raises ZeroMarginalError with the step at which the forward
+    marginal vanishes or, should a row have no mass, the last such step,
+    the first one the sweep meets.
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
     grid = _scan_posterior(model, lp_all) if model.stationary and n else None
     if grid is None:
-        fp = ForwardPass(model, logpred_matrix=lp_all, record_regions=True, keep_steps=False)
-        for x in data:
-            fp.advance(x)
+        core = _offline_forward(model, lp_all, True)[0]
         grid = np.full((n, model.num_experts), NEG_INF)
-        for i, row in zip(range(n, 0, -1), fp._core.backward_rows(lp_all)):
+        for i, row in zip(range(n, 0, -1), core.backward_rows(lp_all)):
             grid[i - 1] = row
     totals = np.logaddexp.reduce(grid, axis=1)
     zero = np.flatnonzero(totals == NEG_INF)

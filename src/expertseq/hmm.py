@@ -88,8 +88,9 @@ class HmmModel(ABC):
     the same masses, and keeps the label of a productive state. The order
     is part of the contract, because the Kahn order and the fold order
     come from it. :func:`validate` checks the declaration; a forward pass
-    replays such levels by index (:class:`LevelPlan`), and Viterbi reuses
-    one level's silent routes at every level of the same shape.
+    replays such levels by index (:class:`LevelPlan`), Viterbi reuses one
+    level's silent routes at every level of the same shape, and a small
+    model's posterior scans one route table.
     """
 
     num_experts: int

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .experts import ForecastingSystem, _realized_matrix
+from .forward import ZeroMarginalError
 from .logprob import NEG_INF, LogMass, log_sum
 from .models import SwitchConfig
 
@@ -42,7 +43,9 @@ def switch_map(
 
     Offline by nature: the backward tables need the full sequence. Ties are
     broken toward the lexicographically smallest (split index, expert)
-    pair, with continuation preferred inside the forward recursion.
+    pair, with continuation preferred inside the forward recursion. Data no
+    expert sequence gives mass raises ZeroMarginalError at the first step
+    where none has any, as ``posterior_experts(switch(cfg, k), ...)`` does.
     """
     k = cfg.num_experts
     lp_arr = _realized_matrix(experts, data, logpred_matrix, k)
@@ -123,6 +126,13 @@ def switch_map(
             if v > best:
                 best, bi, bx = v, i, x
             ops += 1
+    if best == NEG_INF:     # name the first step at which no sequence has mass
+        stable = [NEG_INF] * k      # the best constant stable tail of each expert
+        for i in range(1, n + 1):
+            stable = [v + max(s, big_l[i - 1] + log_stab + w)
+                      for v, s, w in zip(lp[i - 1], stable, logw)]
+            if max(stable + lp_tab[i]) == NEG_INF:
+                raise ZeroMarginalError(i)
 
     seq = [0] * n
     for j in range(bi - 1, n):

@@ -304,6 +304,19 @@ class TestMap:
         rc = main(["map", str(data_file), "--model", "fixed-share", "--alpha", "0.1", *BASE])
         assert rc == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_mass_exits_3_naming_the_step(self, tmp_path, data_file, capsys, fmt):
+        # Step 1's realized advice gives every expert probability 0.
+        advice = tmp_path / "advice.csv"
+        write(advice, "a,b\n0,0\n0.8,0.5\n0.2,0.5\n0.8,0.5\n")
+        out = tmp_path / f"m.{fmt}"
+        rc = main(["map", str(data_file), "--model", "switch", "--alphabet", "0,1",
+                   "--experts", f"file:{advice}", "--advice-mode", "realized",
+                   "--format", fmt, "--out", str(out)])
+        assert rc == 3
+        assert "step 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_bayes_bound_row_satisfied(self, tmp_path, data_file):
@@ -374,12 +387,11 @@ class TestBounds:
     def test_fixed_share_max_blocks_runs_one_pass(self, tmp_path, data_file, monkeypatch):
         passes = []
 
-        class CountingPass(cli_mod.ForwardPass):
-            def __init__(self, *args, **kwargs):
-                passes.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_forward(*args):
+            passes.append(1)
+            return es.forward._offline_forward(*args)
 
-        monkeypatch.setattr(cli_mod, "ForwardPass", CountingPass)
+        monkeypatch.setattr(cli_mod, "_offline_forward", counting_forward)
         out = tmp_path / "b.json"
         assert main(["bounds", str(data_file), "--model", "fixed-share", *BASE,
                      "--max-blocks", "1", "--format", "json", "--out", str(out)]) == 0

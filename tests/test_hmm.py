@@ -129,6 +129,12 @@ class TestExpertSequencePrior:
         assert es.expert_sequence_prior(model, [0, label]) == NEG_INF
         assert es.expert_sequence_prior(model, [label]) == NEG_INF
 
+    @pytest.mark.parametrize("label", [1.5, 1.0, "1"], ids=["1.5", "float-1", "str-1"])
+    def test_label_not_an_integer_raises_with_position(self, label):
+        # Not read as expert 1: 1.5 would truncate to it.
+        with pytest.raises(ValueError, match="position 1"):
+            es.expert_sequence_prior(es.fixed_share([0.5, 0.5], 0.1), [0, label])
+
     def test_matches_the_enumeration_oracle(self):
         rng = np.random.default_rng(13)
         for name in ZOO_NAMES:

@@ -1,7 +1,7 @@
 """Property tests: the reduction identities, trimming at p = 1, the
-tuple core's posterior sweep, the blocked scan of stationary models and
-Viterbi hold on every instance hypothesis draws, not only on the seeded
-ones of the acceptance suite."""
+tuple core's posterior sweep, the offline forward pass, the blocked scan
+of stationary models and Viterbi hold on every instance hypothesis draws,
+not only on the seeded ones of the acceptance suite."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import expertseq as es
 from expertseq.approx import trim_frontier, trimming_hook
+from expertseq.forward import _offline_forward
 from oracles import (TupleOnly, assert_posterior_close, brute_map, joint_table,
                      posterior_or_step, region_posterior)
 
@@ -134,6 +135,46 @@ def test_tuple_core_posterior_is_region_replay(name, data):
         model = TupleOnly(model)
     fast = grid_or_step(es.posterior_experts, model, None, symbols, logpred_matrix=lp)
     assert fast == (ref if isinstance(ref, int) else ref.tobytes())
+
+
+# Every zoo model, which runs on the array core where it has level arcs.
+ZOO = {
+    "bayes": lambda w, alpha: es.bayes(w),
+    "fixed_elementwise": lambda w, alpha: es.fixed_elementwise(w),
+    "universal_elementwise": lambda w, alpha: es.universal_elementwise(len(w)),
+    "fixed_share": lambda w, alpha: es.fixed_share(w, alpha),
+    "universal_share": lambda w, alpha: es.universal_share(w),
+    "overconfident": lambda w, alpha: es.overconfident(w, alpha),
+    "switch": lambda w, alpha: es.switch(
+        es.SwitchConfig(0.5, es.geometric(alpha), tuple(w)), len(w)),
+    "run_length": lambda w, alpha: es.run_length(es.inv_poly(), w),
+}
+
+
+def marginal_or_step(run):
+    """The bits of a marginal, or the step of its ZeroMarginalError."""
+    try:
+        return run().hex()
+    except es.ZeroMarginalError as e:
+        return e.step
+
+
+def online_marginal(model, lp):
+    fp = es.ForwardPass(model, logpred_matrix=lp, keep_steps=False)
+    for _ in lp:
+        fp.advance(None)
+    return fp.log_marginal
+
+
+@pytest.mark.parametrize("name", ZOO)
+@PROPERTY
+@given(data=st.data())
+def test_offline_forward_is_the_online_marginal(name, data):
+    model, lp = data.draw(tuple_core_runs(ZOO[name]))
+    for m in (model, TupleOnly(model)):
+        want = marginal_or_step(lambda: online_marginal(m, lp))
+        for record in (False, True):
+            assert marginal_or_step(lambda: _offline_forward(m, lp, record)[1]) == want
 
 
 # The four stationary models, whose own posterior is scanned.

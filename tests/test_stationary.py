@@ -27,7 +27,7 @@ import pytest
 
 import expertseq as es
 import expertseq.forward as forward_mod
-from expertseq.forward import SCAN_STATES, _TupleCore
+from expertseq.forward import SCAN_STATES, _offline_forward, _TupleCore
 from expertseq.hmm import LevelPlan
 from expertseq.models import FixedShare
 from oracles import (TupleOnly, assert_posterior_close, brute_map, brute_posterior,
@@ -335,25 +335,16 @@ def test_recording_pass_replays_plans():
     # that the replay cache never holds.
     model, experts, data = instance("fixed_share")
     lp = es.prediction_matrix(experts, data)
-    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
-    for x in data:
-        fp.advance(x)
-    assert len(fp.regions) == len(fp.stratum_weights) == N
-    for plan, weights in zip(fp.regions, fp.stratum_weights):
+    core = _offline_forward(model, lp, True)[0]
+    assert len(core.regions) == len(core.stratum_weights) == N
+    for plan, weights in zip(core.regions, core.stratum_weights):
         assert type(plan) is LevelPlan and type(weights) is list
         assert len(weights) == len(plan.sinks) == len(plan.labels)
-    uses = Counter(map(id, fp.regions))
-    assert sum(uses[id(plan)] > 1 for plan in fp.regions) > N // 2
-    assert uses[id(fp.regions[0])] == 1
-    assert all(plan is not fp.regions[0] for plan in fp._core.plans.values())
-    assert any(-math.inf in w for w in fp.stratum_weights)
-    # A hook may leave any states in any order, which a record by sink
-    # cannot hold, so a recording pass refuses one on either core.
-    switch = es.switch(es.default_switch_config(2), 2)
-    for m in (model, switch):
-        with pytest.raises(ValueError, match="frontier hook"):
-            es.ForwardPass(m, logpred_matrix=lp[:, :2], frontier_hook=lambda wm: wm,
-                           record_regions=True)
+    uses = Counter(map(id, core.regions))
+    assert sum(uses[id(plan)] > 1 for plan in core.regions) > N // 2
+    assert uses[id(core.regions[0])] == 1
+    assert all(plan is not core.regions[0] for plan in core.plans.values())
+    assert any(-math.inf in w for w in core.stratum_weights)
 
 
 def test_initial_mass_on_stratum_1_is_an_arc_of_mass_0():
@@ -362,9 +353,9 @@ def test_initial_mass_on_stratum_1_is_an_arc_of_mass_0():
     # one arc of log mass 0.
     k = 3
     model = es.bayes([0.2, 0.3, 0.5])
-    fp = es.ForwardPass(model, logpred_matrix=np.zeros((2, k)), record_regions=True)
+    fp = es.ForwardPass(model, logpred_matrix=np.zeros((2, k)))
     fp.advance(None)
-    plan = fp.regions[0]
+    plan = _offline_forward(model, np.zeros((1, k)), True)[0].regions[0]
     assert plan.order == tuple((j, ((j - k, 0.0),)) for j in range(k))
     assert plan.nodes == k and plan.labels == tuple(range(k))
     assert (plan.transitions, plan.held) == (0, k) == (fp.transitions_per_level[0], fp.peak_weights)
@@ -413,10 +404,7 @@ def test_offline_passes_with_rotating_ruled_out_expert(k):
     # At k = 3 the recording pass replays plans; at k = 12 it compiles none.
     model = es.fixed_share([1.0 / k] * k, 0.3)
     lp = rotating_matrix(k)
-    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
-    for _ in lp:
-        fp.advance(None)
-    assert bool(fp._core.plans) == (k == 3)
+    assert bool(_offline_forward(model, lp, True)[0].plans) == (k == 3)
     data = [None] * len(lp)
     assert_posterior_close(es.posterior_experts(model, None, data, logpred_matrix=lp),
                            region_posterior(model, lp))
@@ -568,10 +556,7 @@ def test_posterior_past_the_crossover_replays_plans():
     assert forward_mod._scan_posterior(model, lp) is None
     assert forward_mod._scan_posterior(es.fixed_share([1.0 / (k - 1)] * (k - 1), 0.3),
                                        lp[:, 1:]) is not None
-    fp = es.ForwardPass(model, logpred_matrix=lp, record_regions=True, keep_steps=False)
-    for _ in lp:
-        fp.advance(None)
-    assert fp._core.plans
+    assert _offline_forward(model, lp, True)[0].plans
     assert posterior(model, lp).tobytes() == region_posterior(model, lp).tobytes()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -112,3 +113,62 @@ class TestInvariants:
     def test_expert_count_checked(self):
         with pytest.raises(ValueError):
             es.switch_map(_cfg(), [es.uniform_expert(2)], [0])
+
+
+
+def first_dead_step(cfg, lp):
+    """By enumeration: the first step i at which every expert sequence of
+    length i has zero joint mass under ``cfg``, or None."""
+    k = cfg.num_experts
+    for i in range(1, len(lp) + 1):
+        if all(switch_prior_prefix(cfg, seq) + lp[np.arange(i), list(seq)].sum() == -np.inf
+               for seq in itertools.product(range(k), repeat=i)):
+            return i
+    return None
+
+
+class TestZeroMass:
+    # A row where every expert gives the outcome probability 0, and a
+    # choice law that never picks expert 1 with a row that rules out
+    # expert 0: no expert sequence has mass from that step on. The second
+    # law cannot build switch(cfg, 2).
+    CASES = [(es.default_switch_config(2), [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]], 2),
+             (es.SwitchConfig(0.5, es.inv_poly(), (1.0, 0.0)),
+              [[0.5, 0.5], [0.9, 0.1], [0.0, 0.7], [0.5, 0.5]], 3)]
+
+    @pytest.mark.parametrize("cfg, probs, step", CASES)
+    def test_raises_at_the_first_dead_step(self, cfg, probs, step):
+        with np.errstate(divide="ignore"):
+            lp = np.log(probs)
+        assert first_dead_step(cfg, lp) == step
+        with pytest.raises(es.ZeroMarginalError) as got:
+            es.switch_map(cfg, None, [0] * len(lp), logpred_matrix=lp)
+        assert got.value.step == step
+
+    def test_step_is_the_posteriors(self):
+        # Random zero cells: where no sequence has mass, switch_map names
+        # the step posterior_experts of the switch model names, which
+        # enumeration confirms; elsewhere it decodes.
+        rng = np.random.default_rng(54)
+        laws = [es.inv_poly(), es.geometric(0.3), es.geometric(1.0)]
+        raised = 0
+        for trial in range(60):
+            k, n = int(rng.integers(2, 4)), int(rng.integers(1, 6))
+            cfg = es.SwitchConfig(float(rng.choice([0.3, 1.0])), laws[trial % 3],
+                                  tuple(rng.dirichlet(np.ones(k))))
+            lp = np.where(rng.random((n, k)) < 0.45, -np.inf, np.log(rng.uniform(0.1, 1, (n, k))))
+            want = first_dead_step(cfg, lp)
+            try:
+                es.posterior_experts(es.switch(cfg, k), None, [0] * n, logpred_matrix=lp)
+            except es.ZeroMarginalError as e:
+                assert e.step == want
+            else:
+                assert want is None
+            try:
+                es.switch_map(cfg, None, [0] * n, logpred_matrix=lp)
+            except es.ZeroMarginalError as e:
+                assert e.step == want
+                raised += 1
+            else:
+                assert want is None
+        assert raised > 10
