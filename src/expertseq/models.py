@@ -554,7 +554,8 @@ class SwitchHmm(HmmModel):
     """Two expert bands. The unstable band escapes with the hazard of the
     switch-time law at the current sample size; an escape re-enters the
     unstable band with mass theta or stabilizes forever with 1 - theta.
-    ``cfg`` is the SwitchConfig the model was built from.
+    ``cfg`` is the SwitchConfig the model was built from. An expert whose
+    pi_k weight is zero is never drawn: its draw arcs have zero mass.
 
     On level arcs stratum t is a grid of two rows: node x is u(t, x) and
     node k + x is s(t, x). After the sources, level t >= 1 numbers p(t)
@@ -569,8 +570,6 @@ class SwitchHmm(HmmModel):
         if cfg.num_experts != k:
             raise ValueError(f"pi_k has {cfg.num_experts} entries, expected {k}")
         self._log_w = _log_dist(cfg.pi_k, k, what="pi_k")
-        if any(lw == NEG_INF for lw in self._log_w):
-            raise ValueError("pi_k must give positive mass to every expert")
         self.cfg = cfg
         self._law = cfg.pi_t
         self._log_theta = from_linear(cfg.theta)

@@ -7,7 +7,15 @@ re-draw point into an unstable-band left part and a constant right part,
 and optimizes the two sides with a forward and a backward sweep. State
 paths producing the same expert sequence are aggregated by summation
 inside both sweeps; only choices between expert sequences are maximized.
-Runs in O(n k) time and space.
+
+Runs in O(n k) time. A constant right part's likelihood factors out of
+its prior, and the prior depends on an expert only through its weight, so
+the backward sweep is one log-sum per step and distinct weight of pi_k.
+Everything that does not depend on the forward sweep is one numpy array
+over the n x k cells (step, expert), computed once; the forward sweep does
+no log-sum, only three additions and one comparison per cell, and keeps
+its current row and one re-draw bit per cell. The arrays held are O(n k)
+floats.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ from .experts import ForecastingSystem, _realized_matrix
 from .forward import ZeroMarginalError
 from .logprob import NEG_INF, LogMass, log_sum
 from .models import SwitchConfig
-
-_CONT, _SWITCH = 0, 1
 
 
 @dataclass
@@ -41,112 +47,107 @@ def switch_map(
 ) -> SwitchMapResult:
     """Jointly most probable expert sequence under the switch prior.
 
-    Offline by nature: the backward tables need the full sequence. Ties are
-    broken toward the lexicographically smallest (split index, expert)
-    pair, with continuation preferred inside the forward recursion. Data no
-    expert sequence gives mass raises ZeroMarginalError at the first step
-    where none has any, as ``posterior_experts(switch(cfg, k), ...)`` does.
+    Offline by nature: the right parts need the likelihood of the whole
+    remaining sequence. Ties are broken toward the lexicographically
+    smallest (split index, expert) pair, with continuation preferred inside
+    the forward recursion. Data no expert sequence gives mass raises
+    ZeroMarginalError at the first step where none has any, as
+    ``posterior_experts(switch(cfg, k), ...)`` does. ``ops`` counts the
+    cells the sweeps and the final choice visit, k (3n - 1) plus k for
+    every split whose left part has mass.
     """
     k = cfg.num_experts
     lp_arr = _realized_matrix(experts, data, logpred_matrix, k)
     n = len(data)
     if n == 0:
         return SwitchMapResult(0.0, [], 0)
-    # The sweeps below run on Python floats; numpy scalars would cost more.
-    lp = lp_arr.tolist()
 
     law = cfg.pi_t
     haz = np.array([law.hazard(i) for i in range(1, n + 1)], dtype=float)
     with np.errstate(divide="ignore"):
-        log_haz = np.log(haz).tolist()
-        log_stay = np.log1p(-haz).tolist()
-        logw = np.log(cfg.pi_k).tolist()
+        log_haz, log_stay = np.log(haz), np.log1p(-haz)
+        logw = np.log(cfg.pi_k)
         log_theta, log_stab = float(np.log(cfg.theta)), float(np.log1p(-cfg.theta))
+    # The prior terms are (n, u) arrays over the u distinct weights ws;
+    # column of[x] is expert x's. Row i - 1 of cont is the mass of carrying
+    # on in the unstable band past step i: stay, or escape and be drawn again.
+    ws, of = np.unique(logw, return_inverse=True)
+    cont = np.logaddexp(log_stay[:, None], log_haz[:, None] + (log_theta + ws))
 
-    ops = 0
+    # Backward: the constant tail of expert x from inside the unstable band
+    # at step i has the mass tail[i - 1][x] + q[i - 1][of[x]], its
+    # likelihood and its prior: the band carries on, or escapes and
+    # stabilises. At step n the band ends, as staying and escaping both
+    # close the sequence.
+    end = log_sum(float(log_haz[-1]), float(log_stay[-1]))
+    cols = []
+    for cj, sj in zip(cont[-2::-1].T.tolist(),
+                      (log_haz[-2::-1, None] + (log_stab + ws)).T.tolist()):
+        v, col = end, [end]
+        for c, h in zip(cj, sj):
+            v = log_sum(c + v, h)
+            col.append(v)
+        cols.append(col)
+    # r[i - 1][x]: the best right part from the silent hub at split i, which
+    # re-enters the band or stabilises.
+    q = np.array(cols).T[::-1]
+    tail = np.cumsum(lp_arr[::-1], axis=0)[::-1]
+    r = tail + np.logaddexp((log_theta + ws) + q, log_stab + ws)[:, of]
+    del cols, q, tail       # not held beside the forward sweep's lists
 
-    # Forward: best unstable-band prefixes.
-    # big_l[i] = best mass of a length-i prefix that has just re-entered the
-    # silent hub; lp_tab[i][x] = best mass of a length-i prefix still sitting
-    # in the unstable band with expert x.
-    big_l = [NEG_INF] * n          # index i = 0..n-1
-    arg_l = [0] * n
-    big_l[0] = 0.0
-    lp_tab = [[NEG_INF] * k for _ in range(n + 1)]
-    choice = [[_CONT] * k for _ in range(n + 1)]
-    for x in range(k):
-        lp_tab[1][x] = lp[0][x] + log_theta + logw[x]
-        choice[1][x] = _SWITCH
-        ops += 1
-    for i in range(1, n):
-        best, barg = NEG_INF, 0
-        row = lp_tab[i]
-        for x in range(k):
-            v = row[x] + log_haz[i - 1]
-            if v > best:
-                best, barg = v, x
-            ops += 1
-        big_l[i], arg_l[i] = best, barg
-        for x in range(k):
-            redraw = log_theta + logw[x]
-            cont = row[x] + log_sum(log_stay[i - 1], log_haz[i - 1] + redraw)
-            sw = big_l[i] + redraw
-            if sw > cont:
-                lp_tab[i + 1][x] = lp[i][x] + sw
-                choice[i + 1][x] = _SWITCH
+    # Forward: row[x] is the best mass of a length-i prefix still in the
+    # unstable band with expert x, tops[i] its maximum and arg_l[i] the
+    # first expert reaching it; big_l[i] = tops[i] + log_haz[i - 1] is the
+    # best mass of a length-i prefix that has just re-entered the silent
+    # hub, and big_l[0] = 0 that of the empty prefix. Bit (i - 2) * k + x
+    # of redrew is set where row i of x is reached by a re-draw from the hub.
+    lp = lp_arr.tolist()
+    lw, rd, lh = logw.tolist(), (log_theta + logw).tolist(), log_haz.tolist()
+    tops, arg_l = [0.0] * (n + 1), [0] * n
+    row = [v + log_theta + w for v, w in zip(lp[0], lw)]
+    redrew = bytearray()
+    bit = redrew.append
+    for i, (lpi, ci) in enumerate(zip(lp[1:], cont[:, of].tolist()), start=1):
+        top = max(row)
+        tops[i], arg_l[i] = top, row.index(top)
+        big = top + lh[i - 1]
+        new = []
+        put = new.append
+        for v, c, w, l in zip(row, ci, rd, lpi):
+            c += v
+            w += big
+            if w > c:
+                put(l + w)
+                bit(1)
             else:
-                lp_tab[i + 1][x] = lp[i][x] + cont
-                choice[i + 1][x] = _CONT
-            ops += 1
+                put(l + c)
+                bit(0)
+        row = new
+    tops[n] = max(row)
+    big_l = np.array(tops[:n])
+    big_l[1:] += log_haz[:-1]
 
-    # Backward: constant-expert tails from the silent hub (r_tab) and from
-    # inside the unstable band (rp_tab); tail[i][x] is the pure chain-rule
-    # mass of expert x on the remaining outcomes.
-    tail = np.cumsum(lp_arr[::-1], axis=0)[::-1].tolist()
-    r_tab = [[NEG_INF] * k for _ in range(n + 2)]
-    rp_tab = [[NEG_INF] * k for _ in range(n + 2)]
-    r_tab[n + 1] = [0.0] * k
-    rp_tab[n + 1] = [0.0] * k
-    for i in range(n, 0, -1):
-        for x in range(k):
-            rp = lp[i - 1][x] + log_sum(log_haz[i - 1] + r_tab[i + 1][x],
-                                        log_stay[i - 1] + rp_tab[i + 1][x])
-            rp_tab[i][x] = rp
-            r_tab[i][x] = log_sum(log_theta + logw[x] + rp,
-                                  log_stab + logw[x] + tail[i - 1][x])
-            ops += 1
-
-    best, bi, bx = NEG_INF, 1, 0
-    for i in range(1, n + 1):
-        left = big_l[i - 1]
-        if left == NEG_INF:
-            continue
-        for x in range(k):
-            v = left + r_tab[i][x]
-            if v > best:
-                best, bi, bx = v, i, x
-            ops += 1
+    # The best split: the first maximum in row-major order is the smallest
+    # (split, expert) pair; a split after a dead prefix is -inf.
+    joint = big_l[:, None] + r
+    at = int(joint.argmax())
+    best = float(joint.flat[at])
+    bi, bx = divmod(at, k)
+    bi += 1
+    ops = k * (3 * n - 1 + int(np.count_nonzero(big_l > NEG_INF)))
     if best == NEG_INF:     # name the first step at which no sequence has mass
-        stable = [NEG_INF] * k      # the best constant stable tail of each expert
-        for i in range(1, n + 1):
-            stable = [v + max(s, big_l[i - 1] + log_stab + w)
-                      for v, s, w in zip(lp[i - 1], stable, logw)]
-            if max(stable + lp_tab[i]) == NEG_INF:
+        kept = [NEG_INF] * k      # the best constant stable tail of each expert
+        for i, left in enumerate(big_l.tolist(), start=1):
+            kept = [v + max(s, left + log_stab + w) for v, s, w in zip(lp[i - 1], kept, lw)]
+            if max(kept) == NEG_INF and tops[i] == NEG_INF:
                 raise ZeroMarginalError(i)
 
-    seq = [0] * n
-    for j in range(bi - 1, n):
-        seq[j] = bx
-    pos = bi - 1
-    if pos >= 1:
-        cur = arg_l[pos]
-        while True:
-            seq[pos - 1] = cur
-            if pos == 1:
-                break
-            if choice[pos][cur] == _SWITCH:
-                cur = arg_l[pos - 1]
-            pos -= 1
+    seq = [bx] * n
+    cur = arg_l[bi - 1]
+    for pos in range(bi - 1, 0, -1):
+        seq[pos - 1] = cur
+        if pos > 1 and redrew[(pos - 2) * k + cur]:
+            cur = arg_l[pos - 1]
     return SwitchMapResult(best, seq, ops)
 
 

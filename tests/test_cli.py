@@ -304,6 +304,17 @@ class TestMap:
         rc = main(["map", str(data_file), "--model", "fixed-share", "--alpha", "0.1", *BASE])
         assert rc == 4
 
+    def test_switch_with_a_zero_weight(self, tmp_path, data_file):
+        # pi_k = (1, 0) never draws expert 1: the marginal is expert 0's
+        # likelihood and the MAP names expert 0 throughout.
+        args = ["--model", "switch", "--weights", "1,0", *BASE]
+        ev, out = tmp_path / "e.csv", tmp_path / "m.txt"
+        assert main(["evaluate", str(data_file), *args, "--out", str(ev)]) == 0
+        total = float(ev.read_text().strip().splitlines()[-1].split(",")[-1])
+        assert total == pytest.approx(-math.log2(0.8 * 0.8 * 0.2 * 0.8), rel=1e-10)
+        assert main(["map", str(data_file), *args, "--out", str(out)]) == 0
+        assert out.read_text().split() == ["const0"] * 4
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_zero_mass_exits_3_naming_the_step(self, tmp_path, data_file, capsys, fmt):
         # Step 1's realized advice gives every expert probability 0.

@@ -6,8 +6,8 @@ import pytest
 
 import expertseq as es
 from expertseq.logprob import NEG_INF
-from oracles import (SwitchParams, random_constant_experts, run_length_prior_oracle,
-                     switch_param_mass, switch_prior_prefix)
+from oracles import (SwitchParams, TupleOnly, random_constant_experts,
+                     run_length_prior_oracle, switch_param_mass, switch_prior_prefix)
 
 RNG_SEED = 40
 
@@ -245,10 +245,32 @@ class TestSwitchModel:
                 b = switch_prior_prefix(cfg, seq)
                 assert a == pytest.approx(b, abs=1e-9)
 
-    def test_pi_k_must_cover_experts(self):
-        cfg = es.SwitchConfig(0.5, es.inv_poly(), (1.0, 0.0))
-        with pytest.raises(ValueError):
-            es.switch(cfg, 2)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("pi_k", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.0, 0.5)])
+    def test_pi_k_with_a_zero_weight(self, pi_k, theta):
+        # An expert of weight zero is drawn by zero-mass arcs: the prefix
+        # prior is still the parametric one, and the array step agrees with
+        # the tuple core.
+        cfg = es.SwitchConfig(theta, es.inv_poly(), pi_k)
+        k = len(pi_k)
+        m = es.switch(cfg, k)
+        for n in range(1, 6):
+            for seq in itertools.product(range(k), repeat=n):
+                a = es.expert_sequence_prior(m, seq)
+                b = switch_prior_prefix(cfg, seq)
+                assert (a == b == NEG_INF) or a == pytest.approx(b, abs=1e-9)
+        rng = np.random.default_rng(RNG_SEED + 9)
+        experts = _experts(rng, k)
+        data = list(rng.integers(0, 2, 12))
+        fast = es.forward_marginal(m, experts, data)
+        ref = es.forward_marginal(TupleOnly(m), experts, data)
+        assert fast.log_marginal == pytest.approx(ref.log_marginal, abs=1e-11)
+        for a, b in zip(fast.steps, ref.steps, strict=True):
+            assert np.array_equal(a.expert_dist == NEG_INF, b.expert_dist == NEG_INF)
+        post = np.exp(es.posterior_experts(m, experts, data))
+        assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
+        ref_post = np.exp(es.posterior_experts(TupleOnly(m), experts, data))
+        assert np.all(np.abs(post - ref_post) <= 1e-12)
 
     def test_truncated_law_prefix_prior_still_matches(self):
         # beyond the span the declared continuation forces a switch per step

@@ -26,6 +26,17 @@ class TestSingleStep:
         assert res.sequence == [] and res.log_probability == 0.0
 
 
+def enumerated_map(cfg, lp):
+    """By enumeration over the parametric prior: the best joint log mass
+    and the lexicographically smallest expert sequence within rounding of
+    it."""
+    n, k = lp.shape
+    table = {seq: switch_prior_prefix(cfg, seq) + lp[np.arange(n), list(seq)].sum()
+             for seq in itertools.product(range(k), repeat=n)}
+    best = max(table.values())
+    return min(s for s, v in table.items() if v >= best - 1e-12 * abs(best)), best
+
+
 class TestAgainstBruteForce:
     def test_random_instances(self):
         rng = np.random.default_rng(50)
@@ -39,6 +50,39 @@ class TestAgainstBruteForce:
             ref_seq, ref_val = brute_map(es.switch(cfg, 2), experts, data)
             assert res.sequence == ref_seq
             assert res.log_probability == pytest.approx(ref_val, rel=1e-9, abs=1e-12)
+        # Edge cases, one kind per trial: cells at -inf, a duplicated expert
+        # column and weight (exact ties, broken toward the smallest
+        # sequence) ahead of a regime of expert 2, theta = 1 and a zero in
+        # pi_k, under four laws.
+        laws = [es.inv_poly(), es.truncate(es.inv_poly(), 2), es.uniform_span(2, 3),
+                es.geometric(0.4)]
+        dead = 0
+        for trial in range(120):
+            kind = trial % 4
+            k, n = 3 if kind == 1 else int(rng.integers(2, 4)), int(rng.integers(1, 7))
+            w = rng.dirichlet(np.ones(k) * 5)
+            lp = np.log(rng.uniform(0.1, 1, (n, k)))
+            if kind == 0:
+                lp[rng.random((n, k)) < 0.35] = -np.inf
+            elif kind == 1:
+                lp[:, 1], w[1] = lp[:, 0], w[0]
+                lp[:n // 2, 2] -= 3.0
+                lp[n // 2:, :2] -= 3.0
+            elif kind == 3:
+                w[rng.integers(k)] = 0.0
+            cfg = es.SwitchConfig(1.0 if kind == 2 else float(rng.uniform(0.2, 0.9)),
+                                  laws[trial // 4 % 4], tuple(w / w.sum()))
+            ref_seq, ref_val = enumerated_map(cfg, lp)
+            if ref_val == -np.inf:
+                with pytest.raises(es.ZeroMarginalError) as got:
+                    es.switch_map(cfg, None, [0] * n, logpred_matrix=lp)
+                assert got.value.step == first_dead_step(cfg, lp)
+                dead += 1
+                continue
+            res = es.switch_map(cfg, None, [0] * n, logpred_matrix=lp)
+            assert res.sequence == list(ref_seq)
+            assert res.log_probability == pytest.approx(ref_val, rel=1e-9, abs=1e-12)
+        assert dead > 3
 
     def test_three_experts_and_truncated_laws(self):
         # exercises the hazard-zero and hazard-one branches of the recurrences
@@ -110,6 +154,18 @@ class TestInvariants:
         ops2 = es.switch_map(cfg, None, list(range(2000)), logpred_matrix=lp).ops
         assert ops2 <= 2.2 * ops1
 
+    def test_ops_pinned(self):
+        # Three fixed inputs with cells at -inf, one of them under a law
+        # whose hazard is 0 at steps 1 and 2, so splits 2 and 3 have no
+        # left part: ops is k (3n - 1) plus k for every split with one.
+        lp = np.log(np.linspace(0.1, 0.9, 30).reshape(10, 3))
+        lp[[2, 5, 7], [0, 2, 1]] = -np.inf
+        cases = [(_cfg(), lp[:7, :2], 54),
+                 (es.SwitchConfig(0.5, es.uniform_span(3, 4), (0.5, 0.5)), lp[:7, 1:], 50),
+                 (es.SwitchConfig(0.3, es.inv_poly(), (0.2, 0.3, 0.5)), lp, 117)]
+        for cfg, m, ops in cases:
+            assert es.switch_map(cfg, None, [0] * len(m), logpred_matrix=m).ops == ops
+
     def test_expert_count_checked(self):
         with pytest.raises(ValueError):
             es.switch_map(_cfg(), [es.uniform_expert(2)], [0])
@@ -130,8 +186,8 @@ def first_dead_step(cfg, lp):
 class TestZeroMass:
     # A row where every expert gives the outcome probability 0, and a
     # choice law that never picks expert 1 with a row that rules out
-    # expert 0: no expert sequence has mass from that step on. The second
-    # law cannot build switch(cfg, 2).
+    # expert 0: no expert sequence has mass from that step on, and the
+    # posterior of switch(cfg, 2) names the same step.
     CASES = [(es.default_switch_config(2), [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]], 2),
              (es.SwitchConfig(0.5, es.inv_poly(), (1.0, 0.0)),
               [[0.5, 0.5], [0.9, 0.1], [0.0, 0.7], [0.5, 0.5]], 3)]
@@ -143,6 +199,9 @@ class TestZeroMass:
         assert first_dead_step(cfg, lp) == step
         with pytest.raises(es.ZeroMarginalError) as got:
             es.switch_map(cfg, None, [0] * len(lp), logpred_matrix=lp)
+        assert got.value.step == step
+        with pytest.raises(es.ZeroMarginalError) as got:
+            es.posterior_experts(es.switch(cfg, 2), None, [0] * len(lp), logpred_matrix=lp)
         assert got.value.step == step
 
     def test_step_is_the_posteriors(self):
