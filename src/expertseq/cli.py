@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,8 @@ from . import models
 from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
                       KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
                       uniform_expert)
-from .forward import ForwardPass, ZeroMarginalError, _offline_forward, posterior_experts
+from .forward import (ForwardPass, ZeroMarginalError, _offline_forward, _scan_forward,
+                      posterior_experts)
 from .hmm import StateBudgetExceeded
 from .logprob import to_bits
 from .approx import trimming_hook
@@ -283,12 +285,48 @@ def _json_keys(labels: Sequence[str]) -> tuple[list[int], str]:
     return order, ", ".join(json.dumps(labels[j]).replace("%", "%%") + ": %s" for j in order)
 
 
+def _evaluate_steps(args, model, experts, matrix, data):
+    """Each step's log conditional, next-expert probabilities and, with
+    experts, next-outcome probabilities, the probabilities as lists. A run
+    without --trim whose model the forward scan admits takes it, window by
+    window; any other steps ForwardPass once an outcome. The source is
+    checked here, before any step is asked for."""
+    full = experts is not None
+    windows = None if args.trim is not None else _scan_forward(model, experts, data, matrix)
+    if windows is not None:
+        return chain.from_iterable(_rows(windows, full))
+    hook = trimming_hook(args.trim) if args.trim is not None else None
+    return _loop_steps(ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
+                                   want_outcome_dists=full, keep_steps=False), data, full)
+
+
+def _loop_steps(fp: ForwardPass, data, full: bool):
+    for x in data:
+        fp.advance(x)
+        step = fp.last_step
+        yield (step.log_cond, np.exp(step.expert_dist).tolist(),
+               np.exp(step.outcome_dist).tolist() if full else [])
+
+
+# A scanned window's rows become Python lists this many at a time.
+_LIST_ROWS = 32
+
+
+def _rows(windows, full: bool):
+    """Each scanned window's rows, _LIST_ROWS at a time."""
+    for cond, expert, outcome in windows:
+        expert = np.exp(expert)
+        outcome = np.exp(outcome) if full else None
+        for i in range(0, len(cond), _LIST_ROWS):
+            rows = slice(i, i + _LIST_ROWS)
+            yield zip(cond[rows].tolist(), expert[rows].tolist(),
+                      outcome[rows].tolist() if full else repeat([]))
+
+
 def _cmd_evaluate(args) -> int:
     alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
-    hook = trimming_hook(args.trim) if args.trim is not None else None
     full = experts is not None
-    fp = ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
-                     want_outcome_dists=full, keep_steps=False)
+    steps = _evaluate_steps(args, model, experts, matrix, data)
     json_mode = args.format == "json"
     symbols = alphabet.symbols
     # Each row's layout is fixed here, once per run. A JSON row is the text
@@ -307,8 +345,9 @@ def _cmd_evaluate(args) -> int:
         cells = (len(symbols) if full else 0) + len(names) + 2
         row = "%d,%s," + ",".join(["%.12g"] * cells) + "\n"
     cum = 0.0
-    # Rows are written as they are produced; memory stays bounded by
-    # the frontier regardless of the stream length.
+    # Rows are written as they are produced, a scanned window's as soon as
+    # it is done; memory stays bounded by the frontier or one window
+    # regardless of the stream length.
     with _output(args) as out:
         if json_mode:
             out.write('{\n"steps": [')
@@ -318,21 +357,17 @@ def _cmd_evaluate(args) -> int:
                 cols += [f"p_out:{s}" for s in symbols]
             cols += [f"p_exp:{nm}" for nm in names] + ["bits", "cum_bits"]
             out.write(",".join(cols) + "\n")
-        for i, x in enumerate(data):
-            log_cond = fp.advance(x)
-            step = fp.last_step
+        for i, (x, (log_cond, expert, outcome)) in enumerate(zip(data, steps), 1):
             bits = to_bits(log_cond)
             cum += bits
-            expert = np.exp(step.expert_dist).tolist()
-            outcome = np.exp(step.outcome_dist).tolist() if full else []
             if json_mode:
                 nums = [bits, cum, *[expert[j] for j in by_name],
                         *[outcome[j] for j in by_symbol]]
                 out.write(lead + row % (*[repr(float("%.12g" % v)) for v in nums],
-                                        i + 1, symbol_text[x]))
+                                        i, symbol_text[x]))
                 lead = ",\n"
             else:
-                out.write(row % (i + 1, symbols[x], *outcome, *expert, bits, cum))
+                out.write(row % (i, symbols[x], *outcome, *expert, bits, cum))
         if json_mode:
             out.write(f'\n],\n"n": {len(data)},\n"total_bits": {_fmt(cum)}\n}}\n')
     return 0
@@ -399,7 +434,10 @@ def _cmd_bounds(args) -> int:
     lp = _realized_matrix(experts, data, matrix, k)
 
     def marginal_of(m) -> float:
-        return _offline_forward(m, lp, False)[1]
+        windows = _scan_forward(m, None, data, lp)
+        if windows is None:
+            return _offline_forward(m, lp, False)[1]
+        return math.fsum(chain.from_iterable(cond.tolist() for cond, _, _ in windows))
 
     if name == "bayes":
         reports = [bnd.measure_bayes(marginal_of(model), lp, w)]

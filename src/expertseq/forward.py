@@ -35,13 +35,19 @@ a plan, where a plan meets a dead node, and for the rest of a pass once
 a frontier hook leaves other than all the propagated states in their
 order, as when it trims or reorders or the update drops a state.
 
-:func:`posterior_experts` of a stationary model whose route table from
-stratum 1 to stratum 2 is closed (its sinks are its sources) and has at
-most ``SCAN_STATES`` states records no levels: it runs a blocked
-log-semiring scan over that table, in about sqrt(n) vectorised passes and
-sqrt(n) small products, exact in its -inf entries and within rounding of
-the recorded loop elsewhere. Any other model, a wider or open table, and
-every online pass keep the loop.
+A stationary model whose route table from stratum 1 to stratum 2 is
+closed (its sinks are its sources) and has at most ``SCAN_STATES`` states
+(``_scan_start``) can run as a blocked log-semiring scan over that table
+(``_Blocks``: about sqrt(m) vectorised passes and sqrt(m) small products
+over m rows), exact in its -inf entries and within rounding of the loop
+elsewhere. :func:`posterior_experts` scans all n rows at once and records
+no levels. ``_scan_forward``, the forward pass of CLI ``evaluate``
+without ``--trim`` and of CLI ``bounds``, scans ``SCAN_ROWS`` rows a
+window and holds one window, its forecasts included, never n rows; each
+window starts from the vector carried out of the one before, shifted to a
+maximum of 0. Any other model, a wider or open table,
+:func:`forward_marginal`, Viterbi and every online :class:`ForwardPass`
+keep the loop.
 
 :func:`viterbi_unambiguous` is one loop over the strata for every
 unambiguous model, with one start, final choice and backtrack; only a
@@ -593,7 +599,7 @@ def posterior_experts(
     """
     n = len(data)
     lp_all = _realized_matrix(experts, data, logpred_matrix, model.num_experts)
-    grid = _scan_posterior(model, lp_all) if model.stationary and n else None
+    grid = _scan_posterior(model, lp_all) if n else None
     if grid is None:
         core = _offline_forward(model, lp_all, True)[0]
         grid = np.full((n, model.num_experts), NEG_INF)
@@ -607,26 +613,27 @@ def posterior_experts(
     return grid
 
 
-# The most stratum states for which posterior_experts runs a stationary
-# model as a blocked scan: its products cost O(S^3) a step where the loop
-# costs O(transitions), and up to 32 states it is the faster on each of the
-# four builtin stationary models.
+# The most stratum states for which a stationary model runs as a blocked
+# scan: its products cost O(S^3) a step where the loop costs
+# O(transitions), and up to 32 states it is the faster on each of the
+# four builtin stationary models, posterior and forward alike (forward,
+# n = 1,000, matrix mode, S = 32: 14-31 us a step against the loop's 31-41).
 SCAN_STATES = 32
 
+# The most rows the forward scan holds at once, its forecasts included: a
+# window's arrays hold about rows * (k * alphabet + 6 S) floats, and its
+# fixed cost, about 3 sqrt(rows) small vectorised passes, falls as it
+# grows (fixed share, k = 2, 2,000 rows: 1.1 us a row at 1,024 rows
+# against 1.9 at 256).
+SCAN_ROWS = 1024
 
-def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
-    """The unnormalised posterior grid of a stationary model as a blocked
-    scan, or None where the table is not closed or S is past SCAN_STATES.
 
-    With the route table T from stratum 1 to 2 (its states listed by
-    (label, state)), alpha_t = (alpha_{t-1} (x) T) + lp[t, labels] and
-    beta_{t-1} = T (x) (beta_t + lp[t, labels]) in the log semiring. Rows
-    1..n-1 are cut into about sqrt(n) blocks: one pass over the positions
-    builds every block's product, vectorised across the blocks; a loop
-    over the blocks carries alpha forward and beta back across their
-    boundaries, each carried vector shifted to a maximum of 0; two more
-    passes fill alpha and add beta inside the blocks. A row's scale cancels
-    when the grid is normalised, so none is kept."""
+def _scan_start(model: HmmModel) -> tuple[np.ndarray, _Routes] | None:
+    """Stratum 1's masses, listed by (label, state), and its route table
+    to stratum 2, or None where the model is not stationary, the table is
+    not closed (its sinks are not its sources) or S is past SCAN_STATES."""
+    if not model.stationary:
+        return None
     first = propagate_frontier(model, dict(model.initial()), 1)[0]
     label = model.label
     states = sorted(first, key=lambda q: (label(q), q))
@@ -635,50 +642,195 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
     routes = _Routes.build(model, states, 2)
     if routes.sinks != shape_of(states):
         return None
-    table, labels, k = routes.table, routes.labels, model.num_experts
-    steps, size = len(lp) - 1, len(states)
-    width = int(steps ** 0.5) + 1
-    nb = -(-steps // width)
-    active = [nb] * (steps - (nb - 1) * width) + [nb - 1] * width   # blocks at a position
+    return np.array([first[q] for q in states]), routes
+
+
+def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
+    """The unnormalised posterior grid of a stationary model as a blocked
+    scan over all n rows, or None where ``_scan_start`` gives none. It
+    holds the (n, S) alpha grid and the blocks' products, no per-level
+    record; ``_scan_forward`` reads the same ``_Blocks`` one window at a
+    time.
+
+    With the route table T from stratum 1 to 2 (its states listed by
+    (label, state)), alpha_t = (alpha_{t-1} (x) T) + lp[t, labels] and
+    beta_{t-1} = T (x) (beta_t + lp[t, labels]) in the log semiring. Rows
+    1..n-1 are ``_Blocks``: one pass over the positions builds every
+    block's product, vectorised across the blocks; a loop over the blocks
+    carries alpha forward and beta back across their boundaries, each
+    carried vector shifted to a maximum of 0; two more passes fill alpha
+    and add beta inside the blocks. A row's scale cancels when the grid is
+    normalised, so none is kept."""
+    scan = _scan_start(model)
+    if scan is None:
+        return None
+    first, routes = scan
+    labels, size = routes.labels, len(first)
+    blocks = _Blocks(_exps(routes.table), lp[1:], labels)
+    steps, nb, width = len(lp) - 1, blocks.nb, blocks.width
     # Row 0, then rows 1..n-1 as nb blocks of width rows; padding is never read.
     alpha = np.zeros((1 + nb * width, size))
-    alpha[0] = [first[q] for q in states]
+    alpha[0] = first
     alpha[0] += lp[0, labels]
-    blocks = alpha[1:].reshape(nb, width, size)
-    emit = np.zeros((nb * width, size))
-    np.take(lp[1:], labels, axis=1, out=emit[:steps], mode="clip")     # unbuffered
-    emit = emit.reshape(nb, width, size)
-    fwd, bwd = _exps(table), _exps(table.T)
-
-    prods = table + emit[:, 0, None, :]
-    for j in range(1, width):
-        m = active[j]
-        prods[:m] = _log_dot(prods[:m], fwd) + emit[:m, j, None, :]
-    # A carry is one vector, so it sums exactly in logs.
-    add = np.logaddexp.reduce
-    starts, ends = alpha[:1].repeat(nb, axis=0), np.zeros((nb, size))
-    for b in range(1, nb):
-        starts[b] = _scaled(add(starts[b - 1, :, None] + prods[b - 1], axis=0))
-    for b in range(nb - 1, 0, -1):
-        ends[b - 1] = _scaled(add(prods[b] + ends[b], axis=1))
-    a = starts
-    for j in range(width):
-        m = active[j]
-        a = blocks[:m, j] = _log_dot(a[:m], fwd) + emit[:m, j]
+    rows = alpha[1:].reshape(nb, width, size)
+    blocks.fill(blocks.starts(alpha[0]), rows)
     dead = ~(alpha[:steps + 1] > NEG_INF).any(axis=1)
     if dead.any():
         raise ZeroMarginalError(int(dead.argmax()) + 1)
-    beta = ends
+    emit, prods, active = blocks.emit, blocks.prods, blocks.active
+    beta = np.zeros((nb, size))     # the vector leaving each block
+    for b in range(nb - 1, 0, -1):
+        beta[b - 1] = _scaled(np.logaddexp.reduce(prods[b] + beta[b], axis=1))
+    bwd = _exps(routes.table.T)
     for j in range(width - 1, -1, -1):
         m = active[j]
-        blocks[:m, j] += beta[:m]
+        rows[:m, j] += beta[:m]
         beta[:m] = _log_dot(beta[:m] + emit[:m, j], bwd)
     if nb:
         alpha[0] += beta[0]
-    grid = alpha[:steps + 1]
-    if not np.array_equal(labels, np.arange(k)):
-        grid = np.stack([add(grid[:, labels == g], axis=1) for g in range(k)], axis=1)
-    return grid
+    return _by_label(alpha[:steps + 1], labels, model.num_experts)
+
+
+def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
+                  data: Sequence[int], logpred_matrix: np.ndarray | None = None):
+    """The forward pass over ``data`` of a model that ``_scan_start``
+    admits, as a generator of windows, or None for any other model.
+
+    Each window is SCAN_ROWS steps or what is left, as arrays of one row
+    a step: the steps' log conditionals log P(x_t | x^{t-1}), their
+    next-expert distributions (rows, k) and, in experts mode, their
+    next-outcome distributions (rows, alphabet), else None; only the
+    carried vector outlives a window. The window's forecasts are read from
+    the experts' streams as a forward pass reads them, one row a step,
+    sending each outcome once, and mixed in one ``np.logaddexp.reduce``.
+    The steps are one run of ``_Blocks`` over the window's rows, from the
+    vector carried out of the window before, shifted to a maximum of 0; a
+    step's conditional is its alpha's log-sum less its predecessor's, both
+    on their block's scale. On a zero marginal the window's rows before the
+    dead step are yielded, then ZeroMarginalError names it. The source is
+    checked here, as ForwardPass checks it."""
+    scan = _scan_start(model)
+    if scan is None:
+        return None
+    k = model.num_experts
+    _check_source(experts, logpred_matrix, k)
+    lp_all, size = None, None
+    if experts is None:
+        lp_all = _check_logpreds(_logpred_matrix(logpred_matrix, k))
+        if len(lp_all) < len(data):
+            raise ValueError(f"logpred matrix exhausted at step {len(lp_all) + 1}")
+    else:
+        size = _alphabet_size(experts)
+    return _forward_windows(*scan, k, experts, size, data, lp_all)
+
+
+def _forward_windows(first, routes, k, experts, size, data, lp_all):
+    fwd, labels = _exps(routes.table), routes.labels
+    stream = None if experts is None else _forecast_rows(experts)
+    carry, last = None, None
+    for t0 in range(0, len(data), SCAN_ROWS):
+        window = data[t0:t0 + SCAN_ROWS]
+        r = len(window)
+        if stream is None:
+            lp, preds = lp_all[t0:t0 + r], None
+        else:
+            xs = [_index(x, i, size) for i, x in enumerate(window, t0)]
+            preds = np.empty((r, k, size))
+            for i, x in enumerate([last, *xs[:-1]]):
+                preds[i] = stream.send(x)
+            last = xs[-1]
+            lp = preds[np.arange(r), :, xs]
+        cond, pre, carry = _scan_window(fwd, labels, lp, first if carry is None else carry,
+                                        carry is None)
+        live = len(cond)
+        expert = _by_label(pre, labels, k)
+        expert -= np.logaddexp.reduce(expert, axis=1)[:, None]
+        yield (cond, expert, None if preds is None else
+               np.logaddexp.reduce(preds[:live] + expert[:, :, None], axis=1))
+        if live < r:
+            raise ZeroMarginalError(t0 + live + 1)
+
+
+def _scan_window(fwd: tuple, labels: np.ndarray, lp: np.ndarray, a: np.ndarray, head: bool):
+    """One window of the forward scan: each row's log conditional and
+    pre-update vector alpha_{t-1} (x) T up to the first dead row, and the
+    last row's alpha shifted to a maximum of 0. ``a`` is the vector carried
+    in or, where the window starts at step 1 (``head``), stratum 1's
+    masses, which are that step's pre-update vector."""
+    r, size = len(lp), len(labels)
+    if head:
+        first, a = a, a + lp[0, labels]
+    blocks = _Blocks(fwd, lp[head:], labels)
+    nb, width = blocks.nb, blocks.width
+    alpha, pre = np.zeros((2, head + nb * width, size))
+    if head:
+        alpha[0], pre[0] = a, first
+    starts = blocks.starts(a)
+    blocks.fill(starts, alpha[head:].reshape(nb, width, size),
+                pre[head:].reshape(nb, width, size))
+    totals = np.logaddexp.reduce(alpha[:r], axis=1)
+    before = np.empty(r)        # the log-sum of alpha_{t-1} on alpha_t's scale
+    before[1:] = totals[:-1]
+    before[head::width] = np.logaddexp.reduce(starts, axis=1)
+    before[:head] = 0.0
+    dead = np.flatnonzero(totals == NEG_INF)
+    live = dead[0] if len(dead) else r
+    return totals[:live] - before[:live], pre[:live], _scaled(alpha[r - 1])
+
+
+def _by_label(rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each row's log masses summed by label into k columns, -inf where a
+    label has no state."""
+    if np.array_equal(labels, np.arange(k)):
+        return rows
+    return np.stack([np.logaddexp.reduce(rows[:, labels == g], axis=1) for g in range(k)],
+                    axis=1)
+
+
+class _Blocks:
+    """Rows 1..steps of the log-semiring recursion
+    alpha_i = (alpha_{i-1} (x) T) + e_i over one table T, cut into nb
+    blocks of width rows, width about sqrt(steps); position j is filled in
+    the first ``active[j]`` blocks. The emissions e_i = lp[i, labels] are
+    held padded to nb * width rows, which no pass reads past steps. One
+    pass over the positions builds every block's product
+    T e_1 T e_2 ... T e_width, vectorised across the blocks."""
+
+    def __init__(self, fwd: tuple, lp: np.ndarray, labels: np.ndarray):
+        steps, size = len(lp), len(labels)
+        self.fwd = fwd
+        self.width = width = int(steps ** 0.5) + 1
+        self.nb = nb = -(-steps // width)
+        self.active = active = [nb] * (steps - (nb - 1) * width) + [nb - 1] * width
+        emit = np.zeros((nb * width, size))
+        np.take(lp, labels, axis=1, out=emit[:steps], mode="clip")     # unbuffered
+        self.emit = emit = emit.reshape(nb, width, size)
+        prods = fwd[3] + emit[:, 0, None, :]
+        for j in range(1, width):
+            m = active[j]
+            prods[:m] = _log_dot(prods[:m], fwd) + emit[:m, j, None, :]
+        self.prods = prods
+
+    def starts(self, a: np.ndarray) -> np.ndarray:
+        """The vector entering each block: ``a`` the first, each later one
+        carried across the block before it and shifted to a maximum of 0.
+        A carry is one vector, so it sums exactly in logs."""
+        starts = a[None].repeat(self.nb, axis=0)
+        for b in range(1, self.nb):
+            starts[b] = _scaled(np.logaddexp.reduce(starts[b - 1, :, None] + self.prods[b - 1],
+                                                    axis=0))
+        return starts
+
+    def fill(self, starts: np.ndarray, alpha: np.ndarray, pre: np.ndarray | None = None):
+        """Fill the (nb, width, S) ``alpha`` from ``starts``, each block on
+        its start's scale; ``pre`` gets each row's alpha_{i-1} (x) T."""
+        a = starts
+        for j in range(self.width):
+            m = self.active[j]
+            p = _log_dot(a[:m], self.fwd)
+            if pre is not None:
+                pre[:m, j] = p
+            a = alpha[:m, j] = p + self.emit[:m, j]
 
 
 # The least sum of scaled exps that underflow cannot have cost a digit:

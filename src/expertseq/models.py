@@ -375,10 +375,10 @@ class UniversalElementwiseMixture(HmmModel):
             self._check_budget(t)
             size = math.comb(t + k - 1, k - 1)
             if len(counts) < size:
-                # C(s + k - 1, k - 1) tails have a sum of at most s, about
-                # s ** (k - 1) / (k - 1)!, so this top sum about doubles
-                # the rows.
-                top = int(t * 2 ** (1 / max(k - 1, 1))) + 1
+                # C(s + k - 1, k - 1) tails have a sum of at most s, about s ** (k - 1) /
+                # (k - 1)!, so this top sum about doubles the rows; a build costs about
+                # the same up to 64 ** (1 / (k - 1)) (130 tails at k = 2), so none is less.
+                top = int(max(t, 64 ** (1 / max(k - 1, 1))) * 2 ** (1 / max(k - 1, 1))) + 1
                 counts, cnt_src, cnt_w, ar, rows = _tail_templates(k, top)
             nodes = size * k
             layers = []

@@ -22,6 +22,7 @@ import numpy as np
 import expertseq as es
 from expertseq.bounds import Segmentation
 from expertseq.hmm import propagate_frontier
+from expertseq.models import FixedShare
 from expertseq.logprob import NEG_INF, from_linear
 
 ZOO_NAMES = (
@@ -55,6 +56,36 @@ class TupleOnly(es.HmmModel):
 
     def label(self, state):
         return self.inner.label(state)
+
+
+class LateShare(FixedShare):
+    """Fixed share whose initial mass sits on expert 0 of stratum 1, so
+    the routes from stratum 1's one state reach every expert: its table
+    is not closed, and no scan takes it."""
+
+    def initial(self):
+        return [(("e", 1, 0), 0.0)]
+
+
+class Counting(es.ForecastingSystem):
+    """An expert whose stream counts the forecasts it gives and keeps the
+    outcomes it is sent."""
+
+    def __init__(self, inner):
+        self.inner, self.size = inner, inner.size
+        self.rows, self.sent = 0, []
+
+    def predict(self, history):
+        return self.inner.predict(history)
+
+    def forecasts(self):
+        stream = self.inner.forecasts()
+        row = next(stream)
+        while True:
+            self.rows += 1
+            x = yield row
+            self.sent.append(x)
+            row = stream.send(x)
 
 
 def region_posterior(model, lp):

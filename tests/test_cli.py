@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import expertseq as es
 import expertseq.cli as cli_mod
 from expertseq.cli import main
+from oracles import Counting, LateShare
 
 
 def write(path, text):
@@ -150,22 +152,41 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("error: universal elementwise")
 
 
-def reference_evaluate(argv: list[str]) -> bytes:
-    """What evaluate writes for argv, each row built from scratch: a dict of
-    float(_fmt(v)) values through json.dumps(..., sort_keys=True), or a join
-    of one _fmt cell per value."""
+def evaluate_numbers(args, model, experts, matrix, data, loop: bool):
+    """Each step's log conditional and next-expert and next-outcome log
+    distributions, one step at a time: from the forward scan where
+    evaluate takes it and ``loop`` is false, else from a ForwardPass."""
+    windows = None
+    if not loop and args.trim is None:
+        windows = es.forward._scan_forward(model, experts, data, matrix)
+    if windows is not None:
+        for cond, expert, outcome in windows:
+            for i in range(len(cond)):
+                yield float(cond[i]), expert[i], None if outcome is None else outcome[i]
+        return
+    hook = es.trimming_hook(args.trim) if args.trim is not None else None
+    fp = es.ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
+                        want_outcome_dists=experts is not None, keep_steps=False)
+    for x in data:
+        fp.advance(x)
+        yield fp.last_step.log_cond, fp.last_step.expert_dist, fp.last_step.outcome_dist
+
+
+def reference_evaluate(argv: list[str], loop: bool = False) -> bytes:
+    """What evaluate writes for argv, each row built from scratch from its
+    step's numbers (see evaluate_numbers): a dict of float(_fmt(v)) values
+    through json.dumps(..., sort_keys=True), or a join of one _fmt cell per
+    value."""
     args = cli_mod._build_parser().parse_args(argv)
     alphabet, data, names, experts, matrix, model, _ = cli_mod._load_inputs(args)
     fmt, symbols, full = cli_mod._fmt, alphabet.symbols, experts is not None
-    hook = es.trimming_hook(args.trim) if args.trim is not None else None
-    fp = es.ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
-                        want_outcome_dists=full, keep_steps=False)
     cum, rows = 0.0, []
-    for i, x in enumerate(data):
-        bits = es.to_bits(fp.advance(x))
+    numbers = evaluate_numbers(args, model, experts, matrix, data, loop)
+    for i, (x, (log_cond, expert_dist, outcome_dist)) in enumerate(zip(data, numbers)):
+        bits = es.to_bits(log_cond)
         cum += bits
-        expert_dist = np.exp(fp.last_step.expert_dist)
-        outcome_dist = np.exp(fp.last_step.outcome_dist) if full else []
+        expert_dist = np.exp(expert_dist)
+        outcome_dist = np.exp(outcome_dist) if full else []
         if args.format == "json":
             entry = {"step": i + 1, "symbol": symbols[x],
                      "bits": float(fmt(bits)), "cum_bits": float(fmt(cum)),
@@ -189,8 +210,10 @@ def reference_evaluate(argv: list[str]) -> bytes:
 
 class TestRowBytes:
     """evaluate's rows, laid out once per run, are the bytes of rows built
-    one at a time: names that JSON escapes or that hold a '%', an alphabet
-    listed out of sorted order, and probabilities exactly 0 and 1."""
+    one at a time from the same numbers: names that JSON escapes or that
+    hold a '%', an alphabet listed out of sorted order, and probabilities
+    exactly 0 and 1. Bayes and fixed share are scanned, so their numbers
+    come from the forward scan; switch with --trim from a ForwardPass."""
 
     # Alphabet c,a,b: symbol 1 is "a", symbol 2 is "b".
     DATA = "a\na\nc\nb\na\nc\na\nb\n"
@@ -245,6 +268,157 @@ class TestRowBytes:
         cli_mod._build_parser.cache_clear()
         assert main(argv + ["--out", str(fresh)]) == 0
         assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def assert_same_numbers(got: str, ref: str) -> None:
+    """The same text between numbers, and every number within 1e-11
+    relative; a zero, and an inf or nan (not read as a number), must be
+    the same text."""
+    assert NUMBER.split(got) == NUMBER.split(ref)
+    for a, b in zip(NUMBER.findall(got), NUMBER.findall(ref)):
+        if float(a) == 0.0 or float(b) == 0.0:
+            assert a == b
+        else:
+            assert abs(float(a) - float(b)) <= 1e-11 * abs(float(b)), (a, b)
+
+
+class TestScannedEvaluate:
+    """evaluate without --trim runs a scan-eligible model as a forward
+    scan; --trim 1 keeps every state, so it runs the loop on the same
+    numbers."""
+
+    SCANNED = {"bayes": ["bayes"], "fixed-share": ["fixed-share", "--alpha", "0.1"],
+               "fixed-elementwise": ["fixed-elementwise"],
+               "overconfident": ["overconfident", "--alpha", "0.2"]}
+    N = 40
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        # Expert 0 rules out symbol 2, so its weight goes to 0 where a 2
+        # comes; the realized advice has zeros of its own.
+        rng = np.random.default_rng(11)
+        data = tmp_path / "d.txt"
+        symbols = [int(x) for x in rng.integers(0, 3, self.N)]
+        write(data, "".join(f"{x}\n" for x in symbols))
+        full = np.concatenate([np.tile([0.6, 0.4, 0.0], (self.N, 1)),
+                               rng.dirichlet(np.ones(3), (self.N, 2)).reshape(self.N, 6)], axis=1)
+        realized = rng.uniform(0.1, 1.0, (self.N, 3))
+        realized[rng.uniform(size=(self.N, 3)) < 0.1] = 0.0
+        realized[:, 2] = np.maximum(realized[:, 2], 0.05)
+        for name, table in (("full", full), ("realized", realized)):
+            write(tmp_path / f"{name}.csv", "a,b,c\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        return {"builtin": [str(data), "--experts",
+                            "builtin:const:0.6,0.4,0;kt;markov:0.2,0.3,0.5|0.8,0.1,0.1|"
+                            "0.1,0.8,0.1|0.1,0.1,0.8"],
+                "full": [str(data), "--experts", f"file:{tmp_path / 'full.csv'}"],
+                "realized": [str(data), "--experts", f"file:{tmp_path / 'realized.csv'}",
+                             "--advice-mode", "realized"]}
+
+    def run(self, tmp_path, monkeypatch, argv, scanned: bool):
+        """(exit code, output text, stderr) of one run: without --trim and
+        with ForwardPass refused, or with --trim 1."""
+        out = tmp_path / "out.txt"
+        with monkeypatch.context() as m:
+            if scanned:
+                m.setattr(cli_mod, "ForwardPass", None)
+            rc = main(argv + ["--out", str(out)] + ([] if scanned else ["--trim", "1"]))
+        return rc, out.read_text(encoding="utf-8"), self.capsys.readouterr().err
+
+    @pytest.fixture(autouse=True)
+    def _capsys(self, capsys):
+        self.capsys = capsys
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["builtin", "full", "realized"])
+    @pytest.mark.parametrize("model", SCANNED)
+    def test_scan_matches_loop(self, tmp_path, monkeypatch, inputs, fmt, source, model):
+        argv = ["evaluate", *inputs[source], "--alphabet", "0,1,2", "--model",
+                *self.SCANNED[model], "--format", fmt]
+        fast = self.run(tmp_path, monkeypatch, argv, True)
+        ref = self.run(tmp_path, monkeypatch, argv, False)
+        assert fast[0] == ref[0] == 0
+        assert_same_numbers(fast[1], ref[1])
+        if fmt == "csv":
+            assert len(fast[1].splitlines()) == self.N + 1
+            assert ",0," in fast[1]
+
+    @pytest.mark.parametrize("step", [1, 4, 5, 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["builtin", "realized"])
+    @pytest.mark.parametrize("model", ["bayes", "fixed-share", "fixed-elementwise"])
+    def test_zero_mass_leaves_the_same_rows(self, tmp_path, monkeypatch, model, source, fmt,
+                                            step):
+        # Windows of 4 rows; every expert gives the outcome at ``step``
+        # probability 0.
+        monkeypatch.setattr(es.forward, "SCAN_ROWS", 4)
+        data = tmp_path / "d.txt"
+        symbols = ["1"] * 9
+        symbols[step - 1] = "2"
+        write(data, "\n".join(symbols) + "\n")
+        if source == "builtin":
+            experts = ["--experts", "builtin:const:0.3,0.7,0;const:0.6,0.4,0"]
+        else:
+            advice = tmp_path / "advice.csv"
+            write(advice, "a,b\n" + "".join("0,0\n" if s == "2" else "0.7,0.4\n"
+                                            for s in symbols))
+            experts = ["--experts", f"file:{advice}", "--advice-mode", "realized"]
+        argv = ["evaluate", str(data), "--alphabet", "0,1,2", *experts,
+                "--model", *self.SCANNED[model], "--format", fmt]
+        fast = self.run(tmp_path, monkeypatch, argv, True)
+        ref = self.run(tmp_path, monkeypatch, argv, False)
+        assert fast[0] == ref[0] == 3
+        assert fast[2] == ref[2] == f"error: marginal is zero at step {step}\n"
+        assert_same_numbers(fast[1], ref[1])
+        if fmt == "csv":
+            assert len(fast[1].splitlines()) == step
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 17])
+    @pytest.mark.parametrize("model", SCANNED)
+    def test_window_edges(self, tmp_path, monkeypatch, inputs, model, n):
+        # Windows of 8 rows: n = W - 1, W, W + 1 and 2W + 1. Each builtin
+        # expert's stream gives n forecasts and is sent n - 1 outcomes.
+        monkeypatch.setattr(es.forward, "SCAN_ROWS", 8)
+        data = tmp_path / "short.txt"
+        symbols = (Path(inputs["builtin"][0]).read_text().split())[:n]
+        write(data, "\n".join(symbols) + "\n")
+        argv = ["evaluate", str(data), *inputs["builtin"][1:], "--alphabet", "0,1,2",
+                "--model", *self.SCANNED[model]]
+        counted = []
+        real = cli_mod._parse_builtin
+
+        def parse(spec, size):
+            experts, names = real(spec, size)
+            counted[:] = [Counting(e) for e in experts]
+            return counted, names
+
+        monkeypatch.setattr(cli_mod, "_parse_builtin", parse)
+        fast = self.run(tmp_path, monkeypatch, argv, True)
+        assert [(e.rows, e.sent) for e in counted] == [(n, [int(x) for x in symbols[:-1]])] * 3
+        ref = self.run(tmp_path, monkeypatch, argv, False)
+        assert fast[0] == ref[0] == 0
+        assert_same_numbers(fast[1], ref[1])
+        assert len(fast[1].splitlines()) == n + 1
+
+    @pytest.mark.parametrize("case", ["switch", "open-table", "past-scan-states"])
+    def test_other_models_keep_the_loop(self, tmp_path, monkeypatch, inputs, case):
+        # A model that is not stationary, one whose table is not closed,
+        # and fixed share over SCAN_STATES + 1 experts.
+        argv = ["evaluate", *inputs["builtin"], "--alphabet", "0,1,2",
+                "--model", "switch" if case == "switch" else "fixed-share"]
+        if case != "switch":
+            argv += ["--alpha", "0.1"]
+        if case == "open-table":
+            monkeypatch.setattr(cli_mod.models, "fixed_share", LateShare)
+        if case == "past-scan-states":
+            k = es.forward.SCAN_STATES + 1
+            argv[argv.index("--experts") + 1] = "builtin:" + ";".join(["const:0.6,0.3,0.1"] * k)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == reference_evaluate(argv, loop=True)
 
 
 class TestPosterior:
@@ -396,18 +570,24 @@ class TestBounds:
         assert not out.exists()
 
     def test_fixed_share_max_blocks_runs_one_pass(self, tmp_path, data_file, monkeypatch):
-        passes = []
+        # Fixed share is scanned, so its one marginal is one forward scan.
+        scans, loops = [], []
+
+        def counting_scan(*args):
+            scans.append(1)
+            return es.forward._scan_forward(*args)
 
         def counting_forward(*args):
-            passes.append(1)
+            loops.append(1)
             return es.forward._offline_forward(*args)
 
+        monkeypatch.setattr(cli_mod, "_scan_forward", counting_scan)
         monkeypatch.setattr(cli_mod, "_offline_forward", counting_forward)
         out = tmp_path / "b.json"
         assert main(["bounds", str(data_file), "--model", "fixed-share", *BASE,
                      "--max-blocks", "1", "--format", "json", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 1
-        assert len(passes) == 1
+        assert (len(scans), len(loops)) == (1, 0)
 
     @pytest.mark.parametrize("model", ["fixed-share", "switch", "run-length"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -30,8 +30,9 @@ import expertseq.forward as forward_mod
 from expertseq.forward import SCAN_STATES, _offline_forward, _TupleCore
 from expertseq.hmm import LevelPlan
 from expertseq.models import FixedShare
-from oracles import (TupleOnly, assert_posterior_close, brute_map, brute_posterior,
-                     iter_sequence_priors, posterior_or_step, region_posterior)
+from oracles import (Counting, LateShare, TupleOnly, assert_posterior_close, brute_map,
+                     brute_posterior, iter_sequence_priors, posterior_or_step,
+                     region_posterior)
 
 N = 40
 ALPHABET = 3
@@ -529,15 +530,6 @@ def test_scan_keeps_masses_far_below_the_top(name):
     assert_posterior_close(fast, region_posterior(model, lp))
 
 
-class LateShare(FixedShare):
-    """Fixed share whose initial mass sits on expert 0 of stratum 1, so
-    the routes from stratum 1's one state reach every expert: its table
-    is not closed."""
-
-    def initial(self):
-        return [(("e", 1, 0), 0.0)]
-
-
 def test_scan_falls_back_where_the_table_is_not_closed():
     model = LateShare([0.2, 0.3, 0.5], 0.3)
     assert model.stationary and es.validate(model, 6) == []
@@ -612,3 +604,159 @@ def test_scan_memory():
         if not tracing:
             tracemalloc.stop()
     assert peak < 16e6
+
+
+# -- the forward scan ----------------------------------------------------------
+
+
+def scan_run(model, experts, data, lp=None):
+    """The forward scan's windows joined: conditionals, next-expert and
+    next-outcome distributions, and the step of the ZeroMarginalError that
+    stopped it, if one did."""
+    windows = forward_mod._scan_forward(model, experts, data, lp)
+    assert windows is not None
+    parts, error = [], None
+    try:
+        parts.extend(windows)
+    except es.ZeroMarginalError as e:
+        error = e.step
+    k = model.num_experts
+    cond = np.concatenate([[]] + [p[0] for p in parts])
+    expert = np.concatenate([np.empty((0, k))] + [p[1] for p in parts])
+    outcome = None if experts is None else np.concatenate(
+        [np.empty((0, experts[0].size))] + [p[2] for p in parts])
+    return cond, expert, outcome, error
+
+
+def loop_run(model, experts, data, lp=None):
+    """The same from a ForwardPass."""
+    fp = es.ForwardPass(model, experts, logpred_matrix=lp, want_outcome_dists=experts is not None)
+    error = None
+    try:
+        for x in data:
+            fp.advance(x)
+    except es.ZeroMarginalError as e:
+        error = e.step
+    k = model.num_experts
+    cond = np.array([s.log_cond for s in fp.steps])
+    expert = np.array([s.expert_dist for s in fp.steps]).reshape(-1, k)
+    outcome = None if experts is None else np.array(
+        [s.outcome_dist for s in fp.steps]).reshape(-1, experts[0].size)
+    return cond, expert, outcome, error
+
+
+def assert_scan_close(fast, ref):
+    """The same steps and error; every conditional within 1e-11 relative
+    and every probability within 1e-11, with the same -inf entries."""
+    assert fast[3] == ref[3]
+    assert np.allclose(fast[0], ref[0], rtol=1e-11, atol=0.0)
+    for a, b in zip(fast[1:3], ref[1:3]):
+        if b is None:
+            assert a is None
+            continue
+        assert a.shape == b.shape
+        assert np.array_equal(a == -np.inf, b == -np.inf)
+        assert np.abs(np.exp(a) - np.exp(b)).max(initial=0.0) <= 1e-11
+
+
+@pytest.mark.parametrize("rows", [3, 1024])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", STATIONARY)
+def test_forward_scan_matches_loop(name, mode, rows, monkeypatch):
+    # Expert 0 rules out symbol 0, so its states die at step 12 and later.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", rows)
+    model, experts, data = instance(name)
+    if mode == "experts":
+        assert_scan_close(scan_run(model, experts, data), loop_run(model, experts, data))
+    else:
+        lp = es.prediction_matrix(experts, data)
+        assert_scan_close(scan_run(model, None, data, lp), loop_run(model, None, data, lp))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 17])
+@pytest.mark.parametrize("name", STATIONARY)
+def test_forward_scan_window_edges(name, n, monkeypatch):
+    # Windows of 8 rows: n = W - 1, W, W + 1 and 2W + 1. Each expert's
+    # stream gives n forecasts and is sent the n - 1 outcomes before the last.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 8)
+    model, experts, data = instance(name, seed=n)
+    data = data[:n]
+    counted = [Counting(e) for e in experts]
+    fast = scan_run(model, counted, data)
+    assert all(e.rows == n and e.sent == data[:-1] for e in counted)
+    assert_scan_close(fast, loop_run(model, experts, data))
+
+
+@pytest.mark.parametrize("step", [1, 4, 5, 6, 9])
+@pytest.mark.parametrize("name", STATIONARY)
+def test_forward_scan_zero_marginal(name, step, monkeypatch):
+    # Windows of 4 rows; a dead step at a window's first, last or middle
+    # row ends the rows there, and the error names it.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 4)
+    model = STATIONARY[name]([0.2, 0.3, 0.5])
+    lp = random_lp(model, 12, seed=step)
+    lp[step - 1] = -np.inf
+    data = [None] * 12
+    fast = scan_run(model, None, data, lp)
+    assert fast[3] == step and len(fast[0]) == step - 1
+    assert_scan_close(fast, loop_run(model, None, data, lp))
+
+
+@pytest.mark.parametrize("make", [lambda w: es.fixed_share(w, 0.0),
+                                  lambda w: es.fixed_share(w, 1.0),
+                                  lambda w: NoShare(w, 0.0),
+                                  lambda w: es.bayes([0.0, 0.4, 0.6]),
+                                  lambda w: es.overconfident([0.0, 0.4, 0.6], 0.2)],
+                         ids=["alpha_0", "alpha_1", "zero_arc", "bayes_zero_weight",
+                              "overconfident_zero_weight"])
+def test_forward_scan_of_degenerate_tables(make, monkeypatch):
+    # Expert 0 is ruled out from step 6 on, and expert 1 is e^-800 times
+    # as likely as expert 2, beyond what a scaled exp holds.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 16)
+    model = make([0.2, 0.3, 0.5])
+    lp = random_lp(model, N)
+    lp[5:, 0] = -np.inf
+    lp[:, 1] -= 800.0
+    data = [None] * N
+    fast = scan_run(model, None, data, lp)
+    assert np.isfinite(fast[1][:, 1]).all()
+    assert_scan_close(fast, loop_run(model, None, data, lp))
+
+
+def test_forward_scan_declines_other_models():
+    k = SCAN_STATES + 1
+    lp = np.zeros((4, 3))
+    assert forward_mod._scan_forward(NOT_STATIONARY["switch"]([0.2, 0.3, 0.5]), None,
+                                     [None] * 4, lp) is None
+    assert forward_mod._scan_forward(LateShare([0.2, 0.3, 0.5], 0.3), None, [None] * 4, lp) is None
+    assert forward_mod._scan_forward(es.fixed_share([1.0 / k] * k, 0.3), None, [None] * 4,
+                                     np.zeros((4, k))) is None
+    assert forward_mod._scan_forward(es.fixed_share([1.0 / (k - 1)] * (k - 1), 0.3), None,
+                                     [None] * 4, np.zeros((4, k - 1))) is not None
+
+
+def renormalised_fixed_share_conditionals(lp, w, alpha):
+    """Fixed share's log P(x_t | x^{t-1}) from a forward pass in
+    probabilities, its vector renormalised at every step."""
+    k = lp.shape[1]
+    trans = (1.0 - alpha) * np.eye(k) + alpha * np.asarray(w)[None, :]
+    like = np.exp(lp)
+    out, f = np.empty(len(lp)), np.asarray(w, dtype=float)
+    for t in range(len(lp)):
+        f = (f if t == 0 else f @ trans) * like[t]
+        out[t] = math.log(f.sum())
+        f /= f.sum()
+    return out
+
+
+def test_forward_scan_precision_on_a_long_run():
+    # Each window starts from a carry shifted to a maximum of 0 and each
+    # conditional is a difference on its block's scale; the loop's is a
+    # difference of running totals that grow with n.
+    n, w, alpha = 20_000, [0.5, 0.5], 0.05
+    lp = np.log(np.random.default_rng(7).uniform(0.05, 0.95, (n, 2)))
+    model, data = es.fixed_share(w, alpha), [None] * n
+    ref = renormalised_fixed_share_conditionals(lp, w, alpha)
+    scan = np.abs(scan_run(model, None, data, lp)[0] / ref - 1).max()
+    loop = np.abs(loop_run(model, None, data, lp)[0] / ref - 1).max()
+    assert scan <= 1e-12 and scan <= loop
