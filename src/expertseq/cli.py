@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain, repeat
 from typing import Sequence
@@ -277,12 +278,14 @@ def _check_trim(args) -> None:
         raise InputError(f"--trim must be in (0, 1], got {args.trim}")
 
 
-def _json_keys(labels: Sequence[str]) -> tuple[list[int], str]:
-    """The label positions in sorted order, and the '"label": %s' pairs in
-    that order as a '%'-format: the keys ``json.dumps(..., sort_keys=True)``
-    writes for a dict keyed by the labels."""
+def _json_keys(labels: Sequence[str]) -> tuple[list[int] | None, str]:
+    """The label positions in sorted order, None where the labels are in
+    that order, and the '"label": \\0%.12g' pairs in that order as a
+    '%'-format: the keys ``json.dumps(..., sort_keys=True)`` writes for a
+    dict keyed by the labels, each value marked as _NUMBER reads it."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    return order, ", ".join(json.dumps(labels[j]).replace("%", "%%") + ": %s" for j in order)
+    keys = ", ".join(json.dumps(labels[j]).replace("%", "%%") + ": \0%.12g" for j in order)
+    return None if order == sorted(order) else order, keys
 
 
 def _evaluate_steps(args, model, experts, matrix, data):
@@ -323,6 +326,21 @@ def _rows(windows, full: bool):
                       outcome[rows].tolist() if full else repeat([]))
 
 
+# A JSON number's text is the repr of the float its "%.12g" text reads as.
+# The two differ only where the "%.12g" text is an integer ("1", which repr
+# writes "1.0") or has an exponent of 12 to 15 (repr writes none below
+# 1e16). So evaluate writes a JSON row's numbers with "%.12g", each marked
+# by a \0, which json.dumps never leaves in a key, and ends at the "," or
+# "}" after it. An integer text gets ".0", and a row with an "e+1"
+# exponent (12 to 15, and some where the texts agree) each number's repr.
+_NUMBER = re.compile("\0([^,}]*)")
+_INTEGRAL = re.compile("\0(-?[0-9]+)(?=[,}])")
+
+
+def _repr_number(match: re.Match) -> str:
+    return repr(float(match[1]))
+
+
 def _cmd_evaluate(args) -> int:
     alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     full = experts is not None
@@ -332,11 +350,11 @@ def _cmd_evaluate(args) -> int:
     # Each row's layout is fixed here, once per run. A JSON row is the text
     # json.dumps(row, sort_keys=True) gives for the row's dict of
     # float(_fmt(v)) values: its keys come sorted, and a finite float's
-    # text there is its repr.
+    # text there is its repr (see _INTEGRAL).
     if json_mode:
         by_name, expert_keys = _json_keys(names)
-        by_symbol, outcome_keys = _json_keys(symbols) if full else ([], "")
-        row = ('{"bits": %s, "cum_bits": %s, "next_expert": {' + expert_keys + "}"
+        by_symbol, outcome_keys = _json_keys(symbols) if full else (None, "")
+        row = ('{"bits": \0%.12g, "cum_bits": \0%.12g, "next_expert": {' + expert_keys + "}"
                + (', "next_outcome": {' + outcome_keys + "}" if full else "")
                + ', "step": %d, "symbol": %s}')
         symbol_text = [json.dumps(s) for s in symbols]
@@ -361,10 +379,15 @@ def _cmd_evaluate(args) -> int:
             bits = to_bits(log_cond)
             cum += bits
             if json_mode:
-                nums = [bits, cum, *[expert[j] for j in by_name],
-                        *[outcome[j] for j in by_symbol]]
-                out.write(lead + row % (*[repr(float("%.12g" % v)) for v in nums],
-                                        i, symbol_text[x]))
+                text = row % (bits, cum, *(expert if by_name is None else
+                                           [expert[j] for j in by_name]),
+                              *(outcome if by_symbol is None else
+                                [outcome[j] for j in by_symbol]), i, symbol_text[x])
+                if "e+1" in text:
+                    text = _NUMBER.sub(_repr_number, text)
+                elif _INTEGRAL.search(text):
+                    text = _INTEGRAL.sub(r"\1.0", text)
+                out.write(lead + text.replace("\0", ""))
                 lead = ",\n"
             else:
                 out.write(row % (i, symbols[x], *outcome, *expert, bits, cum))

@@ -40,14 +40,18 @@ closed (its sinks are its sources) and has at most ``SCAN_STATES`` states
 (``_scan_start``) can run as a blocked log-semiring scan over that table
 (``_Blocks``: about sqrt(m) vectorised passes and sqrt(m) small products
 over m rows), exact in its -inf entries and within rounding of the loop
-elsewhere. :func:`posterior_experts` scans all n rows at once and records
-no levels. ``_scan_forward``, the forward pass of CLI ``evaluate``
-without ``--trim`` and of CLI ``bounds``, scans ``SCAN_ROWS`` rows a
-window and holds one window, its forecasts included, never n rows; each
-window starts from the vector carried out of the one before, shifted to a
-maximum of 0. Any other model, a wider or open table,
-:func:`forward_marginal`, Viterbi and every online :class:`ForwardPass`
-keep the loop.
+elsewhere. So can a model whose levels differ over one fixed stratum, the
+switch model, through its ``_level_tables`` hook (see
+:class:`~expertseq.hmm.HmmModel`), up to ``SCAN_LEVEL_STATES`` states:
+each row reads its own level's table, and a pass builds the tables of one
+position of every block at a time, never a window's. :func:`posterior_experts`
+scans all n rows at once and records no levels. ``_scan_forward``, the
+forward pass of CLI ``evaluate`` without ``--trim`` and of CLI
+``bounds``, scans ``SCAN_ROWS`` rows a window and holds one window, its
+forecasts included, never n rows; each window starts from the vector
+carried out of the one before, shifted to a maximum of 0. Any other
+model, a wider or open table, :func:`forward_marginal`, Viterbi and every
+online :class:`ForwardPass` keep the loop.
 
 :func:`viterbi_unambiguous` is one loop over the strata for every
 unambiguous model, with one start, final choice and backtrack; only a
@@ -585,8 +589,10 @@ def posterior_experts(
     down to expert labels. A stationary model whose route table from
     stratum 1 to stratum 2 is closed and has at most ``SCAN_STATES``
     states runs as a blocked scan over that table (see
-    ``_scan_posterior``): its grid has the loop's -inf entries and its
-    finite ones within rounding of the loop's, summed in another order.
+    ``_scan_posterior``), and so does a model with per-level tables of at
+    most ``SCAN_LEVEL_STATES`` states (the switch model): its grid has the
+    loop's -inf entries and its finite ones within rounding of the loop's,
+    summed in another order.
     Otherwise a recording ``_offline_forward`` keeps each level (its record
     is in the module docstring), and the backward sweep pulls beta back one
     stratum per level: through the level's arcs with
@@ -618,7 +624,13 @@ def posterior_experts(
 # O(transitions), and up to 32 states it is the faster on each of the
 # four builtin stationary models, posterior and forward alike (forward,
 # n = 1,000, matrix mode, S = 32: 14-31 us a step against the loop's 31-41).
+# With per-level tables each position also builds its tables and their
+# exps, and the switch model's loop is cheaper, so the scan wins to fewer
+# states (forward, n = 2,000, matrix mode, us a step against the loop's:
+# S = 4: 3.1 against 15.9, S = 8: 4.8 against 16.6, S = 16: 9.4 against
+# 17.2, S = 20: 16.1 against 18.4, S = 24: 23.1 against 18.0).
 SCAN_STATES = 32
+SCAN_LEVEL_STATES = 16
 
 # The most rows the forward scan holds at once, its forecasts included: a
 # window's arrays hold about rows * (k * alphabet + 6 S) floats, and its
@@ -628,33 +640,41 @@ SCAN_STATES = 32
 SCAN_ROWS = 1024
 
 
-def _scan_start(model: HmmModel) -> tuple[np.ndarray, _Routes] | None:
-    """Stratum 1's masses, listed by (label, state), and its route table
-    to stratum 2, or None where the model is not stationary, the table is
-    not closed (its sinks are not its sources) or S is past SCAN_STATES."""
-    if not model.stationary:
+def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray | Callable] | None:
+    """Stratum 1's masses and labels, its states listed by (label, state),
+    and the tables the scans read: a stationary model's one route table
+    from stratum 1 to 2, or the model's ``_level_tables``. None where the
+    model is neither stationary nor has that hook, where a stationary
+    model's table is not closed (its sinks are not its sources), or where
+    S is past SCAN_STATES (SCAN_LEVEL_STATES for per-level tables)."""
+    level_tables = None if model.stationary else model._level_tables
+    if not (model.stationary or level_tables):
         return None
     first = propagate_frontier(model, dict(model.initial()), 1)[0]
     label = model.label
     states = sorted(first, key=lambda q: (label(q), q))
-    if not 0 < len(states) <= SCAN_STATES:
+    if not 0 < len(states) <= (SCAN_STATES if level_tables is None else SCAN_LEVEL_STATES):
         return None
+    masses = np.array([first[q] for q in states])
+    if level_tables is not None:
+        return masses, np.array([label(q) for q in states], dtype=np.intp), level_tables
     routes = _Routes.build(model, states, 2)
     if routes.sinks != shape_of(states):
         return None
-    return np.array([first[q] for q in states]), routes
+    return masses, routes.labels, routes.table
 
 
 def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
-    """The unnormalised posterior grid of a stationary model as a blocked
-    scan over all n rows, or None where ``_scan_start`` gives none. It
-    holds the (n, S) alpha grid and the blocks' products, no per-level
+    """The unnormalised posterior grid of a model that ``_scan_start``
+    admits as a blocked scan over all n rows, or None where it gives none.
+    It holds the (n, S) alpha grid and the blocks' products, no per-level
     record; ``_scan_forward`` reads the same ``_Blocks`` one window at a
     time.
 
-    With the route table T from stratum 1 to 2 (its states listed by
-    (label, state)), alpha_t = (alpha_{t-1} (x) T) + lp[t, labels] and
-    beta_{t-1} = T (x) (beta_t + lp[t, labels]) in the log semiring. Rows
+    With T_t the table from stratum t to t + 1 (its states listed by
+    (label, state); a stationary model's one table), alpha_t = (alpha_{t-1}
+    (x) T_{t-1}) + lp[t, labels] and beta_{t-1} = T_{t-1} (x) (beta_t +
+    lp[t, labels]) in the log semiring. Rows
     1..n-1 are ``_Blocks``: one pass over the positions builds every
     block's product, vectorised across the blocks; a loop over the blocks
     carries alpha forward and beta back across their boundaries, each
@@ -664,9 +684,10 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
     scan = _scan_start(model)
     if scan is None:
         return None
-    first, routes = scan
-    labels, size = routes.labels, len(first)
-    blocks = _Blocks(_exps(routes.table), lp[1:], labels)
+    first, labels, tables = scan
+    size = len(first)
+    blocks = _Blocks(tables(range(1, len(lp))) if callable(tables) else _exps(tables), lp[1:],
+                     labels)
     steps, nb, width = len(lp) - 1, blocks.nb, blocks.width
     # Row 0, then rows 1..n-1 as nb blocks of width rows; padding is never read.
     alpha = np.zeros((1 + nb * width, size))
@@ -681,11 +702,11 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
     beta = np.zeros((nb, size))     # the vector leaving each block
     for b in range(nb - 1, 0, -1):
         beta[b - 1] = _scaled(np.logaddexp.reduce(prods[b] + beta[b], axis=1))
-    bwd = _exps(routes.table.T)
+    bwd = None if callable(tables) else _exps(tables.T)
     for j in range(width - 1, -1, -1):
         m = active[j]
         rows[:m, j] += beta[:m]
-        beta[:m] = _log_dot(beta[:m] + emit[:m, j], bwd)
+        beta[:m] = _log_dot(beta[:m] + emit[:m, j], bwd or blocks.exps(j, m, back=True))
     if nb:
         alpha[0] += beta[0]
     return _by_label(alpha[:steps + 1], labels, model.num_experts)
@@ -704,9 +725,11 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
     the experts' streams as a forward pass reads them, one row a step,
     sending each outcome once, and mixed in one ``np.logaddexp.reduce``.
     The steps are one run of ``_Blocks`` over the window's rows, from the
-    vector carried out of the window before, shifted to a maximum of 0; a
-    step's conditional is its alpha's log-sum less its predecessor's, both
-    on their block's scale. On a zero marginal the window's rows before the
+    vector carried out of the window before, shifted to a maximum of 0,
+    and with per-level tables over the window's own levels, which the
+    model's ``_level_tables`` reads once a window; a step's conditional is
+    its alpha's log-sum less its predecessor's, both on their block's
+    scale. On a zero marginal the window's rows before the
     dead step are yielded, then ZeroMarginalError names it. The source is
     checked here, as ForwardPass checks it."""
     scan = _scan_start(model)
@@ -724,8 +747,8 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
     return _forward_windows(*scan, k, experts, size, data, lp_all)
 
 
-def _forward_windows(first, routes, k, experts, size, data, lp_all):
-    fwd, labels = _exps(routes.table), routes.labels
+def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
+    fwd = None if callable(tables) else _exps(tables)
     stream = None if experts is None else _forecast_rows(experts)
     carry, last = None, None
     for t0 in range(0, len(data), SCAN_ROWS):
@@ -740,8 +763,9 @@ def _forward_windows(first, routes, k, experts, size, data, lp_all):
                 preds[i] = stream.send(x)
             last = xs[-1]
             lp = preds[np.arange(r), :, xs]
-        cond, pre, carry = _scan_window(fwd, labels, lp, first if carry is None else carry,
-                                        carry is None)
+        # The window's rows after its head read levels t0 or 1 on.
+        cond, pre, carry = _scan_window(fwd or tables(range(t0 or 1, t0 + r)), labels, lp,
+                                        first if carry is None else carry, carry is None)
         live = len(cond)
         expert = _by_label(pre, labels, k)
         expert -= np.logaddexp.reduce(expert, axis=1)[:, None]
@@ -751,7 +775,8 @@ def _forward_windows(first, routes, k, experts, size, data, lp_all):
             raise ZeroMarginalError(t0 + live + 1)
 
 
-def _scan_window(fwd: tuple, labels: np.ndarray, lp: np.ndarray, a: np.ndarray, head: bool):
+def _scan_window(fwd: tuple | Callable, labels: np.ndarray, lp: np.ndarray, a: np.ndarray,
+                 head: bool):
     """One window of the forward scan: each row's log conditional and
     pre-update vector alpha_{t-1} (x) T up to the first dead row, and the
     last row's alpha shifted to a maximum of 0. ``a`` is the vector carried
@@ -789,14 +814,19 @@ def _by_label(rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 class _Blocks:
     """Rows 1..steps of the log-semiring recursion
-    alpha_i = (alpha_{i-1} (x) T) + e_i over one table T, cut into nb
-    blocks of width rows, width about sqrt(steps); position j is filled in
-    the first ``active[j]`` blocks. The emissions e_i = lp[i, labels] are
-    held padded to nb * width rows, which no pass reads past steps. One
-    pass over the positions builds every block's product
-    T e_1 T e_2 ... T e_width, vectorised across the blocks."""
+    alpha_i = (alpha_{i-1} (x) T_i) + e_i, cut into nb blocks of width
+    rows, width about sqrt(steps); position j is filled in the first
+    ``active[j]`` blocks. ``fwd`` is one table's ``_exps``, T_i = T, or a
+    function from row indices i - 1 of ``lp`` to their log tables, which
+    each pass calls for one position of every block, never for every row
+    (see ``exps``). The emissions e_i = lp[i, labels] are held padded to
+    nb * width rows, which no pass reads past steps. One pass over the
+    positions builds every block's product T_1 e_1 T_2 e_2 ... T_width
+    e_width, vectorised across the blocks. A product of per-level tables
+    associates as one of a single table does, so the carries and fills
+    are the same for both."""
 
-    def __init__(self, fwd: tuple, lp: np.ndarray, labels: np.ndarray):
+    def __init__(self, fwd: tuple | Callable, lp: np.ndarray, labels: np.ndarray):
         steps, size = len(lp), len(labels)
         self.fwd = fwd
         self.width = width = int(steps ** 0.5) + 1
@@ -805,11 +835,20 @@ class _Blocks:
         emit = np.zeros((nb * width, size))
         np.take(lp, labels, axis=1, out=emit[:steps], mode="clip")     # unbuffered
         self.emit = emit = emit.reshape(nb, width, size)
-        prods = fwd[3] + emit[:, 0, None, :]
+        prods = self.exps(0, nb)[3] + emit[:, 0, None, :]
         for j in range(1, width):
             m = active[j]
-            prods[:m] = _log_dot(prods[:m], fwd) + emit[:m, j, None, :]
+            prods[:m] = _log_dot(prods[:m], self.exps(j, m)) + emit[:m, j, None, :]
         self.prods = prods
+
+    def exps(self, j: int, m: int, back: bool = False) -> tuple:
+        """Position j's tables in the first m blocks as ``_log_dot`` takes
+        them: the one table's ``fwd``, or a stack built for the position
+        alone, transposed for ``back``."""
+        if not callable(self.fwd):
+            return self.fwd
+        tables = self.fwd(j + self.width * np.arange(m))
+        return _exps(tables.swapaxes(1, 2) if back else tables)
 
     def starts(self, a: np.ndarray) -> np.ndarray:
         """The vector entering each block: ``a`` the first, each later one
@@ -827,7 +866,7 @@ class _Blocks:
         a = starts
         for j in range(self.width):
             m = self.active[j]
-            p = _log_dot(a[:m], self.fwd)
+            p = _log_dot(a[:m], self.exps(j, m))
             if pre is not None:
                 pre[:m, j] = p
             a = alpha[:m, j] = p + self.emit[:m, j]
@@ -839,18 +878,23 @@ _FLOOR = 2.0 ** -960
 
 
 def _exps(b: np.ndarray) -> tuple:
-    """A log-mass matrix as ``_log_dot`` takes it: its exps scaled by its
-    column maxima, those maxima, and which entries are finite, as 0 or 1."""
-    top = np.maximum(b.max(axis=0), _EMPTY_SHIFT)
+    """A log-mass matrix, or a stack of them, as ``_log_dot`` takes it: its
+    exps scaled by its column maxima, those maxima, and which entries are
+    finite, as 0 or 1."""
+    top = np.maximum(b.max(axis=-2, keepdims=True), _EMPTY_SHIFT)
     return np.exp(b - top), top, (b > NEG_INF).astype(float), b
 
 
 def _log_dot(a: np.ndarray, exps: tuple) -> np.ndarray:
     """The log-semiring product of a stack of matrices (or of row vectors)
-    and one matrix b: out[..., i, j] = logsum_s a[..., i, s] + b[s, j].
-    It is a product of exps, each row of a scaled by its maximum; an entry
-    too small for that to keep its digits is summed again in logs."""
+    and one matrix b, out[..., i, j] = logsum_s a[..., i, s] + b[s, j], or
+    a stack of as many matrices, each a's own. It is a product of exps,
+    each row of a scaled by its maximum; an entry too small for that to
+    keep its digits is summed again in logs from its own b's entries, so
+    -inf where that b's finite pattern gives no route."""
     lin_b, top_b, live_b, b = exps
+    if b.ndim > a.ndim:     # row vectors, each with its own matrix
+        return _log_dot(a[:, None], exps)[:, 0]
     top_a = np.maximum(a.max(axis=-1, keepdims=True), _EMPTY_SHIFT)
     lin = np.exp(a - top_a) @ lin_b
     if lin.min(initial=1.0) >= _FLOOR:
@@ -860,7 +904,8 @@ def _log_dot(a: np.ndarray, exps: tuple) -> np.ndarray:
     lost = (lin < _FLOOR) & ((a > NEG_INF) @ live_b > 0)
     if lost.any():
         lost = np.nonzero(lost)
-        out[lost] = np.logaddexp.reduce(a[lost[:-1]] + b[:, lost[-1]].T, axis=1)
+        col = b[:, lost[-1]].T if b.ndim == 2 else b[lost[0], :, lost[-1]]
+        out[lost] = np.logaddexp.reduce(a[lost[:-1]] + col, axis=1)
     return out
 
 

@@ -91,6 +91,15 @@ class HmmModel(ABC):
     replays such levels by index (:class:`LevelPlan`), Viterbi reuses one
     level's silent routes at every level of the same shape, and a small
     model's posterior scans one route table.
+
+    ``_level_tables``, optional and private, serves a model whose strata
+    all have stratum 1's states though its levels differ: given levels
+    t, it reads what they depend on once and returns a function from
+    indices into them to the (len(idx), S, S) log tables of those levels,
+    entry [s, j] log-summing the routes from state s of stratum t to
+    state j of stratum t + 1, both listed by (label, state) as stratum 1
+    lists its S states. The offline scans read it as they read a
+    stationary model's one table.
     """
 
     num_experts: int
@@ -98,6 +107,7 @@ class HmmModel(ABC):
     unambiguous: bool = False
     stationary: bool = False
     productive_tags: frozenset[str] = frozenset()
+    _level_tables = None
 
     @abstractmethod
     def initial(self) -> list[tuple[StateId, LogMass]]:

@@ -560,7 +560,13 @@ class SwitchHmm(HmmModel):
     On level arcs stratum t is a grid of two rows: node x is u(t, x) and
     node k + x is s(t, x). After the sources, level t >= 1 numbers p(t)
     as node 2k and pu(t), ps(t) as nodes 2k + 1 and 2k + 2; level 0
-    numbers p(0) as node 0 and pu(0), ps(0) as nodes 1 and 2."""
+    numbers p(0) as node 0 and pu(0), ps(0) as nodes 1 and 2.
+
+    ``_level_tables`` lists a stratum by (label, state), s(t, x) before
+    u(t, x) (S = 2k), or the u row alone (S = k) where theta = 1 leaves
+    the s row empty. In the linear domain, with h the level's hazard and
+    w = pi_k, u -> u is (1 - h) I + h theta w, u -> s is h (1 - theta) w
+    and s -> s is I."""
 
     productive_tags = frozenset({"u", "s"})
     unambiguous = False
@@ -604,6 +610,27 @@ class SwitchHmm(HmmModel):
 
     def label(self, q):
         return q[2]
+
+    def _level_tables(self, levels):
+        # Each entry sums its route's masses in the order propagate_frontier
+        # does: log h + log theta (or log(1 - theta)), then + log w_y; a
+        # diagonal u entry adds its stay, log(1 - h), last.
+        h = np.array([self._law.hazard(t) for t in levels])
+        with np.errstate(divide="ignore"):
+            stay, leave = np.log1p(-h), np.log(h)
+        k, rows = self.num_experts, slice(int(self._log_stab == NEG_INF), 2)
+        bands = np.array([self._log_stab, self._log_theta])     # into the s row, the u row
+        lw, x = np.array(self._log_w)[:, None], np.arange(k)
+
+        def tables(idx):
+            # [source x, row, sink y, row], row 0 the s row and 1 the u row.
+            out = np.full((len(idx), k, 2, k, 2), NEG_INF)
+            out[:, :, 1] = ((leave[idx, None, None] + bands) + lw)[:, None]
+            out[:, x, 0, x, 0] = 0.0
+            out[:, x, 1, x, 1] = np.logaddexp(out[:, x, 1, x, 1], stay[idx, None])
+            size = k * (2 - rows.start)
+            return out[:, :, rows, :, rows].reshape(len(idx), size, size)
+        return tables
 
     def level_arcs(self):
         # Level t >= 1: p(t) collects the u row with mass hazard(t); pu(t)

@@ -172,16 +172,17 @@ def evaluate_numbers(args, model, experts, matrix, data, loop: bool):
         yield fp.last_step.log_cond, fp.last_step.expert_dist, fp.last_step.outcome_dist
 
 
-def reference_evaluate(argv: list[str], loop: bool = False) -> bytes:
+def reference_evaluate(argv: list[str], loop: bool = False, numbers=None) -> bytes:
     """What evaluate writes for argv, each row built from scratch from its
-    step's numbers (see evaluate_numbers): a dict of float(_fmt(v)) values
-    through json.dumps(..., sort_keys=True), or a join of one _fmt cell per
-    value."""
+    step's numbers (see evaluate_numbers, or ``numbers`` where given): a
+    dict of float(_fmt(v)) values through json.dumps(..., sort_keys=True),
+    or a join of one _fmt cell per value."""
     args = cli_mod._build_parser().parse_args(argv)
     alphabet, data, names, experts, matrix, model, _ = cli_mod._load_inputs(args)
     fmt, symbols, full = cli_mod._fmt, alphabet.symbols, experts is not None
     cum, rows = 0.0, []
-    numbers = evaluate_numbers(args, model, experts, matrix, data, loop)
+    if numbers is None:
+        numbers = evaluate_numbers(args, model, experts, matrix, data, loop)
     for i, (x, (log_cond, expert_dist, outcome_dist)) in enumerate(zip(data, numbers)):
         bits = es.to_bits(log_cond)
         cum += bits
@@ -259,6 +260,45 @@ class TestRowBytes:
             assert (": 0.0" in text and ": 1.0" in text) if fmt == "json" else (
                 ",0," in text and ",1," in text)
 
+    # JSON cells whose "%.12g" text is an integer or has an exponent of 12 to
+    # 15, where repr writes another text, and cells where the two agree.
+    CELLS = [0.0, 1.0, 100.0, 1e-5, 1e11, 1e12, 1e15, 1e16, 0.123456789012, 1.5e12, 2.5e-7,
+             123456789012.5]
+
+    @pytest.mark.parametrize("source", ["builtin", "realized"])
+    def test_json_cells_are_the_json_dumps_text(self, tmp_path, monkeypatch, inputs, source):
+        # Each value comes as bits, as -bits and in each expert's and each
+        # outcome's column, alone in its row or with others of its kind.
+        n, cells = 2 * len(self.CELLS), np.array(self.CELLS)
+        data = tmp_path / "cells.txt"
+        write(data, "a\nb\nc\n" * (n // 3) + "a\n" * (n % 3))
+        if source == "realized":
+            write(tmp_path / "cells.csv", ",".join(self.NAMES) + "\n" + "0.5,0.5,0.5,0.5\n" * n)
+            experts = ["--experts", f"file:{tmp_path / 'cells.csv'}", "--advice-mode", "realized"]
+        else:
+            experts = inputs["builtin"][1:]
+        with np.errstate(divide="ignore"):
+            logs = np.log(cells)
+        numbers = [(math.log(2) * cells[i % len(cells)] * (-1) ** (i // len(cells) + 1),
+                    np.roll(logs, -i)[:len(self.NAMES) - (source == "builtin")],
+                    np.roll(logs, -3 * i)[:3]) for i in range(n)]
+        numbers[-1] = (numbers[-1][0], np.log(np.full(4 - (source == "builtin"), 0.25)),
+                       np.log([0.5, 0.25, 0.25]))
+        full = source == "builtin"
+        steps = [(c, np.exp(e).tolist(), np.exp(o).tolist() if full else [])
+                 for c, e, o in numbers]
+        monkeypatch.setattr(cli_mod, "_evaluate_steps", lambda *args: iter(steps))
+        argv = ["evaluate", str(data), *experts, "--alphabet", "c,a,b", "--model", "bayes",
+                "--format", "json"]
+        out = tmp_path / "cells.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        got = out.read_bytes()
+        assert got == reference_evaluate(argv, numbers=numbers)
+        for text in (": 0.0,", ": 100.0", ": 1e-05", ": 100000000000.0", ": 1000000000000.0",
+                     ": 1000000000000000.0", ": 1e+16", ": 1500000000000.0", ": -1.0,"):
+            assert text.encode() in got
+        assert json.loads(got)["n"] == n
+
     def test_cached_parser_keeps_nothing_between_calls(self, tmp_path, data_file):
         assert cli_mod._build_parser() is cli_mod._build_parser()
         argv = ["evaluate", str(data_file), "--model", "switch", *BASE]
@@ -292,7 +332,7 @@ class TestScannedEvaluate:
 
     SCANNED = {"bayes": ["bayes"], "fixed-share": ["fixed-share", "--alpha", "0.1"],
                "fixed-elementwise": ["fixed-elementwise"],
-               "overconfident": ["overconfident", "--alpha", "0.2"]}
+               "overconfident": ["overconfident", "--alpha", "0.2"], "switch": ["switch"]}
     N = 40
 
     @pytest.fixture
@@ -349,7 +389,7 @@ class TestScannedEvaluate:
     @pytest.mark.parametrize("step", [1, 4, 5, 7])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("source", ["builtin", "realized"])
-    @pytest.mark.parametrize("model", ["bayes", "fixed-share", "fixed-elementwise"])
+    @pytest.mark.parametrize("model", ["bayes", "fixed-share", "fixed-elementwise", "switch"])
     def test_zero_mass_leaves_the_same_rows(self, tmp_path, monkeypatch, model, source, fmt,
                                             step):
         # Windows of 4 rows; every expert gives the outcome at ``step``
@@ -403,13 +443,13 @@ class TestScannedEvaluate:
         assert_same_numbers(fast[1], ref[1])
         assert len(fast[1].splitlines()) == n + 1
 
-    @pytest.mark.parametrize("case", ["switch", "open-table", "past-scan-states"])
+    @pytest.mark.parametrize("case", ["run-length", "open-table", "past-scan-states"])
     def test_other_models_keep_the_loop(self, tmp_path, monkeypatch, inputs, case):
-        # A model that is not stationary, one whose table is not closed,
-        # and fixed share over SCAN_STATES + 1 experts.
+        # A model that is neither stationary nor has per-level tables, one
+        # whose table is not closed, and fixed share over SCAN_STATES + 1 experts.
         argv = ["evaluate", *inputs["builtin"], "--alphabet", "0,1,2",
-                "--model", "switch" if case == "switch" else "fixed-share"]
-        if case != "switch":
+                "--model", "run-length" if case == "run-length" else "fixed-share"]
+        if case != "run-length":
             argv += ["--alpha", "0.1"]
         if case == "open-table":
             monkeypatch.setattr(cli_mod.models, "fixed_share", LateShare)
@@ -588,6 +628,39 @@ class TestBounds:
                      "--max-blocks", "1", "--format", "json", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 1
         assert (len(scans), len(loops)) == (1, 0)
+
+    def test_switch_reports_match_the_loop(self, tmp_path, monkeypatch):
+        # The switch marginal comes from the forward scan; with the scan
+        # refused it comes from the loop, and every report agrees within
+        # 1e-12 relative.
+        data = tmp_path / "d.txt"
+        write(data, "".join(f"{x}\n" for x in np.random.default_rng(3).integers(0, 2, 300)))
+        argv = ["bounds", str(data), "--model", "switch", "--alphabet", "0,1", "--experts",
+                "builtin:kt;laplace;const:0.7,0.3", "--max-blocks", "5"]
+        real, runs = cli_mod.bnd.measure_switch, []
+
+        def recorded(*args):
+            runs.append(list(real(*args)))
+            return runs[-1]
+
+        scans = []
+
+        def counted_scan(*args):
+            scans.append(es.forward._scan_forward(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(cli_mod.bnd, "measure_switch", recorded)
+        monkeypatch.setattr(cli_mod, "_scan_forward", counted_scan)
+        assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 0
+        assert len(scans) == 1 and scans[0] is not None
+        monkeypatch.setattr(cli_mod, "_scan_forward", lambda *args: None)
+        assert main(argv + ["--out", str(tmp_path / "loop.csv")]) == 0
+        (scan, loop) = runs
+        assert len(scan) == len(loop) == 5
+        for a, b in zip(scan, loop):
+            assert (a.comparator, a.inputs.keys()) == (b.comparator, b.inputs.keys())
+            assert a.measured_bits == pytest.approx(b.measured_bits, rel=1e-12, abs=0.0)
+            assert a.bound_bits == pytest.approx(b.bound_bits, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model", ["fixed-share", "switch", "run-length"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -16,6 +16,10 @@ its step, and agree with its finite entries within
 ``oracles.assert_posterior_close``'s tolerance. Every other posterior,
 ``TupleOnly``'s and that of a stationary model past the crossover
 included, replays recorded levels and agrees with it to the last bit.
+
+The switch model is not stationary, but its ``_level_tables`` give each
+level's table over stratum 1's states, held to ``_Routes.build`` level by
+level; its scans must agree with the loop as a stationary model's do.
 """
 
 import math
@@ -27,8 +31,8 @@ import pytest
 
 import expertseq as es
 import expertseq.forward as forward_mod
-from expertseq.forward import SCAN_STATES, _offline_forward, _TupleCore
-from expertseq.hmm import LevelPlan
+from expertseq.forward import SCAN_STATES, _offline_forward, _Routes, _TupleCore
+from expertseq.hmm import LevelPlan, shape_of
 from expertseq.models import FixedShare
 from oracles import (Counting, LateShare, TupleOnly, assert_posterior_close, brute_map,
                      brute_posterior, iter_sequence_priors, posterior_or_step,
@@ -726,7 +730,7 @@ def test_forward_scan_of_degenerate_tables(make, monkeypatch):
 def test_forward_scan_declines_other_models():
     k = SCAN_STATES + 1
     lp = np.zeros((4, 3))
-    assert forward_mod._scan_forward(NOT_STATIONARY["switch"]([0.2, 0.3, 0.5]), None,
+    assert forward_mod._scan_forward(NOT_STATIONARY["run_length"]([0.2, 0.3, 0.5]), None,
                                      [None] * 4, lp) is None
     assert forward_mod._scan_forward(LateShare([0.2, 0.3, 0.5], 0.3), None, [None] * 4, lp) is None
     assert forward_mod._scan_forward(es.fixed_share([1.0 / k] * k, 0.3), None, [None] * 4,
@@ -760,3 +764,181 @@ def test_forward_scan_precision_on_a_long_run():
     scan = np.abs(scan_run(model, None, data, lp)[0] / ref - 1).max()
     loop = np.abs(loop_run(model, None, data, lp)[0] / ref - 1).max()
     assert scan <= 1e-12 and scan <= loop
+
+
+# -- the switch model's per-level tables ----------------------------------------
+
+
+def switch_case(case, k):
+    """A switch model over k experts: the default law and theta, a hazard
+    of 1 at every level or from a span on, a hazard of 0 from level 2 to 31
+    (so the tables' finite pattern changes along a window), theta = 1, or
+    a zero weight."""
+    w = np.random.default_rng(k).dirichlet(np.ones(k) * 3.0)
+    law, theta = {"geometric_1": es.geometric(1.0), "uniform_span": es.uniform_span(2, 5),
+                  "truncate": es.truncate(es.inv_poly(), 4),
+                  "gaps": es.models.FinitePmfLaw([0.3] + [0.0] * 30 + [0.7])
+                  }.get(case, es.inv_poly()), 0.5
+    if case == "theta_1":
+        theta = 1.0
+    if case == "zero_weight":
+        w[0], w[1:] = 0.0, w[1:] / w[1:].sum()
+    return es.switch(es.SwitchConfig(theta, law, tuple(w)), k)
+
+
+SWITCH_CASES = ["inv_poly", "geometric_1", "uniform_span", "truncate", "gaps", "theta_1",
+                "zero_weight"]
+SWITCH_KS = [(case, k) for case in SWITCH_CASES for k in (1, 2, 3, 4)
+             if not (case == "zero_weight" and k == 1)]
+
+
+@pytest.mark.parametrize("case, k", SWITCH_KS, ids=[f"{c}-{k}" for c, k in SWITCH_KS])
+def test_switch_level_tables_match_routes(case, k):
+    # Each level's table is _Routes.build's over stratum t's states, listed
+    # as stratum 1 lists them (theta = 1 leaves out the s row).
+    model = switch_case(case, k)
+    first, labels, hook = forward_mod._scan_start(model)
+    assert hook == model._level_tables and len(first) == k * (1 if case == "theta_1" else 2)
+    states = sorted(es.propagate_frontier(model, dict(model.initial()), 1)[0],
+                    key=lambda q: (model.label(q), q))
+    tables = model._level_tables(range(1, 51))(np.arange(50))
+    for t, table in enumerate(tables, 1):
+        routes = _Routes.build(model, [(q[0], t) + q[2:] for q in states], t + 1)
+        assert routes.sinks == shape_of(states) and routes.labels.tolist() == labels.tolist()
+        ref = routes.table
+        assert np.array_equal(table == -np.inf, ref == -np.inf)
+        live = ref > -np.inf
+        assert np.all(np.abs(table[live] - ref[live]) <= 1e-15 * np.maximum(1.0, np.abs(ref[live])))
+
+
+def assert_switch_close(fast, ref):
+    """scan_run against loop_run: the same steps and error, and every log
+    value within 1e-12 * max(1, |v|), with the same -inf entries."""
+    assert fast[3] == ref[3]
+    for a, b in zip(fast[:3], ref[:3]):
+        if b is None:
+            assert a is None
+            continue
+        assert a.shape == b.shape and np.array_equal(a == -np.inf, b == -np.inf)
+        live = b > -np.inf
+        assert np.all(np.abs(a[live] - b[live]) <= 1e-12 * np.maximum(1.0, np.abs(b[live])))
+
+
+def switch_lp(model, n, kind, seed=0):
+    """A realized matrix: random, with expert 0 ruled out from step 6 on,
+    with every expert ruled out at step 10, or with expert 1 e^-800 times
+    as likely as the others, beyond what a scaled exp holds."""
+    lp = random_lp(model, n, seed)
+    if kind == "ruled_out":
+        lp[5:, 0] = -np.inf
+    if kind == "zero_at_10":
+        lp[9] = -np.inf
+    if kind == "far_below":
+        lp[:, 1 % model.num_experts] -= 800.0
+    return lp
+
+
+@pytest.mark.parametrize("kind", ["random", "ruled_out", "zero_at_10", "far_below"])
+@pytest.mark.parametrize("case, k", SWITCH_KS, ids=[f"{c}-{k}" for c, k in SWITCH_KS])
+def test_switch_scan_matches_loop(case, k, kind, monkeypatch):
+    # Windows of 16 rows; the loop is the same model through TupleOnly.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 16)
+    model = switch_case(case, k)
+    lp = switch_lp(model, N, kind)
+    data = [None] * N
+    fast = scan_run(model, None, data, lp)
+    assert_switch_close(fast, loop_run(TupleOnly(model), None, data, lp))
+    assert (fast[3] == 10) == (kind == "zero_at_10")
+    assert_posterior_close(posterior(model, lp), posterior(TupleOnly(model), lp))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 17])
+@pytest.mark.parametrize("k", [2, 3])
+def test_switch_scan_window_edges(k, n, monkeypatch):
+    # Windows of 8 rows: n = W - 1, W, W + 1 and 2W + 1; each window's
+    # levels continue where the window before stopped.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 8)
+    _, experts, data = instance("switch", k, seed=n)
+    model, data = switch_case("inv_poly", k), data[:n]
+    counted = [Counting(e) for e in experts]
+    fast = scan_run(model, counted, data)
+    assert all(e.rows == n and e.sent == data[:-1] for e in counted)
+    assert_switch_close(fast, loop_run(model, experts, data))
+
+
+@pytest.mark.parametrize("step", [1, 4, 5, 6, 9])
+def test_switch_scan_zero_marginal(step, monkeypatch):
+    # Windows of 4 rows; a dead step at a window's first, middle or last row.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 4)
+    model = switch_case("inv_poly", 3)
+    lp = random_lp(model, 12, seed=step)
+    lp[step - 1] = -np.inf
+    fast = scan_run(model, None, [None] * 12, lp)
+    assert fast[3] == step and len(fast[0]) == step - 1
+    assert_switch_close(fast, loop_run(model, None, [None] * 12, lp))
+    assert posterior(model, lp) == step
+
+
+def test_switch_scan_declines_past_level_states():
+    k = forward_mod.SCAN_LEVEL_STATES // 2
+    lp = np.zeros((4, k + 1))
+    assert forward_mod._scan_forward(switch_case("inv_poly", k + 1), None, [None] * 4, lp) is None
+    assert forward_mod._scan_posterior(switch_case("inv_poly", k + 1), lp) is None
+    assert forward_mod._scan_forward(switch_case("inv_poly", k), None, [None] * 4,
+                                     lp[:, :k]) is not None
+
+
+def renormalised_switch_posterior(lp, cfg):
+    """The switch posterior by forward-backward in probabilities over the
+    grid [u row, s row], each vector renormalised at every step."""
+    n, k = lp.shape
+    w, theta, like = np.asarray(cfg.pi_k), cfg.theta, np.exp(np.tile(lp, 2))
+    eye = np.eye(k)
+
+    def trans(t):
+        h = cfg.pi_t.hazard(t)
+        return np.block([[(1 - h) * eye + h * theta * w, np.tile(h * (1 - theta) * w, (k, 1))],
+                         [np.zeros((k, k)), eye]])
+    fwd = np.empty((n, 2 * k))
+    f = np.concatenate([theta * w, (1 - theta) * w]) * like[0]
+    fwd[0] = f / f.sum()
+    for t in range(1, n):
+        f = (fwd[t - 1] @ trans(t)) * like[t]
+        fwd[t] = f / f.sum()
+    post, b = np.empty((n, 2 * k)), np.ones(2 * k)
+    post[-1] = fwd[-1]
+    for t in range(n - 1, 0, -1):
+        b = trans(t) @ (like[t] * b)
+        b /= b.sum()
+        p = fwd[t - 1] * b
+        post[t - 1] = p / p.sum()
+    return post[:, :k] + post[:, k:]
+
+
+def test_switch_scan_precision_on_a_long_run():
+    # The recorded loop's log masses grow with n and lose digits; each
+    # carried vector of the scan is rescaled.
+    n, cfg = 20_000, es.default_switch_config(2)
+    lp = np.log(np.random.default_rng(7).uniform(0.05, 0.95, (n, 2)))
+    got = es.posterior_experts(es.switch(cfg, 2), None, [None] * n, logpred_matrix=lp)
+    assert np.abs(np.exp(got) - renormalised_switch_posterior(lp, cfg)).max() <= 1e-12
+
+
+def test_switch_scan_memory():
+    # Tables are built one position at a time: no (n, S, S) array is held,
+    # which would be 12.8 MB here on top of the (n, S) alpha grid.
+    n = 100_000
+    lp = np.log(np.random.default_rng(2).uniform(0.05, 0.95, (n, 2)))
+    model = es.switch(es.default_switch_config(2), 2)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        es.posterior_experts(model, None, [None] * n, logpred_matrix=lp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16e6
