@@ -349,13 +349,13 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int,
     segs = best_segmentations(lp, n if max_blocks is None else max_blocks)
     for m, s in enumerate(segs, start=1):
         if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
-            seg = s
+            # Each is an O(n) scan of the sequence, so read once a best.
+            seg, blocks, changes = s, s.blocks, s.change_points
+            t_last = changes[-1] if changes else 0
         if seg is None:
             continue
         measured = to_bits(sw_log_marginal) - to_bits(seg.log_likelihood)
-        changes = seg.change_points
-        t_last = changes[-1] if changes else 0
-        t_m = t_last + (m - seg.blocks)  # pad unused switches reflexively
+        t_m = t_last + (m - blocks)  # pad unused switches reflexively
         bound = switch_bound(m, t_m, k)
         yield BoundReport(
             "switch", f"best length-{m} switch parameter", measured, bound,

@@ -27,7 +27,6 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +35,7 @@ from . import models
 from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
                       KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
                       uniform_expert)
-from .forward import (ForwardPass, ZeroMarginalError, _offline_forward, _scan_forward,
-                      posterior_experts)
+from .forward import ZeroMarginalError, _offline_marginal, _step_rows, posterior_experts
 from .hmm import StateBudgetExceeded
 from .logprob import to_bits
 from .approx import trimming_hook
@@ -64,8 +62,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise InputError(f"bad {what}: {e}") from None
 
 
-def _parse_pi_t(spec: str) -> models.SwitchTimeLaw:
-    if spec == "inv-poly":
+def _parse_pi_t(spec: str | None) -> models.SwitchTimeLaw:
+    if spec in (None, "inv-poly"):
         return models.inv_poly()
     if spec == "elias":
         return models.elias_delta()
@@ -174,41 +172,47 @@ def _weights(arg: str | None, k: int) -> list[float]:
     return w
 
 
-def _build_model(args, w: list[float]):
-    """Returns (model, safe_expert_appended: bool). w weighs the supplied experts."""
-    name = args.model
-    k = len(w)
-    if name == "bayes":
-        return models.bayes(w), False
-    if name == "fixed-elementwise":
-        return models.fixed_elementwise(w), False
-    if name == "universal-elementwise":
-        return models.universal_elementwise(k), False
-    if name == "fixed-share":
-        if args.alpha is None:
-            raise InputError("--model fixed-share requires --alpha")
-        return models.fixed_share(w, args.alpha), False
-    if name == "universal-share":
-        return models.universal_share(w), False
-    if name == "overconfident":
-        if args.alpha is None:
-            raise InputError("--model overconfident requires --alpha")
-        return models.overconfident(w, args.alpha), True
-    if name in ("switch", "run-length"):
-        pi_t = _parse_pi_t("inv-poly" if args.pi_t is None else args.pi_t)
-        if name == "run-length":
-            return models.run_length(pi_t, w), False
-        theta = 0.5 if args.theta is None else args.theta
-        return models.switch(models.SwitchConfig(theta, pi_t, tuple(w)), k), False
-    raise InputError(f"unknown model {name!r}")
+def _alpha(args) -> float:
+    if args.alpha is None:
+        raise InputError(f"--model {args.model} requires --alpha")
+    return args.alpha
 
 
-# The models that read each model parameter.
-_READERS = {"--alpha": ("fixed-share", "overconfident"),
-            "--theta": ("switch",),
-            "--pi-t": ("switch", "run-length"),
-            "--weights": ("bayes", "fixed-elementwise", "fixed-share", "universal-share",
-                          "overconfident", "switch", "run-length")}
+def _unimix_bound(model, lp, w, args):
+    if len(w) != 2:
+        # Refused before the forward pass, which holds O(n^(k-1)) states.
+        raise UnsupportedError("the mixture-weight grid oracle is limited to two experts")
+    return [bnd.measure_unimix(_offline_marginal(model, lp), lp, c=args.unimix_c, grid=args.grid)]
+
+
+# Each model, in the order --model lists them: its constructor from the
+# parsed arguments and the weights w of the supplied experts, the model
+# parameters it reads, and its bound reports from (model, lp, w, args),
+# None where bounds defines none.
+_MODELS = {
+    "bayes": (lambda a, w: models.bayes(w), ("--weights",),
+              lambda m, lp, w, a: [bnd.measure_bayes(_offline_marginal(m, lp), lp, w)]),
+    "fixed-elementwise": (lambda a, w: models.fixed_elementwise(w), ("--weights",), None),
+    "universal-elementwise": (lambda a, w: models.universal_elementwise(len(w)), (),
+                              _unimix_bound),
+    "fixed-share": (lambda a, w: models.fixed_share(w, _alpha(a)), ("--alpha", "--weights"),
+                    lambda m, lp, w, a: bnd.measure_fixed_share(
+                        lambda alpha: _offline_marginal(models.fixed_share(w, alpha), lp), lp,
+                        len(w), a.max_blocks)),
+    "universal-share": (lambda a, w: models.universal_share(w), ("--weights",),
+                        lambda m, lp, w, a: [bnd.measure_universal_share(
+                            _offline_marginal(m, lp), lp, w, grid=a.grid)]),
+    "overconfident": (lambda a, w: models.overconfident(w, _alpha(a)), ("--alpha", "--weights"),
+                      None),
+    "switch": (lambda a, w: models.switch(models.SwitchConfig(
+                   0.5 if a.theta is None else a.theta, _parse_pi_t(a.pi_t), tuple(w)), len(w)),
+               ("--theta", "--pi-t", "--weights"),
+               lambda m, lp, w, a: bnd.measure_switch(_offline_marginal(m, lp), lp, len(w),
+                                                      a.max_blocks)),
+    "run-length": (lambda a, w: models.run_length(_parse_pi_t(a.pi_t), w), ("--pi-t", "--weights"),
+                   lambda m, lp, w, a: bnd.measure_run_length(_offline_marginal(m, lp), lp,
+                                                              len(w), a.max_blocks)),
+}
 
 
 def _check_model_parameters(args) -> None:
@@ -216,9 +220,10 @@ def _check_model_parameters(args) -> None:
     given = {"--alpha": args.alpha, "--theta": args.theta, "--pi-t": args.pi_t,
              "--weights": args.weights}
     for flag, value in given.items():
-        if value is not None and args.model not in _READERS[flag]:
+        if value is not None and flag not in _MODELS[args.model][1]:
+            readers = [name for name, (_, reads, _) in _MODELS.items() if flag in reads]
             raise UnsupportedError(f"{flag} does not apply to --model {args.model} "
-                                   f"(read by {', '.join(_READERS[flag])})")
+                                   f"(read by {', '.join(readers)})")
 
 
 def _load_inputs(args):
@@ -235,7 +240,9 @@ def _load_inputs(args):
     else:
         raise InputError("--experts must be builtin:<spec> or file:<path>")
     w = _weights(args.weights, len(names))
-    model, add_safe = _build_model(args, w)
+    model = _MODELS[args.model][0](args, w)
+    # A model with more experts than weights adds the safe expert.
+    add_safe = model.num_experts > len(w)
     if add_safe:
         names = names + ["safe-uniform"]
         if experts is not None:
@@ -288,44 +295,6 @@ def _json_keys(labels: Sequence[str]) -> tuple[list[int] | None, str]:
     return None if order == sorted(order) else order, keys
 
 
-def _evaluate_steps(args, model, experts, matrix, data):
-    """Each step's log conditional, next-expert probabilities and, with
-    experts, next-outcome probabilities, the probabilities as lists. A run
-    without --trim whose model the forward scan admits takes it, window by
-    window; any other steps ForwardPass once an outcome. The source is
-    checked here, before any step is asked for."""
-    full = experts is not None
-    windows = None if args.trim is not None else _scan_forward(model, experts, data, matrix)
-    if windows is not None:
-        return chain.from_iterable(_rows(windows, full))
-    hook = trimming_hook(args.trim) if args.trim is not None else None
-    return _loop_steps(ForwardPass(model, experts, logpred_matrix=matrix, frontier_hook=hook,
-                                   want_outcome_dists=full, keep_steps=False), data, full)
-
-
-def _loop_steps(fp: ForwardPass, data, full: bool):
-    for x in data:
-        fp.advance(x)
-        step = fp.last_step
-        yield (step.log_cond, np.exp(step.expert_dist).tolist(),
-               np.exp(step.outcome_dist).tolist() if full else [])
-
-
-# A scanned window's rows become Python lists this many at a time.
-_LIST_ROWS = 32
-
-
-def _rows(windows, full: bool):
-    """Each scanned window's rows, _LIST_ROWS at a time."""
-    for cond, expert, outcome in windows:
-        expert = np.exp(expert)
-        outcome = np.exp(outcome) if full else None
-        for i in range(0, len(cond), _LIST_ROWS):
-            rows = slice(i, i + _LIST_ROWS)
-            yield zip(cond[rows].tolist(), expert[rows].tolist(),
-                      outcome[rows].tolist() if full else repeat([]))
-
-
 # A JSON number's text is the repr of the float its "%.12g" text reads as.
 # The two differ only where the "%.12g" text is an integer ("1", which repr
 # writes "1.0") or has an exponent of 12 to 15 (repr writes none below
@@ -344,7 +313,8 @@ def _repr_number(match: re.Match) -> str:
 def _cmd_evaluate(args) -> int:
     alphabet, data, names, experts, matrix, model, _ = _load_inputs(args)
     full = experts is not None
-    steps = _evaluate_steps(args, model, experts, matrix, data)
+    steps = _step_rows(model, experts, data, matrix,
+                       trimming_hook(args.trim) if args.trim is not None else None)
     json_mode = args.format == "json"
     symbols = alphabet.symbols
     # Each row's layout is fixed here, once per run. A JSON row is the text
@@ -431,53 +401,24 @@ def _cmd_map(args) -> int:
     return 0
 
 
-_BOUND_MODELS = ("bayes", "fixed-share", "universal-share", "switch", "run-length",
-                 "universal-elementwise")
-
-
 def _cmd_bounds(args) -> int:
-    name = args.model
-    if name not in _BOUND_MODELS:
-        raise UnsupportedError(f"no bound report is defined for model {name!r}")
-    if name == "fixed-share":
+    bound = _MODELS[args.model][2]
+    if bound is None:
+        raise UnsupportedError(f"no bound report is defined for model {args.model!r}")
+    if "--alpha" in _MODELS[args.model][1]:
         if args.alpha is not None:
-            raise UnsupportedError("--alpha does not apply to fixed-share bounds "
+            raise UnsupportedError(f"--alpha does not apply to {args.model} bounds "
                                    "(each report runs at alpha* = (m - 1)/(n - 1))")
-        args.alpha = 0.0  # unused: the fixed-share report sweeps alpha itself
+        args.alpha = 0.0  # unused: the report sweeps alpha itself
     for flag, value in (("--max-blocks", args.max_blocks), ("--grid", args.grid)):
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
     alphabet, data, names, experts, matrix, model, w = _load_inputs(args)
     if not data:
         raise InputError("bounds need a nonempty data file")
-    k = len(names)
-    if name == "universal-elementwise" and k != 2:
-        # Refused before the forward pass, which holds O(n^(k-1)) states.
-        raise UnsupportedError("the mixture-weight grid oracle is limited to two experts")
-    lp = _realized_matrix(experts, data, matrix, k)
-
-    def marginal_of(m) -> float:
-        windows = _scan_forward(m, None, data, lp)
-        if windows is None:
-            return _offline_forward(m, lp, False)[1]
-        return math.fsum(chain.from_iterable(cond.tolist() for cond, _, _ in windows))
-
-    if name == "bayes":
-        reports = [bnd.measure_bayes(marginal_of(model), lp, w)]
-    elif name == "fixed-share":
-        reports = bnd.measure_fixed_share(lambda a: marginal_of(models.fixed_share(w, a)), lp, k,
-                                          args.max_blocks)
-    elif name == "universal-share":
-        reports = [bnd.measure_universal_share(marginal_of(model), lp, w, grid=args.grid)]
-    elif name == "switch":
-        reports = bnd.measure_switch(marginal_of(model), lp, k, args.max_blocks)
-    elif name == "run-length":
-        reports = bnd.measure_run_length(marginal_of(model), lp, k, args.max_blocks)
-    else:  # universal-elementwise
-        reports = [bnd.measure_unimix(marginal_of(model), lp, c=args.unimix_c, grid=args.grid)]
     # Every report is computed before the output opens, so one that fails
     # leaves no partial file.
-    reports = list(reports)
+    reports = list(bound(model, _realized_matrix(experts, data, matrix, len(names)), w, args))
 
     with _output(args) as out:
         if args.format == "json":
@@ -509,10 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # The options every subcommand shares, declared once.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("data", help="data file, one symbol per line")
-    common.add_argument("--model", required=True,
-                        choices=["bayes", "fixed-elementwise", "universal-elementwise",
-                                 "fixed-share", "universal-share", "overconfident",
-                                 "switch", "run-length"])
+    common.add_argument("--model", required=True, choices=list(_MODELS))
     common.add_argument("--alphabet", required=True, help="comma-separated outcome symbols")
     common.add_argument("--experts", required=True,
                         help="builtin:<spec>(;<spec>...) or file:<path>")

@@ -35,23 +35,30 @@ a plan, where a plan meets a dead node, and for the rest of a pass once
 a frontier hook leaves other than all the propagated states in their
 order, as when it trims or reorders or the update drops a state.
 
-A stationary model whose route table from stratum 1 to stratum 2 is
-closed (its sinks are its sources) and has at most ``SCAN_STATES`` states
-(``_scan_start``) can run as a blocked log-semiring scan over that table
-(``_Blocks``: about sqrt(m) vectorised passes and sqrt(m) small products
-over m rows), exact in its -inf entries and within rounding of the loop
-elsewhere. So can a model whose levels differ over one fixed stratum, the
-switch model, through its ``_level_tables`` hook (see
-:class:`~expertseq.hmm.HmmModel`), up to ``SCAN_LEVEL_STATES`` states:
-each row reads its own level's table, and a pass builds the tables of one
-position of every block at a time, never a window's. :func:`posterior_experts`
-scans all n rows at once and records no levels. ``_scan_forward``, the
-forward pass of CLI ``evaluate`` without ``--trim`` and of CLI
-``bounds``, scans ``SCAN_ROWS`` rows a window and holds one window, its
-forecasts included, never n rows; each window starts from the vector
-carried out of the one before, shifted to a maximum of 0. Any other
-model, a wider or open table, :func:`forward_marginal`, Viterbi and every
-online :class:`ForwardPass` keep the loop.
+One rule, ``_scan_start``, decides for every offline pass whether it
+scans. A stationary model whose route table from stratum 1 to stratum 2
+is closed (its sinks are its sources) and has at most ``SCAN_STATES``
+states runs as a blocked log-semiring scan over that table (``_Blocks``:
+about sqrt(m) vectorised passes and sqrt(m) small products over m rows),
+exact in its -inf entries and within rounding of the loop elsewhere. So
+does a model whose levels differ over one fixed stratum, the switch
+model, through its ``_level_tables`` hook (see
+:class:`~expertseq.hmm.HmmModel`), up to ``SCAN_LEVEL_STATES`` states.
+Every scan reads its tables through one protocol, a function from levels
+to a function from row indices to those rows' ``_exps``, transposed for
+``back``: a stationary model gives its one table for every row, the
+switch model each row its own level's, built for one position of every
+block at a time, never for a window. :func:`posterior_experts` scans all
+n rows at once and records no levels. ``_scan_forward`` scans
+``SCAN_ROWS`` rows a window and holds one window, its forecasts
+included, never n rows; each window starts from the vector carried out
+of the one before, shifted to a maximum of 0. It runs the passes of CLI
+``evaluate`` (``_step_rows``) and ``bounds`` (``_offline_marginal``)
+unless a frontier hook is given, as ``--trim`` gives one. Otherwise they
+loop: ``evaluate`` on a :class:`ForwardPass` with the hook, its rows
+converted one step at a time, ``bounds`` on ``_offline_forward``. Any
+other model, a wider or open table, :func:`forward_marginal`, Viterbi and
+every online :class:`ForwardPass` keep the loop.
 
 :func:`viterbi_unambiguous` is one loop over the strata for every
 unambiguous model, with one start, final choice and backtrack; only a
@@ -62,8 +69,9 @@ alone, and both give the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import index, is_
 from typing import Callable, NamedTuple, Sequence
 
@@ -640,13 +648,17 @@ SCAN_LEVEL_STATES = 16
 SCAN_ROWS = 1024
 
 
-def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray | Callable] | None:
-    """Stratum 1's masses and labels, its states listed by (label, state),
-    and the tables the scans read: a stationary model's one route table
-    from stratum 1 to 2, or the model's ``_level_tables``. None where the
-    model is neither stationary nor has that hook, where a stationary
-    model's table is not closed (its sinks are not its sources), or where
-    S is past SCAN_STATES (SCAN_LEVEL_STATES for per-level tables)."""
+def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, Callable] | None:
+    """The one rule for every offline pass: None where the model loops,
+    else what its scan reads. That is stratum 1's masses and labels, its
+    states listed by (label, state), and its tables: a function from
+    levels to a function from row indices into them to those rows'
+    ``_exps``, transposed for ``back``. A stationary model gives its one
+    route table from stratum 1 to 2 for every row, the switch model its
+    ``_level_tables``. A model loops where it is neither stationary nor
+    has that hook, where a stationary model's table is not closed (its
+    sinks are not its sources), or where S is past SCAN_STATES
+    (SCAN_LEVEL_STATES for per-level tables)."""
     level_tables = None if model.stationary else model._level_tables
     if not (model.stationary or level_tables):
         return None
@@ -657,11 +669,15 @@ def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray | C
         return None
     masses = np.array([first[q] for q in states])
     if level_tables is not None:
-        return masses, np.array([label(q) for q in states], dtype=np.intp), level_tables
+        def tables(levels):
+            read = level_tables(levels)
+            return lambda idx, back=False: _exps(read(idx).swapaxes(1, 2) if back else read(idx))
+        return masses, np.array([label(q) for q in states], dtype=np.intp), tables
     routes = _Routes.build(model, states, 2)
     if routes.sinks != shape_of(states):
         return None
-    return masses, routes.labels, routes.table
+    fwd, bwd = _exps(routes.table), _exps(routes.table.T)
+    return masses, routes.labels, lambda levels: lambda idx, back=False: bwd if back else fwd
 
 
 def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
@@ -686,8 +702,7 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
         return None
     first, labels, tables = scan
     size = len(first)
-    blocks = _Blocks(tables(range(1, len(lp))) if callable(tables) else _exps(tables), lp[1:],
-                     labels)
+    blocks = _Blocks(tables(range(1, len(lp))), lp[1:], labels)
     steps, nb, width = len(lp) - 1, blocks.nb, blocks.width
     # Row 0, then rows 1..n-1 as nb blocks of width rows; padding is never read.
     alpha = np.zeros((1 + nb * width, size))
@@ -702,11 +717,10 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
     beta = np.zeros((nb, size))     # the vector leaving each block
     for b in range(nb - 1, 0, -1):
         beta[b - 1] = _scaled(np.logaddexp.reduce(prods[b] + beta[b], axis=1))
-    bwd = None if callable(tables) else _exps(tables.T)
     for j in range(width - 1, -1, -1):
         m = active[j]
         rows[:m, j] += beta[:m]
-        beta[:m] = _log_dot(beta[:m] + emit[:m, j], bwd or blocks.exps(j, m, back=True))
+        beta[:m] = _log_dot(beta[:m] + emit[:m, j], blocks.exps(j, m, back=True))
     if nb:
         alpha[0] += beta[0]
     return _by_label(alpha[:steps + 1], labels, model.num_experts)
@@ -747,8 +761,60 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
     return _forward_windows(*scan, k, experts, size, data, lp_all)
 
 
+def _step_rows(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
+               data: Sequence[int], logpred_matrix: np.ndarray | None = None,
+               frontier_hook: Callable[[WeightMap], WeightMap] | None = None):
+    """Each step's log conditional, next-expert probabilities and, in
+    experts mode, next-outcome probabilities, else [], the probabilities
+    as lists. Without a hook, a model that ``_scan_start`` admits runs
+    ``_scan_forward``, its windows converted ``_LIST_ROWS`` rows at a
+    time; any other steps a ForwardPass with the hook, one outcome and
+    one conversion at a time. The source is checked here, before any step
+    is asked for."""
+    full = experts is not None
+    windows = (None if frontier_hook is not None else
+               _scan_forward(model, experts, data, logpred_matrix))
+    if windows is not None:
+        return chain.from_iterable(_list_rows(windows, full))
+    return _loop_rows(ForwardPass(model, experts, logpred_matrix=logpred_matrix,
+                                  frontier_hook=frontier_hook, want_outcome_dists=full,
+                                  keep_steps=False), data, full)
+
+
+def _loop_rows(fp: ForwardPass, data: Sequence[int], full: bool):
+    for x in data:
+        fp.advance(x)
+        step = fp.last_step
+        yield (step.log_cond, np.exp(step.expert_dist).tolist(),
+               np.exp(step.outcome_dist).tolist() if full else [])
+
+
+# A scanned window's rows become Python lists this many at a time.
+_LIST_ROWS = 32
+
+
+def _list_rows(windows, full: bool):
+    """Each scanned window's rows, _LIST_ROWS at a time."""
+    for cond, expert, outcome in windows:
+        expert = np.exp(expert)
+        outcome = np.exp(outcome) if full else None
+        for i in range(0, len(cond), _LIST_ROWS):
+            rows = slice(i, i + _LIST_ROWS)
+            yield zip(cond[rows].tolist(), expert[rows].tolist(),
+                      outcome[rows].tolist() if full else repeat([]))
+
+
+def _offline_marginal(model: HmmModel, lp: np.ndarray) -> LogMass:
+    """The log marginal of the realized (n, k) matrix ``lp``: the
+    ``math.fsum`` of ``_scan_forward``'s log conditionals where
+    ``_scan_start`` admits the model, else ``_offline_forward``'s."""
+    windows = _scan_forward(model, None, range(len(lp)), lp)
+    if windows is None:
+        return _offline_forward(model, lp, False)[1]
+    return math.fsum(chain.from_iterable(cond.tolist() for cond, _, _ in windows))
+
+
 def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
-    fwd = None if callable(tables) else _exps(tables)
     stream = None if experts is None else _forecast_rows(experts)
     carry, last = None, None
     for t0 in range(0, len(data), SCAN_ROWS):
@@ -764,7 +830,7 @@ def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
             last = xs[-1]
             lp = preds[np.arange(r), :, xs]
         # The window's rows after its head read levels t0 or 1 on.
-        cond, pre, carry = _scan_window(fwd or tables(range(t0 or 1, t0 + r)), labels, lp,
+        cond, pre, carry = _scan_window(tables(range(t0 or 1, t0 + r)), labels, lp,
                                         first if carry is None else carry, carry is None)
         live = len(cond)
         expert = _by_label(pre, labels, k)
@@ -775,7 +841,7 @@ def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
             raise ZeroMarginalError(t0 + live + 1)
 
 
-def _scan_window(fwd: tuple | Callable, labels: np.ndarray, lp: np.ndarray, a: np.ndarray,
+def _scan_window(fwd: Callable, labels: np.ndarray, lp: np.ndarray, a: np.ndarray,
                  head: bool):
     """One window of the forward scan: each row's log conditional and
     pre-update vector alpha_{t-1} (x) T up to the first dead row, and the
@@ -816,17 +882,18 @@ class _Blocks:
     """Rows 1..steps of the log-semiring recursion
     alpha_i = (alpha_{i-1} (x) T_i) + e_i, cut into nb blocks of width
     rows, width about sqrt(steps); position j is filled in the first
-    ``active[j]`` blocks. ``fwd`` is one table's ``_exps``, T_i = T, or a
-    function from row indices i - 1 of ``lp`` to their log tables, which
-    each pass calls for one position of every block, never for every row
-    (see ``exps``). The emissions e_i = lp[i, labels] are held padded to
-    nb * width rows, which no pass reads past steps. One pass over the
-    positions builds every block's product T_1 e_1 T_2 e_2 ... T_width
-    e_width, vectorised across the blocks. A product of per-level tables
+    ``active[j]`` blocks. ``fwd`` is ``_scan_start``'s table protocol
+    over the levels of rows 1..steps: a function from row indices i - 1
+    of ``lp`` to their tables' ``_exps``, which each pass calls for one
+    position of every block (see ``exps``), never for every row. The
+    emissions e_i = lp[i, labels] are held padded to nb * width rows,
+    which no pass reads past steps. One pass over the positions builds
+    every block's product T_1 e_1 T_2 e_2 ... T_width e_width,
+    vectorised across the blocks. A product of per-level tables
     associates as one of a single table does, so the carries and fills
     are the same for both."""
 
-    def __init__(self, fwd: tuple | Callable, lp: np.ndarray, labels: np.ndarray):
+    def __init__(self, fwd: Callable, lp: np.ndarray, labels: np.ndarray):
         steps, size = len(lp), len(labels)
         self.fwd = fwd
         self.width = width = int(steps ** 0.5) + 1
@@ -843,12 +910,8 @@ class _Blocks:
 
     def exps(self, j: int, m: int, back: bool = False) -> tuple:
         """Position j's tables in the first m blocks as ``_log_dot`` takes
-        them: the one table's ``fwd``, or a stack built for the position
-        alone, transposed for ``back``."""
-        if not callable(self.fwd):
-            return self.fwd
-        tables = self.fwd(j + self.width * np.arange(m))
-        return _exps(tables.swapaxes(1, 2) if back else tables)
+        them, transposed for ``back``."""
+        return self.fwd(range(j, j + self.width * m, self.width), back)
 
     def starts(self, a: np.ndarray) -> np.ndarray:
         """The vector entering each block: ``a`` the first, each later one

@@ -229,6 +229,27 @@ class TestMeasurements:
                 assert r.inputs == {"n": n, "m": m, "t_m": t_m, "k": k}
                 assert r.bound_bits == bnd.switch_bound(m, t_m, k)
 
+    def test_switch_reads_each_best_once(self, monkeypatch):
+        # blocks and change_points each scan the whole sequence, so they are
+        # read once per best segmentation adopted, not once per m.
+        lp = np.log(np.random.default_rng(78).uniform(0.05, 1.0, (60, 3)))
+        adopted, best = 0, None
+        for s in bnd.best_segmentations(lp, 60):
+            if s is not None and (best is None or s.log_likelihood > best.log_likelihood):
+                adopted, best = adopted + 1, s
+        want = list(bnd.measure_switch(-5.0, lp, 3))
+        reads = {"blocks": 0, "change_points": 0}
+        for name in reads:
+            real = getattr(bnd.Segmentation, name)
+
+            def counted(seg, name=name, real=real):
+                reads[name] += 1
+                return real.fget(seg)
+            monkeypatch.setattr(bnd.Segmentation, name, property(counted))
+        assert list(bnd.measure_switch(-5.0, lp, 3)) == want
+        assert len(want) == 60 and 1 < adopted < 60
+        assert reads == {"blocks": adopted, "change_points": adopted}
+
     @pytest.mark.parametrize("measure", [bnd.measure_switch, bnd.measure_run_length])
     def test_first_report_builds_one_table(self, monkeypatch, measure):
         experts, data, lp = self._instance(76)

@@ -287,7 +287,7 @@ class TestRowBytes:
         full = source == "builtin"
         steps = [(c, np.exp(e).tolist(), np.exp(o).tolist() if full else [])
                  for c, e, o in numbers]
-        monkeypatch.setattr(cli_mod, "_evaluate_steps", lambda *args: iter(steps))
+        monkeypatch.setattr(cli_mod, "_step_rows", lambda *args: iter(steps))
         argv = ["evaluate", str(data), *experts, "--alphabet", "c,a,b", "--model", "bayes",
                 "--format", "json"]
         out = tmp_path / "cells.json"
@@ -364,7 +364,7 @@ class TestScannedEvaluate:
         out = tmp_path / "out.txt"
         with monkeypatch.context() as m:
             if scanned:
-                m.setattr(cli_mod, "ForwardPass", None)
+                m.setattr(es.forward, "ForwardPass", None)
             rc = main(argv + ["--out", str(out)] + ([] if scanned else ["--trim", "1"]))
         return rc, out.read_text(encoding="utf-8"), self.capsys.readouterr().err
 
@@ -459,6 +459,62 @@ class TestScannedEvaluate:
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == reference_evaluate(argv, loop=True)
+
+
+# Which engine each pass takes, S for the scan and L for the loop: the
+# posterior, evaluate, evaluate with --trim, and bounds ("-" where bounds
+# defines no report). The case is the model and its k experts. Late share
+# is fixed share with an open table, except at rate 0, where its one state
+# routes only to itself: its bounds scan rate 0 and loop rate 1/(n - 1) (M).
+ENGINES = [
+    ("bayes", 2, "SSLS"), ("fixed-elementwise", 2, "SSL-"), ("universal-elementwise", 2, "LLLL"),
+    ("fixed-share", 2, "SSLS"), ("universal-share", 2, "LLLL"), ("overconfident", 2, "SSL-"),
+    ("switch", 2, "SSLS"), ("run-length", 2, "LLLL"),
+    ("fixed-share", es.forward.SCAN_STATES + 1, "LLLL"),
+    ("switch", es.forward.SCAN_LEVEL_STATES // 2 + 1, "LLLL"), ("late-share", 2, "LLLM"),
+]
+
+
+@pytest.mark.parametrize("model, k, engines", ENGINES, ids=[f"{m}-{k}" for m, k, _ in ENGINES])
+@pytest.mark.parametrize("forced", [False, True], ids=["chosen", "loop-forced"])
+def test_engine_per_pass(tmp_path, monkeypatch, model, k, engines, forced):
+    # A pass scans when it builds a _Blocks and loops when it makes a
+    # frontier core, never both; with _scan_start refusing every model,
+    # each pass loops.
+    data = tmp_path / "d.txt"
+    write(data, "".join(f"{x}\n" for x in np.random.default_rng(k).integers(0, 2, 12)))
+    argv = [str(data), "--alphabet", "0,1", "--experts",
+            "builtin:" + ";".join(f"const:{0.1 + 0.8 * j / k:.3f},{0.9 - 0.8 * j / k:.3f}"
+                                  for j in range(k)),
+            "--model", "fixed-share" if model == "late-share" else model]
+    if model == "late-share":
+        monkeypatch.setattr(cli_mod.models, "fixed_share", LateShare)
+    alpha = ["--alpha", "0.1"] if argv[-1] in ("fixed-share", "overconfident") else []
+    runs = {"scans": 0, "cores": 0}
+    real_blocks, real_core = es.forward._Blocks, es.forward._new_core
+
+    class Blocks(real_blocks):
+        def __init__(self, *args):
+            runs["scans"] += 1
+            super().__init__(*args)
+
+    def new_core(*args):
+        runs["cores"] += 1
+        return real_core(*args)
+
+    monkeypatch.setattr(es.forward, "_Blocks", Blocks)
+    monkeypatch.setattr(es.forward, "_new_core", new_core)
+    if forced:
+        monkeypatch.setattr(es.forward, "_scan_start", lambda m: None)
+    passes = [["posterior", *argv, *alpha], ["evaluate", *argv, *alpha],
+              ["evaluate", *argv, *alpha, "--trim", "0.9"],
+              ["bounds", *argv, "--max-blocks", "2"]]
+    for want, cmd in zip(engines, passes):
+        runs.update(scans=0, cores=0)
+        assert main(cmd + ["--out", str(tmp_path / "out")]) == (4 if want == "-" else 0), cmd
+        if want != "-":
+            want = "L" if forced else want
+            assert (runs["scans"] > 0, runs["cores"] > 0) == (want in "SM", want in "LM"), cmd
 
 
 class TestPosterior:
@@ -601,7 +657,7 @@ class TestBounds:
     def test_unimix_beyond_two_experts_rejected_before_the_pass(self, tmp_path, data_file,
                                                                 capsys, monkeypatch):
         # Any forward pass would now fail: the refusal must come first.
-        monkeypatch.setattr(cli_mod, "ForwardPass", None)
+        monkeypatch.setattr(cli_mod, "_offline_marginal", None)
         out = tmp_path / "b.csv"
         assert main(["bounds", str(data_file), "--model", "universal-elementwise",
                      "--alphabet", "0,1", "--experts", "builtin:kt;laplace;kt",
@@ -612,17 +668,18 @@ class TestBounds:
     def test_fixed_share_max_blocks_runs_one_pass(self, tmp_path, data_file, monkeypatch):
         # Fixed share is scanned, so its one marginal is one forward scan.
         scans, loops = [], []
+        real_scan, real_forward = es.forward._scan_forward, es.forward._offline_forward
 
         def counting_scan(*args):
             scans.append(1)
-            return es.forward._scan_forward(*args)
+            return real_scan(*args)
 
         def counting_forward(*args):
             loops.append(1)
-            return es.forward._offline_forward(*args)
+            return real_forward(*args)
 
-        monkeypatch.setattr(cli_mod, "_scan_forward", counting_scan)
-        monkeypatch.setattr(cli_mod, "_offline_forward", counting_forward)
+        monkeypatch.setattr(es.forward, "_scan_forward", counting_scan)
+        monkeypatch.setattr(es.forward, "_offline_forward", counting_forward)
         out = tmp_path / "b.json"
         assert main(["bounds", str(data_file), "--model", "fixed-share", *BASE,
                      "--max-blocks", "1", "--format", "json", "--out", str(out)]) == 0
@@ -643,17 +700,17 @@ class TestBounds:
             runs.append(list(real(*args)))
             return runs[-1]
 
-        scans = []
+        scans, real_scan = [], es.forward._scan_forward
 
         def counted_scan(*args):
-            scans.append(es.forward._scan_forward(*args))
+            scans.append(real_scan(*args))
             return scans[-1]
 
         monkeypatch.setattr(cli_mod.bnd, "measure_switch", recorded)
-        monkeypatch.setattr(cli_mod, "_scan_forward", counted_scan)
+        monkeypatch.setattr(es.forward, "_scan_forward", counted_scan)
         assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 0
         assert len(scans) == 1 and scans[0] is not None
-        monkeypatch.setattr(cli_mod, "_scan_forward", lambda *args: None)
+        monkeypatch.setattr(es.forward, "_scan_start", lambda model: None)
         assert main(argv + ["--out", str(tmp_path / "loop.csv")]) == 0
         (scan, loop) = runs
         assert len(scan) == len(loop) == 5
@@ -809,7 +866,7 @@ class TestModelParameters:
 
     def assert_refused(self, tmp_path, capsys, model, flag, value):
         cmds = ["evaluate", "posterior"] + (["map"] if model == "switch" else [])
-        cmds += ["bounds"] if model in cli_mod._BOUND_MODELS else []
+        cmds += ["bounds"] if cli_mod._MODELS[model][2] is not None else []
         for cmd in cmds:
             out = tmp_path / "o.txt"
             assert main([cmd, str(tmp_path / "missing.txt"), "--model", model, flag, value,

@@ -795,13 +795,17 @@ SWITCH_KS = [(case, k) for case in SWITCH_CASES for k in (1, 2, 3, 4)
 @pytest.mark.parametrize("case, k", SWITCH_KS, ids=[f"{c}-{k}" for c, k in SWITCH_KS])
 def test_switch_level_tables_match_routes(case, k):
     # Each level's table is _Routes.build's over stratum t's states, listed
-    # as stratum 1 lists them (theta = 1 leaves out the s row).
+    # as stratum 1 lists them (theta = 1 leaves out the s row). The scans
+    # read those tables through _scan_start, transposed for back.
     model = switch_case(case, k)
     first, labels, hook = forward_mod._scan_start(model)
-    assert hook == model._level_tables and len(first) == k * (1 if case == "theta_1" else 2)
+    assert len(first) == k * (1 if case == "theta_1" else 2)
     states = sorted(es.propagate_frontier(model, dict(model.initial()), 1)[0],
                     key=lambda q: (model.label(q), q))
     tables = model._level_tables(range(1, 51))(np.arange(50))
+    read = hook(range(1, 51))
+    assert np.array_equal(read(range(50))[3], tables)
+    assert np.array_equal(read(range(50), True)[3], tables.swapaxes(1, 2))
     for t, table in enumerate(tables, 1):
         routes = _Routes.build(model, [(q[0], t) + q[2:] for q in states], t + 1)
         assert routes.sinks == shape_of(states) and routes.labels.tolist() == labels.tolist()
