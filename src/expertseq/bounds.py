@@ -154,10 +154,12 @@ def switch_runlength_crossover(n: int, k: int = 2) -> int | None:
 
 @dataclass
 class Segmentation:
-    """Best expert sequence with a constrained number of maximal blocks."""
+    """Best expert sequence with a constrained number of maximal blocks;
+    ``last_change``, recorded with it, is the last change point or 0."""
 
     log_likelihood: LogMass
     sequence: list[int]
+    last_change: int = field(compare=False)
 
     @property
     def blocks(self) -> int:
@@ -183,7 +185,8 @@ def best_segmentations(lp: np.ndarray, max_blocks: int) -> list[Segmentation | N
     its block and switching from another expert one block count lower.
     Ties are broken the same way everywhere: continuing wins a tie, a
     switch must be strictly better, and the lowest expert index wins among
-    equal switches and in the final choice of the last expert.
+    equal switches and in the final choice of the last expert. The
+    backtrack meets each sequence's last change point first.
     """
     n, k = lp.shape
     if n < 1:
@@ -207,12 +210,14 @@ def best_segmentations(lp: np.ndarray, max_blocks: int) -> list[Segmentation | N
     x = val.argmax(axis=1)
     best = val[rows, x]
     seqs = np.empty((len(rows), n), dtype=par.dtype)
+    last = np.zeros(len(rows), dtype=int)
     j = rows
     for i in range(n - 1, -1, -1):
         seqs[:, i] = x
         a = par[i, j, x]
+        last[(a >= 0) & (last == 0)] = i
         x, j = np.where(a >= 0, a, x), j - (a >= 0)
-    return [None if best[m] == NEG_INF else Segmentation(best[m], seqs[m].tolist())
+    return [None if best[m] == NEG_INF else Segmentation(best[m], seqs[m].tolist(), int(last[m]))
             for m in rows]
 
 
@@ -331,11 +336,12 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int,
     One segmentation table, built when the first report is asked for,
     serves every m. The running best over block counts replaces its
     sequence only on a strictly higher likelihood, so ties keep fewer
-    blocks; within one block count the table's own tie rules apply
-    (continuing a block beats an equal switch, the lowest expert index
-    wins among equals). Reports are yielded in order of m, skipping each m
-    for which every sequence of at most m blocks has zero likelihood; with
-    ``max_blocks`` only m <= max_blocks are reported.
+    blocks. Row m has exactly m blocks and records its last change point,
+    so no sequence is scanned. Within one block count the table's tie
+    rules apply (continuing a block beats an equal switch, the lowest
+    expert index wins among equals). Reports are yielded in order of m,
+    skipping each m for which every sequence of at most m blocks has zero
+    likelihood; with ``max_blocks`` only m <= max_blocks are reported.
 
     Raises ValueError, naming the step, when every segmentation has zero
     likelihood because every expert gives the outcome probability zero.
@@ -349,13 +355,11 @@ def measure_switch(sw_log_marginal: LogMass, lp: np.ndarray, k: int,
     segs = best_segmentations(lp, n if max_blocks is None else max_blocks)
     for m, s in enumerate(segs, start=1):
         if s is not None and (seg is None or s.log_likelihood > seg.log_likelihood):
-            # Each is an O(n) scan of the sequence, so read once a best.
-            seg, blocks, changes = s, s.blocks, s.change_points
-            t_last = changes[-1] if changes else 0
+            seg, blocks = s, m
         if seg is None:
             continue
         measured = to_bits(sw_log_marginal) - to_bits(seg.log_likelihood)
-        t_m = t_last + (m - blocks)  # pad unused switches reflexively
+        t_m = seg.last_change + (m - blocks)  # pad unused switches reflexively
         bound = switch_bound(m, t_m, k)
         yield BoundReport(
             "switch", f"best length-{m} switch parameter", measured, bound,

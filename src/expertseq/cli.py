@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from . import models
-from .experts import (Alphabet, AdviceExpert, ConstantExpert, ForecastingSystem,
-                      KTEstimator, LaplaceEstimator, MarkovExpert, _realized_matrix,
-                      uniform_expert)
+from .experts import (Alphabet, AdviceExpert, ForecastingSystem, _realized_matrix,
+                      make_builtin_expert, uniform_expert)
 from .forward import ZeroMarginalError, _offline_marginal, _step_rows, posterior_experts
 from .hmm import StateBudgetExceeded
 from .logprob import to_bits
@@ -83,27 +82,24 @@ def _parse_builtin(spec: str, alphabet_size: int) -> tuple[list[ForecastingSyste
     names: list[str] = []
     for i, part in enumerate(spec.split(";")):
         part = part.strip()
-        if part == "kt":
-            experts.append(KTEstimator(alphabet_size))
-            names.append(f"kt{i}")
-        elif part == "laplace":
-            experts.append(LaplaceEstimator(alphabet_size))
-            names.append(f"laplace{i}")
-        elif part.startswith("const:"):
-            probs = _parse_floats(part.split(":", 1)[1], "constant expert")
+        kind, colon, params = part.partition(":")
+        if part in ("kt", "laplace"):
+            expert = make_builtin_expert(part, size=alphabet_size)
+        elif colon and kind == "const":
+            probs = _parse_floats(params, "constant expert")
             if len(probs) != alphabet_size:
                 raise InputError(f"constant expert {i} needs {alphabet_size} probabilities")
-            experts.append(ConstantExpert(probs))
-            names.append(f"const{i}")
-        elif part.startswith("markov:"):
-            groups = part.split(":", 1)[1].split("|")
+            expert = make_builtin_expert("constant", probs=probs)
+        elif colon and kind == "markov":
+            groups = params.split("|")
             if len(groups) != alphabet_size + 1:
                 raise InputError(f"markov expert {i} needs an initial row plus {alphabet_size} transition rows")
             rows = [_parse_floats(g, "markov expert") for g in groups]
-            experts.append(MarkovExpert(rows[0], rows[1:]))
-            names.append(f"markov{i}")
+            expert = make_builtin_expert("markov", initial=rows[0], transition=rows[1:])
         else:
             raise InputError(f"unknown builtin expert {part!r}")
+        experts.append(expert)
+        names.append(f"{kind}{i}")
     return experts, names
 
 
@@ -498,10 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Point stdout at devnull so that final flush stays quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ZeroMarginalError as e:

@@ -53,12 +53,13 @@ n rows at once and records no levels. ``_scan_forward`` scans
 ``SCAN_ROWS`` rows a window and holds one window, its forecasts
 included, never n rows; each window starts from the vector carried out
 of the one before, shifted to a maximum of 0. It runs the passes of CLI
-``evaluate`` (``_step_rows``) and ``bounds`` (``_offline_marginal``)
-unless a frontier hook is given, as ``--trim`` gives one. Otherwise they
-loop: ``evaluate`` on a :class:`ForwardPass` with the hook, its rows
-converted one step at a time, ``bounds`` on ``_offline_forward``. Any
-other model, a wider or open table, :func:`forward_marginal`, Viterbi and
-every online :class:`ForwardPass` keep the loop.
+``evaluate`` (``_step_rows``) unless a frontier hook is given, as
+``--trim`` gives one, and every offline marginal (``_offline_marginal``:
+CLI ``bounds`` and :func:`expert_sequence_prior`). Otherwise they loop:
+``evaluate`` on a :class:`ForwardPass` with the hook, its rows converted
+one step at a time, a marginal on ``_offline_forward``. Any other model,
+a wider or open table, :func:`forward_marginal`, Viterbi and every online
+:class:`ForwardPass` keep the loop.
 
 :func:`viterbi_unambiguous` is one loop over the strata for every
 unambiguous model, with one start, final choice and backtrack; only a
@@ -564,10 +565,10 @@ def forward_marginal(
 
 def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
     """Prior mass of the event that the first n produced experts are ``labels``:
-    the offline forward pass over the one-hot matrix that keeps, at each
-    stratum, only the states carrying the required label. An integer label
-    outside 0..k-1 has no mass; a label that is not an integer (1.5, the
-    float 1.0, "1") raises ValueError naming its position."""
+    ``_offline_marginal`` of the one-hot matrix that keeps, at each stratum,
+    only the states carrying the required label. An integer label outside
+    0..k-1 has no mass; a label that is not an integer (1.5, the float
+    1.0, "1") raises ValueError naming its position."""
     k = model.num_experts
     onehot = np.full((len(labels), k), NEG_INF)
     for i, x in enumerate(labels):
@@ -578,7 +579,7 @@ def expert_sequence_prior(model: HmmModel, labels: Sequence[int]) -> LogMass:
         if 0 <= x < k:      # else the row stays -inf: no mass
             onehot[i, x] = 0.0
     try:
-        return _offline_forward(model, onehot, False)[1]
+        return _offline_marginal(model, onehot)
     except ZeroMarginalError:
         return NEG_INF
 
@@ -648,13 +649,23 @@ SCAN_LEVEL_STATES = 16
 SCAN_ROWS = 1024
 
 
+def _stratum_one(model: HmmModel) -> tuple[list[StateId], np.ndarray, np.ndarray]:
+    """Stratum 1 listed by (label, state), as ``SwitchHmm._level_tables``
+    lists it: its states, their log masses and their labels."""
+    first = propagate_frontier(model, dict(model.initial()), 1)[0]
+    label = model.label
+    states = sorted(first, key=lambda q: (label(q), q))
+    return (states, np.array([first[q] for q in states]),
+            np.array([label(q) for q in states], dtype=np.intp))
+
+
 def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, Callable] | None:
     """The one rule for every offline pass: None where the model loops,
-    else what its scan reads. That is stratum 1's masses and labels, its
-    states listed by (label, state), and its tables: a function from
-    levels to a function from row indices into them to those rows'
-    ``_exps``, transposed for ``back``. A stationary model gives its one
-    route table from stratum 1 to 2 for every row, the switch model its
+    else what its scan reads. That is stratum 1's masses and labels
+    (``_stratum_one``) and its tables: a function from levels to a
+    function from row indices into them to those rows' ``_exps``,
+    transposed for ``back``. A stationary model gives its one route table
+    from stratum 1 to 2 for every row, the switch model its
     ``_level_tables``. A model loops where it is neither stationary nor
     has that hook, where a stationary model's table is not closed (its
     sinks are not its sources), or where S is past SCAN_STATES
@@ -662,22 +673,19 @@ def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, Callable] | No
     level_tables = None if model.stationary else model._level_tables
     if not (model.stationary or level_tables):
         return None
-    first = propagate_frontier(model, dict(model.initial()), 1)[0]
-    label = model.label
-    states = sorted(first, key=lambda q: (label(q), q))
+    states, masses, labels = _stratum_one(model)
     if not 0 < len(states) <= (SCAN_STATES if level_tables is None else SCAN_LEVEL_STATES):
         return None
-    masses = np.array([first[q] for q in states])
     if level_tables is not None:
         def tables(levels):
             read = level_tables(levels)
             return lambda idx, back=False: _exps(read(idx).swapaxes(1, 2) if back else read(idx))
-        return masses, np.array([label(q) for q in states], dtype=np.intp), tables
+        return masses, labels, tables
     routes = _Routes.build(model, states, 2)
     if routes.sinks != shape_of(states):
         return None
     fwd, bwd = _exps(routes.table), _exps(routes.table.T)
-    return masses, routes.labels, lambda levels: lambda idx, back=False: bwd if back else fwd
+    return masses, labels, lambda levels: lambda idx, back=False: bwd if back else fwd
 
 
 def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
@@ -1014,11 +1022,7 @@ def viterbi_unambiguous(
         return [], 0.0
 
     label = model.label
-    by_label = lambda q: (label(q), q)
-    sinks = propagate_frontier(model, dict(model.initial()), 1)[0]
-    states = sorted(sinks, key=by_label)
-    vals = np.array([sinks[q] for q in states])
-    labs = np.array([label(q) for q in states], dtype=np.intp)
+    states, vals, labs = _stratum_one(model)
     # labels[i][j]: the label of state j of stratum i + 1; parents[i - 1][j]:
     # the index of its best source in stratum i; vals: the last stratum's values.
     labels, parents = [], []
@@ -1042,7 +1046,7 @@ def viterbi_unambiguous(
                         old = best.get(u)
                         if old is None or m > old[0]:
                             best[u] = (m, s)
-            states = sorted(best, key=by_label)
+            states = sorted(best, key=lambda u: (label(u), u))
             parents.append([best[u][1] for u in states])
             vals = np.array([best[u][0] for u in states])
             labs = np.array([label(u) for u in states], dtype=np.intp)

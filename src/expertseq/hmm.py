@@ -52,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .logprob import NEG_INF, LogMass, log_sum, log_sum_iter
+from .logprob import NEG_INF, LogMass, log_sum_iter
 
 StateId = tuple
 
@@ -184,6 +184,12 @@ def propagate_frontier(
     silent DAG discovered by Kahn-style readiness; states whose mass is
     zero are dropped eagerly and their outgoing arcs are not touched.
 
+    One map holds every weight: the frontier in its order, each silent
+    node from its first reach until it is processed and popped, and each
+    sink from its first reach. So the new frontier lists the frontier's
+    states on the target stratum first, in frontier order, then the other
+    sinks in the order they were first reached.
+
     If ``record`` is a list, each processed live node is appended as
     ``(state, successor_list)`` in processing order: the record that
     :func:`compile_level` turns into slots, and that the reference
@@ -196,17 +202,14 @@ def propagate_frontier(
     prod_tags = model.productive_tags
     log1p, exp = math.log1p, math.exp
 
-    sinks: dict[StateId, LogMass] = {}
-    acc: dict[StateId, LogMass] = {}
-    for q, v in frontier.items():
-        tgt = sinks if (q[0] in prod_tags and q[1] == target_level) else acc
-        tgt[q] = log_sum(tgt[q], v) if q in tgt else v
+    weights = dict(frontier)
+    sources = [q for q in weights if not (q[0] in prod_tags and q[1] == target_level)]
 
-    # Discover the silent region reachable from the live sources and count
+    # Discover the silent region reachable from the sources and count
     # in-edges so each node is processed only once all its feeders are done.
     adj: dict[StateId, list[tuple[StateId, LogMass]]] = {}
     indeg: dict[StateId, int] = {}
-    stack = list(acc.keys())
+    stack = list(sources)
     while stack:
         u = stack.pop()
         if u in adj:
@@ -220,13 +223,11 @@ def propagate_frontier(
             if v not in adj:
                 stack.append(v)
 
-    ready = [u for u in acc if indeg.get(u, 0) == 0]
-    transitions = 0
-    held = 0
-    done = 0
+    ready = [u for u in sources if indeg.get(u, 0) == 0]
+    transitions = held = done = 0
     while ready:
         u = ready.pop()
-        mass = acc.pop(u, NEG_INF)
+        mass = weights.pop(u, NEG_INF)
         live = mass != NEG_INF
         if live:
             held += 1
@@ -234,26 +235,16 @@ def propagate_frontier(
             if record is not None:
                 record.append((u, adj[u]))
         for v, w in adj[u]:
-            if v[0] in prod_tags and v[1] == target_level:
-                if live:
-                    m = mass + w
-                    old = sinks.get(v)
-                    if old is None:
-                        sinks[v] = m
-                    elif old <= m:
-                        sinks[v] = m + log1p(exp(old - m)) if old != NEG_INF else m
-                    else:
-                        sinks[v] = old + log1p(exp(m - old))
-            else:
-                if live:
-                    m = mass + w
-                    old = acc.get(v)
-                    if old is None:
-                        acc[v] = m
-                    elif old <= m:
-                        acc[v] = m + log1p(exp(old - m)) if old != NEG_INF else m
-                    else:
-                        acc[v] = old + log1p(exp(m - old))
+            if live:
+                m = mass + w
+                old = weights.get(v)
+                if old is None:
+                    weights[v] = m
+                elif old <= m:
+                    weights[v] = m + log1p(exp(old - m)) if old != NEG_INF else m
+                else:
+                    weights[v] = old + log1p(exp(m - old))
+            if not (v[0] in prod_tags and v[1] == target_level):
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     ready.append(v)
@@ -261,7 +252,7 @@ def propagate_frontier(
     if done != len(adj):
         leftover = [u for u in adj if indeg.get(u, 0) > 0][:3]
         raise ValueError(f"silent region is not a DAG near states {leftover}")
-    return sinks, transitions, held + len(sinks)
+    return weights, transitions, held + len(weights)
 
 
 def shape_of(states) -> tuple:

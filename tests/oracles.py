@@ -481,7 +481,8 @@ def best_segmentations_oracle(lp, max_blocks):
             a = par[jj][i][x]
             if a >= 0:
                 x, jj = a, jj - 1
-        out.append(Segmentation(row[bx], seq))
+        last = max((i for i in range(1, n) if seq[i] != seq[i - 1]), default=0)
+        out.append(Segmentation(row[bx], seq, last))
     return out
 
 

@@ -124,6 +124,8 @@ class TestSegmentationDP:
                 if w is not None:
                     assert g.log_likelihood == w.log_likelihood
                     assert g.sequence == w.sequence
+                    changes = g.change_points
+                    assert g.last_change == (changes[-1] if changes else 0)
 
     def test_table_memory_is_numpy_sized(self):
         # A nested-list table of this size peaks near 70 MB, the numpy one near 4 MB.
@@ -230,8 +232,9 @@ class TestMeasurements:
                 assert r.bound_bits == bnd.switch_bound(m, t_m, k)
 
     def test_switch_reads_each_best_once(self, monkeypatch):
-        # blocks and change_points each scan the whole sequence, so they are
-        # read once per best segmentation adopted, not once per m.
+        # blocks and change_points each scan the whole sequence; the block
+        # count is the row a best was adopted at and its last change point
+        # is recorded by the table, so neither is read.
         lp = np.log(np.random.default_rng(78).uniform(0.05, 1.0, (60, 3)))
         adopted, best = 0, None
         for s in bnd.best_segmentations(lp, 60):
@@ -248,7 +251,7 @@ class TestMeasurements:
             monkeypatch.setattr(bnd.Segmentation, name, property(counted))
         assert list(bnd.measure_switch(-5.0, lp, 3)) == want
         assert len(want) == 60 and 1 < adopted < 60
-        assert reads == {"blocks": adopted, "change_points": adopted}
+        assert reads == {"blocks": 0, "change_points": 0}
 
     @pytest.mark.parametrize("measure", [bnd.measure_switch, bnd.measure_run_length])
     def test_first_report_builds_one_table(self, monkeypatch, measure):

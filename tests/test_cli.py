@@ -462,16 +462,17 @@ class TestScannedEvaluate:
 
 
 # Which engine each pass takes, S for the scan and L for the loop: the
-# posterior, evaluate, evaluate with --trim, and bounds ("-" where bounds
-# defines no report). The case is the model and its k experts. Late share
-# is fixed share with an open table, except at rate 0, where its one state
-# routes only to itself: its bounds scan rate 0 and loop rate 1/(n - 1) (M).
+# posterior, evaluate, evaluate with --trim, bounds ("-" where bounds
+# defines no report), and expert_sequence_prior of the posterior's model.
+# The case is the model and its k experts. Late share is fixed share with
+# an open table, except at rate 0, where its one state routes only to
+# itself: its bounds scan rate 0 and loop rate 1/(n - 1) (M).
 ENGINES = [
-    ("bayes", 2, "SSLS"), ("fixed-elementwise", 2, "SSL-"), ("universal-elementwise", 2, "LLLL"),
-    ("fixed-share", 2, "SSLS"), ("universal-share", 2, "LLLL"), ("overconfident", 2, "SSL-"),
-    ("switch", 2, "SSLS"), ("run-length", 2, "LLLL"),
-    ("fixed-share", es.forward.SCAN_STATES + 1, "LLLL"),
-    ("switch", es.forward.SCAN_LEVEL_STATES // 2 + 1, "LLLL"), ("late-share", 2, "LLLM"),
+    ("bayes", 2, "SSLSS"), ("fixed-elementwise", 2, "SSL-S"),
+    ("universal-elementwise", 2, "LLLLL"), ("fixed-share", 2, "SSLSS"),
+    ("universal-share", 2, "LLLLL"), ("overconfident", 2, "SSL-S"), ("switch", 2, "SSLSS"),
+    ("run-length", 2, "LLLLL"), ("fixed-share", es.forward.SCAN_STATES + 1, "LLLLL"),
+    ("switch", es.forward.SCAN_LEVEL_STATES // 2 + 1, "LLLLL"), ("late-share", 2, "LLLML"),
 ]
 
 
@@ -504,14 +505,21 @@ def test_engine_per_pass(tmp_path, monkeypatch, model, k, engines, forced):
 
     monkeypatch.setattr(es.forward, "_Blocks", Blocks)
     monkeypatch.setattr(es.forward, "_new_core", new_core)
+    built, posterior = [], cli_mod.posterior_experts
+    monkeypatch.setattr(cli_mod, "posterior_experts",
+                        lambda model, *a, **kw: built.append(model) or posterior(model, *a, **kw))
     if forced:
         monkeypatch.setattr(es.forward, "_scan_start", lambda m: None)
     passes = [["posterior", *argv, *alpha], ["evaluate", *argv, *alpha],
               ["evaluate", *argv, *alpha, "--trim", "0.9"],
-              ["bounds", *argv, "--max-blocks", "2"]]
+              ["bounds", *argv, "--max-blocks", "2"], "prior"]
     for want, cmd in zip(engines, passes):
         runs.update(scans=0, cores=0)
-        assert main(cmd + ["--out", str(tmp_path / "out")]) == (4 if want == "-" else 0), cmd
+        if cmd == "prior":
+            labels = np.random.default_rng(k).integers(0, k, 12).tolist()
+            assert es.expert_sequence_prior(built[0], labels) <= 0.0
+        else:
+            assert main(cmd + ["--out", str(tmp_path / "out")]) == (4 if want == "-" else 0), cmd
         if want != "-":
             want = "L" if forced else want
             assert (runs["scans"] > 0, runs["cores"] > 0) == (want in "SM", want in "LM"), cmd

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import expertseq as es
-from expertseq.hmm import HmmModel, propagate_frontier
+from expertseq.hmm import HmmModel, compile_level, propagate_frontier
 from expertseq.logprob import NEG_INF
 from oracles import (
     ZOO_NAMES,
@@ -53,6 +53,30 @@ class _SilentLoop(HmmModel):
         return q[2]
 
 
+class _MixedFrontier(HmmModel):
+    """Initial mass on two silent states and on one state of stratum 1:
+    silent a also reaches silent b, and b reaches that stratum-1 state."""
+
+    productive_tags = frozenset({"e"})
+    silent_depth_bound = 2
+    num_experts = 3
+
+    def initial(self):
+        return [(("b", 0), math.log(0.5)), (("e", 1, 0), math.log(0.2)),
+                (("a", 0), math.log(0.3))]
+
+    def successors(self, q):
+        t = q[1]
+        if q[0] == "a":
+            return [(("e", t + 1, 2), math.log(0.5)), (("b", t), math.log(0.5))]
+        if q[0] == "b":
+            return [(("e", t + 1, 0), math.log(0.4)), (("e", t + 1, 1), math.log(0.6))]
+        return [(("a", t), 0.0)]
+
+    def label(self, q):
+        return q[2]
+
+
 class TestValidate:
     def test_zoo_models_are_valid(self):
         rng = np.random.default_rng(10)
@@ -90,6 +114,27 @@ class TestValidate:
         assert held == k + 1 + k
         frontier[("e", 1, 0)] = NEG_INF
         assert propagate_frontier(model, frontier, 2)[2] == (k - 1) + 1 + k
+
+    def test_frontier_mixing_silent_and_target_states(self):
+        # b comes first in the frontier but waits for a; the stratum-1 state
+        # leads the new frontier, then the sinks in the order first reached,
+        # which is not their sorted order.
+        model = _MixedFrontier()
+        assert es.validate(model, 3) == []
+        frontier = dict(model.initial())
+        record = []
+        propagated = propagate_frontier(model, frontier, 1, record)
+        sinks, transitions, held = propagated
+        assert list(sinks) == [("e", 1, 0), ("e", 1, 2), ("e", 1, 1)]
+        masses = [0.2 + 0.65 * 0.4, 0.3 * 0.5, 0.65 * 0.6]
+        assert list(sinks.values()) == pytest.approx(np.log(masses), abs=1e-15)
+        assert [u for u, _ in record] == [("a", 0), ("b", 0)]
+        assert (transitions, held) == (4, 2 + 3)
+        assert frontier == dict(model.initial())
+        plan = compile_level(frontier, record, propagated, model.label)
+        replayed = plan.replay(list(frontier.values()), 1)
+        assert list(replayed.items()) == list(sinks.items())
+        assert (plan.transitions, plan.held, plan.labels) == (4, 5, (0, 2, 1))
 
 
 class TestExpertSequencePrior:
