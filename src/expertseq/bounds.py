@@ -192,20 +192,26 @@ def best_segmentations(lp: np.ndarray, max_blocks: int) -> list[Segmentation | N
     if n < 1:
         raise ValueError("need data")
     rows = np.arange(min(max_blocks, n))
-    other = ~np.eye(k, dtype=bool)
+    fewer = rows[:-1, None]
     # val[j, x]: best loglik so far with j+1 blocks, the last one using x.
     # par[i, j, x]: the expert switched from when a block starts at i, else -1.
     val = np.full((len(rows), k), NEG_INF)
     val[:1] = lp[0]
     par = np.full((n, len(rows), k), -1, dtype=np.min_scalar_type(-k))
     for i in range(1, n):
-        # cand[j, x, y]: switching into x from y, one block fewer than row j + 1;
-        # argmax takes the lowest y among equal switches.
-        cand = np.where(other, val[:-1, None, :], NEG_INF)
-        sw = cand.max(axis=2)
+        # The best switch into x, one block fewer than row j + 1, comes from
+        # the row's best expert, or its second best where that is x itself;
+        # argmax takes the lowest index among equals in both.
+        top = val[:-1].argmax(axis=1)[:, None]
+        rest = val[:-1].copy()
+        rest[fewer, top] = NEG_INF
+        second = rest.argmax(axis=1)[:, None]
+        into_top = top == np.arange(k)
+        src = np.where(into_top, second, top)
+        sw = np.where(into_top, rest[fewer, second], val[fewer, top])
         switch = sw > val[1:]
         val[1:] = np.where(switch, sw, val[1:])
-        par[i, 1:] = np.where(switch, cand.argmax(axis=2), -1)
+        par[i, 1:] = np.where(switch, src, -1)
         val += lp[i]
     x = val.argmax(axis=1)
     best = val[rows, x]

@@ -1,15 +1,17 @@
 """Forecasting systems: the expert abstraction and built-in reference experts.
 
 An expert is a sequential forecaster P(x_{t+1} | x^t) over outcome
-indices. ``predict(history)`` defines it for any history, in any order;
-``forecasts()`` streams it, each outcome sent once; ``realized(data)``
-gives the whole column of log P(x_i | x^{i-1}) for a known sequence.
-Every built-in expert streams at constant cost per step and computes its
-column in a few numpy calls; the base class replays ``predict`` to stream
-and reads its stream once for the column.
+indices, read three ways. ``predict(history)`` defines it for any
+history, in any order; ``forecasts()`` streams it, each outcome sent
+once; ``window_forecasts()`` streams it one window of outcomes at a
+time. ``realized(data)`` gives the whole column of log P(x_i | x^{i-1})
+for a known sequence. Every built-in expert streams at constant cost per
+step and reads a window or its column in a few numpy calls; the base
+class replays ``predict`` to stream and reads its stream for the rest.
 
 ``_forecast_rows`` merges k streams into one (k, alphabet) array per step
-for ``ForwardPass``, which reads it as it advances. Every offline entry
+for ``ForwardPass``, which reads it as it advances. The forward scan of
+CLI ``evaluate`` reads one window an expert. Every other offline entry
 point (posterior, Viterbi, switch MAP, ML estimates, bounds) reads
 ``prediction_matrix``, one ``realized`` column per expert. Experts of
 different alphabet sizes are rejected where they enter, and symbols are
@@ -26,7 +28,7 @@ import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +67,9 @@ class ForecastingSystem(ABC):
     ``size`` is the number of outcomes; ``predict`` returns a vector of
     ``size`` natural-log probabilities summing to one (in linear scale).
     Subclasses define ``predict`` and may override ``forecasts`` to stream
-    and ``realized`` to compute a known sequence's column in one pass.
+    it, ``window_forecasts`` to read it a window at a time and ``realized``
+    to compute a known sequence's column in one pass; each override must
+    give the bits ``predict`` gives.
     """
 
     size: int
@@ -83,6 +87,22 @@ class ForecastingSystem(ABC):
         while True:
             x = yield self.predict(history)
             history.append(x)
+
+    def window_forecasts(self) -> Generator[np.ndarray | None, np.ndarray, None]:
+        """Generator of forecasts a window at a time: after a first
+        ``next``, sending the checked ``np.intp`` symbols x_t0..x_t0+r-1 of
+        the next non-empty window gives the (r, size) forecasts for those
+        positions, row i equal to ``predict`` of the outcomes before
+        x_t0+i. This default reads ``forecasts()`` a row at a time, sending
+        each outcome only when the forecast after it is wanted, so a
+        window's last symbol waits for the next window."""
+        stream, last, rows = self.forecasts(), None, None
+        while True:
+            xs = (yield rows).tolist()
+            rows = np.empty((len(xs), self.size))
+            for i, x in enumerate([last, *xs[:-1]]):
+                rows[i] = stream.send(x)
+            last = xs[-1]
 
     def realized(self, data: np.ndarray) -> np.ndarray:
         """The (n,) log P(x_i | x^{i-1}) of a checked ``np.intp`` symbol
@@ -230,6 +250,11 @@ class ConstantExpert(ForecastingSystem):
         while True:
             yield self._logp
 
+    def window_forecasts(self) -> Generator[np.ndarray | None, np.ndarray, None]:
+        xs = yield
+        while True:
+            xs = yield np.broadcast_to(self._logp, (len(xs), self.size))
+
     def realized(self, data: np.ndarray) -> np.ndarray:
         return self._logp[data]
 
@@ -274,6 +299,22 @@ class _AddSmoothedCounts(ForecastingSystem):
             x = yield np.log((counts + a) / (n + a * self.size))
             counts[_index(x, n, self.size)] += 1
             n += 1
+
+    def window_forecasts(self) -> Generator[np.ndarray | None, np.ndarray, None]:
+        # c[i] counts the symbols before position n + i: the counts carried
+        # in, then one one-hot row a symbol, summed down the window.
+        counts, a, n = np.zeros(self.size, dtype=np.intp), self.smoothing, 0
+        xs = yield
+        while True:
+            r = len(xs)
+            c = np.zeros((r + 1, self.size), dtype=np.intp)
+            c[0] = counts
+            c[np.arange(1, r + 1), xs] = 1
+            np.cumsum(c, axis=0, out=c)
+            counts = c[r]
+            rows = np.log((c[:r] + a) / ((n + np.arange(r))[:, None] + a * self.size))
+            n += r
+            xs = yield rows
 
     def realized(self, data: np.ndarray) -> np.ndarray:
         # counts[i] is how often data[i] occurs in data[:i]: its rank among
@@ -331,6 +372,13 @@ class MarkovExpert(ForecastingSystem):
         for i in count():
             x = yield self._log_trans[_index(x, i, self.size)]
 
+    def window_forecasts(self) -> Generator[np.ndarray | None, np.ndarray, None]:
+        head, xs = self._log_init, (yield)
+        while True:
+            rows = np.concatenate((head[None], self._log_trans[xs[:-1]]))
+            head = self._log_trans[xs[-1]]
+            xs = yield rows
+
     def realized(self, data: np.ndarray) -> np.ndarray:
         out = np.empty(len(data))
         out[:1] = self._log_init[data[:1]]
@@ -356,21 +404,32 @@ class AdviceExpert(ForecastingSystem):
         with np.errstate(divide="ignore"):
             self._logp = np.log(t)
 
+    def _exhausted(self, i: int) -> ValueError:
+        return ValueError(f"advice exhausted: step {i} beyond {self._steps} rows")
+
     def predict(self, history: Sequence[int]) -> np.ndarray:
         i = len(history)
         if i >= self._steps:
-            raise ValueError(f"advice exhausted: step {i} beyond {self._steps} rows")
+            raise self._exhausted(i)
         return self._logp[i]
 
     def forecasts(self) -> Iterator[np.ndarray]:
         # A for loop, not ``yield from``: an ndarray iterator has no send.
         for row in self._logp:
             yield row
-        raise ValueError(f"advice exhausted: step {self._steps} beyond {self._steps} rows")
+        raise self._exhausted(self._steps)
+
+    def window_forecasts(self) -> Generator[np.ndarray | None, np.ndarray, None]:
+        t, xs = 0, (yield)
+        while True:
+            if t + len(xs) > self._steps:
+                raise self._exhausted(self._steps)
+            t += len(xs)
+            xs = yield self._logp[t - len(xs):t]
 
     def realized(self, data: np.ndarray) -> np.ndarray:
         if len(data) > self._steps:
-            raise ValueError(f"advice exhausted: step {self._steps} beyond {self._steps} rows")
+            raise self._exhausted(self._steps)
         return self._logp[np.arange(len(data)), data]
 
 

@@ -51,7 +51,8 @@ switch model each row its own level's, built for one position of every
 block at a time, never for a window. :func:`posterior_experts` scans all
 n rows at once and records no levels. ``_scan_forward`` scans
 ``SCAN_ROWS`` rows a window and holds one window, its forecasts
-included, never n rows; each window starts from the vector carried out
+included, never n rows, read one window an expert through
+``window_forecasts``; each window starts from the vector carried out
 of the one before, shifted to a maximum of 0. It runs the passes of CLI
 ``evaluate`` (``_step_rows``) unless a frontier hook is given, as
 ``--trim`` gives one, and every offline marginal (``_offline_marginal``:
@@ -743,9 +744,9 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
     a step: the steps' log conditionals log P(x_t | x^{t-1}), their
     next-expert distributions (rows, k) and, in experts mode, their
     next-outcome distributions (rows, alphabet), else None; only the
-    carried vector outlives a window. The window's forecasts are read from
-    the experts' streams as a forward pass reads them, one row a step,
-    sending each outcome once, and mixed in one ``np.logaddexp.reduce``.
+    carried vector outlives a window. The window's forecasts are read one
+    window an expert, each expert's ``window_forecasts`` sent the window's
+    checked symbols, and mixed in one ``np.logaddexp.reduce``.
     The steps are one run of ``_Blocks`` over the window's rows, from the
     vector carried out of the window before, shifted to a maximum of 0,
     and with per-level tables over the window's own levels, which the
@@ -823,19 +824,22 @@ def _offline_marginal(model: HmmModel, lp: np.ndarray) -> LogMass:
 
 
 def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
-    stream = None if experts is None else _forecast_rows(experts)
-    carry, last = None, None
+    """``_scan_forward``'s windows. A window's symbols are checked before
+    any expert reads them, then each expert's reader gives its forecasts."""
+    readers = [] if experts is None else [e.window_forecasts() for e in experts]
+    for reader in readers:
+        next(reader)
+    carry = None
     for t0 in range(0, len(data), SCAN_ROWS):
         window = data[t0:t0 + SCAN_ROWS]
         r = len(window)
-        if stream is None:
+        if experts is None:
             lp, preds = lp_all[t0:t0 + r], None
         else:
-            xs = [_index(x, i, size) for i, x in enumerate(window, t0)]
+            xs = np.array([_index(x, i, size) for i, x in enumerate(window, t0)], dtype=np.intp)
             preds = np.empty((r, k, size))
-            for i, x in enumerate([last, *xs[:-1]]):
-                preds[i] = stream.send(x)
-            last = xs[-1]
+            for j, reader in enumerate(readers):
+                preds[:, j] = reader.send(xs)
             lp = preds[np.arange(r), :, xs]
         # The window's rows after its head read levels t0 or 1 on.
         cond, pre, carry = _scan_window(tables(range(t0 or 1, t0 + r)), labels, lp,

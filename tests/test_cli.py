@@ -12,7 +12,7 @@ import pytest
 import expertseq as es
 import expertseq.cli as cli_mod
 from expertseq.cli import main
-from oracles import Counting, LateShare
+from oracles import Counting, LateShare, record_stream
 
 
 def write(path, text):
@@ -442,6 +442,24 @@ class TestScannedEvaluate:
         assert fast[0] == ref[0] == 0
         assert_same_numbers(fast[1], ref[1])
         assert len(fast[1].splitlines()) == n + 1
+
+    @pytest.mark.parametrize("source", ["builtin", "full"])
+    @pytest.mark.parametrize("model", SCANNED)
+    def test_experts_are_read_a_window_at_a_time(self, tmp_path, monkeypatch, inputs, model,
+                                                 source):
+        # Windows of 8 rows: the scan reads every builtin and advice expert
+        # through its window reader and opens none of their per-step streams.
+        monkeypatch.setattr(es.forward, "SCAN_ROWS", 8)
+        counts = [record_stream(monkeypatch, cls)[0] for cls in
+                  (es.KTEstimator, es.LaplaceEstimator, es.ConstantExpert, es.MarkovExpert,
+                   es.AdviceExpert)]
+        argv = ["evaluate", *inputs[source], "--alphabet", "0,1,2", "--model",
+                *self.SCANNED[model]]
+        if source == "builtin":
+            argv[3] += ";laplace"
+        rc, text, _ = self.run(tmp_path, monkeypatch, argv, True)
+        assert rc == 0 and len(text.splitlines()) == self.N + 1
+        assert counts == [[0]] * len(counts)
 
     @pytest.mark.parametrize("case", ["run-length", "open-table", "past-scan-states"])
     def test_other_models_keep_the_loop(self, tmp_path, monkeypatch, inputs, case):

@@ -8,7 +8,7 @@ import pytest
 import expertseq as es
 from expertseq.experts import ModelExpert
 from expertseq.logprob import NEG_INF, logsumexp
-from oracles import record_stream
+from oracles import Counting, record_stream
 
 
 class TestBuiltins:
@@ -511,6 +511,64 @@ class TestRealizedColumns:
             tracemalloc.stop()
         assert col.shape == (100_000,)
         assert peak < 16e6, peak
+
+
+def windowed(e, data, cuts):
+    """The expert's forecasts for ``data`` read through its window reader,
+    the windows cut before each position in ``cuts``."""
+    reader = e.window_forecasts()
+    next(reader)
+    edges = [0, *cuts, len(data)]
+    windows = [reader.send(data[a:b]) for a, b in zip(edges, edges[1:])]
+    assert all(w.shape == (b - a, e.size) for w, a, b in zip(windows, edges, edges[1:]))
+    return np.concatenate(windows)
+
+
+def streamed_rows(e, data):
+    """The forecasts for ``data`` read off the expert's stream, each outcome
+    sent only when the forecast after it is wanted."""
+    stream = e.forecasts()
+    return np.array([next(stream)] + [stream.send(x) for x in data[:-1]], dtype=float)
+
+
+class TestWindowForecasts:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*BUILTINS, "predict_only"])
+    def test_windows_are_the_stream_bit_for_bit(self, name, size, seed):
+        # n is the advice table's length, so the last window ends at its
+        # last row; the first two windows hold one row each, and every cut
+        # of a Markov expert crosses a transition.
+        rng = np.random.default_rng(37 + 10 * size + seed)
+        n = 40
+        experts = builtin_experts(rng, size=size, steps=n)
+        e = CountingExpert(experts["markov"]) if name == "predict_only" else experts[name]
+        data = rng.integers(0, size, n).astype(np.intp)
+        cuts = sorted({1, 2, *(np.flatnonzero(rng.uniform(size=n - 1) < 0.3) + 1).tolist()})
+        got = windowed(e, data, cuts)
+        assert got.dtype == np.float64
+        assert got.tobytes() == streamed_rows(e, data.tolist()).tobytes()
+
+    def test_default_reader_sends_each_outcome_when_its_successor_is_wanted(self):
+        e = Counting(es.KTEstimator(2))
+        data = np.array([1, 0, 1, 1, 0], dtype=np.intp)
+        reader = e.window_forecasts()
+        next(reader)
+        reader.send(data[:3])
+        assert (e.rows, e.sent) == (3, [1, 0])
+        reader.send(data[3:])
+        assert (e.rows, e.sent) == (5, [1, 0, 1, 1])
+
+    @pytest.mark.parametrize("cuts", [[3], [2, 5]])
+    def test_exhausted_advice_raises_the_streams_message(self, cuts):
+        e = es.AdviceExpert(np.full((5, 2), 0.5))
+        data = np.zeros(6, dtype=np.intp)
+        with pytest.raises(ValueError) as streamed:
+            streamed_rows(e, data.tolist())
+        with pytest.raises(ValueError) as read:
+            windowed(e, data, cuts)
+        assert str(read.value) == str(streamed.value) == "advice exhausted: step 5 beyond 5 rows"
+        assert windowed(e, data[:5], cuts[:1]).shape == (5, 2)
 
 
 class CountingSequence(Sequence):

@@ -31,12 +31,13 @@ import pytest
 
 import expertseq as es
 import expertseq.forward as forward_mod
+from expertseq.experts import ModelExpert
 from expertseq.forward import SCAN_STATES, _offline_forward, _Routes, _TupleCore
 from expertseq.hmm import LevelPlan, shape_of
 from expertseq.models import FixedShare
 from oracles import (Counting, LateShare, TupleOnly, assert_posterior_close, brute_map,
                      brute_posterior, iter_sequence_priors, posterior_or_step,
-                     region_posterior)
+                     record_stream, region_posterior)
 
 N = 40
 ALPHABET = 3
@@ -689,6 +690,34 @@ def test_forward_scan_window_edges(name, n, monkeypatch):
     fast = scan_run(model, counted, data)
     assert all(e.rows == n and e.sent == data[:-1] for e in counted)
     assert_scan_close(fast, loop_run(model, experts, data))
+
+
+def test_forward_scan_never_sends_a_model_expert_the_last_outcome(monkeypatch):
+    # A ModelExpert takes the default window reader: n forecasts over three
+    # windows, and the n - 1 outcomes before the last sent to its stream.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 8)
+    forecasts, sent = record_stream(monkeypatch, ModelExpert)
+    model, experts, data = instance("fixed_share", seed=4)
+    data = data[:20]
+    inner = es.model_as_expert(es.bayes([0.5, 0.5]), experts[1:])
+    fast = scan_run(model, [*experts[:2], inner], data)
+    assert forecasts == [len(data)] and sent == data[:-1]
+    assert fast[3] is None and len(fast[0]) == len(data)
+
+
+def test_forward_scan_rejects_a_symbol_before_any_expert_reads_it(monkeypatch):
+    # The bad symbol at position 10 lies in the second window of 8 rows:
+    # the first window is yielded, and no expert is sent the second.
+    monkeypatch.setattr(forward_mod, "SCAN_ROWS", 8)
+    model, experts, data = instance("fixed_share", seed=5)
+    data = data[:16]
+    data[10] = ALPHABET
+    counted = [Counting(e) for e in experts]
+    windows = forward_mod._scan_forward(model, counted, data)
+    assert len(next(windows)[0]) == 8
+    with pytest.raises(ValueError, match=rf"symbol {ALPHABET} at position 10 is outside"):
+        next(windows)
+    assert all(e.rows == 8 and e.sent == data[:7] for e in counted)
 
 
 @pytest.mark.parametrize("step", [1, 4, 5, 6, 9])
