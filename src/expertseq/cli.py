@@ -104,7 +104,7 @@ def _parse_builtin(spec: str, alphabet_size: int) -> tuple[list[ForecastingSyste
 
 
 def _read_data(path: str, alphabet: Alphabet) -> list[int]:
-    data = []
+    data, index = [], {s: i for i, s in enumerate(alphabet.symbols)}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -112,8 +112,8 @@ def _read_data(path: str, alphabet: Alphabet) -> list[int]:
                 if not tok:
                     continue
                 try:
-                    data.append(alphabet.index(tok))
-                except ValueError:
+                    data.append(index[tok])
+                except KeyError:
                     raise InputError(f"{path}:{lineno}: symbol {tok!r} not in alphabet")
     except OSError as e:
         raise InputError(f"cannot read data file: {e}") from None

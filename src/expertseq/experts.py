@@ -4,20 +4,20 @@ An expert is a sequential forecaster P(x_{t+1} | x^t) over outcome
 indices, read three ways. ``predict(history)`` defines it for any
 history, in any order; ``forecasts()`` streams it, each outcome sent
 once; ``window_forecasts()`` streams it one window of outcomes at a
-time. ``realized(data)`` gives the whole column of log P(x_i | x^{i-1})
-for a known sequence. Every built-in expert streams at constant cost per
-step and reads a window or its column in a few numpy calls; the base
-class replays ``predict`` to stream and reads its stream for the rest.
+time. Every built-in expert streams at constant cost per step and reads
+a window in a few numpy calls; the base class replays ``predict`` to
+stream and reads its stream a row at a time for a window.
 
-``_forecast_rows`` merges k streams into one (k, alphabet) array per step
-for ``ForwardPass``, which reads it as it advances. The forward scan of
-CLI ``evaluate`` reads one window an expert. Every other offline entry
-point (posterior, Viterbi, switch MAP, ML estimates, bounds) reads
-``prediction_matrix``, one ``realized`` column per expert. Experts of
-different alphabet sizes are rejected where they enter, and symbols are
-checked against the alphabet before any expert sees them. A matrix that
-is not (n, k), or a realized log-probability that is NaN or positive
-(named with its step), is rejected where the matrix enters a
+``ForwardPass`` reads the k experts' streams, one (k, alphabet) array a
+step. Every offline entry point reads windows: the forward scan of CLI
+``evaluate`` one window an expert, and ``prediction_matrix``, behind the
+posterior, Viterbi, switch MAP, ML estimates and bounds, one expert at a
+time, picking the realized outcome from each row. ``_read_window`` sends
+both their windows and checks each reply's shape. Experts of different
+alphabet sizes are rejected where they enter, and symbols are checked
+against the alphabet (``_symbol_array``) before any expert sees them. A
+matrix that is not (n, k), or a realized log-probability that is NaN or
+positive (named with its step), is rejected where the matrix enters a
 computation: at ``ForwardPass`` construction in matrix mode and in the
 shared offline check.
 """
@@ -67,9 +67,8 @@ class ForecastingSystem(ABC):
     ``size`` is the number of outcomes; ``predict`` returns a vector of
     ``size`` natural-log probabilities summing to one (in linear scale).
     Subclasses define ``predict`` and may override ``forecasts`` to stream
-    it, ``window_forecasts`` to read it a window at a time and ``realized``
-    to compute a known sequence's column in one pass; each override must
-    give the bits ``predict`` gives.
+    it and ``window_forecasts`` to read it a window at a time; each
+    override must give the bits ``predict`` gives.
     """
 
     size: int
@@ -104,28 +103,6 @@ class ForecastingSystem(ABC):
                 rows[i] = stream.send(x)
             last = xs[-1]
 
-    def realized(self, data: np.ndarray) -> np.ndarray:
-        """The (n,) log P(x_i | x^{i-1}) of a checked ``np.intp`` symbol
-        array. This default reads ``forecasts()`` once: n forecasts and
-        n - 1 sends."""
-        out = np.empty(len(data))
-        if len(data):
-            stream = self.forecasts()
-            out[0] = next(stream)[data[0]]
-            for i, (sent, x) in enumerate(zip(data[:-1].tolist(), data[1:].tolist()), 1):
-                out[i] = stream.send(sent)[x]
-        return out
-
-
-def _forecast_rows(experts: Sequence[ForecastingSystem]) -> Iterator[np.ndarray]:
-    """The (k, alphabet) forecasts of k experts per step, read like one
-    expert's ``forecasts``."""
-    streams = [e.forecasts() for e in experts]
-    row = np.array([next(s) for s in streams])
-    while True:
-        x = yield row
-        row = np.array([s.send(x) for s in streams])
-
 
 def _alphabet_size(experts: Sequence[ForecastingSystem]) -> int:
     """The outcome count the experts share; a ValueError names the first
@@ -135,12 +112,6 @@ def _alphabet_size(experts: Sequence[ForecastingSystem]) -> int:
         if e.size != size:
             raise ValueError(f"expert {j} forecasts {e.size} outcomes, expert 0 forecasts {size}")
     return size
-
-
-def _symbols(data: Sequence[int], size: int) -> list[int]:
-    """The symbols as ints, each read once by ``_index``, which names the
-    first that is not an integer in 0..size-1 with its position."""
-    return [_index(x, i, size) for i, x in enumerate(data)]
 
 
 def _outside(x, i: int, size: int) -> ValueError:
@@ -159,6 +130,34 @@ def _index(x, i: int, size: int) -> int:
     return v
 
 
+def _symbol_array(data: Sequence[int], size: int, start: int = 0) -> np.ndarray:
+    """The symbols as a checked ``np.intp`` array, positions counted from
+    ``start``. An integer array is checked in one comparison; anything
+    else goes one symbol at a time through ``_index``. Either way the first
+    symbol outside 0..size-1 raises ``_outside`` with its position."""
+    try:
+        x = np.asarray(data)
+    except ValueError:  # ragged nesting: ``_index`` names the nested symbol
+        x = None
+    if x is None or x.ndim != 1 or x.dtype.kind not in "iu":
+        return np.array([_index(v, i, size) for i, v in enumerate(data, start)], dtype=np.intp)
+    bad = np.flatnonzero((x < 0) | (x >= size))
+    if len(bad):
+        i = int(bad[0])
+        raise _outside(data[i], start + i, size)
+    return x.astype(np.intp, copy=False)
+
+
+def _read_window(reader: Generator, xs: np.ndarray, j: int, size: int) -> np.ndarray:
+    """Expert j's forecasts for the window of checked symbols ``xs``, sent
+    to its primed ``window_forecasts`` reader; a reply that is not
+    (len(xs), size) raises ValueError naming the expert and the shape."""
+    rows = reader.send(xs)
+    if np.shape(rows) != (len(xs), size):
+        raise ValueError(f"expert {j} window shape {np.shape(rows)} for {len(xs)} symbols")
+    return rows
+
+
 def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     """Chain-rule log mass the expert assigns to the whole sequence.
 
@@ -166,7 +165,7 @@ def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
     without asking the expert about any later history.
     """
     stream, sent, total = pfs.forecasts(), None, 0.0
-    for x in _symbols(data, pfs.size):
+    for x in _symbol_array(data, pfs.size).tolist():
         total += float(stream.send(sent)[x])
         if total == NEG_INF:
             return NEG_INF
@@ -175,17 +174,22 @@ def sequential_log_loss(pfs: ForecastingSystem, data: Sequence[int]) -> LogMass:
 
 
 def prediction_matrix(experts: Sequence[ForecastingSystem], data: Sequence[int]) -> np.ndarray:
-    """(n, k) matrix of log P_xi(x_i | x^{i-1}) for the realized outcomes,
-    column j from ``experts[j].realized``. The experts' alphabet sizes and
-    the symbols are checked before any expert is asked."""
-    x = np.array(_symbols(data, _alphabet_size(experts)), dtype=np.intp)
+    """(n, k) matrix of log P_xi(x_i | x^{i-1}) for the realized outcomes.
+    Column j reads ``experts[j].window_forecasts()`` one window of
+    ``forward.SCAN_ROWS`` symbols at a time, as the forward scan does, and
+    picks each row's realized outcome. The experts' alphabet sizes and the
+    symbols are checked before any expert is asked."""
+    from .forward import SCAN_ROWS  # runtime import to avoid a cycle
+
+    size = _alphabet_size(experts)
+    x = _symbol_array(data, size)
     lp = np.empty((len(x), len(experts)))
     for j, e in enumerate(experts):
-        col = e.realized(x)
-        if np.shape(col) != (len(x),):
-            raise ValueError(f"expert {j} realized shape {np.shape(col)} "
-                             f"for {len(x)} symbols")
-        lp[:, j] = col
+        reader = e.window_forecasts()
+        next(reader)
+        for t0 in range(0, len(x), SCAN_ROWS):
+            xs = x[t0:t0 + SCAN_ROWS]
+            lp[t0:t0 + len(xs), j] = _read_window(reader, xs, j, size)[np.arange(len(xs)), xs]
     return lp
 
 
@@ -255,9 +259,6 @@ class ConstantExpert(ForecastingSystem):
         while True:
             xs = yield np.broadcast_to(self._logp, (len(xs), self.size))
 
-    def realized(self, data: np.ndarray) -> np.ndarray:
-        return self._logp[data]
-
 
 def uniform_expert(size: int) -> ConstantExpert:
     return ConstantExpert(np.full(size, 1.0 / size))
@@ -278,17 +279,7 @@ class _AddSmoothedCounts(ForecastingSystem):
         self.size = size
 
     def predict(self, history: Sequence[int]) -> np.ndarray:
-        values = np.asarray(history)
-        if values.dtype.kind in "iu":
-            values = values.astype(np.intp, copy=False)
-            bad = np.flatnonzero((values < 0) | (values >= self.size))
-            if len(bad):
-                i = int(bad[0])
-                raise _outside(history[i], i, self.size)
-        else:  # floats, bools or Python objects: checked one at a time
-            values = np.array([_index(x, i, self.size) for i, x in enumerate(history)],
-                              dtype=np.intp)
-        counts = np.bincount(values, minlength=self.size)
+        counts = np.bincount(_symbol_array(history, self.size), minlength=self.size)
         a = self.smoothing
         return np.log((counts + a) / (len(history) + a * self.size))
 
@@ -315,18 +306,6 @@ class _AddSmoothedCounts(ForecastingSystem):
             rows = np.log((c[:r] + a) / ((n + np.arange(r))[:, None] + a * self.size))
             n += r
             xs = yield rows
-
-    def realized(self, data: np.ndarray) -> np.ndarray:
-        # counts[i] is how often data[i] occurs in data[:i]: its rank among
-        # the equal symbols after a stable sort, in O(n + size) memory.
-        order = np.argsort(data, kind="stable")
-        ranked = data[order]
-        totals = np.bincount(data, minlength=self.size)
-        starts = np.cumsum(totals) - totals
-        counts = np.empty(len(data), dtype=np.intp)
-        counts[order] = np.arange(len(data)) - starts[ranked]
-        a = self.smoothing
-        return np.log((counts + a) / (np.arange(len(data)) + a * self.size))
 
 
 class KTEstimator(_AddSmoothedCounts):
@@ -379,12 +358,6 @@ class MarkovExpert(ForecastingSystem):
             head = self._log_trans[xs[-1]]
             xs = yield rows
 
-    def realized(self, data: np.ndarray) -> np.ndarray:
-        out = np.empty(len(data))
-        out[:1] = self._log_init[data[:1]]
-        out[1:] = self._log_trans[data[:-1], data[1:]]
-        return out
-
 
 class AdviceExpert(ForecastingSystem):
     """Expert backed by a precomputed per-step table of distributions.
@@ -426,11 +399,6 @@ class AdviceExpert(ForecastingSystem):
                 raise self._exhausted(self._steps)
             t += len(xs)
             xs = yield self._logp[t - len(xs):t]
-
-    def realized(self, data: np.ndarray) -> np.ndarray:
-        if len(data) > self._steps:
-            raise self._exhausted(self._steps)
-        return self._logp[np.arange(len(data)), data]
 
 
 def make_builtin_expert(kind: str, **params) -> ForecastingSystem:

@@ -52,8 +52,9 @@ block at a time, never for a window. :func:`posterior_experts` scans all
 n rows at once and records no levels. ``_scan_forward`` scans
 ``SCAN_ROWS`` rows a window and holds one window, its forecasts
 included, never n rows, read one window an expert through
-``window_forecasts``; each window starts from the vector carried out
-of the one before, shifted to a maximum of 0. It runs the passes of CLI
+``experts._read_window``, as ``prediction_matrix`` reads its columns;
+each window starts from the vector carried out of the one before,
+shifted to a maximum of 0. It runs the passes of CLI
 ``evaluate`` (``_step_rows``) unless a frontier hook is given, as
 ``--trim`` gives one, and every offline marginal (``_offline_marginal``:
 CLI ``bounds`` and :func:`expert_sequence_prior`). Otherwise they loop:
@@ -80,7 +81,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .experts import (ForecastingSystem, _alphabet_size, _check_logpreds, _check_source,
-                      _forecast_rows, _index, _logpred_matrix, _realized_matrix)
+                      _index, _logpred_matrix, _read_window, _realized_matrix, _symbol_array)
 from .hmm import (HmmModel, LevelArcs, LevelPlan, StateId, compile_level, propagate_arcs,
                   propagate_frontier, pull_arcs, shape_of)
 from .logprob import (_EMPTY_SHIFT, NEG_INF, LogMass, log_sum, log_sum_iter, logsumexp,
@@ -447,9 +448,10 @@ class ForwardPass:
         # The next stratum's per-label masses and their total, once propagated.
         self._pre_by_label: np.ndarray | None = None
         self._pre_total: LogMass = NEG_INF
-        # Experts mode: the row source, this step's row once read, and the
-        # outcome to send for the next one.
-        self._rows = None if experts is None else _forecast_rows(self.experts)
+        # Experts mode: the streams, this step's row once read, and the
+        # outcome to send for the next one (at first None, which a fresh
+        # generator takes as ``next``).
+        self._streams = None if experts is None else [e.forecasts() for e in self.experts]
         self._preds: np.ndarray | None = None
         self._last: int | None = None
 
@@ -457,7 +459,7 @@ class ForwardPass:
 
     def _expert_preds(self) -> np.ndarray:
         if self._preds is None:
-            self._preds = self._rows.send(self._last)
+            self._preds = np.array([s.send(self._last) for s in self._streams])
         return self._preds
 
     def predict_expert(self) -> np.ndarray:
@@ -646,7 +648,8 @@ SCAN_LEVEL_STATES = 16
 # window's arrays hold about rows * (k * alphabet + 6 S) floats, and its
 # fixed cost, about 3 sqrt(rows) small vectorised passes, falls as it
 # grows (fixed share, k = 2, 2,000 rows: 1.1 us a row at 1,024 rows
-# against 1.9 at 256).
+# against 1.9 at 256). ``experts.prediction_matrix`` reads each expert's
+# window reader in windows of the same size.
 SCAN_ROWS = 1024
 
 
@@ -744,9 +747,10 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
     a step: the steps' log conditionals log P(x_t | x^{t-1}), their
     next-expert distributions (rows, k) and, in experts mode, their
     next-outcome distributions (rows, alphabet), else None; only the
-    carried vector outlives a window. The window's forecasts are read one
-    window an expert, each expert's ``window_forecasts`` sent the window's
-    checked symbols, and mixed in one ``np.logaddexp.reduce``.
+    carried vector outlives a window. The window's symbols are checked
+    (``experts._symbol_array``), each expert's ``window_forecasts`` is
+    sent them and its reply's shape checked (``experts._read_window``),
+    and the forecasts are mixed in one ``np.logaddexp.reduce``.
     The steps are one run of ``_Blocks`` over the window's rows, from the
     vector carried out of the window before, shifted to a maximum of 0,
     and with per-level tables over the window's own levels, which the
@@ -825,7 +829,7 @@ def _offline_marginal(model: HmmModel, lp: np.ndarray) -> LogMass:
 
 def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
     """``_scan_forward``'s windows. A window's symbols are checked before
-    any expert reads them, then each expert's reader gives its forecasts."""
+    any expert reads them, then ``_read_window`` reads each expert's."""
     readers = [] if experts is None else [e.window_forecasts() for e in experts]
     for reader in readers:
         next(reader)
@@ -836,10 +840,10 @@ def _forward_windows(first, labels, tables, k, experts, size, data, lp_all):
         if experts is None:
             lp, preds = lp_all[t0:t0 + r], None
         else:
-            xs = np.array([_index(x, i, size) for i, x in enumerate(window, t0)], dtype=np.intp)
+            xs = _symbol_array(window, size, t0)
             preds = np.empty((r, k, size))
             for j, reader in enumerate(readers):
-                preds[:, j] = reader.send(xs)
+                preds[:, j] = _read_window(reader, xs, j, size)
             lp = preds[np.arange(r), :, xs]
         # The window's rows after its head read levels t0 or 1 on.
         cond, pre, carry = _scan_window(tables(range(t0 or 1, t0 + r)), labels, lp,

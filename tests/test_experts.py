@@ -7,6 +7,7 @@ import pytest
 
 import expertseq as es
 from expertseq.experts import ModelExpert
+from expertseq.forward import _step_rows
 from expertseq.logprob import NEG_INF, logsumexp
 from oracles import Counting, record_stream
 
@@ -461,17 +462,47 @@ def streamed_column(e, data):
     return np.array(out, dtype=float)
 
 
+# Window replies of the wrong shape, from a fair binary expert's log
+# forecasts and the window's rows, with the shape a 3-row window gets.
+WRONG_REPLIES = {
+    "one_row": (lambda logp, r: logp, r"\(2,\)"),
+    "short": (lambda logp, r: np.broadcast_to(logp, (r - 1, len(logp))), r"\(2, 2\)"),
+}
+
+
+def wrong_window(reply):
+    """A fair binary expert whose reader replies ``WRONG_REPLIES[reply]``."""
+    make = WRONG_REPLIES[reply][0]
+
+    class Wrong(es.ConstantExpert):
+        def window_forecasts(self):
+            xs = yield
+            while True:
+                xs = yield make(self._logp, len(xs))
+    return Wrong([0.5, 0.5])
+
+
 class TestRealizedColumns:
-    @pytest.mark.parametrize("n", [0, 1, 40])
+    # n = 23 is read in windows of 7 rows: three full ones and a short one.
+    @pytest.mark.parametrize("n", [0, 1, 40, 23])
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("name", BUILTINS)
-    def test_column_is_the_stream_bit_for_bit(self, name, size, n):
+    def test_column_is_the_stream_bit_for_bit(self, name, size, n, monkeypatch):
+        if n == 23:
+            monkeypatch.setattr(es.forward, "SCAN_ROWS", 7)
         rng = np.random.default_rng(34 + 10 * size + n)
         e = builtin_experts(rng, size=size)[name]
         data = rng.integers(0, size, n).astype(np.intp)
-        got = e.realized(data)
+        got = es.prediction_matrix([e], data)[:, 0]
         assert got.dtype == np.float64
         assert got.tobytes() == streamed_column(e, data.tolist()).tobytes()
+
+    def test_default_column_makes_n_forecasts_and_n_minus_1_sends(self, monkeypatch):
+        monkeypatch.setattr(es.forward, "SCAN_ROWS", 7)
+        e = Counting(es.KTEstimator(2))
+        data = np.random.default_rng(38).integers(0, 2, 23).tolist()
+        es.prediction_matrix([e], data)
+        assert (e.rows, e.sent) == (23, data[:-1])
 
     def test_advice_exhausts_like_the_stream(self):
         e = es.AdviceExpert([[0.9, 0.1], [0.3, 0.7]])
@@ -493,19 +524,17 @@ class TestRealizedColumns:
         assert counts == [[0]] * len(counts)
 
     def test_column_of_the_wrong_shape_names_the_expert(self):
-        class Short(es.ConstantExpert):
-            def realized(self, data):
-                return super().realized(data)[1:]
-
-        with pytest.raises(ValueError, match="expert 1 realized shape"):
-            es.prediction_matrix([es.uniform_expert(2), Short([0.5, 0.5])], [0, 1, 1])
+        for reply, (_, shape) in WRONG_REPLIES.items():
+            experts = [es.uniform_expert(2), wrong_window(reply)]
+            with pytest.raises(ValueError, match=rf"expert 1 window shape {shape} for 3 symbols"):
+                es.prediction_matrix(experts, [0, 1, 1])
 
     def test_counting_column_memory_is_linear_in_n(self):
         # A one-hot running count would take n * size * 8 bytes, 205 MB here.
         data = np.random.default_rng(36).integers(0, 256, 100_000).astype(np.intp)
         tracemalloc.start()
         try:
-            col = es.KTEstimator(256).realized(data)
+            col = es.prediction_matrix([es.KTEstimator(256)], data)[:, 0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,6 +598,13 @@ class TestWindowForecasts:
             windowed(e, data, cuts)
         assert str(read.value) == str(streamed.value) == "advice exhausted: step 5 beyond 5 rows"
         assert windowed(e, data[:5], cuts[:1]).shape == (5, 2)
+
+    @pytest.mark.parametrize("reply", sorted(WRONG_REPLIES))
+    def test_scan_rejects_a_window_of_the_wrong_shape(self, reply):
+        experts = [es.uniform_expert(2), wrong_window(reply)]
+        shape = WRONG_REPLIES[reply][1]
+        with pytest.raises(ValueError, match=rf"expert 1 window shape {shape} for 3 symbols"):
+            list(_step_rows(es.bayes([0.5, 0.5]), experts, [0, 1, 1]))
 
 
 class CountingSequence(Sequence):
