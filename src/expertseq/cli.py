@@ -103,7 +103,7 @@ def _parse_builtin(spec: str, alphabet_size: int) -> tuple[list[ForecastingSyste
     return experts, names
 
 
-def _read_data(path: str, alphabet: Alphabet) -> list[int]:
+def _read_data(path: str, alphabet: Alphabet) -> np.ndarray:
     data, index = [], {s: i for i, s in enumerate(alphabet.symbols)}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -117,7 +117,7 @@ def _read_data(path: str, alphabet: Alphabet) -> list[int]:
                     raise InputError(f"{path}:{lineno}: symbol {tok!r} not in alphabet")
     except OSError as e:
         raise InputError(f"cannot read data file: {e}") from None
-    return data
+    return np.array(data, dtype=np.intp)
 
 
 def _read_advice(path: str, alphabet_size: int, mode: str, n_steps: int):
@@ -300,6 +300,8 @@ def _json_keys(labels: Sequence[str]) -> tuple[list[int] | None, str]:
 # exponent (12 to 15, and some where the texts agree) each number's repr.
 _NUMBER = re.compile("\0([^,}]*)")
 _INTEGRAL = re.compile("\0(-?[0-9]+)(?=[,}])")
+# The integer texts a probability has, 0 and 1, as str.replace pairs.
+_ZERO_ONE = [("\0" + d + end, d + ".0" + end) for d in "01" for end in ",}"]
 
 
 def _repr_number(match: re.Match) -> str:
@@ -341,7 +343,7 @@ def _cmd_evaluate(args) -> int:
                 cols += [f"p_out:{s}" for s in symbols]
             cols += [f"p_exp:{nm}" for nm in names] + ["bits", "cum_bits"]
             out.write(",".join(cols) + "\n")
-        for i, (x, (log_cond, expert, outcome)) in enumerate(zip(data, steps), 1):
+        for i, (x, (log_cond, expert, outcome)) in enumerate(zip(data.tolist(), steps), 1):
             bits = to_bits(log_cond)
             cum += bits
             if json_mode:
@@ -352,7 +354,10 @@ def _cmd_evaluate(args) -> int:
                 if "e+1" in text:
                     text = _NUMBER.sub(_repr_number, text)
                 elif _INTEGRAL.search(text):
-                    text = _INTEGRAL.sub(r"\1.0", text)
+                    for cell, number in _ZERO_ONE:
+                        text = text.replace(cell, number)
+                    if _INTEGRAL.search(text):      # another integer, as bits may be
+                        text = _INTEGRAL.sub(r"\1.0", text)
                 out.write(lead + text.replace("\0", ""))
                 lead = ",\n"
             else:
@@ -387,8 +392,8 @@ def _cmd_map(args) -> int:
     res = switch_map(model.cfg, experts, data, logpred_matrix=matrix)
     with _output(args) as out:
         if args.format == "json":
-            json.dump({"sequence": [names[x] for x in res.sequence],
-                       "map_bits": float(_fmt(to_bits(res.log_probability))) if data else 0.0},
+            bits = float(_fmt(to_bits(res.log_probability))) if len(data) else 0.0
+            json.dump({"sequence": [names[x] for x in res.sequence], "map_bits": bits},
                       out, indent=2, sort_keys=True)
             out.write("\n")
         else:
@@ -410,7 +415,7 @@ def _cmd_bounds(args) -> int:
         if value is not None and value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
     alphabet, data, names, experts, matrix, model, w = _load_inputs(args)
-    if not data:
+    if not len(data):
         raise InputError("bounds need a nonempty data file")
     # Every report is computed before the output opens, so one that fails
     # leaves no partial file.

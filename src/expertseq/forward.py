@@ -6,9 +6,11 @@ marginal so far is available after every step. Work and space counters
 are exposed so the complexity contracts of the models can be checked.
 
 :class:`ForwardPass` is the online loop over one of two frontier cores,
-chosen once from ``model.level_arcs()`` (``_new_core``): ``_ArcCore``
-steps a log-weight vector with :func:`~expertseq.hmm.propagate_arcs`,
-``_TupleCore`` a weight map of tuple states with
+chosen once (``_new_core``): ``_VectorCore`` steps a log-weight vector
+through the per-level tables of a model that ``_scan_start`` admits
+without being stationary (the switch model up to k = 8), else through
+level arcs with :func:`~expertseq.hmm.propagate_arcs`; ``_TupleCore``, for
+the rest, stationary models among them, a weight map of tuple states with
 :func:`~expertseq.hmm.propagate_frontier`. Each owns its frontier and
 offers ``propagate`` (the next stratum's per-label masses, their total,
 the transitions, the weights the level held), ``update`` (by the
@@ -22,7 +24,7 @@ Offline passes over a realized matrix known up front run
 ``_offline_forward``: it steps the same core in the same order as
 :meth:`ForwardPass.advance`, less the per-step records, so its marginal
 has the same bits. A recording core keeps each level for the backward
-sweep: the array core its ``LevelArcs`` and post-update vector, the tuple
+sweep: the vector core its ``LevelArcs`` and post-update vector, the tuple
 core its ``LevelPlan`` (a replayed level's, or one compiled from what
 propagate_frontier recorded where the level fell back) and post-update
 masses by sink, -inf where the update dropped a state.
@@ -285,29 +287,39 @@ class _TupleCore:
                 beta = node_beta[:len(prev)]
 
 
-class _ArcCore:
-    """The frontier as a log-weight vector over the numbering of the level
-    that produced it (``initial()`` order before the first). Node j carries
-    expert j % k, read off ``grid``, which ``labels_of`` grows by doubling."""
+class _VectorCore:
+    """The frontier as a log-weight vector over its stratum's numbering
+    (``initial()`` order before the first level), stepped by a
+    ``_TableSteps`` or by ``_arc_step`` through level arcs, whose node j
+    carries expert j % k, read off ``grid``, which ``labels_of`` grows by
+    doubling. Either gives the next stratum's vector, labels, per-label
+    masses, tuple states (a function of nodes) and the level's counts."""
 
-    def __init__(self, model: HmmModel, record: bool, levels):
+    def __init__(self, model: HmmModel, record: bool, levels, tables=None):
         self.model, self.record = model, record
         self.regions, self.stratum_weights = [], []
-        self.levels = levels
+        self.levels, self.tables = levels, tables
         self.grid = np.arange(0)
         self.frontier = np.array([v for _, v in model.initial()], dtype=float)
-        self.level: LevelArcs | None = None      # the level that numbered the frontier
-        self.pending: LevelArcs | None = None    # the level being stepped
+        self.states = None      # the frontier's tuple states, after the first level
+        self.pending = None     # the next stratum's
 
     def propagate(self, target: int, count_transitions: bool):
-        level = self.pending = next(self.levels)
-        self.pre, transitions, held = propagate_arcs(
-            self.frontier, level.layers, count_transitions=count_transitions)
+        # The step is picked here: a bound method kept on self would be a cycle.
+        step = self._arc_step if self.tables is None else self.tables
+        self.pre, self.labels, self.by_label, self.pending, transitions, held = step(
+            self.frontier, target, count_transitions)
+        return self.by_label, logsumexp(self.by_label), transitions, held
+
+    def _arc_step(self, frontier: np.ndarray, target: int, count_transitions: bool):
+        level = next(self.levels)
+        pre, transitions, held = propagate_arcs(
+            frontier, level.layers, count_transitions=count_transitions)
         if self.record:
             self.regions.append(level)
-        self.labels = self.labels_of(len(self.pre))
-        self.by_label = logsumexp_by(self.pre, self.labels, self.model.num_experts)
-        return self.by_label, logsumexp(self.by_label), transitions, held
+        labels = self.labels_of(len(pre))
+        return (pre, labels, logsumexp_by(pre, labels, self.model.num_experts), level.states,
+                transitions, held)
 
     def labels_of(self, size: int) -> np.ndarray:
         if len(self.grid) < size:
@@ -315,28 +327,28 @@ class _ArcCore:
         return self.grid[:size]
 
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
-        level = self.pending
+        states = self.pending
         post = self.pre + lp[self.labels]
         # A label's post-update mass is its pre-update mass times its
         # expert's likelihood, zero exactly when every node of the label is.
         new_marginal = logsumexp(self.by_label + lp)
         if new_marginal == NEG_INF:
             raise ZeroMarginalError(step)
-        self.frontier, self.level, self.pre = post, level, None
+        self.frontier, self.states, self.pre = post, states, None
         trim_vector = getattr(hook, "trim_vector", None)
         if trim_vector is not None:
-            self.frontier = trim_vector(post, level.states)
+            self.frontier = trim_vector(post, states)
         elif hook is not None:
             # Any other hook gets a WeightMap of the live states and may
             # return any states of the stratum, written back by node. Only
             # a state it was not shown costs the inverse of the whole stratum.
             live = np.flatnonzero(post > NEG_INF)
-            states = level.states(live)
-            node = dict(zip(states, live.tolist()))
-            entries = hook(WeightMap(dict(zip(states, post[live].tolist())), step)).entries
+            shown = states(live)
+            node = dict(zip(shown, live.tolist()))
+            entries = hook(WeightMap(dict(zip(shown, post[live].tolist())), step)).entries
             if not entries.keys() <= node.keys():
-                states = level.states(np.arange(len(post)))
-                node = dict(zip(states, range(len(states))))
+                every = states(np.arange(len(post)))
+                node = dict(zip(every, range(len(every))))
                 for q in entries:
                     if q not in node:
                         raise _off_stratum(q, step)
@@ -347,10 +359,10 @@ class _ArcCore:
         return new_marginal
 
     def weight_map(self, t: int) -> WeightMap:
-        if self.level is None:
+        if self.states is None:
             return WeightMap(dict(self.model.initial()), 0)
         live = np.flatnonzero(self.frontier > NEG_INF)
-        return WeightMap(dict(zip(self.level.states(live), self.frontier[live].tolist())), t)
+        return WeightMap(dict(zip(self.states(live), self.frontier[live].tolist())), t)
 
     def backward_rows(self, lp_all: np.ndarray):
         """Unnormalised posterior rows of strata n, n - 1, ..., 1."""
@@ -366,9 +378,57 @@ class _ArcCore:
                 beta = pull_arcs(beta + lp_all[i - 1][labels], layers, len(post[i - 2]))
 
 
+# The most floats of per-level tables a table step holds, 64 KB: 128
+# levels at k = 4 (S = 8), so that a 500-step loop reads four windows.
+_TABLE_FLOATS = 8192
+
+
+class _TableSteps:
+    """The level step over ``_level_tables`` (see ``HmmModel``), on stratum
+    1's states lifted to each level. Level 0 gives stratum 1's masses,
+    level t logsum_s frontier[s] + T_t[s, :], exact in its -inf entries,
+    from raw tables read a window at a time; one ``reduceat`` folds the
+    sorted labels. propagate_frontier counts each (live sources, class)
+    once. Nothing is recorded: these models' posteriors scan."""
+
+    def __init__(self, model: HmmModel):
+        self.model = model
+        self.stratum, self.first, self.labels = _stratum_one(model)
+        self.counts_at_0 = propagate_frontier(model, dict(model.initial()), 1)[1:]
+        self.starts = np.searchsorted(self.labels, np.arange(model.num_experts))
+        self.width = max(1, _TABLE_FLOATS // len(self.first) ** 2)
+        self.t0, self.tables, self.classes = 1, (), ()
+        self.counts: dict[tuple, tuple[int, int]] = {}
+
+    def __call__(self, frontier: np.ndarray, target: int, count_transitions: bool):
+        t = target - 1
+        if t == 0:
+            pre, counts = self.first, self.counts_at_0
+        else:
+            if not 0 <= t - self.t0 < len(self.tables):
+                self.tables = ()    # never two windows at once
+                read = self.model._level_tables(range(t, t + self.width))
+                self.t0, self.tables = t, read(np.arange(self.width))
+                self.classes = read.classes.tolist()
+            pre = np.logaddexp.reduce(frontier[:, None] + self.tables[t - self.t0], axis=0)
+            live = frontier > NEG_INF
+            key = (live.tobytes(), self.classes[t - self.t0])
+            counts = self.counts.get(key)
+            if counts is None:
+                sources = dict.fromkeys(self.lift(t)(np.flatnonzero(live)), 0.0)
+                counts = self.counts[key] = propagate_frontier(self.model, sources, target)[1:]
+        return (pre, self.labels, np.logaddexp.reduceat(pre, self.starts), self.lift(target),
+                *counts)
+
+    def lift(self, t: int) -> Callable[[np.ndarray], list[StateId]]:    # nodes -> states
+        return lambda idx: [(q[0], t) + q[2:] for q in map(self.stratum.__getitem__, idx.tolist())]
+
+
 def _new_core(model: HmmModel, record: bool):
+    if not model.stationary and _scan_start(model) is not None:
+        return _VectorCore(model, record, None, _TableSteps(model))
     levels = model.level_arcs()
-    return _TupleCore(model, record) if levels is None else _ArcCore(model, record, levels)
+    return _TupleCore(model, record) if levels is None else _VectorCore(model, record, levels)
 
 
 def _offline_forward(model: HmmModel, lp_all: np.ndarray, record: bool):
@@ -397,14 +457,14 @@ class ForwardPass:
     weighted expert allows). Each step builds one ``StepRecord``,
     ``last_step``, kept in ``steps`` with its transition count in
     ``transitions_per_level`` unless ``keep_steps`` is false; then memory
-    stays bounded by the frontier, and the array core counts no transitions.
+    stays bounded by the frontier, and the arc step counts no transitions.
 
     The frontier lives in one of two cores, chosen here once (see the
     module docstring). The frontier hook sees a ``WeightMap`` after each
     update; a hook with a ``trim_vector`` method, such as
-    :func:`~expertseq.approx.trimming_hook`'s, trims the array core's
+    :func:`~expertseq.approx.trimming_hook`'s, trims the vector core's
     vector directly. Any other hook may return states of the stratum it
-    was shown, live or not, which the array core writes back to their
+    was shown, live or not, which the vector core writes back to their
     nodes; on either core a state outside that stratum raises
     ``ValueError`` naming the step and the state.
 

@@ -98,8 +98,11 @@ class HmmModel(ABC):
     indices into them to the (len(idx), S, S) log tables of those levels,
     entry [s, j] log-summing the routes from state s of stratum t to
     state j of stratum t + 1, both listed by (label, state) as stratum 1
-    lists its S states. The offline scans read it as they read a
-    stationary model's one table.
+    lists its S states, one of each label at least; its ``classes`` are
+    integers, one a level, such that from the same live sources
+    :func:`propagate_frontier` counts the same at every level of a class.
+    The offline scans and a forward pass read it as they read a stationary
+    model's one table.
     """
 
     num_experts: int

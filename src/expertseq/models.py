@@ -566,7 +566,8 @@ class SwitchHmm(HmmModel):
     u(t, x) (S = 2k), or the u row alone (S = k) where theta = 1 leaves
     the s row empty. In the linear domain, with h the level's hazard and
     w = pi_k, u -> u is (1 - h) I + h theta w, u -> s is h (1 - theta) w
-    and s -> s is I."""
+    and s -> s is I. A level's class is whether h is 0, 1 or in between.
+    Up to k = 8 ``ForwardPass`` steps these tables, past that the arcs."""
 
     productive_tags = frozenset({"u", "s"})
     unambiguous = False
@@ -630,6 +631,7 @@ class SwitchHmm(HmmModel):
             out[:, x, 1, x, 1] = np.logaddexp(out[:, x, 1, x, 1], stay[idx, None])
             size = k * (2 - rows.start)
             return out[:, :, rows, :, rows].reshape(len(idx), size, size)
+        tables.classes = (h > 0.0).astype(np.intp) + (h >= 1.0)
         return tables
 
     def level_arcs(self):

@@ -589,12 +589,25 @@ class TestMap:
         names = out.read_text().split()
         assert names == ["const0"] * 4 + ["const1"] * 4
 
-    def test_empty_data_empty_output(self, tmp_path):
+    def test_empty_data_empty_output(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
         write(data, "")
         out = tmp_path / "m.txt"
         assert main(["map", str(data), "--model", "switch", *BASE, "--out", str(out)]) == 0
         assert out.read_text() == ""
+        # The data is an array, whose truth is never tested: JSON and
+        # bounds read its length.
+        assert main(["map", str(data), "--model", "switch", *BASE, "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"map_bits": 0.0, "sequence": []}
+        assert main(["bounds", str(data), "--model", "switch", *BASE]) == 2
+        assert "bounds need a nonempty data file" in capsys.readouterr().err
+
+    def test_data_is_read_as_a_checked_index_array(self, tmp_path):
+        data = tmp_path / "d.txt"
+        write(data, "b\n\na\nb\n")
+        got = cli_mod._read_data(str(data), cli_mod.Alphabet.of(["a", "b"]))
+        assert got.dtype == np.intp and got.tolist() == [1, 0, 1]
 
     def test_non_switch_model_unsupported(self, tmp_path, data_file):
         rc = main(["map", str(data_file), "--model", "fixed-share", "--alpha", "0.1", *BASE])

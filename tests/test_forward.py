@@ -285,6 +285,63 @@ class TestOutcomeMixing:
         assert long <= short + 4096, (short, long)
 
 
+def core_models():
+    w2 = [0.4, 0.6]
+    switch = lambda k: es.switch(es.default_switch_config(k), k)    # noqa: E731
+    yield "switch_k1", switch(1), "tables"
+    yield "switch_k2", switch(2), "tables"
+    yield "switch_k8", switch(8), "tables"
+    yield "switch_theta_1_k8", es.switch(es.SwitchConfig(1.0, es.inv_poly(), (0.125,) * 8), 8), \
+        "tables"
+    yield "switch_k9", switch(9), "arcs"
+    yield "switch_tuple_only", TupleOnly(switch(2)), "tuple"
+    yield "bayes", es.bayes(w2), "tuple"
+    yield "fixed_elementwise", es.fixed_elementwise(w2), "tuple"
+    yield "fixed_share", es.fixed_share(w2, 0.1), "tuple"
+    yield "overconfident", es.overconfident(w2, 0.1), "tuple"
+    yield "run_length", es.run_length(es.inv_poly(), w2), "arcs"
+    yield "universal_share", es.universal_share(w2), "arcs"
+    yield "universal_elementwise", es.universal_elementwise(2), "arcs"
+
+
+class TestOnlineCores:
+    @pytest.mark.parametrize("name, model, want", core_models(),
+                             ids=[name for name, _, _ in core_models()])
+    def test_new_core_per_model(self, monkeypatch, name, model, want):
+        # One rule: a model that _scan_start admits without being stationary
+        # steps its per-level tables; a stationary model keeps the tuple core
+        # and its plans without asking _scan_start, which builds a route
+        # table; any other model steps its level arcs where it has them.
+        asked = []
+        scan_start = es.forward._scan_start
+        monkeypatch.setattr(es.forward, "_scan_start",
+                            lambda m: asked.append(m) or scan_start(m))
+        core = es.forward._new_core(model, False)
+        got = ("tuple" if isinstance(core, es.forward._TupleCore) else
+               "tables" if isinstance(core.tables, es.forward._TableSteps) else "arcs")
+        assert got == want
+        assert bool(asked) == (not model.stationary)
+
+    def test_switch_table_step_is_bounded_and_matches_the_scan(self):
+        # 10^5 steps hold what the first 10^4 held: one window of tables and
+        # one count per (live sources, class). The marginal is the scan's.
+        n, model = 100_000, es.switch(es.default_switch_config(2), 2)
+        lp = np.log(np.random.default_rng(8).uniform(0.05, 0.95, (n, 2)))
+        fp = es.ForwardPass(model, logpred_matrix=lp, keep_steps=False)
+        assert isinstance(fp._core.tables, es.forward._TableSteps)
+        tracemalloc.start()
+        try:
+            for t in range(n):
+                if t == n // 10:
+                    early = tracemalloc.get_traced_memory()[1]
+                fp.advance(None)
+            late = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert late <= early + 1024, (early, late)
+        assert fp.log_marginal == pytest.approx(es.forward._offline_marginal(model, lp), rel=1e-9)
+
+
 class TestPosterior:
     def test_single_step_bayes(self):
         grid = es.posterior_experts(es.bayes([0.5, 0.5]), two_constant_experts(), [0])

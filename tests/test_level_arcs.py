@@ -1,9 +1,11 @@
-"""The array level step against the generic tuple core.
+"""The array level steps against the generic tuple core.
 
 Every model that provides level arcs runs twice on the same inputs: as
 itself, so ForwardPass keeps a log-weight vector and calls
 propagate_arcs, and wrapped in ``oracles.TupleOnly``, so ForwardPass keeps
-a weight map and calls propagate_frontier. The two runs must agree step by
+a weight map and calls propagate_frontier. The switch model up to k = 8
+steps the same vector through its per-level tables instead, and the
+switch model at k = 9 keeps its arcs. The two runs must agree step by
 step. The smoothed posterior, whose backward sweep is pull_arcs, must
 agree with ``oracles.region_posterior``, the reverse replay of the silent
 regions propagate_frontier records.
@@ -50,6 +52,11 @@ LATER_MODELS = {
     "switch_geometric_1": (
         2, lambda w: es.switch(es.SwitchConfig(0.5, es.geometric(1.0), tuple(w)), 2)),
     "switch_k1": (1, lambda w: es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), 1)),
+    # a zero weight: expert 0 is never drawn
+    "switch_zero_weight": (3, lambda w: es.switch(
+        es.SwitchConfig(0.5, es.inv_poly(), (0.0, *(np.asarray(w[1:]) / np.sum(w[1:])))), 3)),
+    # S = 18 is past SCAN_LEVEL_STATES: ForwardPass keeps the arc step
+    "switch_k9": (9, lambda w: es.switch(es.SwitchConfig(0.5, es.inv_poly(), tuple(w)), 9)),
 }
 # A model's seed is its position here: later models come after the sorted
 # first ones, so every earlier model keeps its inputs.
