@@ -12,22 +12,30 @@ without being stationary (the switch model up to k = 8), else through
 level arcs with :func:`~expertseq.hmm.propagate_arcs`; ``_TupleCore``, for
 the rest, stationary models among them, a weight map of tuple states with
 :func:`~expertseq.hmm.propagate_frontier`. Each owns its frontier and
-offers ``propagate`` (the next stratum's per-label masses, their total,
-the transitions, the weights the level held), ``update`` (by the
-realized log-likelihoods and the hook; the new marginal),
-``weight_map``, and ``backward_rows``, the smoothed posterior's backward
-sweep: :func:`~expertseq.hmm.pull_arcs` through the recorded arcs, or
-each level's recorded plan (:class:`~expertseq.hmm.LevelPlan`) in
-reverse, slot by slot.
+offers ``propagate``, which is ``step`` (the level alone, and its
+transitions and held weights where asked for) then ``fold`` (the next
+stratum's per-label masses and their total); ``update`` (by the realized
+log-likelihoods and the hook; the new marginal) and ``settle`` (the same
+with no hook and no marginal); ``weight_map``; and ``backward_rows``, the
+smoothed posterior's backward sweep: :func:`~expertseq.hmm.pull_arcs`
+through the recorded arcs, or each level's recorded plan
+(:class:`~expertseq.hmm.LevelPlan`) in reverse, slot by slot.
 
 Offline passes over a realized matrix known up front run
-``_offline_forward``: it steps the same core in the same order as
-:meth:`ForwardPass.advance`, less the per-step records, so its marginal
-has the same bits. A recording core keeps each level for the backward
-sweep: the vector core its ``LevelArcs`` and post-update vector, the tuple
-core its ``LevelPlan`` (a replayed level's, or one compiled from what
-propagate_frontier recorded where the level fell back) and post-update
-masses by sink, -inf where the update dropped a state.
+``_offline_forward``. It steps the same core in the same order as
+:meth:`ForwardPass.advance`, but a level before the last computes only
+what the pass reads: ``step`` with no counts, then ``settle``, which
+finds a zero marginal where the updated vector is -inf throughout or the
+updated map is empty, at the step ``advance`` names. No level but the
+last is folded by label or totalled. The last is propagated and updated
+as ``advance`` does it, so the marginal, log-summed from that level's
+per-label masses on the vector core and from its map on the tuple core,
+has ``advance``'s bits. A recording core keeps each level for the
+backward sweep: the vector core its ``LevelArcs`` and post-update vector,
+the tuple core its ``LevelPlan`` (a replayed level's, or one compiled
+from what propagate_frontier recorded where the level fell back) and
+post-update masses by sink, -inf where the update dropped a state. A
+recording core takes no hook.
 
 For a model that declares itself ``stationary``, the tuple core compiles
 the level of a frontier shape that comes back within a few levels and
@@ -126,7 +134,17 @@ def _off_stratum(q: StateId, step: int) -> ValueError:
                       f"which is not a state of stratum {step}")
 
 
-class _TupleCore:
+class _Core:
+    """A frontier core's ``propagate``: the level step, then the per-label
+    fold and total that a forward pass reports each step."""
+
+    def propagate(self, target: int, count_transitions: bool):
+        transitions, held = self.step(target, count_transitions, True)
+        by_label, total = self.fold()
+        return by_label, total, transitions, held
+
+
+class _TupleCore(_Core):
     """The frontier as a weight map of tuple states holding Python floats.
 
     ``plans`` maps a frontier shape (:func:`~expertseq.hmm.shape_of`) to
@@ -153,7 +171,9 @@ class _TupleCore:
         self.shape: tuple | None = None     # the frontier's shape, where a plan named it
         self.plan: LevelPlan | None = None  # the plan that gave pre, if one did
 
-    def propagate(self, target: int, count_transitions: bool):
+    def step(self, target: int, count_transitions: bool = False, count_held: bool = False):
+        """The level alone: ``pre``, the next stratum's masses, and the
+        level's transitions and held weights, which cost nothing more here."""
         plan = self._planned(target) if self.plan_levels else None
         if plan is None:
             record = [] if self.record else None
@@ -165,11 +185,16 @@ class _TupleCore:
             transitions, held = plan.transitions, plan.held
         if self.record:
             self.regions.append(plan)
+        self.labels = None if plan is None else plan.labels
+        return transitions, held
+
+    def fold(self) -> tuple[np.ndarray, LogMass]:
+        """``pre``'s per-label masses and its total."""
         by_label = [NEG_INF] * self.model.num_experts
-        labels = map(self.model.label, self.pre) if plan is None else plan.labels
+        labels = map(self.model.label, self.pre) if self.labels is None else self.labels
         for lab, v in zip(labels, self.pre.values()):
             by_label[lab] = log_sum(by_label[lab], v)
-        return np.array(by_label), log_sum_iter(self.pre.values()), transitions, held
+        return np.array(by_label), log_sum_iter(self.pre.values())
 
     def _planned(self, target: int) -> LevelPlan | None:
         """The frontier shape's plan, having replayed it to ``target`` into
@@ -209,16 +234,7 @@ class _TupleCore:
         cache[key] = value
 
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
-        # Python floats keep the dict loop and propagate_frontier off numpy scalars.
-        lp = lp.tolist()
-        label = self.model.label
-        pre, post = self.pre, {}
-        for q, v in pre.items():
-            m = v + lp[label(q)]
-            if m != NEG_INF:
-                post[q] = m
-        if not post:
-            raise ZeroMarginalError(step)
+        pre, post = self.pre, self._post(lp, step)
         new_marginal = log_sum_iter(post.values())
         if hook is not None:
             post = hook(WeightMap(post, step)).entries
@@ -226,6 +242,30 @@ class _TupleCore:
             for q in post:
                 if not (q[0] in tags and q[1] == step):
                     raise _off_stratum(q, step)
+        self._move(pre, post, hook)
+        return new_marginal
+
+    def settle(self, lp: np.ndarray, step: int) -> None:
+        """``update`` with no hook and no marginal."""
+        self._move(self.pre, self._post(lp, step), None)
+
+    def _post(self, lp: np.ndarray, step: int) -> dict[StateId, LogMass]:
+        """``pre`` times the realized likelihoods, less the states of mass 0."""
+        # Python floats keep the dict loop and propagate_frontier off numpy scalars.
+        lp = lp.tolist()
+        label = self.model.label
+        post = {}
+        for q, v in self.pre.items():
+            m = v + lp[label(q)]
+            if m != NEG_INF:
+                post[q] = m
+        if not post:
+            raise ZeroMarginalError(step)
+        return post
+
+    def _move(self, pre: dict, post: dict, hook) -> None:
+        """Make ``post`` the frontier, keeping the next level's plan lookup
+        and the record."""
         plan, self.plan = self.plan, None
         same = len(post) == len(pre)
         if self.plan_levels:
@@ -239,7 +279,6 @@ class _TupleCore:
             self.stratum_weights.append(list(post.values()) if same else
                                         [post.get(q, NEG_INF) for q in pre])
         self.frontier, self.pre = post, None
-        return new_marginal
 
     def weight_map(self, t: int) -> WeightMap:
         return WeightMap(dict(self.frontier), t)
@@ -287,13 +326,15 @@ class _TupleCore:
                 beta = node_beta[:len(prev)]
 
 
-class _VectorCore:
+class _VectorCore(_Core):
     """The frontier as a log-weight vector over its stratum's numbering
     (``initial()`` order before the first level), stepped by a
-    ``_TableSteps`` or by ``_arc_step`` through level arcs, whose node j
-    carries expert j % k, read off ``grid``, which ``labels_of`` grows by
-    doubling. Either gives the next stratum's vector, labels, per-label
-    masses, tuple states (a function of nodes) and the level's counts."""
+    ``_TableSteps`` or through level arcs, whose node j carries expert
+    j % k, read off ``grid``, which ``labels_of`` grows by doubling.
+    Either gives the next stratum's vector, labels, tuple states (a
+    function of nodes) and the level's counts; ``fold`` gives the
+    per-label masses, by the table steps' ``reduceat`` or by
+    ``logsumexp_by``."""
 
     def __init__(self, model: HmmModel, record: bool, levels, tables=None):
         self.model, self.record = model, record
@@ -304,22 +345,29 @@ class _VectorCore:
         self.states = None      # the frontier's tuple states, after the first level
         self.pending = None     # the next stratum's
 
-    def propagate(self, target: int, count_transitions: bool):
-        # The step is picked here: a bound method kept on self would be a cycle.
-        step = self._arc_step if self.tables is None else self.tables
-        self.pre, self.labels, self.by_label, self.pending, transitions, held = step(
-            self.frontier, target, count_transitions)
-        return self.by_label, logsumexp(self.by_label), transitions, held
-
-    def _arc_step(self, frontier: np.ndarray, target: int, count_transitions: bool):
+    def step(self, target: int, count_transitions: bool = False, count_held: bool = False):
+        """The level alone: ``pre``, the next stratum's vector, its labels and
+        its states, and the level's transitions and held weights; a count
+        not asked for may read 0."""
+        if self.tables is not None:
+            self.pre, self.labels, self.pending, transitions, held = self.tables(
+                self.frontier, target, count_transitions or count_held)
+            return transitions, held
         level = next(self.levels)
-        pre, transitions, held = propagate_arcs(
-            frontier, level.layers, count_transitions=count_transitions)
+        self.pre, transitions, held = propagate_arcs(
+            self.frontier, level.layers, count_transitions=count_transitions,
+            count_held=count_held)
         if self.record:
             self.regions.append(level)
-        labels = self.labels_of(len(pre))
-        return (pre, labels, logsumexp_by(pre, labels, self.model.num_experts), level.states,
-                transitions, held)
+        self.labels, self.pending = self.labels_of(len(self.pre)), level.states
+        return transitions, held
+
+    def fold(self) -> tuple[np.ndarray, LogMass]:
+        """``pre``'s per-label masses, kept for ``update``, and their total."""
+        self.by_label = (logsumexp_by(self.pre, self.labels, self.model.num_experts)
+                         if self.tables is None else
+                         np.logaddexp.reduceat(self.pre, self.tables.starts))
+        return self.by_label, logsumexp(self.by_label)
 
     def labels_of(self, size: int) -> np.ndarray:
         if len(self.grid) < size:
@@ -327,18 +375,18 @@ class _VectorCore:
         return self.grid[:size]
 
     def update(self, lp: np.ndarray, step: int, hook) -> LogMass:
-        states = self.pending
-        post = self.pre + lp[self.labels]
         # A label's post-update mass is its pre-update mass times its
         # expert's likelihood, zero exactly when every node of the label is.
         new_marginal = logsumexp(self.by_label + lp)
         if new_marginal == NEG_INF:
             raise ZeroMarginalError(step)
-        self.frontier, self.states, self.pre = post, states, None
+        post, states = self._move(lp), self.states
+        if hook is None:
+            return new_marginal
         trim_vector = getattr(hook, "trim_vector", None)
         if trim_vector is not None:
             self.frontier = trim_vector(post, states)
-        elif hook is not None:
+        else:
             # Any other hook gets a WeightMap of the live states and may
             # return any states of the stratum, written back by node. Only
             # a state it was not shown costs the inverse of the whole stratum.
@@ -354,9 +402,22 @@ class _VectorCore:
                         raise _off_stratum(q, step)
             self.frontier = np.full(len(post), NEG_INF)
             self.frontier[[node[q] for q in entries]] = list(entries.values())
-        if self.record:
-            self.stratum_weights.append(self.frontier)
         return new_marginal
+
+    def settle(self, lp: np.ndarray, step: int) -> None:
+        """``update`` with no hook and no marginal: the updated vector is
+        zero where every entry is -inf, as the marginal is."""
+        if self._move(lp).max(initial=NEG_INF) == NEG_INF:
+            raise ZeroMarginalError(step)
+
+    def _move(self, lp: np.ndarray) -> np.ndarray:
+        """Make ``pre`` times the realized likelihoods the frontier, and
+        record it: a recording core takes no hook."""
+        post = self.pre + lp[self.labels]
+        self.frontier, self.states, self.pre = post, self.pending, None
+        if self.record:
+            self.stratum_weights.append(post)
+        return post
 
     def weight_map(self, t: int) -> WeightMap:
         if self.states is None:
@@ -389,57 +450,63 @@ class _TableSteps:
     level t logsum_s frontier[s] + T_t[s, :], exact in its -inf entries,
     from raw tables read a window at a time; one ``reduceat`` folds the
     sorted labels. propagate_frontier counts each (live sources, class)
-    once. Nothing is recorded: these models' posteriors scan."""
+    once, and level 0's count comes with stratum 1. Nothing is recorded:
+    these models' posteriors scan."""
 
-    def __init__(self, model: HmmModel):
+    def __init__(self, model: HmmModel, one: _StratumOne):
         self.model = model
-        self.stratum, self.first, self.labels = _stratum_one(model)
-        self.counts_at_0 = propagate_frontier(model, dict(model.initial()), 1)[1:]
+        self.stratum, self.first, self.labels, self.counts_at_0 = one
         self.starts = np.searchsorted(self.labels, np.arange(model.num_experts))
         self.width = max(1, _TABLE_FLOATS // len(self.first) ** 2)
         self.t0, self.tables, self.classes = 1, (), ()
         self.counts: dict[tuple, tuple[int, int]] = {}
 
-    def __call__(self, frontier: np.ndarray, target: int, count_transitions: bool):
+    def __call__(self, frontier: np.ndarray, target: int, count: bool):
         t = target - 1
         if t == 0:
-            pre, counts = self.first, self.counts_at_0
-        else:
-            if not 0 <= t - self.t0 < len(self.tables):
-                self.tables = ()    # never two windows at once
-                read = self.model._level_tables(range(t, t + self.width))
-                self.t0, self.tables = t, read(np.arange(self.width))
-                self.classes = read.classes.tolist()
-            pre = np.logaddexp.reduce(frontier[:, None] + self.tables[t - self.t0], axis=0)
+            return self.first, self.labels, self.lift(target), *self.counts_at_0
+        if not 0 <= t - self.t0 < len(self.tables):
+            self.tables = ()    # never two windows at once
+            read = self.model._level_tables(range(t, t + self.width))
+            self.t0, self.tables = t, read(np.arange(self.width))
+            self.classes = read.classes.tolist()
+        pre = np.logaddexp.reduce(frontier[:, None] + self.tables[t - self.t0], axis=0)
+        counts = (0, 0)
+        if count:
             live = frontier > NEG_INF
             key = (live.tobytes(), self.classes[t - self.t0])
             counts = self.counts.get(key)
             if counts is None:
                 sources = dict.fromkeys(self.lift(t)(np.flatnonzero(live)), 0.0)
                 counts = self.counts[key] = propagate_frontier(self.model, sources, target)[1:]
-        return (pre, self.labels, np.logaddexp.reduceat(pre, self.starts), self.lift(target),
-                *counts)
+        return pre, self.labels, self.lift(target), *counts
 
     def lift(self, t: int) -> Callable[[np.ndarray], list[StateId]]:    # nodes -> states
         return lambda idx: [(q[0], t) + q[2:] for q in map(self.stratum.__getitem__, idx.tolist())]
 
 
 def _new_core(model: HmmModel, record: bool):
-    if not model.stationary and _scan_start(model) is not None:
-        return _VectorCore(model, record, None, _TableSteps(model))
+    scan = None if model.stationary else _scan_start(model)
+    if scan is not None:
+        return _VectorCore(model, record, None, _TableSteps(model, scan[0]))
     levels = model.level_arcs()
     return _TupleCore(model, record) if levels is None else _VectorCore(model, record, levels)
 
 
 def _offline_forward(model: HmmModel, lp_all: np.ndarray, record: bool):
     """The core after a forward pass over the realized (n, k) matrix
-    ``lp_all``, and the log marginal; ZeroMarginalError names its step."""
-    core, marginal = _new_core(model, record), 0.0
-    for t, lp in enumerate(lp_all, 1):
-        if core.propagate(t, False)[1] == NEG_INF:
-            raise ZeroMarginalError(t)
-        marginal = core.update(lp, t, None)
-    return core, marginal
+    ``lp_all``, and the log marginal; ZeroMarginalError names its step.
+    Each level but the last is stepped and settled alone: no per-label
+    fold, no totals, no counts. The last is propagated and updated as
+    :meth:`ForwardPass.advance` does it, so the marginal has its bits."""
+    core, n = _new_core(model, record), len(lp_all)
+    for t in range(1, n):
+        core.step(t)
+        core.settle(lp_all[t - 1], t)
+    if not n:
+        return core, 0.0
+    core.propagate(n, False)
+    return core, core.update(lp_all[n - 1], n, None)
 
 
 class ForwardPass:
@@ -666,7 +733,8 @@ def posterior_experts(
     loop's -inf entries and its finite ones within rounding of the loop's,
     summed in another order.
     Otherwise a recording ``_offline_forward`` keeps each level (its record
-    is in the module docstring), and the backward sweep pulls beta back one
+    is in the module docstring), folding by label only at the last one,
+    and the backward sweep, one fold a level, pulls beta back one
     stratum per level: through the level's arcs with
     :func:`~expertseq.hmm.pull_arcs` when the model provides level arcs,
     otherwise through the level's recorded plan, its silent region by slot
@@ -713,43 +781,55 @@ SCAN_LEVEL_STATES = 16
 SCAN_ROWS = 1024
 
 
-def _stratum_one(model: HmmModel) -> tuple[list[StateId], np.ndarray, np.ndarray]:
+class _StratumOne(NamedTuple):
     """Stratum 1 listed by (label, state), as ``SwitchHmm._level_tables``
-    lists it: its states, their log masses and their labels."""
-    first = propagate_frontier(model, dict(model.initial()), 1)[0]
+    lists it: its states, their log masses and their labels, and level
+    0's transitions and held weights, all from one propagate_frontier."""
+
+    states: list[StateId]
+    masses: np.ndarray
+    labels: np.ndarray
+    counts: tuple[int, int]
+
+
+def _stratum_one(model: HmmModel) -> _StratumOne:
+    first, *counts = propagate_frontier(model, dict(model.initial()), 1)
     label = model.label
     states = sorted(first, key=lambda q: (label(q), q))
-    return (states, np.array([first[q] for q in states]),
-            np.array([label(q) for q in states], dtype=np.intp))
+    return _StratumOne(states, np.array([first[q] for q in states]),
+                       np.array([label(q) for q in states], dtype=np.intp), tuple(counts))
 
 
-def _scan_start(model: HmmModel) -> tuple[np.ndarray, np.ndarray, Callable] | None:
+def _scan_start(model: HmmModel) -> tuple[_StratumOne, Callable] | None:
     """The one rule for every offline pass: None where the model loops,
-    else what its scan reads. That is stratum 1's masses and labels
-    (``_stratum_one``) and its tables: a function from levels to a
-    function from row indices into them to those rows' ``_exps``,
-    transposed for ``back``. A stationary model gives its one route table
-    from stratum 1 to 2 for every row, the switch model its
-    ``_level_tables``. A model loops where it is neither stationary nor
-    has that hook, where a stationary model's table is not closed (its
-    sinks are not its sources), or where S is past SCAN_STATES
-    (SCAN_LEVEL_STATES for per-level tables)."""
+    else what its scan reads. That is stratum 1 (``_stratum_one``) and its
+    tables: a function from levels to a function from row indices into
+    them to those rows' ``_exps``, transposed for ``back``. A stationary
+    model gives its one route table from stratum 1 to 2 for every row, the
+    switch model its ``_level_tables``. A model loops where it is neither
+    stationary nor has that hook, where a stationary model's table is not
+    closed (its sinks are not its sources), or where S is past SCAN_STATES
+    (SCAN_LEVEL_STATES for per-level tables, whose ``_level_states`` is
+    read before stratum 1 is listed)."""
     level_tables = None if model.stationary else model._level_tables
     if not (model.stationary or level_tables):
         return None
-    states, masses, labels = _stratum_one(model)
-    if not 0 < len(states) <= (SCAN_STATES if level_tables is None else SCAN_LEVEL_STATES):
-        return None
     if level_tables is not None:
+        if model._level_states > SCAN_LEVEL_STATES:
+            return None
+
         def tables(levels):
             read = level_tables(levels)
             return lambda idx, back=False: _exps(read(idx).swapaxes(1, 2) if back else read(idx))
-        return masses, labels, tables
-    routes = _Routes.build(model, states, 2)
-    if routes.sinks != shape_of(states):
+        return _stratum_one(model), tables
+    one = _stratum_one(model)
+    if not 0 < len(one.states) <= SCAN_STATES:
+        return None
+    routes = _Routes.build(model, one.states, 2)
+    if routes.sinks != shape_of(one.states):
         return None
     fwd, bwd = _exps(routes.table), _exps(routes.table.T)
-    return masses, labels, lambda levels: lambda idx, back=False: bwd if back else fwd
+    return one, lambda levels: lambda idx, back=False: bwd if back else fwd
 
 
 def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
@@ -772,7 +852,8 @@ def _scan_posterior(model: HmmModel, lp: np.ndarray) -> np.ndarray | None:
     scan = _scan_start(model)
     if scan is None:
         return None
-    first, labels, tables = scan
+    one, tables = scan
+    first, labels = one.masses, one.labels
     size = len(first)
     blocks = _Blocks(tables(range(1, len(lp))), lp[1:], labels)
     steps, nb, width = len(lp) - 1, blocks.nb, blocks.width
@@ -831,7 +912,8 @@ def _scan_forward(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
             raise ValueError(f"logpred matrix exhausted at step {len(lp_all) + 1}")
     else:
         size = _alphabet_size(experts)
-    return _forward_windows(*scan, k, experts, size, data, lp_all)
+    one, tables = scan
+    return _forward_windows(one.masses, one.labels, tables, k, experts, size, data, lp_all)
 
 
 def _step_rows(model: HmmModel, experts: Sequence[ForecastingSystem] | None,
@@ -1090,7 +1172,7 @@ def viterbi_unambiguous(
         return [], 0.0
 
     label = model.label
-    states, vals, labs = _stratum_one(model)
+    states, vals, labs, _ = _stratum_one(model)
     # labels[i][j]: the label of state j of stratum i + 1; parents[i - 1][j]:
     # the index of its best source in stratum i; vals: the last stratum's values.
     labels, parents = [], []

@@ -29,13 +29,13 @@ pushes a log-weight vector through those layers, a copy for a layer with
 one arc per destination and one ``reduceat`` for any other; it touches
 the same arcs of positive mass as :func:`propagate_frontier` and reports
 the same count of held weights and the same transition count, or skips
-the latter (``count_transitions=False``). Its backward counterpart,
-:func:`pull_arcs`, walks the same layers in reverse and pulls a vector
-over the next stratum back to the level's sources, one scatter a layer;
-it is the smoothed posterior's backward sweep. :func:`propagate_frontier`,
-and the reverse replay of the regions it records
-(``region_posterior`` in ``tests/oracles.py``), stay the definition both
-array steps are tested against.
+either (``count_held=False``, ``count_transitions=False``). Its backward
+counterpart, :func:`pull_arcs`, walks the same layers in reverse and
+pulls a vector over the next stratum back to the level's sources, one
+scatter a layer; it is the smoothed posterior's backward sweep.
+:func:`propagate_frontier`, and the reverse replay of the regions it
+records (``region_posterior`` in ``tests/oracles.py``), stay the
+definition both array steps are tested against.
 
 The array description is meant to be cheap per level: a model keeps
 its arc templates (index ranges, repeated weights) in the iterator,
@@ -101,8 +101,10 @@ class HmmModel(ABC):
     lists its S states, one of each label at least; its ``classes`` are
     integers, one a level, such that from the same live sources
     :func:`propagate_frontier` counts the same at every level of a class.
-    The offline scans and a forward pass read it as they read a stationary
-    model's one table.
+    Such a model also sets ``_level_states`` to S, so that a pass can
+    refuse a wide model before listing stratum 1. The offline scans and a
+    forward pass read the tables as they read a stationary model's one
+    table.
     """
 
     num_experts: int
@@ -337,6 +339,7 @@ def compile_level(frontier: dict[StateId, LogMass], record: list,
 
 def propagate_arcs(
     source: np.ndarray, layers: Sequence[ArcLayer], *, count_transitions: bool = True,
+    count_held: bool = True,
 ) -> tuple[np.ndarray, int, int]:
     """Push a log-weight vector over a level's sources through its layers.
 
@@ -344,7 +347,8 @@ def propagate_arcs(
     log-weight vector, the number of arcs of positive mass leaving live
     (finite) nodes, and the number of live weights held over the level.
     With ``count_transitions`` false the arcs are not counted and
-    ``transitions`` is 0; the weights and ``held`` are the same.
+    ``transitions`` is 0, with ``count_held`` false ``held`` is 0; the
+    weights and the other count are the same.
     """
     sizes = [len(layer.indptr) - 1 for layer in layers]
     held = np.empty(len(source) + sum(sizes))
@@ -362,7 +366,7 @@ def propagate_arcs(
             np.logaddexp.reduceat(vals, layer.indptr[:-1], out=block)
         if count_transitions:
             transitions += int(np.count_nonzero(vals > NEG_INF))
-    return block, transitions, int(np.count_nonzero(held > NEG_INF))
+    return block, transitions, int(np.count_nonzero(held > NEG_INF)) if count_held else 0
 
 
 def pull_arcs(

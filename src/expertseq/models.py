@@ -567,7 +567,8 @@ class SwitchHmm(HmmModel):
     the s row empty. In the linear domain, with h the level's hazard and
     w = pi_k, u -> u is (1 - h) I + h theta w, u -> s is h (1 - theta) w
     and s -> s is I. A level's class is whether h is 0, 1 or in between.
-    Up to k = 8 ``ForwardPass`` steps these tables, past that the arcs."""
+    Up to ``_level_states`` = 16 (k = 8, or k = 16 at theta = 1)
+    ``ForwardPass`` steps these tables, past that the arcs."""
 
     productive_tags = frozenset({"u", "s"})
     unambiguous = False
@@ -582,6 +583,18 @@ class SwitchHmm(HmmModel):
         self._log_theta = from_linear(cfg.theta)
         self._log_stab = from_linear(1.0 - cfg.theta)
         self.num_experts = k
+        # Where each table entry is in a level's values: [source x, row,
+        # sink y, row], row 0 the s row and 1 the u row, indexing the draws
+        # by (y, row) at [0, 2k), the u diagonal by x at [2k, 3k), then 0
+        # and -inf.
+        x = np.arange(k)
+        picks = np.full((k, 2, k, 2), 3 * k + 1)
+        picks[:, 1] = np.arange(2 * k).reshape(k, 2)
+        picks[x, 1, x, 1] = 2 * k + x
+        picks[x, 0, x, 0] = 3 * k
+        rows = slice(int(self._log_stab == NEG_INF), 2)
+        self._level_states = k * (2 - rows.start)
+        self._picks = picks[:, rows, :, rows].reshape(self._level_states, self._level_states)
 
     def initial(self):
         return [(("p", 0), 0.0)]
@@ -615,22 +628,23 @@ class SwitchHmm(HmmModel):
     def _level_tables(self, levels):
         # Each entry sums its route's masses in the order propagate_frontier
         # does: log h + log theta (or log(1 - theta)), then + log w_y; a
-        # diagonal u entry adds its stay, log(1 - h), last.
-        h = np.array([self._law.hazard(t) for t in levels])
+        # diagonal u entry adds its stay, log(1 - h), last. A level's 3k + 2
+        # values are computed once each, and one take by _picks lays them out.
+        h = np.fromiter(map(self._law.hazard, levels), float, len(levels))
         with np.errstate(divide="ignore"):
             stay, leave = np.log1p(-h), np.log(h)
-        k, rows = self.num_experts, slice(int(self._log_stab == NEG_INF), 2)
+        k, picks = self.num_experts, self._picks
         bands = np.array([self._log_stab, self._log_theta])     # into the s row, the u row
-        lw, x = np.array(self._log_w)[:, None], np.arange(k)
+        lw = np.array(self._log_w)[:, None]
 
         def tables(idx):
-            # [source x, row, sink y, row], row 0 the s row and 1 the u row.
-            out = np.full((len(idx), k, 2, k, 2), NEG_INF)
-            out[:, :, 1] = ((leave[idx, None, None] + bands) + lw)[:, None]
-            out[:, x, 0, x, 0] = 0.0
-            out[:, x, 1, x, 1] = np.logaddexp(out[:, x, 1, x, 1], stay[idx, None])
-            size = k * (2 - rows.start)
-            return out[:, :, rows, :, rows].reshape(len(idx), size, size)
+            idx = np.asarray(idx, dtype=np.intp)    # a range indexes twice: convert it once
+            n = len(idx)
+            vals = np.empty((n, 3 * k + 2))
+            vals[:, :2 * k] = ((leave[idx, None, None] + bands) + lw).reshape(n, 2 * k)
+            np.logaddexp(vals[:, 1:2 * k:2], stay[idx, None], out=vals[:, 2 * k:3 * k])
+            vals[:, 3 * k:] = 0.0, NEG_INF
+            return vals.take(picks, axis=1)
         tables.classes = (h > 0.0).astype(np.intp) + (h >= 1.0)
         return tables
 

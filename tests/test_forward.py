@@ -342,6 +342,89 @@ class TestOnlineCores:
         assert fp.log_marginal == pytest.approx(es.forward._offline_marginal(model, lp), rel=1e-9)
 
 
+    @pytest.mark.parametrize("k, calls", [(2, 1), (8, 1), (9, 0)])
+    def test_switch_core_lists_stratum_one_once(self, monkeypatch, k, calls):
+        # Stratum 1 and level 0's counts come from one propagate_frontier
+        # call; past k = 8 the core takes level arcs without listing it.
+        made = []
+        propagate = es.forward.propagate_frontier
+        monkeypatch.setattr(es.forward, "propagate_frontier",
+                            lambda model, frontier, *a, **kw: made.append(dict(frontier))
+                            or propagate(model, frontier, *a, **kw))
+        model = es.switch(es.default_switch_config(k), k)
+        fp = es.ForwardPass(model, logpred_matrix=np.zeros((1, k)))
+        assert made == [dict(model.initial())] * calls
+        fp.advance(None)
+        assert len(made) == calls and fp.peak_weights > 0
+
+
+def looping_models():
+    """Every model whose posterior loops, and TupleOnly of each."""
+    w2 = [0.4, 0.6]
+    models = {
+        "run_length_inv_poly": lambda: es.run_length(es.inv_poly(), w2),
+        "run_length_elias": lambda: es.run_length(es.elias_delta(), w2),
+        "run_length_uniform": lambda: es.run_length(es.uniform_span(2, 5), w2),
+        "universal_share": lambda: es.universal_share(w2),
+        "universal_elementwise": lambda: es.universal_elementwise(2),
+        "switch_k9": lambda: es.switch(es.default_switch_config(9), 9),
+    }
+    for name, make in models.items():
+        yield name, make
+        yield name + "_tuple_only", lambda make=make: TupleOnly(make())
+
+
+LOOPING = list(looping_models())
+
+
+def looping_lp(model, kind, n=30):
+    """A realized matrix: random, or with expert 0 ruled out from step 6."""
+    lp = np.log(np.random.default_rng(n).uniform(0.05, 0.95, (n, model.num_experts)))
+    if kind == "ruled_out":
+        lp[5:, 0] = -np.inf
+    return lp
+
+
+class TestOfflineLoop:
+    @pytest.mark.parametrize("kind", ["random", "ruled_out"])
+    @pytest.mark.parametrize("name, make", LOOPING, ids=[name for name, _ in LOOPING])
+    def test_recorded_pass_keeps_the_stepped_records(self, name, make, kind):
+        # The offline pass steps each level without its per-label fold, yet
+        # records what propagate and update record, level by level, so the
+        # backward sweep gives the same grid to the bit.
+        lp = looping_lp(make(), kind)
+        stepped = es.forward._new_core(make(), True)
+        for t, row in enumerate(lp, 1):
+            stepped.propagate(t, False)
+            stepped.update(row, t, None)
+        core = es.forward._offline_forward(make(), lp, True)[0]
+        assert len(core.stratum_weights) == len(stepped.stratum_weights) == len(lp)
+        for a, b in zip(core.stratum_weights, stepped.stratum_weights):
+            assert np.array_equal(a, b)
+        for a, b in zip(core.regions, stepped.regions, strict=True):
+            if isinstance(a, es.hmm.LevelPlan):
+                assert a == b
+            else:
+                assert all(np.array_equal(x, y) for la, lb in zip(a.layers, b.layers, strict=True)
+                           for x, y in zip(la, lb, strict=True))
+                assert a.states(np.arange(4)) == b.states(np.arange(4))
+        rows = [np.array(r) for r in core.backward_rows(lp)]
+        want = [np.array(r) for r in stepped.backward_rows(lp)]
+        assert b"".join(r.tobytes() for r in rows) == b"".join(r.tobytes() for r in want)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("name, make", LOOPING, ids=[name for name, _ in LOOPING])
+    def test_one_fold_a_pass(self, monkeypatch, name, make, record):
+        # Only the last level is folded by label, for the marginal.
+        folds = []
+        for core in (es.forward._VectorCore, es.forward._TupleCore):
+            monkeypatch.setattr(core, "fold", lambda self, fold=core.fold:
+                                folds.append(self) or fold(self))
+        model = make()
+        es.forward._offline_forward(model, looping_lp(model, "random"), record)
+        assert len(folds) == 1
+
+
 class TestPosterior:
     def test_single_step_bayes(self):
         grid = es.posterior_experts(es.bayes([0.5, 0.5]), two_constant_experts(), [0])

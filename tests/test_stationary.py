@@ -827,8 +827,9 @@ def test_switch_level_tables_match_routes(case, k):
     # as stratum 1 lists them (theta = 1 leaves out the s row). The scans
     # read those tables through _scan_start, transposed for back.
     model = switch_case(case, k)
-    first, labels, hook = forward_mod._scan_start(model)
-    assert len(first) == k * (1 if case == "theta_1" else 2)
+    one, hook = forward_mod._scan_start(model)
+    labels = one.labels
+    assert len(one.masses) == model._level_states == k * (1 if case == "theta_1" else 2)
     states = sorted(es.propagate_frontier(model, dict(model.initial()), 1)[0],
                     key=lambda q: (model.label(q), q))
     tables = model._level_tables(range(1, 51))(np.arange(50))
@@ -842,6 +843,36 @@ def test_switch_level_tables_match_routes(case, k):
         assert np.array_equal(table == -np.inf, ref == -np.inf)
         live = ref > -np.inf
         assert np.all(np.abs(table[live] - ref[live]) <= 1e-15 * np.maximum(1.0, np.abs(ref[live])))
+
+
+@pytest.mark.parametrize("case, k", SWITCH_KS, ids=[f"{c}-{k}" for c, k in SWITCH_KS])
+def test_switch_level_tables_sum_in_route_order(case, k):
+    # Bit for bit, each entry is its route's masses summed as
+    # propagate_frontier sums them: log h + log theta (or log(1 - theta)),
+    # then + log w_y, and on the u diagonal log(1 - h) added last. A window
+    # read at a stride is laid out in order, as a window read whole.
+    model = switch_case(case, k)
+    levels = range(1, 41)
+    h = np.array([model.cfg.pi_t.hazard(t) for t in levels])
+    with np.errstate(divide="ignore"):
+        stay, leave = np.log1p(-h), np.log(h)
+    bands = {"s": model._log_stab, "u": model._log_theta}
+    states = [(tag, x) for x in range(k) for tag in "su" if tag == "u" or case != "theta_1"]
+    read = model._level_tables(levels)
+    for idx in (np.arange(40), range(3, 40, 7)):
+        tables = read(idx)
+        assert tables.flags.c_contiguous
+        for table, i in zip(tables, idx):
+            ref = np.full((len(states), len(states)), -np.inf)
+            for s, (tag, x) in enumerate(states):
+                for j, (sink, y) in enumerate(states):
+                    if tag == "s":
+                        ref[s, j] = 0.0 if (sink, y) == ("s", x) else -np.inf
+                        continue
+                    ref[s, j] = (leave[i] + bands[sink]) + model._log_w[y]
+                    if (sink, y) == ("u", x):
+                        ref[s, j] = np.logaddexp(ref[s, j], stay[i])
+            assert table.tobytes() == ref.tobytes()
 
 
 def assert_switch_close(fast, ref):
